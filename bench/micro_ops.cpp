@@ -6,14 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
-#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "net/medium.hpp"
 #include "core/contory.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "obs/observability.hpp"
 
 using namespace contory;
@@ -189,87 +187,12 @@ void BM_ObsCounterLookupInc(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsCounterLookupInc);
 
-// --- Sharded-pipeline hot-path costs (rings, id interning, shard
-// lookup): the per-query overhead of the scaling machinery itself. ------
+// --- Query-table hot path ----------------------------------------------
 
-void BM_SpscRingPushPop(benchmark::State& state) {
-  // Uncontended push+pop pair — the floor for stage hand-off cost.
-  SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    ring.TryPush(v++);
-    std::uint64_t out = 0;
-    ring.TryPop(out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_SpscRingPushPop);
-
-void BM_MpmcRingPushPop(benchmark::State& state) {
-  MpmcRing<std::uint64_t> ring(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    ring.TryPush(v++);
-    std::uint64_t out = 0;
-    ring.TryPop(out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_MpmcRingPushPop);
-
-void BM_MpmcRingContended(benchmark::State& state) {
-  // Producer thread feeding the timed consumer loop: the worker->sim
-  // hand-off under real cross-thread traffic.
-  static MpmcRing<std::uint64_t> ring(4096);  // magic-static: safe init
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    while (!ring.TryPush(v)) {
-    }
-    ++v;
-    std::uint64_t out = 0;
-    while (!ring.TryPop(out)) {
-    }
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_MpmcRingContended)->Threads(2)->UseRealTime();
-
-void BM_QueryIdIntern(benchmark::State& state) {
-  // Intern + release of a fresh id: the admission-path cost of the dense
-  // id mapping (includes the map insert and the chunk-slot write).
-  core::QueryIdInterner interner;
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    const auto entry = interner.Intern("q-" + std::to_string(n++));
-    benchmark::DoNotOptimize(entry.id);
-    interner.Release(entry.id);
-  }
-}
-BENCHMARK(BM_QueryIdIntern);
-
-void BM_QueryIdLookup(benchmark::State& state) {
-  core::QueryIdInterner interner;
-  std::vector<std::string> names;
-  for (int i = 0; i < 4096; ++i) {
-    names.push_back("q-" + std::to_string(i));
-    interner.Intern(names.back());
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const core::QueryId id = interner.Lookup(names[i & 4095]);
-    benchmark::DoNotOptimize(id);
-    ++i;
-  }
-}
-BENCHMARK(BM_QueryIdLookup);
-
-void BM_ShardedTableFindById(benchmark::State& state) {
-  // Dense-id record lookup at a 64k-query population: one shard mask,
-  // one shard-local hash probe.
+void BM_QueryTableFindById(benchmark::State& state) {
+  // Record lookup by id at a 64k-query population: one hash probe.
   sim::Simulation sim{1};
-  core::ShardedQueryTable table(sim, core::ShardedQueryTableOptions{
-                                   static_cast<std::size_t>(state.range(0)),
-                                   /*completion_log_capacity=*/16});
+  core::QueryTable table(sim, /*completion_log_capacity=*/16);
   obs::Observability::Enable(false);
   core::CollectingClient client;
   std::vector<core::QueryId> qids;
@@ -287,7 +210,7 @@ void BM_ShardedTableFindById(benchmark::State& state) {
   }
   obs::Observability::Enable(true);
 }
-BENCHMARK(BM_ShardedTableFindById)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_QueryTableFindById);
 
 // Uniform scatter at constant density (side = 100 * sqrt(n), the city
 // default), WiFi-range cell size — the layout the city sweep queries.

@@ -5,14 +5,12 @@
 // 10k -> 100k -> 1M live queries (each with a distinct SELECT type, so no
 // two merge and every query owns a facade cluster) and measures the
 // wall-clock latency of ProcessCxtQuery and CancelCxtQuery at each
-// population milestone; with the sharded id-keyed table and the indexed
-// facades both stay flat. A second sweep measures ProcessCxtQueryBatch
-// throughput across worker counts (--workers), exercising the
-// admission/planning fan-out through the lock-free ring. --out=FILE
-// writes the whole trajectory as one JSON object (see BENCH_scale.json
-// at the repo root; `cores` records the machine the numbers came from).
+// population milestone; with the id-keyed table and the indexed facades
+// both stay flat. --out=FILE writes the whole trajectory as one JSON
+// object (see BENCH_scale.json at the repo root; `cores` records the
+// machine the numbers came from).
 //
-// --smoke shrinks both sweeps to a seconds-scale sanity pass wired into
+// --smoke shrinks the sweep to a seconds-scale sanity pass wired into
 // ctest, so the binary cannot silently rot.
 //
 // --obs=on|off|both selects whether the observability hooks (root span,
@@ -86,11 +84,10 @@ query::CxtQuery MakeQuery(sim::Simulation& sim, std::size_t n) {
   return q;
 }
 
-testbed::DeviceOptions ScaleDeviceOptions(std::size_t shards) {
+testbed::DeviceOptions ScaleDeviceOptions() {
   testbed::DeviceOptions opts;
   opts.name = "phone-scale";
   opts.with_cellular = false;  // adHoc facade only: isolates cluster lookup
-  opts.factory_config.table_shards = shards;
   return opts;
 }
 
@@ -109,13 +106,12 @@ struct SweepResult {
   double submit_p50_final_us = 0.0;
 };
 
-SweepResult RunSweep(bool obs_on, const std::vector<std::size_t>& milestones,
-                     std::size_t shards) {
+SweepResult RunSweep(bool obs_on, const std::vector<std::size_t>& milestones) {
   obs::Observability::ResetForTest();
   obs::Observability::Enable(obs_on);
 
   testbed::World world{4242};
-  auto& device = world.AddDevice(ScaleDeviceOptions(shards));
+  auto& device = world.AddDevice(ScaleDeviceOptions());
   core::CollectingClient client;
 
   constexpr std::size_t kTimedWindow = 2'000;  // ops timed at each milestone
@@ -193,61 +189,7 @@ SweepResult RunSweep(bool obs_on, const std::vector<std::size_t>& milestones,
   return result;
 }
 
-struct WorkerPoint {
-  std::size_t workers = 0;
-  double wall_ms = 0.0;
-  double qps = 0.0;
-};
-
-/// Batch-submit throughput per worker count, each against a fresh world
-/// (same seed, same queries) so populations don't accumulate between
-/// configurations.
-std::vector<WorkerPoint> RunWorkerSweep(
-    const std::vector<std::size_t>& worker_counts, std::size_t batch_size,
-    std::size_t shards) {
-  std::vector<WorkerPoint> points;
-  std::vector<bench::Row> rows;
-  for (const std::size_t workers : worker_counts) {
-    obs::Observability::ResetForTest();
-    obs::Observability::Enable(true);
-    testbed::World world{9000 + workers};
-    auto& device = world.AddDevice(ScaleDeviceOptions(shards));
-    core::CollectingClient client;
-
-    std::vector<query::CxtQuery> batch;
-    batch.reserve(batch_size);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      batch.push_back(MakeQuery(world.sim(), i));
-    }
-    const auto start = Clock::now();
-    const auto results = device.contory().ProcessCxtQueryBatch(
-        std::move(batch), client,
-        core::ContextFactory::BatchOptions{workers});
-    const double wall_ms = MicrosSince(start) / 1'000.0;
-    for (const auto& r : results) {
-      if (!r.ok()) {
-        std::fprintf(stderr, "batch submit failed (workers=%zu): %s\n",
-                     workers, r.status().ToString().c_str());
-        std::exit(1);
-      }
-    }
-    const double qps =
-        static_cast<double>(batch_size) / (wall_ms / 1'000.0);
-    points.push_back({workers, wall_ms, qps});
-    char label[48];
-    std::snprintf(label, sizeof label, "workers=%zu", workers);
-    char measured[96];
-    std::snprintf(measured, sizeof measured, "%.1f ms for %zu = %.0f q/s",
-                  wall_ms, batch_size, qps);
-    rows.push_back({label, measured, "n/a (extension)", ""});
-  }
-  bench::PrintTable("Batch-submit throughput vs. worker count",
-                    "throughput", rows);
-  return points;
-}
-
-int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
-                 const std::vector<std::size_t>& worker_counts,
+int RunScaleMode(bool smoke, std::size_t max_active,
                  const std::string& out_path) {
   std::vector<std::size_t> milestones;
   if (smoke) {
@@ -261,39 +203,17 @@ int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
       milestones.push_back(max_active);
     }
   }
-  const std::size_t batch_size = smoke ? 2'000 : 50'000;
 
   bench::PrintHeading(
       "Query scaling: submit/cancel latency vs. active query count");
   std::printf(
-      "One factory grown to %zu concurrent single-cluster queries (%zu\n"
-      "table shards); per-op wall-clock latency sampled at each milestone,\n"
-      "then batch-submit throughput across worker counts.\n\n",
-      milestones.back(), shards);
+      "One factory grown to %zu concurrent single-cluster queries; per-op\n"
+      "wall-clock latency sampled at each milestone.\n\n",
+      milestones.back());
 
-  const SweepResult sweep = RunSweep(/*obs_on=*/true, milestones, shards);
-  std::printf("\n");
-  const std::vector<WorkerPoint> throughput =
-      RunWorkerSweep(worker_counts, batch_size, shards);
-
-  std::vector<bench::JsonObject> json = sweep.json;
+  const SweepResult sweep = RunSweep(/*obs_on=*/true, milestones);
   const unsigned cores = std::thread::hardware_concurrency();
-  double qps_one_worker = 0.0;
-  for (const WorkerPoint& p : throughput) {
-    if (p.workers == 1) qps_one_worker = p.qps;
-  }
-  for (const WorkerPoint& p : throughput) {
-    bench::JsonObject obj;
-    obj.Set("workers", static_cast<double>(p.workers))
-        .Set("batch_size", static_cast<double>(batch_size))
-        .Set("wall_ms", p.wall_ms)
-        .Set("queries_per_sec", p.qps);
-    if (qps_one_worker > 0.0 && p.workers >= 1) {
-      obj.Set("speedup_vs_1_worker", p.qps / qps_one_worker);
-    }
-    json.push_back(obj);
-  }
-  std::printf("\nJSON:\n%s", bench::ToJsonArray(json).c_str());
+  std::printf("\nJSON:\n%s", bench::ToJsonArray(sweep.json).c_str());
 
   const Milestone& first = sweep.milestones.front();
   const Milestone& last = sweep.milestones.back();
@@ -301,8 +221,7 @@ int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
                             ? last.submit.p50_us / first.submit.p50_us
                             : 0.0;
   std::printf(
-      "\nSubmit p50: %.2f us at %zu -> %.2f us at %zu (x%.2f); "
-      "%u core(s) available for the worker sweep.\n",
+      "\nSubmit p50: %.2f us at %zu -> %.2f us at %zu (x%.2f); %u core(s).\n",
       first.submit.p50_us, first.active, last.submit.p50_us, last.active,
       growth, cores);
 
@@ -310,31 +229,11 @@ int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
     bench::JsonObject summary;
     summary.Set("bench", "scale_queries")
         .Set("cores", static_cast<double>(cores))
-        .Set("table_shards", static_cast<double>(shards))
         .Set("max_active_queries", static_cast<double>(last.active))
         .Set("submit_p50_us_first_milestone", first.submit.p50_us)
         .Set("submit_p50_us_max", last.submit.p50_us)
         .Set("submit_p50_growth_ratio", growth)
         .Set("cancel_p50_us_max", last.cancel.p50_us);
-    for (const WorkerPoint& p : throughput) {
-      char key[48];
-      std::snprintf(key, sizeof key, "qps_workers_%zu", p.workers);
-      summary.Set(key, p.qps);
-    }
-    if (qps_one_worker > 0.0) {
-      for (const WorkerPoint& p : throughput) {
-        if (p.workers > 1) {
-          char key[48];
-          std::snprintf(key, sizeof key, "speedup_%zu_vs_1", p.workers);
-          summary.Set(key, p.qps / qps_one_worker);
-        }
-      }
-    }
-    summary.Set("note",
-                cores <= 1
-                    ? "single-core machine: worker fan-out cannot speed up; "
-                      "speedups reflect ring/coordination overhead only"
-                    : "speedups measured on this core count");
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -347,10 +246,9 @@ int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
 
   if (smoke) {
     // Sanity gates only — smoke runs on shared CI machines where absolute
-    // numbers are meaningless, but a zero sample or a failed batch means
-    // the harness itself broke.
-    if (sweep.milestones.empty() || last.submit.p50_us <= 0.0 ||
-        throughput.empty()) {
+    // numbers are meaningless, but a zero sample means the harness itself
+    // broke.
+    if (sweep.milestones.empty() || last.submit.p50_us <= 0.0) {
       std::fprintf(stderr, "SMOKE FAILED: empty sweep\n");
       return 1;
     }
@@ -368,8 +266,7 @@ int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
 //   1. baseline — N/10 single submits, below every watermark;
 //   2. spike    — 6N/10 single submits, a 10x offered-load burst that
 //                 crosses the background and then the standard watermark;
-//   3. batch    — 3N/10 queries through ProcessCxtQueryBatch with two
-//                 workers: the pre-gated worker path, still shedding.
+//   3. tail     — 3N/10 more single submits, still shedding.
 // Every 5th query is interactive, two in five standard, two in five
 // background; half the background queries reuse one of eight "warm"
 // SELECT types seeded into the repository up front, so their sheds take
@@ -377,9 +274,9 @@ int RunScaleMode(bool smoke, std::size_t max_active, std::size_t shards,
 // The gates at the end are the graceful-degradation contract: interactive
 // is never shed and its p99 stays within 2x of the unloaded baseline,
 // background sheds strictly before standard, admitted == completed +
-// live, zero invalid transitions, zero leaked spans — plus the drop/ring
-// gauges (completion_log_dropped, executor_ring_high_watermark) that the
-// bounded completion log and the worker ring must have populated.
+// live, zero invalid transitions, zero leaked spans — plus the
+// completion_log_dropped gauge the bounded completion log must have
+// populated.
 
 constexpr std::size_t kWarmTypes = 8;
 
@@ -465,15 +362,15 @@ int RunOverloadMode(bool smoke, std::size_t submits,
   if (record && COBS_ON()) {
     obs::RecorderConfig rec;
     rec.capacity = 4096;
-    rec.prefixes = {"admission_", "completion_log", "executor_",
-                    "queries_", "recorder_"};
+    rec.prefixes = {"admission_", "completion_log", "queries_",
+                    "recorder_"};
     obs::Observability::recorder().Configure(std::move(rec));
   }
 
   const std::size_t n = submits != 0 ? submits : (smoke ? 1'000 : 30'000);
   const std::size_t baseline_n = std::max<std::size_t>(n / 10, 50);
   const std::size_t spike_n = baseline_n * 6;
-  const std::size_t batch_n = baseline_n * 3;
+  const std::size_t tail_n = baseline_n * 3;
   // Background sheds early in the spike; standard only once the spike has
   // pushed occupancy past half its span. Interactive has no watermark.
   const std::size_t high_wm = baseline_n + spike_n / 10;
@@ -483,14 +380,13 @@ int RunOverloadMode(bool smoke, std::size_t submits,
   std::printf(
       "Admission gated by the OverloadGovernor (high watermark %zu,\n"
       "standard watermark %zu). Baseline %zu submits, spike %zu (10x\n"
-      "offered load), then %zu through the 2-worker batch path; class mix\n"
-      "1:2:2 interactive:standard:background, half the background warm.\n\n",
-      high_wm, standard_wm, baseline_n, spike_n, batch_n);
+      "offered load), then a tail of %zu; class mix 1:2:2\n"
+      "interactive:standard:background, half the background warm.\n\n",
+      high_wm, standard_wm, baseline_n, spike_n, tail_n);
 
   testbed::DeviceOptions opts;
   opts.name = "phone-overload";
   opts.with_cellular = false;
-  opts.factory_config.table_shards = 64;
   // Warm SELECT types repeat across queries; merging would collapse them.
   opts.factory_config.enable_query_merging = false;
   // Small bound so the drop path is exercised even in smoke runs.
@@ -502,8 +398,8 @@ int RunOverloadMode(bool smoke, std::size_t submits,
   baseline.name = "baseline";
   OverloadPhase spike;
   spike.name = "spike-10x";
-  OverloadPhase batchp;
-  batchp.name = "batch-2w";
+  OverloadPhase tail;
+  tail.name = "tail";
   std::size_t first_shed[3] = {SIZE_MAX, SIZE_MAX, SIZE_MAX};
   std::uint64_t total_admitted = 0;
   std::uint64_t total_completed = 0;
@@ -513,8 +409,6 @@ int RunOverloadMode(bool smoke, std::size_t submits,
   std::uint64_t shed_counter[3] = {0, 0, 0};
   std::size_t live = 0;
   double log_dropped = 0.0;
-  double ring_high = 0.0;
-  double batch_ms = 0.0;
   {
     testbed::World world{777};
     auto& device = world.AddDevice(opts);
@@ -540,30 +434,8 @@ int RunOverloadMode(bool smoke, std::size_t submits,
     SubmitSingles(factory, client, sim, baseline_n, spike_n, spike, ids,
                   first_shed, &order, record);
 
-    std::vector<query::CxtQuery> batch;
-    batch.reserve(batch_n);
-    for (std::size_t k = 0; k < batch_n; ++k) {
-      batch.push_back(MakeOverloadQuery(sim, baseline_n + spike_n + k));
-    }
-    const auto bstart = Clock::now();
-    const auto results = factory.ProcessCxtQueryBatch(
-        std::move(batch), client, core::ContextFactory::BatchOptions{2});
-    batch_ms = MicrosSince(bstart) / 1'000.0;
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const std::size_t i = baseline_n + spike_n + k;
-      const auto c = static_cast<std::size_t>(ClassOf(i));
-      if (results[k].ok()) {
-        ++batchp.cls[c].admitted;
-        ids.push_back(*results[k]);
-      } else if (results[k].status().code() == StatusCode::kOverloaded) {
-        ++batchp.cls[c].shed;
-        if (first_shed[c] == SIZE_MAX) first_shed[c] = order + k;
-      } else {
-        std::fprintf(stderr, "unexpected batch failure at %zu: %s\n", k,
-                     results[k].status().ToString().c_str());
-        return 1;
-      }
-    }
+    SubmitSingles(factory, client, sim, baseline_n + spike_n, tail_n, tail,
+                  ids, first_shed, &order, record);
     if (record) {
       COBS(obs::Observability::recorder().Sample(sim.Now()));
     }
@@ -579,8 +451,6 @@ int RunOverloadMode(bool smoke, std::size_t submits,
     auto& metrics = obs::Observability::metrics();
     const auto* dropped = metrics.FindGauge("completion_log_dropped");
     log_dropped = dropped != nullptr ? dropped->value() : 0.0;
-    const auto* ring = metrics.FindGauge("executor_ring_high_watermark");
-    ring_high = ring != nullptr ? ring->value() : 0.0;
     const auto* fast = metrics.FindCounter("admission_stale_fastpath_total");
     stale_fastpath = fast != nullptr ? fast->value() : 0;
     for (std::size_t c = 0; c < 3; ++c) {
@@ -599,7 +469,7 @@ int RunOverloadMode(bool smoke, std::size_t submits,
   std::vector<bench::Row> rows;
   std::vector<bench::JsonObject> json;
   OpStats stats[3][3];  // [phase][class]
-  const OverloadPhase* phases[3] = {&baseline, &spike, &batchp};
+  const OverloadPhase* phases[3] = {&baseline, &spike, &tail};
   for (std::size_t p = 0; p < 3; ++p) {
     for (std::size_t c = 0; c < 3; ++c) {
       const ClassCounts& counts = phases[p]->cls[c];
@@ -648,8 +518,8 @@ int RunOverloadMode(bool smoke, std::size_t submits,
       "invalid transitions %llu\n"
       "Shed counters i/s/b: %llu/%llu/%llu; stale fast path %llu; "
       "degraded deliveries %llu\n"
-      "Gauges: completion_log_dropped %.0f, executor_ring_high_watermark "
-      "%.0f (batch %.1f ms); open spans %zu, double closes %zu\n",
+      "Gauges: completion_log_dropped %.0f; open spans %zu, double closes "
+      "%zu\n",
       stats[0][0].p99_us, stats[1][0].p99_us, p99_ratio,
       static_cast<unsigned long long>(total_admitted),
       static_cast<unsigned long long>(total_completed),
@@ -659,15 +529,15 @@ int RunOverloadMode(bool smoke, std::size_t submits,
       static_cast<unsigned long long>(shed_counter[1]),
       static_cast<unsigned long long>(shed_counter[2]),
       static_cast<unsigned long long>(stale_fastpath),
-      static_cast<unsigned long long>(degraded), log_dropped, ring_high,
-      batch_ms, open_spans, double_closes);
+      static_cast<unsigned long long>(degraded), log_dropped, open_spans,
+      double_closes);
 
   if (!out_path.empty()) {
     bench::JsonObject summary;
     summary.Set("bench", "scale_queries_overload")
         .Set("cores", static_cast<double>(std::thread::hardware_concurrency()))
-        .Set("submits_total", static_cast<double>(baseline_n + spike_n +
-                                                  batch_n))
+        .Set("submits_total",
+             static_cast<double>(baseline_n + spike_n + tail_n))
         .Set("high_watermark", static_cast<double>(high_wm))
         .Set("standard_watermark", static_cast<double>(standard_wm))
         .Set("interactive_p99_us_baseline", stats[0][0].p99_us)
@@ -685,7 +555,6 @@ int RunOverloadMode(bool smoke, std::size_t submits,
         .Set("invalid_transitions",
              static_cast<double>(invalid_transitions))
         .Set("completion_log_dropped", log_dropped)
-        .Set("executor_ring_high_watermark", ring_high)
         .Set("open_spans", static_cast<double>(open_spans));
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
@@ -719,7 +588,6 @@ int RunOverloadMode(bool smoke, std::size_t submits,
        "admitted != completed + live");
   gate(invalid_transitions == 0, "invalid lifecycle transitions");
   gate(log_dropped > 0.0, "bounded completion log never dropped");
-  gate(ring_high >= 1.0, "worker ring high watermark never observed");
   gate(open_spans == 0 && double_closes == 0, "leaked or double-closed spans");
   if (!smoke) {
     gate(p99_ratio <= 2.0, "interactive p99 exceeded 2x baseline");
@@ -741,8 +609,6 @@ int main(int argc, char** argv) {
   bool overload = false;
   std::size_t submits = 0;
   std::size_t max_active = 1'000'000;
-  std::size_t shards = 64;
-  std::vector<std::size_t> worker_counts{0, 1, 2, 4};
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--obs=", 6) == 0) {
@@ -753,16 +619,6 @@ int main(int argc, char** argv) {
       trace_path = arg + 12;
     } else if (std::strncmp(arg, "--max=", 6) == 0) {
       max_active = static_cast<std::size_t>(std::strtoull(arg + 6, nullptr, 10));
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = static_cast<std::size_t>(std::strtoull(arg + 9, nullptr, 10));
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      worker_counts.clear();
-      for (const char* p = arg + 10; *p != '\0';) {
-        char* end = nullptr;
-        worker_counts.push_back(
-            static_cast<std::size_t>(std::strtoull(p, &end, 10)));
-        p = (*end == ',') ? end + 1 : end;
-      }
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(arg, "--overload") == 0) {
@@ -773,8 +629,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: scale_queries [--obs=on|off|both] [--out=FILE]\n"
                    "                     [--trace-out=FILE]\n"
-                   "                     [--max=N] [--shards=N]\n"
-                   "                     [--workers=a,b,c] [--smoke]\n"
+                   "                     [--max=N] [--smoke]\n"
                    "                     [--overload] [--submits=N]\n");
       return 2;
     }
@@ -802,9 +657,7 @@ int main(int argc, char** argv) {
                                   /*record=*/!trace_path.empty()));
   }
   if (obs_mode == "scale") {
-    if (smoke) worker_counts = {0, 2};
-    return finish(
-        RunScaleMode(smoke, max_active, shards, worker_counts, out_path));
+    return finish(RunScaleMode(smoke, max_active, out_path));
   }
   if (obs_mode != "on" && obs_mode != "off" && obs_mode != "both") {
     std::fprintf(stderr, "unknown --obs mode '%s'\n", obs_mode.c_str());
@@ -835,8 +688,8 @@ int main(int argc, char** argv) {
     std::vector<double> on_p50s;
     for (int rep = 0; rep < kReps; ++rep) {
       const bool on_first = (rep % 2) == 1;
-      const SweepResult first = RunSweep(on_first, obs_milestones, shards);
-      const SweepResult second = RunSweep(!on_first, obs_milestones, shards);
+      const SweepResult first = RunSweep(on_first, obs_milestones);
+      const SweepResult second = RunSweep(!on_first, obs_milestones);
       const SweepResult& off = on_first ? second : first;
       const SweepResult& on = on_first ? first : second;
       off_p50s.push_back(off.submit_p50_final_us);
@@ -852,7 +705,7 @@ int main(int argc, char** argv) {
     on_final_us = on_p50s[kReps / 2];
   } else {
     const bool on = obs_mode == "on";
-    const SweepResult r = RunSweep(on, obs_milestones, shards);
+    const SweepResult r = RunSweep(on, obs_milestones);
     (on ? on_final_us : off_final_us) = r.submit_p50_final_us;
     json.insert(json.end(), r.json.begin(), r.json.end());
   }

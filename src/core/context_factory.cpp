@@ -32,9 +32,7 @@ ContextFactory::ContextFactory(DeviceServices services,
       repository_(*services_.sim, config_.repository),
       policy_(rules_, monitor_, repository_, facades_,
               {.reduce_load_provider_cap = config_.reduce_load_provider_cap}),
-      table_(*services_.sim,
-             ShardedQueryTableOptions{config_.table_shards,
-                                      config_.completion_log_capacity}),
+      table_(*services_.sim, config_.completion_log_capacity),
       planner_(PlannerEnv{&internal_ref_, &bt_ref_, &wifi_ref_, &cell_ref_,
                           &services_.default_infra_address,
                           &policy_.active_actions()}),
@@ -180,85 +178,30 @@ std::set<query::SourceSel> ContextFactory::CurrentMechanisms(
 
 Result<std::string> ContextFactory::ProcessCxtQuery(query::CxtQuery query,
                                                     Client& client) {
-  const AdmitOutcome outcome = AdmitAndPlan(std::move(query), client, {});
-  if (!outcome.status.ok()) {
-    // Planning rejections leave an ADMITTED record behind; retire it.
-    if (outcome.qid != kInvalidQueryId) table_.FinishById(outcome.qid);
-    return outcome.status;
-  }
-  if (outcome.degrade) return DegradeAtAdmission(outcome);
-  return ActivateQuery(outcome.qid, outcome.note);
-}
-
-ContextFactory::AdmitOutcome ContextFactory::AdmitAndPlan(
-    query::CxtQuery&& query, Client& client,
-    const QueryTable::AdmitOptions& admit_options,
-    const OverloadGovernor::Decision* pregate) {
   // Stages 0–1: overload gate and admission (validation, access
   // control, policy gates).
   OverloadGovernor::Decision decision;
-  Result<QueryId> admitted =
-      admission_.Admit(query, client, policy_.active_actions(),
-                       admit_options, pregate, &decision);
-  if (!admitted.ok()) return {kInvalidQueryId, admitted.status()};
-  AdmitOutcome outcome;
-  outcome.qid = *admitted;
-  outcome.note = decision.note;
+  const Result<QueryId> admitted =
+      admission_.Admit(query, client, policy_.active_actions(), &decision);
+  if (!admitted.ok()) return admitted.status();
+  const QueryId qid = *admitted;
   if (decision.outcome == OverloadGovernor::Decision::Outcome::kDegrade) {
     // Stale-answer-first: the record is in the table but never plans or
     // activates; the degraded-mode machinery serves it.
-    outcome.degrade = true;
-    outcome.degrade_cause = decision.status;
-    return outcome;
+    return DegradeAtAdmission(qid, decision);
   }
-  QueryRecord* record = table_.FindById(outcome.qid);
+  QueryRecord* record = table_.FindById(qid);
 
   // Stage 2: planning (FROM clause -> facade set + failover order).
   auto plan = planner_.Plan(record->query);
   if (!plan.ok()) {
-    outcome.status = plan.status();
-    return outcome;
+    table_.FinishById(qid);
+    return plan.status();
   }
   record->plan = *std::move(plan);
-  return outcome;
-}
-
-Result<std::string> ContextFactory::DegradeAtAdmission(
-    const AdmitOutcome& outcome) {
-  QueryRecord* record = table_.FindById(outcome.qid);
-  if (record == nullptr) {
-    return NotFound("query vanished before degraded activation");
-  }
   COBS({
-    table_.EnsureRootSpan(*record);
-    if (record->obs.root != 0 && outcome.note != nullptr) {
-      obs::Observability::tracer().AddNote(record->obs.root, outcome.note);
-    }
-  });
-  const std::string id = record->query.id;
-  if (!coordinator_.DegradeAtAdmission(*record, outcome.degrade_cause)) {
-    // The cached entry aged out (or degraded mode is off) between the
-    // gate and activation; fall back to the plain shed refusal.
-    table_.FinishById(outcome.qid);
-    return outcome.degrade_cause;
-  }
-  // The query was accepted and is being served stale (an on-demand
-  // round has already finished); its id is the caller's handle.
-  return id;
-}
-
-Result<std::string> ContextFactory::ActivateQuery(QueryId qid,
-                                                  const char* note) {
-  QueryRecord* record = table_.FindById(qid);
-  if (record == nullptr) {
-    return NotFound("query vanished before activation");
-  }
-  // A worker-admitted record carries an armed-but-unopened root span;
-  // materialize it before any child span or delivery can reference it.
-  COBS({
-    table_.EnsureRootSpan(*record);
-    if (record->obs.root != 0 && note != nullptr) {
-      obs::Observability::tracer().AddNote(record->obs.root, note);
+    if (record->obs.root != 0 && decision.note != nullptr) {
+      obs::Observability::tracer().AddNote(record->obs.root, decision.note);
     }
   });
   const std::string id = record->query.id;
@@ -291,88 +234,32 @@ Result<std::string> ContextFactory::ActivateQuery(QueryId qid,
   return id;
 }
 
+Result<std::string> ContextFactory::DegradeAtAdmission(
+    QueryId qid, const OverloadGovernor::Decision& decision) {
+  QueryRecord* record = table_.FindById(qid);
+  COBS({
+    if (record->obs.root != 0 && decision.note != nullptr) {
+      obs::Observability::tracer().AddNote(record->obs.root, decision.note);
+    }
+  });
+  const std::string id = record->query.id;
+  if (!coordinator_.DegradeAtAdmission(*record, decision.status)) {
+    // The cached entry aged out (or degraded mode is off) between the
+    // gate and activation; fall back to the plain shed refusal.
+    table_.FinishById(qid);
+    return decision.status;
+  }
+  // The query was accepted and is being served stale (an on-demand
+  // round has already finished); its id is the caller's handle.
+  return id;
+}
+
 std::vector<Result<std::string>> ContextFactory::ProcessCxtQueryBatch(
-    std::vector<query::CxtQuery> queries, Client& client,
-    const BatchOptions& options) {
-  const std::size_t n = queries.size();
+    std::vector<query::CxtQuery> queries, Client& client) {
   std::vector<Result<std::string>> results;
-  results.reserve(n);
-
-  if (options.workers == 0) {
-    for (auto& q : queries) {
-      results.push_back(ProcessCxtQuery(std::move(q), client));
-    }
-    return results;
-  }
-
-  // Worker mode. Everything the workers touch must be stable for the
-  // whole batch: ids come from the (unsynchronized, simulation-thread)
-  // generator up front, and the admission snapshot — the clock and the
-  // device energy ledger — is taken once, so every query in the batch
-  // shares one submission instant, exactly as if the batch were one
-  // simulation event.
+  results.reserve(queries.size());
   for (auto& q : queries) {
-    if (q.id.empty()) q.id = services_.sim->ids().NextId("q");
-  }
-  QueryTable::AdmitOptions admit_options;
-  admit_options.defer_obs = true;
-  admit_options.now = services_.sim->Now();
-  admit_options.energy_now_j = services_.phone->energy().TotalEnergyJoules();
-
-  // Overload pre-gating: the governor's token buckets, hysteresis state
-  // and the repository are simulation-thread-only, so every gate
-  // decision is made here, in submission order, before the fan-out —
-  // the same trick as the id pre-assignment above. The occupancy each
-  // decision sees is projected forward the way the deterministic loop
-  // would observe it: an admitted query occupies a record; a degraded
-  // periodic record stays; an on-demand degrade finishes immediately.
-  std::vector<OverloadGovernor::Decision> gates(n);
-  if (governor_.Armed(policy_.active_actions())) {
-    std::size_t projected = table_.active_count();
-    for (std::size_t i = 0; i < n; ++i) {
-      gates[i] = governor_.Decide(queries[i], client,
-                                  policy_.active_actions(), projected);
-      using Outcome = OverloadGovernor::Decision::Outcome;
-      if (gates[i].outcome == Outcome::kAdmit) {
-        ++projected;
-      } else if (gates[i].outcome == Outcome::kDegrade &&
-                 queries[i].mode() != query::InteractionMode::kOnDemand) {
-        ++projected;
-      }
-    }
-  }
-
-  results.assign(n, Status{StatusCode::kInternal, "batch slot unprocessed"});
-  std::vector<AdmitOutcome> outcomes(n);
-  PipelineExecutor executor(
-      PipelineExecutorOptions{.workers = options.workers});
-  executor.Run(
-      n,
-      [&](std::size_t i) {
-        outcomes[i] = AdmitAndPlan(std::move(queries[i]), client,
-                                   admit_options, &gates[i]);
-        // Only indices with a table record need simulation-thread work
-        // (activation, or Finish after a planning rejection).
-        return outcomes[i].qid != kInvalidQueryId;
-      },
-      [&](std::size_t i) {
-        const AdmitOutcome& outcome = outcomes[i];
-        if (!outcome.status.ok()) {
-          table_.FinishById(outcome.qid);
-          results[i] = outcome.status;
-          return;
-        }
-        if (outcome.degrade) {
-          results[i] = DegradeAtAdmission(outcome);
-          return;
-        }
-        results[i] = ActivateQuery(outcome.qid, outcome.note);
-      });
-  COBS(obs::Observability::metrics()
-           .GetGauge("executor_ring_high_watermark")
-           .Set(static_cast<double>(executor.ring_high_watermark())));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (outcomes[i].qid == kInvalidQueryId) results[i] = outcomes[i].status;
+    results.push_back(ProcessCxtQuery(std::move(q), client));
   }
   return results;
 }
@@ -400,6 +287,9 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
     }
   });
   const QueryId qid = record.qid;
+  // Listed before Submit: a cancel from inside a synchronous first
+  // delivery must reach this facade too.
+  const bool newly_assigned = record.assigned.insert(kind).second;
   // Providers arm their DURATION timer from "now", but the clause is
   // anchored at submission — a failover re-assignment must hand the
   // facade only the remaining window or the clock restarts.
@@ -418,10 +308,9 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
   // otherwise finish) the query from inside that delivery — which
   // erases the record. Re-resolve before touching it again.
   QueryRecord* live = table_.FindById(qid);
-  if (live == nullptr) return s;
-  if (s.ok()) {
-    live->assigned.insert(kind);
-  } else if (armed) {
+  if (live == nullptr || s.ok()) return s;
+  if (newly_assigned) live->assigned.erase(kind);
+  if (armed) {
     COBS({
       const std::uint64_t span = EnsureProvisionSpan(*live, kind);
       if (span != 0) {
@@ -440,7 +329,6 @@ void ContextFactory::CancelCxtQuery(const std::string& query_id) {
   QueryRecord* record = table_.Find(query_id);
   if (record == nullptr) return;
   COBS({
-    table_.EnsureRootSpan(*record);
     obs::Observability::tracer().AddNote(record->obs.root, "cancelled");
     static obs::Counter& cancelled =
         obs::Observability::metrics().GetCounter("queries_cancelled_total");

@@ -30,9 +30,8 @@
 #include "core/facade.hpp"
 #include "core/pipeline/admission.hpp"
 #include "core/pipeline/delivery_router.hpp"
-#include "core/pipeline/executor.hpp"
 #include "core/pipeline/failover_coordinator.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "core/pipeline/strategy_planner.hpp"
 #include "core/policy_enforcer.hpp"
 #include "core/providers/adhoc_provider.hpp"
@@ -76,10 +75,6 @@ struct ContextFactoryConfig {
   /// Delivery period while degraded; zero means the query's EVERY (or 5 s
   /// when the query names none).
   SimDuration degraded_poll_period = SimDuration::zero();
-  /// QueryTable shard count (rounded up to a power of two). More shards
-  /// spread worker-mode admission inserts; deterministic mode is
-  /// insensitive to the value.
-  std::size_t table_shards = 16;
   /// Completion-log bound (0 = unbounded; lifecycle-audit tests opt in).
   std::size_t completion_log_capacity = 4096;
   /// Overload protection in front of admission: per-client token
@@ -104,24 +99,10 @@ class ContextFactory {
   /// assignment.
   Result<std::string> ProcessCxtQuery(query::CxtQuery query, Client& client);
 
-  struct BatchOptions {
-    /// 0 = inline on the calling thread, in submission order — the
-    /// deterministic mode, equivalent to calling ProcessCxtQuery in a
-    /// loop. N > 0 = N admission/planning workers feeding activation
-    /// through a lock-free ring (see PipelineExecutor); same final
-    /// state, nondeterministic event order, simulation thread only.
-    std::size_t workers = 0;
-  };
-
-  /// Submits a batch of queries on behalf of one client; returns one
-  /// result per query, in input order.
+  /// Submits a batch of queries on behalf of one client: ProcessCxtQuery
+  /// for each, in input order. Returns one result per query.
   std::vector<Result<std::string>> ProcessCxtQueryBatch(
-      std::vector<query::CxtQuery> queries, Client& client,
-      const BatchOptions& options);
-  std::vector<Result<std::string>> ProcessCxtQueryBatch(
-      std::vector<query::CxtQuery> queries, Client& client) {
-    return ProcessCxtQueryBatch(std::move(queries), client, BatchOptions());
-  }
+      std::vector<query::CxtQuery> queries, Client& client);
 
   /// Cancels an active query.
   void CancelCxtQuery(const std::string& query_id);
@@ -219,37 +200,10 @@ class ContextFactory {
 
   Status AssignToFacade(QueryRecord& record, query::SourceSel kind);
 
-  /// Outcome of the worker-safe front half (admission + planning).
-  struct AdmitOutcome {
-    /// kInvalidQueryId when admission itself refused (nothing to clean
-    /// up); a real id with a non-OK status means the record is in the
-    /// table but planning rejected it — the simulation thread must
-    /// FinishById it.
-    QueryId qid = kInvalidQueryId;
-    Status status;
-    /// Shed with a warm repository: the record skipped planning and
-    /// must go through DegradeAtAdmission instead of ActivateQuery.
-    bool degrade = false;
-    Status degrade_cause;
-    /// Shed-decision annotation for the root span (static string).
-    const char* note = nullptr;
-  };
-  /// Stages 0–2 (overload gate, admission, planning). Thread-safe when
-  /// `admit_options.defer_obs` is set, `query.id` is pre-assigned and
-  /// the overload decision is supplied via `pregate`. Never calls
-  /// Finish.
-  AdmitOutcome AdmitAndPlan(query::CxtQuery&& query, Client& client,
-                            const QueryTable::AdmitOptions& admit_options,
-                            const OverloadGovernor::Decision* pregate =
-                                nullptr);
-  /// Stages 3–4 for an ADMITTED record: facade assignment + activation
-  /// (or Finish when nothing could be assigned). Simulation thread only.
-  Result<std::string> ActivateQuery(QueryId qid,
-                                    const char* note = nullptr);
   /// Stale-answer-first fast path for a shed-but-warm admission: hands
-  /// the ADMITTED record to the degraded-mode machinery. Simulation
-  /// thread only.
-  Result<std::string> DegradeAtAdmission(const AdmitOutcome& outcome);
+  /// the ADMITTED record to the degraded-mode machinery.
+  Result<std::string> DegradeAtAdmission(
+      QueryId qid, const OverloadGovernor::Decision& decision);
 
   DeviceServices services_;
   ContextFactoryConfig config_;

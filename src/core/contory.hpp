@@ -33,7 +33,7 @@
 #include "core/pipeline/admission.hpp"
 #include "core/pipeline/delivery_router.hpp"
 #include "core/pipeline/failover_coordinator.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "core/pipeline/strategy_planner.hpp"
 #include "core/query/query.hpp"
 #include "core/repository.hpp"

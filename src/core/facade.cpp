@@ -67,9 +67,12 @@ Status Facade::StartCluster(Cluster& cluster) {
   }
   ++providers_created_;
   COBS(ProvidersCreatedCounter(kind_).Inc());
+  // Start() can deliver synchronously, and the delivery can submit
+  // reentrantly: restore the outer cluster, not nullptr.
+  Cluster* const outer = starting_;
   starting_ = &cluster;
   cluster.provider->Start();
-  starting_ = nullptr;
+  starting_ = outer;
   return Status::Ok();
 }
 
@@ -115,6 +118,13 @@ Status Facade::Submit(query::CxtQuery q) {
   const Status s = StartCluster(ref);
   if (!s.ok()) {
     clusters_.pop_back();
+    return s;
+  }
+  if (ref.originals.empty() && !ref.dead) {
+    // Cancelled from inside its own first delivery (see Cancel).
+    ref.provider->Stop();
+    MarkDead(ref);
+    ScheduleReap();
     return s;
   }
   // A provider that failed from inside its own Start() already marked the
@@ -229,7 +239,17 @@ void Facade::ScheduleReap() {
 
 void Facade::Cancel(const std::string& query_id) {
   const auto it = by_original_id_.find(query_id);
-  if (it == by_original_id_.end()) return;
+  if (it == by_original_id_.end()) {
+    // Not indexed yet: the query's cluster may be inside Start(), whose
+    // synchronous first delivery led to this cancel. Drop the original;
+    // Submit stops the provider once Start() returns.
+    if (starting_ != nullptr) {
+      std::erase_if(starting_->originals, [&](const query::CxtQuery& q) {
+        return q.id == query_id;
+      });
+    }
+    return;
+  }
   Cluster* cluster = it->second;
   if (cluster->dead) return;
   const auto orig_it = std::find_if(

@@ -23,11 +23,9 @@ void CountAdmissionOutcome(const Status& s) {
 Result<QueryId> AdmissionController::Admit(
     query::CxtQuery& query, Client& client,
     const std::set<RuleAction>& active_actions,
-    const QueryTable::AdmitOptions& table_options,
-    const OverloadGovernor::Decision* pregate,
     OverloadGovernor::Decision* decision_out) {
-  Result<QueryId> result = DoAdmit(query, client, active_actions,
-                                   table_options, pregate, decision_out);
+  Result<QueryId> result =
+      DoAdmit(query, client, active_actions, decision_out);
   COBS(CountAdmissionOutcome(result.ok() ? Status::Ok() : result.status()));
   return result;
 }
@@ -35,17 +33,11 @@ Result<QueryId> AdmissionController::Admit(
 Result<QueryId> AdmissionController::DoAdmit(
     query::CxtQuery& query, Client& client,
     const std::set<RuleAction>& active_actions,
-    const QueryTable::AdmitOptions& table_options,
-    const OverloadGovernor::Decision* pregate,
     OverloadGovernor::Decision* decision_out) {
   // Overload gate, in front of everything: an overloaded factory spends
-  // nothing on a query it is about to shed. Worker-mode batches supply
-  // the decision pre-computed in submission order (the governor's
-  // bucket/hysteresis state is simulation-thread-only).
+  // nothing on a query it is about to shed.
   OverloadGovernor::Decision decision;
-  if (pregate != nullptr) {
-    decision = *pregate;
-  } else if (governor_ != nullptr) {
+  if (governor_ != nullptr) {
     decision = governor_->Decide(query, client, active_actions,
                                  table_.active_count());
   }
@@ -55,11 +47,7 @@ Result<QueryId> AdmissionController::DoAdmit(
   }
 
   if (const Status s = query.Validate(); !s.ok()) return s;
-  if (query.id.empty()) {
-    // Simulation thread only: the id generator is not synchronized.
-    // Worker-mode batches pre-assign ids before fanning out.
-    query.id = sim_.ids().NextId("q");
-  }
+  if (query.id.empty()) query.id = sim_.ids().NextId("q");
 
   // AccessController screening: a FROM source naming a blocked address is
   // refused outright ("the AccessController keeps track ... of blocked
@@ -87,7 +75,7 @@ Result<QueryId> AdmissionController::DoAdmit(
         "reducePower policy refuses new extInfra-only queries");
   }
 
-  return table_.Admit(query, client, table_options);
+  return table_.Admit(query, client);
 }
 
 }  // namespace contory::core

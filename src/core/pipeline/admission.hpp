@@ -13,7 +13,7 @@
 #include "core/access_controller.hpp"
 #include "core/client.hpp"
 #include "core/pipeline/overload_governor.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "core/query/query.hpp"
 #include "core/rules.hpp"
 #include "sim/simulation.hpp"
@@ -32,31 +32,18 @@ class AdmissionController {
   /// Validates `query`, assigns an id when it has none, applies the
   /// overload, access-control and policy gates, and registers the
   /// lifecycle record. On error nothing is registered; on success the
-  /// returned dense id (and `query.id`) name the ADMITTED record.
+  /// returned id (and `query.id`) name the ADMITTED record.
   ///
-  /// The governor gate runs first. On the live path the decision is
-  /// computed here; worker-mode batches pre-gate on the simulation
-  /// thread (the governor is not thread-safe) and pass the decision in
-  /// through `pregate`. A non-null `decision_out` receives whichever
-  /// decision applied, so the caller can route kDegrade records to the
+  /// The governor gate runs first. A non-null `decision_out` receives
+  /// its decision, so the caller can route kDegrade records to the
   /// stale fast path.
-  ///
-  /// Thread-safe when `table_options.defer_obs` is set AND `query.id` is
-  /// already assigned AND the gate decision is pre-computed (the id
-  /// generator, the clock and the governor live on the simulation
-  /// thread; the PipelineExecutor pre-assigns all three before fanning
-  /// out).
   Result<QueryId> Admit(query::CxtQuery& query, Client& client,
                         const std::set<RuleAction>& active_actions,
-                        const QueryTable::AdmitOptions& table_options = {},
-                        const OverloadGovernor::Decision* pregate = nullptr,
                         OverloadGovernor::Decision* decision_out = nullptr);
 
  private:
   Result<QueryId> DoAdmit(query::CxtQuery& query, Client& client,
                           const std::set<RuleAction>& active_actions,
-                          const QueryTable::AdmitOptions& table_options,
-                          const OverloadGovernor::Decision* pregate,
                           OverloadGovernor::Decision* decision_out);
 
   sim::Simulation& sim_;

@@ -20,7 +20,7 @@
 
 #include "common/status.hpp"
 #include "core/model/cxt_item.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "core/providers/aggregator.hpp"
 #include "core/repository.hpp"
 #include "sim/simulation.hpp"

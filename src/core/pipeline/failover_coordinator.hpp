@@ -19,7 +19,7 @@
 
 #include "common/status.hpp"
 #include "core/pipeline/delivery_router.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "core/pipeline/strategy_planner.hpp"
 #include "core/references/bt_reference.hpp"
 #include "core/references/internal_reference.hpp"

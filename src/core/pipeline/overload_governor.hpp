@@ -29,13 +29,6 @@
 // not refused: the governor downgrades the decision to kDegrade and the
 // factory routes it through the degraded-mode delivery machinery
 // (stale-answer-first fast path, FailoverCoordinator seam).
-//
-// Threading contract: Decide() mutates bucket and hysteresis state and
-// reads the (unsynchronized) repository, so it runs on the simulation
-// thread only. Worker-mode batches pre-gate every query in submission
-// order before fanning out — the same trick the executor plays with id
-// assignment — so token accounting and shed decisions are identical to
-// the deterministic path no matter how admission is threaded.
 #pragma once
 
 #include <cstddef>
@@ -110,10 +103,8 @@ class OverloadGovernor {
                    OverloadGovernorConfig config);
 
   /// Gate for one submission. Charges `client`'s token bucket, updates
-  /// the shed level from `occupancy` (normally the table's
-  /// active_count(); batch pre-gating passes a projected value) and
+  /// the shed level from `occupancy` (the table's active_count()) and
   /// returns what the admission pipeline should do with the query.
-  /// Simulation thread only.
   Decision Decide(const query::CxtQuery& query, const Client& client,
                   const std::set<RuleAction>& active_actions,
                   std::size_t occupancy);

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/pipeline/sharded_query_table.hpp"
+#include "core/pipeline/query_table.hpp"
 #include "core/query/query.hpp"
 #include "core/references/bt_reference.hpp"
 #include "core/references/cellular_reference.hpp"

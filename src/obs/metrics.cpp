@@ -134,7 +134,6 @@ MetricsRegistry::Slot& MetricsRegistry::GetSlot(
     const std::string& name, const Labels& labels, Kind kind,
     const std::vector<double>* bounds) {
   const std::string key = EncodeKey(name, labels);
-  const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     if (it->second.kind != kind) {
@@ -143,16 +142,14 @@ MetricsRegistry::Slot& MetricsRegistry::GetSlot(
     }
     return it->second;
   }
-  return CreateSlotLocked(name, labels, kind, bounds);
+  return CreateSlot(name, labels, kind, bounds);
 }
 
-MetricsRegistry::Slot& MetricsRegistry::CreateSlotLocked(
+MetricsRegistry::Slot& MetricsRegistry::CreateSlot(
     const std::string& name, const Labels& labels, Kind kind,
     const std::vector<double>* bounds) {
   // Cardinality guard: a labeled series past the per-name cap collapses
   // into the "other" overflow series (same keys, every value "other").
-  // mu_ is held, so the capped-total counter is resolved inline rather
-  // than through the public Get path.
   if (series_cap_ != 0 && !labels.empty()) {
     const bool is_overflow =
         std::all_of(labels.begin(), labels.end(),
@@ -160,11 +157,7 @@ MetricsRegistry::Slot& MetricsRegistry::CreateSlotLocked(
     if (!is_overflow) {
       auto& minted = labeled_series_[name];
       if (minted >= series_cap_) {
-        Counter& capped =
-            *CreateSlotLocked("metrics_series_capped_total", {},
-                              Kind::kCounter, nullptr)
-                 .counter;
-        capped.Inc();
+        GetCounter("metrics_series_capped_total").Inc();
         Labels overflow = labels;
         for (auto& [k, v] : overflow) v = "other";
         const std::string overflow_key = EncodeKey(name, overflow);
@@ -177,7 +170,7 @@ MetricsRegistry::Slot& MetricsRegistry::CreateSlotLocked(
           }
           return it->second;
         }
-        return CreateSlotLocked(name, overflow, kind, bounds);
+        return CreateSlot(name, overflow, kind, bounds);
       }
       ++minted;
     }
@@ -199,14 +192,8 @@ MetricsRegistry::Slot& MetricsRegistry::CreateSlotLocked(
       .first->second;
 }
 
-void MetricsRegistry::SetSeriesCap(std::size_t cap) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  series_cap_ = cap;
-}
-
 const MetricsRegistry::Slot* MetricsRegistry::FindSlot(
     const std::string& name, const Labels& labels, Kind kind) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(EncodeKey(name, labels));
   if (it == entries_.end() || it->second.kind != kind) return nullptr;
   return &it->second;
@@ -247,7 +234,6 @@ const Histogram* MetricsRegistry::FindHistogram(const std::string& name,
 }
 
 std::vector<MetricsRegistry::Entry> MetricsRegistry::Entries() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> out;
   out.reserve(entries_.size());
   for (const auto& [key, slot] : entries_) {
@@ -264,7 +250,6 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::Entries() const {
 }
 
 std::string MetricsRegistry::ToJson() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{";
   bool first = true;
   for (const auto& [key, slot] : entries_) {
@@ -300,7 +285,6 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 std::string MetricsRegistry::ToPrometheusText() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   // Group # TYPE headers by metric name; entries_ is key-sorted so all
   // label variants of one name are adjacent.
@@ -346,7 +330,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
 }
 
 void MetricsRegistry::Reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, slot] : entries_) {
     switch (slot.kind) {
       case Kind::kCounter: slot.counter->Reset(); break;

@@ -16,11 +16,9 @@
 // so there are no locks at all; "lock-cheap" here means free.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,37 +31,25 @@ namespace contory::obs {
 /// order names the same metric.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Counters and gauges are lock-free atomics: the worker-mode admission
-/// stage (PipelineExecutor) increments them from several threads at once,
-/// and a relaxed fetch_add costs the same as the old plain add on the
-/// single-threaded deterministic path.
 class Counter {
  public:
-  void Inc(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void Reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void Inc(std::uint64_t n = 1) noexcept { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+  void Reset() noexcept { value_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 class Gauge {
  public:
-  void Set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void Reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
+  void Set(double v) noexcept { value_ = v; }
+  void Add(double delta) noexcept { value_ += delta; }
+  [[nodiscard]] double value() const noexcept { return value_; }
+  void Reset() noexcept { value_ = 0.0; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Fixed-bucket histogram with a parallel Welford accumulator. Bucket i
@@ -168,16 +154,12 @@ class MetricsRegistry {
   /// `overload_bucket_tokens{client}` cannot explode the registry at
   /// city scale. 0 = unlimited. Applies to series created after the
   /// call; existing series are never evicted.
-  void SetSeriesCap(std::size_t cap);
+  void SetSeriesCap(std::size_t cap) { series_cap_ = cap; }
   [[nodiscard]] std::size_t series_cap() const noexcept {
-    const std::lock_guard<std::mutex> lock(mu_);
     return series_cap_;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
   struct Slot {
@@ -190,10 +172,10 @@ class MetricsRegistry {
   };
   Slot& GetSlot(const std::string& name, const Labels& labels, Kind kind,
                 const std::vector<double>* bounds);
-  /// Creation half of GetSlot, called with mu_ held. May redirect to the
-  /// "other" overflow series when `name` is at its labeled-series cap.
-  Slot& CreateSlotLocked(const std::string& name, const Labels& labels,
-                         Kind kind, const std::vector<double>* bounds);
+  /// Creation half of GetSlot. May redirect to the "other" overflow
+  /// series when `name` is at its labeled-series cap.
+  Slot& CreateSlot(const std::string& name, const Labels& labels, Kind kind,
+                   const std::vector<double>* bounds);
   [[nodiscard]] const Slot* FindSlot(const std::string& name,
                                      const Labels& labels, Kind kind) const;
 
@@ -203,12 +185,6 @@ class MetricsRegistry {
   /// Labeled series minted per metric name (overflow series excluded).
   std::map<std::string, std::size_t> labeled_series_;
   std::size_t series_cap_ = 64;
-  /// Guards entries_ (slot creation/lookup and exporters). Hot-path
-  /// updates go through the handed-out Counter/Gauge atomics and never
-  /// take this — the lock only serializes handle resolution, which every
-  /// instrumentation site caches, and cold exporter reads. Histograms
-  /// are not atomic: Observe() remains simulation-thread-only.
-  mutable std::mutex mu_;
 };
 
 }  // namespace contory::obs

@@ -7,20 +7,14 @@ namespace contory::obs {
 std::uint64_t QueryTracer::BeginQuery(const std::string& query_id,
                                       SimTime now, EnergyProbe probe) {
   const double energy = probe ? probe() : 0.0;
-  return BeginQueryAt(query_id, now, energy, std::move(probe));
-}
-
-std::uint64_t QueryTracer::BeginQueryAt(const std::string& query_id,
-                                        SimTime start, double energy_start_j,
-                                        EnergyProbe probe) {
   const std::uint64_t id = next_id_++;
   ++started_;
   Span& span = EmplaceOpen(id);
   span.id = id;
   span.query_id = query_id;
   span.name = "query";
-  span.start = start;
-  span.energy_start_j = energy_start_j;
+  span.start = now;
+  span.energy_start_j = energy;
   span.probe = std::move(probe);
   return id;
 }

@@ -93,13 +93,6 @@ class QueryTracer {
   std::uint64_t BeginQuery(const std::string& query_id, SimTime now,
                            EnergyProbe probe = {});
 
-  /// BeginQuery for deferred opens: the caller supplies the admission
-  /// time and the energy sample captured then, so a root span
-  /// materialized after the fact (worker-mode admission defers tracer
-  /// work to the simulation thread) still carries its true window.
-  std::uint64_t BeginQueryAt(const std::string& query_id, SimTime start,
-                             double energy_start_j, EnergyProbe probe = {});
-
   /// Opens a stage span nested under root `root_id`. Energy is sampled
   /// through the root's probe. Returns 0 (a harmless no-op handle) when
   /// the root is unknown or already closed.

@@ -412,8 +412,7 @@ class Execution {
     }
     if (e.property == "active") {
       return run.submit_status.ok() &&
-                     run.device->contory().queries().interner().Lookup(
-                         run.id) != core::kInvalidQueryId
+                     run.device->contory().queries().Find(run.id) != nullptr
                  ? 1
                  : 0;
     }

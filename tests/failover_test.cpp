@@ -156,6 +156,8 @@ TEST_F(FailoverTest, SwitchCostIsBtDiscovery) {
   device_->phone().energy().SetPowerListener(
       [&](SimTime, double mw) { peak = std::max(peak, mw); });
   world_.RunFor(2min);
+  // Detach before `peak` leaves scope: device teardown reports power too.
+  device_->phone().energy().SetPowerListener({});
   // Inquiry draws ~360 mW — the discovery peaks Fig. 5 shows (163-292 mW
   // averaged over the meter's 500 ms window).
   EXPECT_GT(peak, 150.0);

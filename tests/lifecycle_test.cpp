@@ -3,15 +3,19 @@
 // Every query must end in exactly one terminal completion — no leaked
 // records, no double-finishes, no invalid state transitions — even when
 // the lifecycle is perturbed at its most awkward moments: cancellation
-// from inside a delivery callback, a failover target that fails while
-// the failover is in flight, and a facade-wide StopAll while a query is
-// already degraded.
+// from inside a delivery callback (also followed by a resubmission under
+// the same id), a failover target that fails while the failover is in
+// flight, and a facade-wide StopAll while a query is already degraded.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/contory.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/observability.hpp"
 #include "testbed/testbed.hpp"
 
 namespace contory {
@@ -19,11 +23,15 @@ namespace {
 
 using namespace std::chrono_literals;
 
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
+query::CxtQuery Parsed(const std::string& text, const std::string& id) {
   auto q = query::ParseQuery(text);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
+  q->id = id;
   return *std::move(q);
+}
+
+query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
+  return Parsed(text, sim.ids().NextId("q"));
 }
 
 int CompletionsFor(const core::QueryTable& table, const std::string& id) {
@@ -89,6 +97,95 @@ TEST(LifecycleInvariantTest, CancelDuringDeliveryIsSingleTerminal) {
   EXPECT_EQ(table.active_count(), 0u);
   EXPECT_EQ(table.invalid_transitions(), 0u);
   EXPECT_EQ(CompletionsFor(table, *id), 1);
+}
+
+// A client that, on its very first delivery, cancels its query and
+// submits a new one under the same id string — both from inside the
+// synchronous delivery of the first activation's first facade.
+class CancelAndResubmitClient : public core::Client {
+ public:
+  void ReceiveCxtItem(const CxtItem& item) override {
+    items.push_back(item);
+    if (acted) return;
+    acted = true;
+    factory->CancelCxtQuery(query_id);
+    resubmit = factory->ProcessCxtQuery(Parsed(text, query_id), *this);
+  }
+  void InformError(const std::string& msg) override {
+    errors.push_back(msg);
+  }
+  bool MakeDecision(const std::string&) override { return true; }
+
+  core::ContextFactory* factory = nullptr;
+  std::string text;
+  std::string query_id;
+  bool acted = false;
+  std::optional<Result<std::string>> resubmit;
+  std::vector<CxtItem> items;
+  std::vector<std::string> errors;
+};
+
+TEST(LifecycleInvariantTest, StaleIdMissesAfterCancelAndResubmitInDelivery) {
+  obs::Observability::ResetForTest();
+  testbed::World world{503};
+  testbed::DeviceOptions opts;
+  opts.name = "requester";
+  opts.infra_address = "infra.fi";
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  world.AddContextServer("infra.fi");
+  core::ContextFactory& factory = device.contory();
+
+  // Two sources: after intSensor delivers synchronously, the first
+  // activation still has extInfra to assign — through the stale id.
+  CancelAndResubmitClient client;
+  client.factory = &factory;
+  client.text =
+      "SELECT temperature FROM intSensor, extInfra DURATION 5 min "
+      "EVERY 30 sec";
+  client.query_id = world.sim().ids().NextId("q");
+  const auto first =
+      factory.ProcessCxtQuery(Parsed(client.text, client.query_id), client);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(client.resubmit.has_value());
+  ASSERT_TRUE(client.resubmit->ok()) << client.resubmit->status().ToString();
+  EXPECT_EQ(**client.resubmit, client.query_id);
+
+  // The first activation stopped at the stale id: extInfra serves the
+  // resubmitted query alone, and only that query is live.
+  const core::QueryTable& table = factory.queries();
+  EXPECT_EQ(table.active_count(), 1u);
+  const core::QueryRecord* live = table.Find(client.query_id);
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(live->qid, 2u);  // the cancelled query held 1
+  EXPECT_EQ(live->assigned,
+            (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
+                                        query::SourceSel::kExtInfra}));
+  EXPECT_EQ(factory.facade(query::SourceSel::kExtInfra)
+                .active_original_count(),
+            1u);
+  EXPECT_EQ(table.total_admitted(),
+            table.total_completed() + table.active_count());
+  EXPECT_EQ(table.invalid_transitions(), 0u);
+  EXPECT_EQ(CompletionsFor(table, client.query_id), 1);
+
+  world.RunFor(1min);
+  factory.CancelCxtQuery(client.query_id);
+  world.RunFor(1s);
+  EXPECT_EQ(table.active_count(), 0u);
+  EXPECT_EQ(table.total_admitted(), 2u);
+  EXPECT_EQ(table.total_completed(), 2u);
+  EXPECT_EQ(table.invalid_transitions(), 0u);
+  for (const query::SourceSel kind :
+       {query::SourceSel::kIntSensor, query::SourceSel::kExtInfra}) {
+    EXPECT_EQ(factory.facade(kind).active_original_count(), 0u)
+        << query::SourceSelName(kind);
+  }
+  if (COBS_ON()) {
+    EXPECT_EQ(obs::Observability::tracer().open_count(), 0u);
+    EXPECT_EQ(obs::Observability::tracer().double_closes(), 0u);
+  }
+  obs::Observability::ResetForTest();
 }
 
 class GpsWorldTest : public ::testing::Test {

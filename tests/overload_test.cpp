@@ -1,12 +1,10 @@
 // OverloadGovernor tests: the admission-side overload-protection tier.
 // Per-client token buckets (sim-clock deterministic), 3-level priority
 // shedding with watermark hysteresis, the reduceLoad rule hook, the
-// stale-answer fast path into degraded mode, and the worker-mode
-// pre-gating equivalence (identical shed decisions for workers 0/2/4),
-// up to 100k submits under shedding with a coherent lifecycle ledger.
+// stale-answer fast path into degraded mode, and 100k submits under
+// shedding with a coherent lifecycle ledger.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -446,7 +444,7 @@ TEST_F(OverloadWorldTest, ColdTypesAreRefusedNotDegraded) {
   EXPECT_EQ(factory.degraded_deliveries(), 0u);
 }
 
-// --- Worker-mode equivalence ------------------------------------------------
+// --- Submit storm -----------------------------------------------------------
 
 std::vector<query::CxtQuery> MixedBatch(sim::Simulation& sim, int n) {
   std::vector<query::CxtQuery> batch;
@@ -454,9 +452,7 @@ std::vector<query::CxtQuery> MixedBatch(sim::Simulation& sim, int n) {
   for (int i = 0; i < n; ++i) {
     const auto cls = static_cast<query::QueryPriority>(
         i % 5 == 0 ? 0 : (i % 5 <= 2 ? 1 : 2));
-    // Every tenth query is an on-demand background query against the
-    // warm type: its shed takes the stale fast path and finishes
-    // immediately, exercising the projected-occupancy accounting.
+    // Every tenth query is an on-demand background query.
     const bool warm = i % 10 == 3;
     batch.push_back(TempQuery(sim, warm ? query::QueryPriority::kBackground
                                         : cls,
@@ -465,89 +461,13 @@ std::vector<query::CxtQuery> MixedBatch(sim::Simulation& sim, int n) {
   return batch;
 }
 
-/// Runs the mixed batch across workers {0, 2, 4} and asserts the shed
-/// decisions (admit/refuse pattern, ids, ledger) are identical to the
-/// deterministic baseline. With the stale fast path on, every shed of
-/// the warm type degrades instead of refusing — that run exercises the
-/// projected-occupancy accounting for degrades (periodic ones stay
-/// live, on-demand ones finish immediately); with it off, sheds are
-/// refusals and the refusal pattern itself must replay.
-void CheckWorkerEquivalence(bool stale_fast_path) {
-  constexpr int kN = 200;
-  std::string baseline_signature;
-  std::set<std::string> baseline_ids;
-  std::uint64_t baseline_admitted = 0;
-
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{4}}) {
-    testbed::World world{808};
-    testbed::DeviceOptions opts = GovernedOptions();
-    opts.factory_config.overload.shed_high_watermark = 30;
-    opts.factory_config.overload.shed_standard_watermark = 60;
-    opts.factory_config.overload.stale_fast_path = stale_fast_path;
-    auto& device = world.AddDevice(opts);
-    core::CollectingClient client;
-    auto& factory = device.contory();
-    factory.repository().Store(WarmItem(world.sim(), vocab::kTemperature));
-
-    const auto results = factory.ProcessCxtQueryBatch(
-        MixedBatch(world.sim(), kN), client,
-        core::ContextFactory::BatchOptions{.workers = workers});
-    ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
-
-    std::string signature;
-    std::set<std::string> ids;
-    for (const auto& r : results) {
-      if (r.ok()) {
-        signature += 'a';
-        ids.insert(*r);
-      } else {
-        ASSERT_EQ(r.status().code(), StatusCode::kOverloaded)
-            << r.status().ToString();
-        signature += 's';
-      }
-    }
-    EXPECT_EQ(factory.queries().invalid_transitions(), 0u);
-    EXPECT_EQ(factory.queries().total_admitted(),
-              factory.queries().total_completed() +
-                  factory.queries().active_count());
-
-    if (workers == 0) {
-      baseline_signature = signature;
-      baseline_ids = ids;
-      baseline_admitted = factory.queries().total_admitted();
-      if (!stale_fast_path) {
-        // The mix must actually refuse something or this run is vacuous.
-        EXPECT_NE(signature.find('s'), std::string::npos);
-      } else {
-        EXPECT_GE(factory.degraded_deliveries(), 1u);
-      }
-    } else {
-      // Pre-gating replays the deterministic decisions: identical
-      // admit/shed pattern per index, identical ids, identical ledger.
-      EXPECT_EQ(signature, baseline_signature) << "workers=" << workers;
-      EXPECT_EQ(ids, baseline_ids) << "workers=" << workers;
-      EXPECT_EQ(factory.queries().total_admitted(), baseline_admitted);
-    }
-  }
-}
-
-TEST_F(OverloadWorldTest, WorkerModeRefusalsMatchDeterministic) {
-  CheckWorkerEquivalence(/*stale_fast_path=*/false);
-}
-
-TEST_F(OverloadWorldTest, WorkerModeDegradesMatchDeterministic) {
-  CheckWorkerEquivalence(/*stale_fast_path=*/true);
-}
-
 // The acceptance-scale run: 100k mixed-priority submits against armed
-// watermarks through the worker path — the lifecycle ledger must stay
-// coherent and no span may leak.
+// watermarks — the lifecycle ledger must stay coherent and no span may
+// leak.
 TEST_F(OverloadWorldTest, HundredKSubmitsUnderSheddingStayCoherent) {
   constexpr int kN = 100'000;
   testbed::World world{909};
   testbed::DeviceOptions opts = GovernedOptions();
-  opts.factory_config.table_shards = 16;
   opts.factory_config.overload.shed_high_watermark = 20'000;
   opts.factory_config.overload.shed_standard_watermark = 50'000;
   // Refusals, not degrades: with the live sensor warming the repository
@@ -557,9 +477,8 @@ TEST_F(OverloadWorldTest, HundredKSubmitsUnderSheddingStayCoherent) {
   core::CollectingClient client;
   auto& factory = device.contory();
 
-  const auto results = factory.ProcessCxtQueryBatch(
-      MixedBatch(world.sim(), kN), client,
-      core::ContextFactory::BatchOptions{.workers = 2});
+  const auto results =
+      factory.ProcessCxtQueryBatch(MixedBatch(world.sim(), kN), client);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
 
   std::vector<std::string> ids;

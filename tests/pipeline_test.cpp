@@ -1,21 +1,14 @@
-// Sharded pipeline tests: the lock-free rings, the query-id interner,
-// the ShardedQueryTable's partitioning/bounded-log/aggregate-counter
-// behavior, cross-shard lifecycle races, and the batch submit path in
-// both deterministic and worker mode — including the obs-consistency
-// invariant (admitted == completed + live, zero invalid transitions, no
-// leaked open spans) at 100k-query scale.
+// QueryTable tests: duplicate refusal, id/string lookup, stale-id
+// misses, the bounded completion log and the state-machine guard; then
+// lifecycle races and the batch submit path over the full middleware —
+// including the obs-consistency invariant (admitted == completed + live,
+// zero invalid transitions, no leaked open spans) at 100k-query scale.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <numeric>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/ring.hpp"
 #include "core/contory.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/observability.hpp"
@@ -33,179 +26,11 @@ query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
   return *std::move(q);
 }
 
-// --- Rings ------------------------------------------------------------------
+// --- QueryTable -------------------------------------------------------------
 
-TEST(RingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(RingCapacityFor(0), 2u);
-  EXPECT_EQ(RingCapacityFor(1), 2u);
-  EXPECT_EQ(RingCapacityFor(2), 2u);
-  EXPECT_EQ(RingCapacityFor(3), 4u);
-  EXPECT_EQ(RingCapacityFor(1000), 1024u);
-  EXPECT_EQ(RingCapacityFor(1024), 1024u);
-}
-
-TEST(RingTest, SpscFifoFullEmptyAndWraparound) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  int out = 0;
-  EXPECT_FALSE(ring.TryPop(out));  // empty
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  // Drain half, refill past the physical end: FIFO order must survive
-  // the index wraparound.
-  EXPECT_TRUE(ring.TryPop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.TryPop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(ring.TryPush(4));
-  EXPECT_TRUE(ring.TryPush(5));
-  for (int expect = 2; expect <= 5; ++expect) {
-    ASSERT_TRUE(ring.TryPop(out));
-    EXPECT_EQ(out, expect);
-  }
-  EXPECT_FALSE(ring.TryPop(out));
-}
-
-TEST(RingTest, SpscCrossThreadTransfersEverything) {
-  SpscRing<std::uint64_t> ring(256);
-  constexpr std::uint64_t kItems = 200'000;
-  std::uint64_t sum = 0;
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 1; i <= kItems; ++i) {
-      while (!ring.TryPush(i)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expect = 1;
-  for (std::uint64_t got = 0; got < kItems;) {
-    std::uint64_t v = 0;
-    if (!ring.TryPop(v)) {
-      std::this_thread::yield();
-      continue;
-    }
-    // SPSC additionally guarantees order, not just delivery.
-    ASSERT_EQ(v, expect);
-    ++expect;
-    sum += v;
-    ++got;
-  }
-  producer.join();
-  EXPECT_EQ(sum, kItems * (kItems + 1) / 2);
-}
-
-TEST(RingTest, MpmcSingleThreadedFifo) {
-  MpmcRing<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.TryPop(out));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));
-  for (int expect = 0; expect < 4; ++expect) {
-    ASSERT_TRUE(ring.TryPop(out));
-    EXPECT_EQ(out, expect);
-  }
-  EXPECT_FALSE(ring.TryPop(out));
-}
-
-TEST(RingTest, MpmcConcurrentProducersConsumersLoseNothing) {
-  MpmcRing<std::uint64_t> ring(128);
-  constexpr std::size_t kProducers = 3;
-  constexpr std::size_t kConsumers = 2;
-  constexpr std::uint64_t kPerProducer = 50'000;
-  std::atomic<std::uint64_t> consumed{0};
-  std::atomic<std::uint64_t> sum{0};
-
-  std::vector<std::thread> threads;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&ring, p] {
-      const std::uint64_t base = p * kPerProducer;
-      for (std::uint64_t i = 1; i <= kPerProducer; ++i) {
-        while (!ring.TryPush(base + i)) std::this_thread::yield();
-      }
-    });
-  }
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      for (;;) {
-        std::uint64_t v = 0;
-        if (ring.TryPop(v)) {
-          sum.fetch_add(v, std::memory_order_relaxed);
-          if (consumed.fetch_add(1, std::memory_order_relaxed) + 1 ==
-              kProducers * kPerProducer) {
-            return;
-          }
-          continue;
-        }
-        if (consumed.load(std::memory_order_relaxed) >=
-            kProducers * kPerProducer) {
-          return;
-        }
-        std::this_thread::yield();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  std::uint64_t expect = 0;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    const std::uint64_t base = p * kPerProducer;
-    expect += base * kPerProducer + kPerProducer * (kPerProducer + 1) / 2;
-  }
-  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
-  EXPECT_EQ(sum.load(), expect);
-}
-
-// --- QueryIdInterner --------------------------------------------------------
-
-TEST(InternerTest, DenseIdsLookupAndRelease) {
-  core::QueryIdInterner interner;
-  const auto a = interner.Intern("q-a");
-  const auto b = interner.Intern("q-b");
-  EXPECT_TRUE(a.created);
-  EXPECT_TRUE(b.created);
-  EXPECT_EQ(a.id, 1u);
-  EXPECT_EQ(b.id, 2u);
-
-  const auto dup = interner.Intern("q-a");
-  EXPECT_FALSE(dup.created);
-  EXPECT_EQ(dup.id, a.id);
-
-  EXPECT_EQ(interner.Lookup("q-b"), b.id);
-  EXPECT_EQ(interner.Name(b.id), "q-b");
-  EXPECT_EQ(interner.Lookup("q-missing"), core::kInvalidQueryId);
-  EXPECT_EQ(interner.live(), 2u);
-
-  interner.Release(a.id);
-  EXPECT_EQ(interner.Lookup("q-a"), core::kInvalidQueryId);
-  EXPECT_EQ(interner.Name(a.id), "");
-  EXPECT_EQ(interner.live(), 1u);
-
-  // Re-interning a released name allocates a fresh id, never recycles.
-  const auto a2 = interner.Intern("q-a");
-  EXPECT_TRUE(a2.created);
-  EXPECT_EQ(a2.id, 3u);
-  EXPECT_EQ(interner.total_interned(), 3u);
-}
-
-TEST(InternerTest, ChurnKeepsLiveSetSmall) {
-  core::QueryIdInterner interner;
-  // Far more churn than one name chunk holds: the front-chunk recycling
-  // path must keep running (this is the memory bound — live names, not
-  // names ever interned).
-  for (int i = 0; i < 5000; ++i) {
-    const auto r = interner.Intern("q-" + std::to_string(i));
-    ASSERT_TRUE(r.created);
-    interner.Release(r.id);
-  }
-  EXPECT_EQ(interner.live(), 0u);
-  EXPECT_EQ(interner.total_interned(), 5000u);
-}
-
-// --- ShardedQueryTable ------------------------------------------------------
-
-class ShardedTableTest : public ::testing::Test {
+class QueryTableTest : public ::testing::Test {
  protected:
-  ShardedTableTest()
-      : table_(sim_, core::ShardedQueryTableOptions{
-                         .shards = 8, .completion_log_capacity = 0}) {}
+  QueryTableTest() : table_(sim_, /*completion_log_capacity=*/0) {}
 
   query::CxtQuery MakeQuery(const std::string& id) {
     auto q = query::ParseQuery(
@@ -217,58 +42,59 @@ class ShardedTableTest : public ::testing::Test {
 
   sim::Simulation sim_{11};
   core::CollectingClient client_;
-  core::ShardedQueryTable table_;
+  core::QueryTable table_;
 };
 
-TEST_F(ShardedTableTest, StripesAcrossAllShards) {
-  constexpr int kQueries = 64;
-  for (int i = 0; i < kQueries; ++i) {
-    const auto r = table_.Admit(MakeQuery("q-" + std::to_string(i)), client_);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  EXPECT_EQ(table_.active_count(), static_cast<std::size_t>(kQueries));
-  EXPECT_EQ(table_.shard_count(), 8u);
-
-  // Dense sequential ids round-robin the shards, so every shard holds
-  // exactly its share.
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < table_.shard_count(); ++s) {
-    const auto ids = table_.ActiveIdsShard(s);
-    EXPECT_EQ(ids.size(), kQueries / 8u) << "shard " << s;
-    total += ids.size();
-  }
-  EXPECT_EQ(total, static_cast<std::size_t>(kQueries));
-
-  std::size_t visited = 0;
-  table_.ForEachActive([&visited](const core::QueryRecord&) { ++visited; });
-  EXPECT_EQ(visited, static_cast<std::size_t>(kQueries));
-
-  const auto sorted = table_.ActiveIds();
-  EXPECT_EQ(sorted.size(), static_cast<std::size_t>(kQueries));
-  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-}
-
-TEST_F(ShardedTableTest, DuplicateAdmitIsRefused) {
+TEST_F(QueryTableTest, DuplicateAdmitIsRefused) {
   ASSERT_TRUE(table_.Admit(MakeQuery("q-dup"), client_).ok());
   const auto r = table_.Admit(MakeQuery("q-dup"), client_);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(table_.active_count(), 1u);
+  EXPECT_EQ(table_.total_admitted(), 1u);
 }
 
-TEST_F(ShardedTableTest, FindByIdAndByStringAgree) {
+TEST_F(QueryTableTest, FindByIdAndByStringAgree) {
   const auto r = table_.Admit(MakeQuery("q-find"), client_);
   ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(table_.Admit(MakeQuery("q-another"), client_).ok());
   core::QueryRecord* by_id = table_.FindById(*r);
   core::QueryRecord* by_name = table_.Find("q-find");
   ASSERT_NE(by_id, nullptr);
   EXPECT_EQ(by_id, by_name);
   EXPECT_EQ(by_id->qid, *r);
   EXPECT_EQ(table_.FindById(9999), nullptr);
+  EXPECT_EQ(table_.FindById(core::kInvalidQueryId), nullptr);
   EXPECT_EQ(table_.Find("q-missing"), nullptr);
+  EXPECT_EQ(table_.ActiveIds(),
+            (std::vector<std::string>{"q-another", "q-find"}));
 }
 
-TEST_F(ShardedTableTest, CompletionLogIsBounded) {
+TEST_F(QueryTableTest, StaleIdMisses) {
+  const auto a = table_.Admit(MakeQuery("q-a"), client_);
+  const auto b = table_.Admit(MakeQuery("q-b"), client_);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*a, 1u);  // sequential from 1; 0 is the invalid id
+  EXPECT_EQ(*b, 2u);
+
+  table_.Finish("q-a");
+  EXPECT_EQ(table_.FindById(*a), nullptr);
+  EXPECT_EQ(table_.Find("q-a"), nullptr);
+
+  // Resubmitting under the same id string gets a fresh id; the old one
+  // keeps missing, so a caller holding it cannot touch the new record.
+  const auto a2 = table_.Admit(MakeQuery("q-a"), client_);
+  ASSERT_TRUE(a2.ok());
+  EXPECT_EQ(*a2, 3u);
+  EXPECT_EQ(table_.FindById(*a), nullptr);
+  EXPECT_EQ(table_.Find("q-a"), table_.FindById(*a2));
+  table_.FinishById(*a);  // stale finish: harmless no-op
+  EXPECT_NE(table_.FindById(*a2), nullptr);
+  EXPECT_EQ(table_.total_completed(), 1u);
+}
+
+TEST_F(QueryTableTest, CompletionLogIsBounded) {
   table_.SetCompletionLogCapacity(8);
   for (int i = 0; i < 20; ++i) {
     const std::string id = "q-" + std::to_string(i);
@@ -280,12 +106,13 @@ TEST_F(ShardedTableTest, CompletionLogIsBounded) {
   EXPECT_EQ(table_.total_completed(), 20u);
   EXPECT_EQ(table_.total_admitted(), 20u);
   EXPECT_EQ(table_.active_count(), 0u);
+  EXPECT_TRUE(table_.ActiveIds().empty());
   // The bounded log keeps the newest completions.
   EXPECT_EQ(table_.completions().front().id, "q-12");
   EXPECT_EQ(table_.completions().back().id, "q-19");
 }
 
-TEST_F(ShardedTableTest, InvalidTransitionIsRefusedAndCounted) {
+TEST_F(QueryTableTest, InvalidTransitionIsRefusedAndCounted) {
   const auto r = table_.Admit(MakeQuery("q-bad"), client_);
   ASSERT_TRUE(r.ok());
   core::QueryRecord* record = table_.FindById(*r);
@@ -299,7 +126,7 @@ TEST_F(ShardedTableTest, InvalidTransitionIsRefusedAndCounted) {
   EXPECT_TRUE(table_.Transition(*record, core::QueryState::kActive));
 }
 
-TEST_F(ShardedTableTest, FinishTwiceIsSingleCompletion) {
+TEST_F(QueryTableTest, FinishTwiceIsSingleCompletion) {
   ASSERT_TRUE(table_.Admit(MakeQuery("q-once"), client_).ok());
   table_.Finish("q-once");
   table_.Finish("q-once");  // cancel racing an expiry: harmless no-op
@@ -307,7 +134,7 @@ TEST_F(ShardedTableTest, FinishTwiceIsSingleCompletion) {
   EXPECT_EQ(table_.total_completed(), 1u);
 }
 
-// --- Cross-shard lifecycle races over the full middleware -------------------
+// --- Lifecycle races over the full middleware ------------------------------
 
 class PipelineWorldTest : public ::testing::Test {
  protected:
@@ -369,10 +196,9 @@ TEST_F(PipelineWorldTest, StopAllAcrossShardsIsSingleTerminalPerQuery) {
   opts.with_bt = false;
   opts.with_cellular = false;
   opts.internal_sensors = {vocab::kTemperature};
-  // Few shards + many queries: StopAll must walk every shard's records
-  // through the facade finish path without double-finishing any.
+  // Many queries: StopAll must walk every record through the facade
+  // finish path without double-finishing any.
   core::ContextFactoryConfig cfg;
-  cfg.table_shards = 4;
   cfg.enable_degraded_mode = false;
   opts.factory_config = cfg;
   auto& device = world.AddDevice(opts);
@@ -407,7 +233,7 @@ TEST_F(PipelineWorldTest, StopAllAcrossShardsIsSingleTerminalPerQuery) {
   }
 }
 
-// --- Batch submit: deterministic and worker modes ---------------------------
+// --- Batch submit -----------------------------------------------------------
 
 std::vector<query::CxtQuery> MakeBatch(sim::Simulation& sim, int n) {
   std::vector<query::CxtQuery> queries;
@@ -427,92 +253,15 @@ testbed::DeviceOptions BatchDeviceOptions() {
   return opts;
 }
 
-TEST_F(PipelineWorldTest, BatchDeterministicMatchesPerQueryLoop) {
-  testbed::World world_a{603};
-  testbed::World world_b{603};
-  auto& device_a = world_a.AddDevice(BatchDeviceOptions());
-  auto& device_b = world_b.AddDevice(BatchDeviceOptions());
-  core::CollectingClient client_a;
-  core::CollectingClient client_b;
-
-  constexpr int kN = 50;
-  std::set<std::string> ids_a;
-  for (auto& q : MakeBatch(world_a.sim(), kN)) {
-    const auto r = device_a.contory().ProcessCxtQuery(std::move(q), client_a);
-    ASSERT_TRUE(r.ok());
-    ids_a.insert(*r);
-  }
-  const auto results =
-      device_b.contory().ProcessCxtQueryBatch(MakeBatch(world_b.sim(), kN),
-                                              client_b);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
-  std::set<std::string> ids_b;
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ids_b.insert(*r);
-  }
-  EXPECT_EQ(ids_a, ids_b);  // same generator, same seed, same order
-  EXPECT_EQ(device_a.contory().queries().active_count(),
-            device_b.contory().queries().active_count());
-
-  world_a.RunFor(10min);
-  world_b.RunFor(10min);
-  EXPECT_EQ(client_a.items.size(), client_b.items.size());
-  EXPECT_EQ(device_a.contory().queries().total_completed(),
-            device_b.contory().queries().total_completed());
-}
-
-TEST_F(PipelineWorldTest, WorkerModeMatchesDeterministicFinalState) {
-  constexpr int kN = 200;
-  std::set<std::string> baseline_ids;
-  std::size_t baseline_active = 0;
-  std::uint64_t baseline_admitted = 0;
-
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{4}}) {
-    testbed::World world{604};
-    auto& device = world.AddDevice(BatchDeviceOptions());
-    core::CollectingClient client;
-
-    const auto results = device.contory().ProcessCxtQueryBatch(
-        MakeBatch(world.sim(), kN), client,
-        core::ContextFactory::BatchOptions{.workers = workers});
-    ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
-    std::set<std::string> ids;
-    for (const auto& r : results) {
-      ASSERT_TRUE(r.ok()) << "workers=" << workers << ": "
-                          << r.status().ToString();
-      ids.insert(*r);
-    }
-
-    const core::QueryTable& table = device.contory().queries();
-    EXPECT_EQ(table.invalid_transitions(), 0u);
-    EXPECT_EQ(table.total_admitted(),
-              table.total_completed() + table.active_count());
-    if (workers == 0) {
-      baseline_ids = ids;
-      baseline_active = table.active_count();
-      baseline_admitted = table.total_admitted();
-    } else {
-      // Worker mode reorders events but must converge to the identical
-      // final state: same ids admitted, same live population.
-      EXPECT_EQ(ids, baseline_ids) << "workers=" << workers;
-      EXPECT_EQ(table.active_count(), baseline_active);
-      EXPECT_EQ(table.total_admitted(), baseline_admitted);
-    }
-  }
-}
-
-TEST_F(PipelineWorldTest, WorkerBatchReportsPerQueryRejections) {
+TEST_F(PipelineWorldTest, BatchReportsPerQueryRejections) {
   testbed::World world{605};
   auto& device = world.AddDevice(BatchDeviceOptions());
   core::CollectingClient client;
 
   auto queries = MakeBatch(world.sim(), 4);
   queries[2].id = queries[1].id;  // duplicate id inside the batch
-  const auto results = device.contory().ProcessCxtQueryBatch(
-      std::move(queries), client,
-      core::ContextFactory::BatchOptions{.workers = 2});
+  const auto results =
+      device.contory().ProcessCxtQueryBatch(std::move(queries), client);
   ASSERT_EQ(results.size(), 4u);
   int ok = 0;
   int duplicate = 0;
@@ -530,7 +279,7 @@ TEST_F(PipelineWorldTest, WorkerBatchReportsPerQueryRejections) {
 }
 
 // The acceptance-scale invariant: at 100k concurrent queries, the obs
-// counters and span population stay coherent across shards — admitted ==
+// counters and span population stay coherent — admitted ==
 // completed + live, no invalid transitions, and once everything is
 // cancelled there are no leaked open spans.
 TEST_F(PipelineWorldTest, ObsStaysConsistentAcrossShardsAt100k) {
@@ -538,7 +287,6 @@ TEST_F(PipelineWorldTest, ObsStaysConsistentAcrossShardsAt100k) {
   testbed::World world{606};
   testbed::DeviceOptions opts = BatchDeviceOptions();
   core::ContextFactoryConfig cfg;
-  cfg.table_shards = 16;
   // 100k *distinct* real-world queries would not merge; merged
   // mega-clusters also make per-query cancel quadratic (re-merge of the
   // surviving originals), which is not what this test measures.
@@ -547,9 +295,8 @@ TEST_F(PipelineWorldTest, ObsStaysConsistentAcrossShardsAt100k) {
   auto& device = world.AddDevice(opts);
   core::CollectingClient client;
 
-  const auto results = device.contory().ProcessCxtQueryBatch(
-      MakeBatch(world.sim(), kN), client,
-      core::ContextFactory::BatchOptions{.workers = 2});
+  const auto results =
+      device.contory().ProcessCxtQueryBatch(MakeBatch(world.sim(), kN), client);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
   std::vector<std::string> ids;
   ids.reserve(kN);

@@ -126,9 +126,14 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Merge subsumption ------------------------------------------------------
 
 struct MergePair {
+  const char* name;
   const char* a;
   const char* b;
 };
+
+// Without this gtest prints the struct's raw bytes, i.e. the two string
+// pointers, and the ctest case names would change with every build.
+void PrintTo(const MergePair& pair, std::ostream* os) { *os << pair.name; }
 
 class MergeSubsumptionTest : public ::testing::TestWithParam<MergePair> {};
 
@@ -194,21 +199,27 @@ TEST_P(MergeSubsumptionTest, MergeIsSymmetricUpToId) {
 INSTANTIATE_TEST_SUITE_P(
     Pairs, MergeSubsumptionTest,
     ::testing::Values(
-        MergePair{"SELECT t FROM adHocNetwork(all,3) FRESHNESS 10sec "
+        MergePair{"adhoc_all_nodes",
+                  "SELECT t FROM adHocNetwork(all,3) FRESHNESS 10sec "
                   "DURATION 1hour EVERY 15sec",
                   "SELECT t FROM adHocNetwork(all,1) FRESHNESS 20sec "
                   "DURATION 2hour EVERY 30sec"},
-        MergePair{"SELECT t FROM adHocNetwork(5,2) DURATION 1hour "
+        MergePair{"adhoc_counted_nodes",
+                  "SELECT t FROM adHocNetwork(5,2) DURATION 1hour "
                   "EVERY 5sec",
                   "SELECT t FROM adHocNetwork(9,4) DURATION 3hour "
                   "EVERY 7sec"},
-        MergePair{"SELECT t WHERE accuracy<=0.2 DURATION 1hour EVERY 10sec",
+        MergePair{"where_differs",
+                  "SELECT t WHERE accuracy<=0.2 DURATION 1hour EVERY 10sec",
                   "SELECT t WHERE accuracy<=0.5 DURATION 1hour EVERY 9sec"},
-        MergePair{"SELECT t WHERE accuracy<=0.2 DURATION 1hour EVERY 8sec",
+        MergePair{"where_equal",
+                  "SELECT t WHERE accuracy<=0.2 DURATION 1hour EVERY 8sec",
                   "SELECT t WHERE accuracy<=0.2 DURATION 2hour EVERY 4sec"},
-        MergePair{"SELECT t DURATION 30 samples", "SELECT t DURATION "
-                                                  "90 samples"},
-        MergePair{"SELECT t FRESHNESS 5sec DURATION 1hour "
+        MergePair{"sample_durations",
+                  "SELECT t DURATION 30 samples",
+                  "SELECT t DURATION 90 samples"},
+        MergePair{"freshness_event",
+                  "SELECT t FRESHNESS 5sec DURATION 1hour "
                   "EVENT AVG(t)>25",
                   "SELECT t FRESHNESS 50sec DURATION 4hour "
                   "EVENT AVG(t)>25"}));
