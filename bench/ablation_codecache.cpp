@@ -14,15 +14,9 @@
 
 using namespace contory;
 using namespace std::chrono_literals;
+using testbed::NewQuery;
 
 namespace {
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  if (!q.ok()) throw std::runtime_error(q.status().ToString());
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
 
 }  // namespace
 
@@ -65,8 +59,8 @@ int main() {
     core::CollectingClient client;
     const SimTime start = world.Now();
     const auto id = devices[0]->contory().ProcessCxtQuery(
-        Q(world.sim(),
-          "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
+        NewQuery(world.sim(),
+                 "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
         client);
     if (!id.ok()) return 1;
     while (client.items.empty() && world.sim().Step()) {

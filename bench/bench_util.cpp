@@ -9,39 +9,39 @@ void PrintHeading(const std::string& text) {
   std::printf("\n=== %s ===\n", text.c_str());
 }
 
-std::string Ratio(double measured, double reference) {
-  if (reference == 0.0) return "n/a";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "x%.2f", measured / reference);
-  return buf;
-}
-
-std::string Cell(const RunningStats& stats, int precision) {
-  return stats.ToCell(precision);
-}
-
 void PrintTable(const std::string& title, const std::string& value_header,
                 const std::vector<Row>& rows) {
   std::size_t label_w = std::string("operation").size();
   std::size_t measured_w = std::string("measured").size();
+  std::size_t registry_w = 0;
   std::size_t paper_w = std::string("paper").size();
   for (const auto& row : rows) {
     label_w = std::max(label_w, row.label.size());
     measured_w = std::max(measured_w, row.measured.size());
+    registry_w = std::max(registry_w, row.registry.size());
     paper_w = std::max(paper_w, row.paper.size());
   }
-  std::printf("\n%s\n", title.c_str());
-  std::printf("  %-*s | %-*s | %-*s | %s\n", static_cast<int>(label_w),
-              "operation", static_cast<int>(measured_w), "measured",
-              static_cast<int>(paper_w), "paper", value_header.c_str());
-  std::printf("  %s\n",
-              std::string(label_w + measured_w + paper_w + 30, '-').c_str());
-  for (const auto& row : rows) {
-    std::printf("  %-*s | %-*s | %-*s | %s\n", static_cast<int>(label_w),
-                row.label.c_str(), static_cast<int>(measured_w),
-                row.measured.c_str(), static_cast<int>(paper_w),
-                row.paper.c_str(), row.note.c_str());
+  if (registry_w > 0) {
+    registry_w = std::max(registry_w, std::string("registry").size());
   }
+  const auto line = [&](const Row& row) {
+    std::printf("  %-*s | %-*s | ", static_cast<int>(label_w),
+                row.label.c_str(), static_cast<int>(measured_w),
+                row.measured.c_str());
+    if (registry_w > 0) {
+      std::printf("%-*s | ", static_cast<int>(registry_w),
+                  row.registry.c_str());
+    }
+    std::printf("%-*s | %s\n", static_cast<int>(paper_w), row.paper.c_str(),
+                row.note.c_str());
+  };
+  std::printf("\n%s\n", title.c_str());
+  line({"operation", "measured", "paper", value_header,
+        registry_w > 0 ? "registry" : ""});
+  const std::size_t rule = label_w + measured_w + paper_w + 30 +
+                           (registry_w > 0 ? registry_w + 3 : 0);
+  std::printf("  %s\n", std::string(rule, '-').c_str());
+  for (const auto& row : rows) line(row);
 }
 
 namespace {

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
-
 namespace contory::bench {
 
 struct Row {
@@ -15,6 +13,9 @@ struct Row {
   std::string measured;
   std::string paper;
   std::string note;
+  /// The same quantity as read back from the metrics registry or tracer;
+  /// the column is printed only when some row sets it.
+  std::string registry = {};
 };
 
 /// Prints a boxed comparison table.
@@ -23,12 +24,6 @@ void PrintTable(const std::string& title, const std::string& value_header,
 
 /// Prints a section heading.
 void PrintHeading(const std::string& text);
-
-/// "x12.3" style ratio annotation (measured/reference).
-[[nodiscard]] std::string Ratio(double measured, double reference);
-
-/// Formats a RunningStats the way the paper's tables do.
-[[nodiscard]] std::string Cell(const RunningStats& stats, int precision = 3);
 
 /// Minimal machine-readable output: one flat JSON object with fields in
 /// insertion order (deterministic across runs, diffable in CI).

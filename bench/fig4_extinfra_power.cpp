@@ -14,15 +14,9 @@
 
 using namespace contory;
 using namespace std::chrono_literals;
+using testbed::NewQuery;
 
 namespace {
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  if (!q.ok()) throw std::runtime_error(q.status().ToString());
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
 
 }  // namespace
 
@@ -58,8 +52,8 @@ int main(int argc, char** argv) {
     const SimTime start = world.Now();
     const std::size_t before = client.items.size();
     const auto id = device.contory().ProcessCxtQuery(
-        Q(world.sim(),
-          "SELECT temperature FROM extInfra DURATION 1 min"),
+        NewQuery(world.sim(),
+                 "SELECT temperature FROM extInfra DURATION 1 min"),
         client);
     if (!id.ok()) throw std::runtime_error(id.status().ToString());
     while (client.items.size() == before && world.sim().Step()) {

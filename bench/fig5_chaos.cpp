@@ -20,19 +20,13 @@
 
 using namespace contory;
 using namespace std::chrono_literals;
+using testbed::NewQuery;
 
 namespace {
 
 constexpr SimDuration kRun = 300s;
 constexpr SimDuration kEvery = 5s;
 constexpr double kFaultAtSec = 60.0;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  if (!q.ok()) throw std::runtime_error(q.status().ToString());
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
 
 struct CellResult {
   std::size_t items_total = 0;
@@ -98,7 +92,8 @@ CellResult RunCell(double loss_rate, int outage_sec, std::uint64_t seed) {
 
   core::CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT location DURATION 5 min EVERY 5 sec"), client);
+      NewQuery(world.sim(), "SELECT location DURATION 5 min EVERY 5 sec"),
+      client);
   if (!id.ok()) throw std::runtime_error(id.status().ToString());
   world.RunFor(kRun);
 
@@ -177,8 +172,8 @@ CellResult RunExtInfraCell(double connectfail_rate, int outage_sec,
   world.RunFor(2s);
   core::CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM extInfra DURATION 5 min EVERY 5 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM extInfra DURATION 5 min EVERY 5 sec"),
       client);
   if (!id.ok()) throw std::runtime_error(id.status().ToString());
   world.RunFor(kRun - 2s);

@@ -16,15 +16,9 @@
 
 using namespace contory;
 using namespace std::chrono_literals;
+using testbed::NewQuery;
 
 namespace {
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  if (!q.ok()) throw std::runtime_error(q.status().ToString());
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
 
 }  // namespace
 
@@ -67,7 +61,7 @@ int main(int argc, char** argv) {
 
   core::CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT location DURATION 15 min EVERY 5 sec"),
+      NewQuery(world.sim(), "SELECT location DURATION 15 min EVERY 5 sec"),
       client);
   if (!id.ok()) throw std::runtime_error(id.status().ToString());
 

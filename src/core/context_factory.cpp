@@ -254,16 +254,6 @@ Result<std::string> ContextFactory::DegradeAtAdmission(
   return id;
 }
 
-std::vector<Result<std::string>> ContextFactory::ProcessCxtQueryBatch(
-    std::vector<query::CxtQuery> queries, Client& client) {
-  std::vector<Result<std::string>> results;
-  results.reserve(queries.size());
-  for (auto& q : queries) {
-    results.push_back(ProcessCxtQuery(std::move(q), client));
-  }
-  return results;
-}
-
 Status ContextFactory::AssignToFacade(QueryRecord& record,
                                       query::SourceSel kind) {
   bool armed = false;

@@ -99,11 +99,6 @@ class ContextFactory {
   /// assignment.
   Result<std::string> ProcessCxtQuery(query::CxtQuery query, Client& client);
 
-  /// Submits a batch of queries on behalf of one client: ProcessCxtQuery
-  /// for each, in input order. Returns one result per query.
-  std::vector<Result<std::string>> ProcessCxtQueryBatch(
-      std::vector<query::CxtQuery> queries, Client& client);
-
   /// Cancels an active query.
   void CancelCxtQuery(const std::string& query_id);
 

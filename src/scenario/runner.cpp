@@ -326,7 +326,16 @@ class Execution {
   }
 
   std::string TextValue(const ExpectSpec& e) {
+    if (e.domain == ExpectSpec::Domain::kDevice) {  // last_switch
+      const auto& log = st_.devices.at(e.entity)->contory().switch_log();
+      if (log.empty()) return "(none)";
+      return std::string(query::SourceSelName(log.back().from)) + ">" +
+             query::SourceSelName(log.back().to);
+    }
     const QueryRun& run = st_.queries.at(e.entity);
+    if (e.property == "status") {
+      return StatusCodeName(run.submit_status.code());
+    }
     if (e.property == "last_source") {
       if (run.client->items.empty()) return "(none)";
       return SourceKindName(run.client->items.back().source.kind);
@@ -353,6 +362,9 @@ class Execution {
     switch (e.domain) {
       case ExpectSpec::Domain::kQuery: return QueryNumber(e);
       case ExpectSpec::Domain::kDevice: return DeviceNumber(e);
+      case ExpectSpec::Domain::kServer:
+        return static_cast<double>(
+            st_.servers.at(e.entity)->dropped_requests());
       case ExpectSpec::Domain::kTracer:
         return e.property == "open_spans"
                    ? static_cast<double>(
@@ -394,6 +406,12 @@ class Execution {
     }
     if (e.property == "errors") {
       return static_cast<double>(run.client->errors.size());
+    }
+    if (e.property == "last_stale") {
+      return !items.empty() &&
+                     items.back().metadata.staleness_seconds.has_value()
+                 ? 1
+                 : 0;
     }
     if (e.property == "completions") {
       std::size_t n = 0;

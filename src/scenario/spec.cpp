@@ -164,13 +164,13 @@ Status ValidateFaultTarget(int line, const fault::FaultAction& action,
 const std::set<std::string> kQueryNumProps = {
     "items",      "stale_items", "fresh_items",          "errors",
     "completions", "submitted",  "refused",              "degraded",
-    "active",     "retry_hint",  "staleness_increasing"};
+    "active",     "retry_hint",  "staleness_increasing", "last_stale"};
 const std::set<std::string> kQueryTextProps = {"last_source", "mechanism",
-                                               "error_text"};
+                                               "error_text", "status"};
 const std::set<std::string> kDeviceProps = {
     "active",   "invalid_transitions", "completed",
     "admitted", "switches",            "retries",
-    "degraded_deliveries", "providers"};
+    "degraded_deliveries", "providers", "last_switch"};
 const std::set<std::string> kFacades = {"intSensor", "extInfra",
                                         "adHocNetwork"};
 
@@ -243,6 +243,20 @@ Result<ExpectSpec> ParseExpect(int line,
     } else if (!kDeviceProps.contains(e.property)) {
       return LineError(line, "unknown device property '" + e.property + "'");
     }
+  } else if (parts[0] == "srv") {
+    // Server addresses contain dots: srv.<address>.dropped.
+    if (parts.size() < 3 || parts.back() != "dropped") {
+      return LineError(line, "server selector must be srv.<address>.dropped");
+    }
+    e.domain = ExpectSpec::Domain::kServer;
+    e.property = parts.back();
+    for (std::size_t i = 1; i + 1 < parts.size(); ++i) {
+      e.entity += (i > 1 ? "." : "") + parts[i];
+    }
+    if (!sym.servers.contains(e.entity)) {
+      return LineError(line, "invariant on undeclared server '" + e.entity +
+                                 "'");
+    }
   } else if (parts[0] == "tracer") {
     if (parts.size() != 2 ||
         (parts[1] != "open_spans" && parts[1] != "double_closes")) {
@@ -266,11 +280,13 @@ Result<ExpectSpec> ParseExpect(int line,
     e.entity = parts[1];
   } else {
     return LineError(line, "unknown selector domain '" + parts[0] +
-                               "' (expected q/d/tracer/injector/metric)");
+                               "' (expected q/d/srv/tracer/injector/metric)");
   }
 
-  const bool text_prop = e.domain == ExpectSpec::Domain::kQuery &&
-                         kQueryTextProps.contains(e.property);
+  const bool text_prop = (e.domain == ExpectSpec::Domain::kQuery &&
+                          kQueryTextProps.contains(e.property)) ||
+                         (e.domain == ExpectSpec::Domain::kDevice &&
+                          e.property == "last_switch");
 
   if (tokens.size() == 2) {
     // Bare selector: truthy.

@@ -146,12 +146,14 @@ struct QuerySpec {
 ///   q.<query>.<prop>    prop: items, stale_items, fresh_items, errors,
 ///                       completions, submitted, refused, degraded,
 ///                       active, retry_hint, staleness_increasing,
-///                       last_source (str), mechanism (str),
-///                       error_text (str)
+///                       last_stale, last_source (str), mechanism (str),
+///                       error_text (str), status (str)
 ///   d.<device>.<prop>   prop: active, invalid_transitions, completed,
 ///                       admitted, switches, retries,
 ///                       degraded_deliveries, providers,
-///                       originals.<facade>, providers.<facade>
+///                       originals.<facade>, providers.<facade>,
+///                       last_switch (str)
+///   srv.<address>.dropped  requests the server swallowed in an outage
 ///   tracer.open_spans | tracer.double_closes
 ///   injector.injected
 ///   metric.<name>       registry counter/gauge by exact unlabeled name
@@ -159,6 +161,7 @@ struct ExpectSpec {
   enum class Domain : std::uint8_t {
     kQuery,
     kDevice,
+    kServer,
     kTracer,
     kInjector,
     kMetric,
@@ -168,7 +171,7 @@ struct ExpectSpec {
   int line = 0;
   std::string raw;       // the selector text, for failure messages
   Domain domain = Domain::kQuery;
-  std::string entity;    // query/device/metric name
+  std::string entity;    // query/device/server/metric name
   std::string property;  // e.g. "items"
   std::string facade;    // for d.<dev>.originals.<facade>
   Op op = Op::kGe;

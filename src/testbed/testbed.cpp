@@ -1,5 +1,7 @@
 #include "testbed/testbed.hpp"
 
+#include <stdexcept>
+
 #include "obs/clock.hpp"
 
 namespace contory::testbed {
@@ -122,6 +124,13 @@ void Device::MoveTo(net::Position position) {
 
 net::Position Device::position() const {
   return world_.medium().GetPosition(node_).value_or(net::Position{});
+}
+
+query::CxtQuery NewQuery(sim::Simulation& sim, const std::string& text) {
+  auto q = query::ParseQuery(text);
+  if (!q.ok()) throw std::runtime_error(q.status().ToString());
+  q->id = sim.ids().NextId("q");
+  return *std::move(q);
 }
 
 }  // namespace contory::testbed

@@ -147,4 +147,10 @@ class World {
   std::uint64_t clock_token_ = 0;
 };
 
+/// Parses `text` and gives the query the next "q" id of `sim`, the way an
+/// application builds a query before submitting it. Throws
+/// std::runtime_error carrying the parser's Status text on failure.
+[[nodiscard]] query::CxtQuery NewQuery(sim::Simulation& sim,
+                                       const std::string& text);
+
 }  // namespace contory::testbed

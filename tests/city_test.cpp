@@ -118,7 +118,7 @@ TEST(CityTest, GridAndMobilityMetricsSurface) {
                     [&](CityScenario::FinderOutcome o) { outcome = o; });
   city.sim().RunFor(seconds{40});
 
-  if (!obs::Observability::Enabled()) GTEST_SKIP() << "obs disabled";
+  if (!COBS_ON()) GTEST_SKIP() << "observability compiled out/disabled";
   const auto& metrics = obs::Observability::metrics();
   const auto* queries = metrics.FindCounter("medium_neighbor_queries_total",
                                             {{"backend", "grid"}});

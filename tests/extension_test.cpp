@@ -10,13 +10,7 @@ namespace contory::core {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 CxtItem TempItem(testbed::World& world, double value, double accuracy) {
   CxtItem item;
@@ -40,9 +34,9 @@ TEST(FusionTest, MultiMechanismResultsAreFused) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM intSensor, extInfra DURATION 5 min "
-        "EVERY 30 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor, extInfra DURATION 5 min "
+               "EVERY 30 sec"),
       client);
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(device.contory().EnableFusion(*id).ok());
@@ -71,9 +65,9 @@ TEST(FusionTest, FusionWeighsAccurateSourceHigher) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM intSensor, extInfra DURATION 5 min "
-        "EVERY 20 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor, extInfra DURATION 5 min "
+               "EVERY 20 sec"),
       client);
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(device.contory().EnableFusion(*id).ok());
@@ -121,8 +115,8 @@ class FinderRetryTest : public ::testing::Test {
 TEST_F(FinderRetryTest, LostFinderIsRelaunchedAndSucceeds) {
   CollectingClient client;
   const auto id = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
+      NewQuery(world_.sim(),
+               "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   // Kill the target's radio while the first finder is being serialized;
@@ -160,8 +154,8 @@ TEST(FinderRetryZeroTest, NoRetryMeansTimeoutFailure) {
                   .ok());
   CollectingClient client;
   const auto id = devices[0]->contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world.sim().ScheduleAfter(100ms,
@@ -190,8 +184,8 @@ TEST(HighSecurityTest, UnknownGpsRequiresApplicationApproval) {
   };
   RefusingClient refuser;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT location FROM intSensor DURATION 2 min EVERY 5 sec"),
+      NewQuery(world.sim(),
+               "SELECT location FROM intSensor DURATION 2 min EVERY 5 sec"),
       refuser);
   ASSERT_TRUE(id.ok());
   world.RunFor(1min);
@@ -210,8 +204,8 @@ TEST(HighSecurityTest, ApprovedGpsDelivers) {
   device.contory().access().SetMode(SecurityMode::kHigh);
   CollectingClient approver;  // MakeDecision returns true by default
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT location FROM intSensor DURATION 2 min EVERY 5 sec"),
+      NewQuery(world.sim(),
+               "SELECT location FROM intSensor DURATION 2 min EVERY 5 sec"),
       approver);
   ASSERT_TRUE(id.ok());
   world.RunFor(1min);
@@ -239,8 +233,8 @@ TEST(MobilityTest, PeerLeavingRangeFailsOverToInfra) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature DURATION 10 min EVERY 10 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature DURATION 10 min EVERY 10 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(1min);
@@ -290,9 +284,9 @@ TEST(AdmissionFloodTest, RunawayFindersAreRejectedNotFatal) {
     sm.code_brick = kFinderBrick;
     sm.origin = devices[0]->node();
     FinderState state;
-    state.query = Q(world.sim(),
-                    "SELECT temperature FROM adHocNetwork(1,1) "
-                    "DURATION 1 min");
+    state.query = NewQuery(world.sim(),
+                           "SELECT temperature FROM adHocNetwork(1,1) "
+                           "DURATION 1 min");
     sm.data = state.Encode();
     (void)target->Inject(std::move(sm));
   }
@@ -302,8 +296,8 @@ TEST(AdmissionFloodTest, RunawayFindersAreRejectedNotFatal) {
   // The node still answers a legitimate query afterwards.
   CollectingClient client;
   const auto id = devices[0]->contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(30s);

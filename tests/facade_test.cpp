@@ -5,20 +5,14 @@
 #include <map>
 
 #include "core/facade.hpp"
-#include "core/query/parser.hpp"
 #include "sim/simulation.hpp"
+#include "testbed/testbed.hpp"
 
 namespace contory::core {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 /// Transportless provider the facade drives; the test injects items.
 class ScriptedProvider final : public CxtProvider {
@@ -85,7 +79,7 @@ struct FacadeHarness {
 TEST(FacadeTest, FirstQueryCreatesProvider) {
   FacadeHarness h;
   ASSERT_TRUE(
-      h.facade->Submit(Q(h.sim, "SELECT temperature DURATION 1 hour "
+      h.facade->Submit(NewQuery(h.sim, "SELECT temperature DURATION 1 hour "
                                 "EVERY 10 sec"))
           .ok());
   EXPECT_EQ(h.facade->active_provider_count(), 1u);
@@ -97,14 +91,16 @@ TEST(FacadeTest, SameSelectMergesIntoOneProvider) {
   // provider with the widened parameters.
   FacadeHarness h;
   ASSERT_TRUE(h.facade
-                  ->Submit(Q(h.sim,
-                             "SELECT temperature FROM adHocNetwork(all,3) "
-                             "FRESHNESS 10sec DURATION 1hour EVERY 15sec"))
+                  ->Submit(NewQuery(
+                               h.sim,
+                               "SELECT temperature FROM adHocNetwork(all,3) "
+                               "FRESHNESS 10sec DURATION 1hour EVERY 15sec"))
                   .ok());
   ASSERT_TRUE(h.facade
-                  ->Submit(Q(h.sim,
-                             "SELECT temperature FROM adHocNetwork(all,1) "
-                             "FRESHNESS 20sec DURATION 2hour EVERY 30sec"))
+                  ->Submit(NewQuery(
+                               h.sim,
+                               "SELECT temperature FROM adHocNetwork(all,1) "
+                               "FRESHNESS 20sec DURATION 2hour EVERY 30sec"))
                   .ok());
   EXPECT_EQ(h.facade->active_provider_count(), 1u);
   EXPECT_EQ(h.facade->active_original_count(), 2u);
@@ -117,21 +113,23 @@ TEST(FacadeTest, SameSelectMergesIntoOneProvider) {
 
 TEST(FacadeTest, DifferentSelectsGetSeparateProviders) {
   FacadeHarness h;
+  ASSERT_TRUE(h.facade
+                  ->Submit(NewQuery(h.sim,
+                                    "SELECT temperature DURATION 1 hour"))
+                  .ok());
   ASSERT_TRUE(
-      h.facade->Submit(Q(h.sim, "SELECT temperature DURATION 1 hour")).ok());
-  ASSERT_TRUE(
-      h.facade->Submit(Q(h.sim, "SELECT wind DURATION 1 hour")).ok());
+      h.facade->Submit(NewQuery(h.sim, "SELECT wind DURATION 1 hour")).ok());
   EXPECT_EQ(h.facade->active_provider_count(), 2u);
 }
 
 TEST(FacadeTest, PostExtractionSplitsResults) {
   FacadeHarness h;
-  auto strict = Q(h.sim,
-                  "SELECT temperature WHERE accuracy<=0.2 "
-                  "DURATION 1 hour EVERY 10 sec");
-  auto loose = Q(h.sim,
-                 "SELECT temperature WHERE accuracy<=0.9 "
-                 "DURATION 1 hour EVERY 10 sec");
+  auto strict = NewQuery(h.sim,
+                         "SELECT temperature WHERE accuracy<=0.2 "
+                         "DURATION 1 hour EVERY 10 sec");
+  auto loose = NewQuery(h.sim,
+                        "SELECT temperature WHERE accuracy<=0.9 "
+                        "DURATION 1 hour EVERY 10 sec");
   const std::string strict_id = strict.id;
   const std::string loose_id = loose.id;
   ASSERT_TRUE(h.facade->Submit(std::move(strict)).ok());
@@ -150,7 +148,7 @@ TEST(FacadeTest, PostExtractionSplitsResults) {
 
 TEST(FacadeTest, CancelLastOriginalStopsProvider) {
   FacadeHarness h;
-  auto q = Q(h.sim, "SELECT temperature DURATION 1 hour EVERY 10 sec");
+  auto q = NewQuery(h.sim, "SELECT temperature DURATION 1 hour EVERY 10 sec");
   const std::string id = q.id;
   ASSERT_TRUE(h.facade->Submit(std::move(q)).ok());
   h.facade->Cancel(id);
@@ -161,8 +159,8 @@ TEST(FacadeTest, CancelLastOriginalStopsProvider) {
 
 TEST(FacadeTest, CancelOneOfTwoNarrowsMergedQuery) {
   FacadeHarness h;
-  auto fast = Q(h.sim, "SELECT temperature DURATION 1hour EVERY 5sec");
-  auto slow = Q(h.sim, "SELECT temperature DURATION 1hour EVERY 60sec");
+  auto fast = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 5sec");
+  auto slow = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 60sec");
   const std::string fast_id = fast.id;
   ASSERT_TRUE(h.facade->Submit(std::move(fast)).ok());
   ASSERT_TRUE(h.facade->Submit(std::move(slow)).ok());
@@ -177,8 +175,8 @@ TEST(FacadeTest, CancelOneOfTwoNarrowsMergedQuery) {
 
 TEST(FacadeTest, ProviderFailureReportsEveryOriginal) {
   FacadeHarness h;
-  auto a = Q(h.sim, "SELECT temperature DURATION 1hour EVERY 10sec");
-  auto b = Q(h.sim, "SELECT temperature DURATION 1hour EVERY 20sec");
+  auto a = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 10sec");
+  auto b = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 20sec");
   const std::string a_id = a.id;
   const std::string b_id = b.id;
   ASSERT_TRUE(h.facade->Submit(std::move(a)).ok());
@@ -191,8 +189,8 @@ TEST(FacadeTest, ProviderFailureReportsEveryOriginal) {
 
 TEST(FacadeTest, StopAllSuspendsEverything) {
   FacadeHarness h;
-  auto a = Q(h.sim, "SELECT temperature DURATION 1hour");
-  auto b = Q(h.sim, "SELECT wind DURATION 1hour");
+  auto a = NewQuery(h.sim, "SELECT temperature DURATION 1hour");
+  auto b = NewQuery(h.sim, "SELECT wind DURATION 1hour");
   const std::string a_id = a.id;
   const std::string b_id = b.id;
   ASSERT_TRUE(h.facade->Submit(std::move(a)).ok());
@@ -207,9 +205,9 @@ TEST(FacadeTest, ProvidersCreatedCounterTracksMergeSavings) {
   FacadeHarness h;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(h.facade
-                    ->Submit(Q(h.sim,
-                               "SELECT temperature DURATION 1hour "
-                               "EVERY 10sec"))
+                    ->Submit(NewQuery(h.sim,
+                                      "SELECT temperature DURATION 1hour "
+                                      "EVERY 10sec"))
                     .ok());
   }
   EXPECT_EQ(h.facade->providers_created(), 1u);  // all merged
@@ -229,9 +227,9 @@ TEST(FacadeTest, MergingDisabledByPolicy) {
       no_merge);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(facade
-                    ->Submit(Q(h.sim,
-                               "SELECT temperature DURATION 1hour "
-                               "EVERY 10sec"))
+                    ->Submit(NewQuery(h.sim,
+                                      "SELECT temperature DURATION 1hour "
+                                      "EVERY 10sec"))
                     .ok());
   }
   EXPECT_EQ(facade->active_provider_count(), 3u);  // no merging

@@ -10,13 +10,7 @@ namespace contory::core {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 TEST(FactoryTest, RequiredServicesEnforced) {
   DeviceServices services;  // all null
@@ -44,7 +38,8 @@ TEST(FactoryTest, AssignsIdWhenMissing) {
   opts.internal_sensors = {vocab::kTemperature};
   auto& device = world.AddDevice(opts);
   CollectingClient client;
-  auto q = Q(world.sim(), "SELECT temperature DURATION 1 min EVERY 10 sec");
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature DURATION 1 min EVERY 10 sec");
   q.id.clear();
   const auto id = device.contory().ProcessCxtQuery(q, client);
   ASSERT_TRUE(id.ok());
@@ -60,7 +55,7 @@ TEST(FactoryTest, AutoSelectionPrefersInternalSensor) {
   world.AddContextServer("infra.fi");
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT temperature DURATION 1 min EVERY 10 sec"),
+      NewQuery(world.sim(), "SELECT temperature DURATION 1 min EVERY 10 sec"),
       client);
   ASSERT_TRUE(id.ok());
   const auto mechanisms = device.contory().CurrentMechanisms(*id);
@@ -77,7 +72,7 @@ TEST(FactoryTest, AutoSelectionFallsBackToAdHocThenInfra) {
   CollectingClient client;
   // No local humidity sensor, BT present: ad hoc is chosen.
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT humidity DURATION 1 min EVERY 10 sec"),
+      NewQuery(world.sim(), "SELECT humidity DURATION 1 min EVERY 10 sec"),
       client);
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(device.contory()
@@ -91,7 +86,7 @@ TEST(FactoryTest, AutoSelectionFallsBackToAdHocThenInfra) {
   no_radios.infra_address = "infra.fi";
   auto& device_b = world.AddDevice(no_radios);
   const auto id_b = device_b.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT humidity DURATION 1 min EVERY 10 sec"),
+      NewQuery(world.sim(), "SELECT humidity DURATION 1 min EVERY 10 sec"),
       client);
   ASSERT_TRUE(id_b.ok());
   EXPECT_TRUE(device_b.contory()
@@ -107,7 +102,7 @@ TEST(FactoryTest, NoMechanismAvailableFails) {
   auto& device = world.AddDevice(opts);
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT humidity DURATION 1 min"), client);
+      NewQuery(world.sim(), "SELECT humidity DURATION 1 min"), client);
   EXPECT_FALSE(id.ok());
   EXPECT_EQ(id.status().code(), StatusCode::kUnavailable);
 }
@@ -119,7 +114,7 @@ TEST(FactoryTest, CancelStopsDeliveries) {
   auto& device = world.AddDevice(opts);
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT temperature DURATION 1 hour EVERY 5 sec"),
+      NewQuery(world.sim(), "SELECT temperature DURATION 1 hour EVERY 5 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(20s);
@@ -200,15 +195,15 @@ TEST(FactoryTest, QueryMergingAcrossApplications) {
   auto& device = world.AddDevice(opts);
   CollectingClient app1, app2;
   ASSERT_TRUE(device.contory()
-                  .ProcessCxtQuery(Q(world.sim(),
-                                     "SELECT temperature FROM intSensor "
-                                     "DURATION 10 min EVERY 10 sec"),
+                  .ProcessCxtQuery(NewQuery(world.sim(),
+                                            "SELECT temperature FROM intSensor "
+                                            "DURATION 10 min EVERY 10 sec"),
                                    app1)
                   .ok());
   ASSERT_TRUE(device.contory()
-                  .ProcessCxtQuery(Q(world.sim(),
-                                     "SELECT temperature FROM intSensor "
-                                     "DURATION 10 min EVERY 20 sec"),
+                  .ProcessCxtQuery(NewQuery(world.sim(),
+                                            "SELECT temperature FROM intSensor "
+                                            "DURATION 10 min EVERY 20 sec"),
                                    app2)
                   .ok());
   EXPECT_EQ(device.contory()
@@ -230,8 +225,8 @@ TEST(FactoryTest, ReducePowerPolicySuspendsInfraQueries) {
   world.AddContextServer("infra.fi");
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM extInfra DURATION 1 hour EVERY 30 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM extInfra DURATION 1 hour EVERY 30 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(10s);
@@ -281,9 +276,9 @@ TEST(FactoryTest, ItemsLandInRepository) {
   auto& device = world.AddDevice(opts);
   CollectingClient client;
   ASSERT_TRUE(device.contory()
-                  .ProcessCxtQuery(Q(world.sim(),
-                                     "SELECT light DURATION 1 min "
-                                     "EVERY 10 sec"),
+                  .ProcessCxtQuery(NewQuery(world.sim(),
+                                            "SELECT light DURATION 1 min "
+                                            "EVERY 10 sec"),
                                    client)
                   .ok());
   world.RunFor(30s);

@@ -1,6 +1,6 @@
-// The Fig. 5 experiment as a test: BT-GPS location provisioning, GPS
-// failure, transparent switch to ad hoc provisioning, GPS recovery,
-// switch back.
+// Failover around the Fig. 5 experiment: delivery across the switch, the
+// no-alternative error path, and the switch's BT discovery cost. The
+// switch-there-and-back timeline itself is the failover_switch.scn case.
 #include <gtest/gtest.h>
 
 #include "core/contory.hpp"
@@ -10,13 +10,7 @@ namespace contory::core {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 class FailoverTest : public ::testing::Test {
  protected:
@@ -62,58 +56,10 @@ class FailoverTest : public ::testing::Test {
   std::unique_ptr<sim::PeriodicTask> publish_task_;
 };
 
-TEST_F(FailoverTest, SwitchesToAdHocAndBack) {
-  CollectingClient client;
-  const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT location DURATION 20 min EVERY 5 sec"),
-      client);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-
-  // Phase 1: GPS provisioning (after ~14 s discovery+SDP+connect).
-  world_.RunFor(60s);
-  ASSERT_FALSE(client.items.empty());
-  EXPECT_TRUE(device_->contory()
-                  .CurrentMechanisms(*id)
-                  .contains(query::SourceSel::kIntSensor));
-  const auto items_phase1 = client.items.size();
-  EXPECT_EQ(client.items.back().source.kind, SourceKind::kIntSensor);
-
-  // Phase 2: "After 155 sec, we caused a GPS failure by manually
-  // switching off the GPS device."
-  gps_->PowerOff();
-  world_.RunFor(120s);
-  // Contory switched to ad hoc provisioning.
-  EXPECT_TRUE(device_->contory()
-                  .CurrentMechanisms(*id)
-                  .contains(query::SourceSel::kAdHocNetwork));
-  EXPECT_GT(client.items.size(), items_phase1);
-  EXPECT_EQ(client.items.back().source.kind, SourceKind::kAdHocNetwork);
-  ASSERT_FALSE(device_->contory().switch_log().empty());
-  EXPECT_EQ(device_->contory().switch_log()[0].from,
-            query::SourceSel::kIntSensor);
-  EXPECT_EQ(device_->contory().switch_log()[0].to,
-            query::SourceSel::kAdHocNetwork);
-  // The client was told.
-  EXPECT_FALSE(client.errors.empty());
-
-  // Phase 3: "Later on, the GPS device becomes available again. Once the
-  // GPS device is discovered, Contory switches back."
-  gps_->PowerOn();
-  world_.RunFor(180s);
-  EXPECT_TRUE(device_->contory()
-                  .CurrentMechanisms(*id)
-                  .contains(query::SourceSel::kIntSensor));
-  EXPECT_GE(device_->contory().switch_log().size(), 2u);
-  EXPECT_EQ(device_->contory().switch_log().back().to,
-            query::SourceSel::kIntSensor);
-  EXPECT_EQ(client.items.back().source.kind, SourceKind::kIntSensor);
-}
-
 TEST_F(FailoverTest, DeliveryContinuesThroughFailure) {
   CollectingClient client;
   const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
+      NewQuery(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(60s);
@@ -130,7 +76,7 @@ TEST_F(FailoverTest, NoAlternativeMeansInformError) {
   neighbor_->bt()->SetEnabled(false);
   CollectingClient client;
   const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
+      NewQuery(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(60s);
@@ -145,9 +91,9 @@ TEST_F(FailoverTest, SwitchCostIsBtDiscovery) {
   // inquiry-powered period on the phone.
   CollectingClient client;
   ASSERT_TRUE(device_->contory()
-                  .ProcessCxtQuery(Q(world_.sim(),
-                                     "SELECT location DURATION 20 min "
-                                     "EVERY 5 sec"),
+                  .ProcessCxtQuery(NewQuery(world_.sim(),
+                                            "SELECT location DURATION 20 min "
+                                            "EVERY 5 sec"),
                                    client)
                   .ok());
   world_.RunFor(60s);

@@ -1,7 +1,8 @@
 // Chaos harness tests: the FaultPlan schedule language, the seeded retry
-// policy, scripted fault windows on every substrate, graceful degradation
-// to stale repository data when failover has nowhere left to go, and
-// byte-identical determinism of whole injected timelines.
+// policy, scripted fault windows on every substrate, the degraded-mode
+// opt-out, and byte-identical determinism of whole injected timelines.
+// Whole degrade/retry/route-chaos timelines are .scn cases in
+// tests/scenarios/cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,13 +19,7 @@ namespace contory {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 // --- FaultPlan schedule language ------------------------------------------
 
@@ -435,9 +430,9 @@ TEST(SensorFaultTest, NanBurstPoisonsSamplesOnlyInsideWindow) {
   core::CollectingClient client;
   ASSERT_TRUE(device.contory()
                   .ProcessCxtQuery(
-                      Q(world.sim(),
-                        "SELECT temperature FROM intSensor "
-                        "DURATION 2 min EVERY 5 sec"),
+                      NewQuery(world.sim(),
+                               "SELECT temperature FROM intSensor "
+                               "DURATION 2 min EVERY 5 sec"),
                       client)
                   .ok());
   world.RunFor(2min);
@@ -462,58 +457,10 @@ TEST(SensorFaultTest, NanBurstPoisonsSamplesOnlyInsideWindow) {
   EXPECT_GT(client.items.size(), 15u);
 }
 
-// --- Retry absorbing an infrastructure outage (no failover needed) ---------
-
-TEST(InfraRetryTest, RetriesAbsorbServerOutage) {
-  testbed::World world{204};
-  auto& server = world.AddContextServer("infra.dynamos.fi");
-  infra::StoredItem stored;
-  stored.item.id = "seed-1";
-  stored.item.type = vocab::kTemperature;
-  stored.item.value = 14.0;
-  stored.item.timestamp = world.Now();
-  stored.item.metadata.accuracy = 0.2;
-  stored.entity = "station-1";
-  server.StoreDirect(stored);
-
-  testbed::DeviceOptions opts;
-  opts.with_bt = false;
-  opts.infra_address = "infra.dynamos.fi";
-  core::ContextFactoryConfig cfg;
-  cfg.retry.max_attempts = 8;
-  cfg.retry.attempt_timeout = 6s;
-  cfg.retry.initial_backoff = 500ms;
-  cfg.retry.max_backoff = 4s;
-  cfg.retry.total_deadline = 120s;
-  opts.factory_config = cfg;
-  auto& device = world.AddDevice(opts);
-
-  // The server swallows every request for the first 30 s.
-  ASSERT_TRUE(world.injector()
-                  .ExecuteText("at=0s broker.outage infra.dynamos.fi for=30s\n")
-                  .ok());
-
-  core::CollectingClient client;
-  ASSERT_TRUE(device.contory()
-                  .ProcessCxtQuery(
-                      Q(world.sim(),
-                        "SELECT temperature FROM extInfra DURATION 2 min"),
-                      client)
-                  .ok());
-  world.RunFor(90s);
-
-  // The retry policy rode out the outage: the item arrived, the client
-  // never saw an error, and no failover/degradation was needed.
-  ASSERT_FALSE(client.items.empty());
-  EXPECT_EQ(client.items.front().source.kind, SourceKind::kExtInfra);
-  EXPECT_TRUE(client.errors.empty())
-      << "first error: " << client.errors.front();
-  EXPECT_GE(device.contory().total_retries(), 1u);
-  EXPECT_GE(server.dropped_requests(), 1u);
-  EXPECT_EQ(device.contory().degraded_deliveries(), 0u);
-}
-
-// --- Graceful degradation (the acceptance scenario) ------------------------
+// --- Graceful degradation --------------------------------------------------
+// The degrade-and-recover scenarios live in tests/scenarios/cases
+// (fault_to_degraded_recovery, on_demand_stale_answer); this fixture keeps
+// their world (a GPS-equipped phone-A) for the opt-out case.
 
 class DegradedModeTest : public ::testing::Test {
  protected:
@@ -523,102 +470,12 @@ class DegradedModeTest : public ::testing::Test {
     core::ContextFactoryConfig cfg;
     cfg.recovery_probe_period = 15s;
     opts.factory_config = cfg;
-    device_ = &world_.AddDevice(opts);
-    gps_ = &world_.AddGps("gps-1", {3, 0});
+    world_.AddDevice(opts);
+    world_.AddGps("gps-1", {3, 0});
   }
 
   testbed::World world_;
-  testbed::Device* device_ = nullptr;
-  sensors::GpsDevice* gps_ = nullptr;
 };
-
-TEST_F(DegradedModeTest, ServesStaleRepositoryDataAndRecovers) {
-  core::CollectingClient client;
-  const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
-      client);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-
-  // Phase 1: healthy GPS provisioning fills the repository.
-  world_.RunFor(60s);
-  ASSERT_FALSE(client.items.empty());
-  EXPECT_FALSE(client.items.back().metadata.staleness_seconds.has_value());
-  const std::size_t live_items = client.items.size();
-
-  // Phase 2: the GPS dies; failover to the (empty) ad hoc neighborhood
-  // fails too, so the query degrades to the repository. Shortly after,
-  // the local BT radio also fails, which keeps the recovery probes from
-  // flapping back onto a GPS-less BT stack until both faults revert.
-  ASSERT_TRUE(world_.injector()
-                  .ExecuteText(
-                      "at=60s gps.off gps-1 for=180s\n"
-                      "at=80s bt.fail phone-A for=160s\n")
-                  .ok());
-  world_.RunFor(90s);  // now at t=150s, mid-outage
-
-  EXPECT_TRUE(device_->contory().IsDegraded(*id));
-  EXPECT_GT(device_->contory().degraded_deliveries(), 0u);
-  EXPECT_GT(client.items.size(), live_items);
-
-  // Stale answers carry explicit, growing staleness metadata.
-  std::vector<double> staleness;
-  for (std::size_t i = live_items; i < client.items.size(); ++i) {
-    const auto& meta = client.items[i].metadata;
-    if (meta.staleness_seconds.has_value()) {
-      staleness.push_back(*meta.staleness_seconds);
-    }
-  }
-  ASSERT_GE(staleness.size(), 2u);
-  EXPECT_GT(staleness.front(), 0.0);
-  EXPECT_GT(staleness.back(), staleness.front());
-
-  // The client was told it is living on cached data.
-  bool told = false;
-  for (const auto& e : client.errors) {
-    if (e.find("degraded") != std::string::npos) told = true;
-  }
-  EXPECT_TRUE(told);
-
-  // Phase 3: the radios return at t=240s; the background probe reassigns
-  // the GPS mechanism and live provisioning resumes.
-  world_.RunFor(160s);  // now at t=310s
-  EXPECT_FALSE(device_->contory().IsDegraded(*id));
-  EXPECT_EQ(client.items.back().source.kind, SourceKind::kIntSensor);
-  EXPECT_FALSE(client.items.back().metadata.staleness_seconds.has_value());
-  bool restored = false;
-  for (const auto& e : client.errors) {
-    if (e.find("restored") != std::string::npos) restored = true;
-  }
-  EXPECT_TRUE(restored);
-}
-
-TEST_F(DegradedModeTest, OnDemandQueryGetsOneStaleAnswer) {
-  // Warm the repository with a periodic query, then switch the GPS off and
-  // submit an on-demand query: once GPS and ad hoc discovery both come up
-  // empty, it should resolve from cache with staleness metadata instead of
-  // erroring.
-  core::CollectingClient warm;
-  const auto warm_id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 1 min EVERY 5 sec"), warm);
-  ASSERT_TRUE(warm_id.ok());
-  world_.RunFor(70s);
-  ASSERT_FALSE(warm.items.empty());
-
-  gps_->PowerOff();
-  world_.RunFor(5s);
-
-  core::CollectingClient client;
-  const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 2 min"), client);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  world_.RunFor(80s);
-
-  ASSERT_EQ(client.items.size(), 1u);
-  ASSERT_TRUE(client.items.front().metadata.staleness_seconds.has_value());
-  EXPECT_GT(*client.items.front().metadata.staleness_seconds, 0.0);
-  // The on-demand record is finished and removed, not left degraded.
-  EXPECT_FALSE(device_->contory().IsDegraded(*id));
-}
 
 TEST_F(DegradedModeTest, DisabledDegradedModeFailsHard) {
   core::ContextFactoryConfig cfg;
@@ -631,154 +488,14 @@ TEST_F(DegradedModeTest, DisabledDegradedModeFailsHard) {
 
   core::CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 5 min EVERY 5 sec"), client);
+      NewQuery(world_.sim(), "SELECT location DURATION 5 min EVERY 5 sec"),
+      client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(2min);
 
   EXPECT_FALSE(client.errors.empty());
   EXPECT_EQ(device.contory().degraded_deliveries(), 0u);
   EXPECT_FALSE(device.contory().IsDegraded(*id));
-}
-
-// --- Concurrent faults on a two-hop WiFi route with merged queries ---------
-
-class WifiRouteChaosTest : public ::testing::Test {
- protected:
-  WifiRouteChaosTest() : world_(205) {
-    // Three communicators in a line, 80 m apart: the paper's 2-hop
-    // topology, WiFi-only so every fault lands on the SM route.
-    for (int i = 0; i < 3; ++i) {
-      testbed::DeviceOptions opts;
-      opts.name = "comm-" + std::to_string(i);
-      opts.profile = phone::Nokia9500();
-      opts.position = {i * 80.0, 0};
-      opts.with_bt = false;
-      opts.with_wifi = true;
-      opts.with_cellular = false;
-      devices_.push_back(&world_.AddDevice(opts));
-    }
-  }
-
-  void PublishRemoteTemperature() {
-    ASSERT_TRUE(devices_[2]->contory().RegisterCxtServer(pub_client_).ok());
-    CxtItem item;
-    item.id = "remote-1";
-    item.type = vocab::kTemperature;
-    item.value = 19.5;
-    item.timestamp = world_.Now();
-    item.metadata.accuracy = 0.2;
-    ASSERT_TRUE(devices_[2]->contory().PublishCxtItem(item, true).ok());
-  }
-
-  testbed::World world_;
-  std::vector<testbed::Device*> devices_;
-  core::CollectingClient pub_client_;
-};
-
-TEST_F(WifiRouteChaosTest, MergedSubscriptionsRideOutConcurrentFaults) {
-  PublishRemoteTemperature();
-
-  // Two identical subscriptions from two applications on comm-0: the
-  // facade must merge them into a single SM-FINDER cluster.
-  core::CollectingClient app_a;
-  core::CollectingClient app_b;
-  const auto id_a = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,2) "
-        "DURATION 2 min EVERY 30 sec"),
-      app_a);
-  const auto id_b = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,2) "
-        "DURATION 2 min EVERY 30 sec"),
-      app_b);
-  ASSERT_TRUE(id_a.ok());
-  ASSERT_TRUE(id_b.ok());
-
-  core::Facade& facade =
-      devices_[0]->contory().facade(query::SourceSel::kAdHocNetwork);
-  EXPECT_EQ(facade.active_original_count(), 2u);
-  EXPECT_EQ(facade.active_provider_count(), 1u);
-
-  // Two overlapping fault windows, one per hop: loss on the relay while
-  // the querier's own radio is slowed.
-  ASSERT_TRUE(world_.injector()
-                  .ExecuteText(
-                      "at=20s wifi.loss comm-1 rate=0.5 for=35s\n"
-                      "at=25s wifi.latency comm-0 ms=200 for=30s\n")
-                  .ok());
-
-  world_.RunFor(2min + 15s);
-
-  // Both merged originals kept receiving the remote item across the chaos
-  // window, and both lifecycles closed cleanly at DURATION expiry.
-  ASSERT_FALSE(app_a.items.empty());
-  ASSERT_FALSE(app_b.items.empty());
-  EXPECT_EQ(app_a.items.front().value, CxtValue{19.5});
-  EXPECT_EQ(app_b.items.front().value, CxtValue{19.5});
-
-  const core::QueryTable& table = devices_[0]->contory().queries();
-  EXPECT_EQ(table.active_count(), 0u);
-  EXPECT_EQ(table.invalid_transitions(), 0u);
-  int done_a = 0;
-  int done_b = 0;
-  for (const auto& completion : table.completions()) {
-    if (completion.id == *id_a) ++done_a;
-    if (completion.id == *id_b) ++done_b;
-  }
-  EXPECT_EQ(done_a, 1);
-  EXPECT_EQ(done_b, 1);
-}
-
-TEST_F(WifiRouteChaosTest, ConcurrentFaultsOnBothHopsTerminateCleanly) {
-  PublishRemoteTemperature();
-
-  // Break the relay outright and black-hole the publisher at the same
-  // time: no SM round can complete, and the WiFi-only device has no
-  // mechanism to fail over to.
-  ASSERT_TRUE(world_.injector()
-                  .ExecuteText(
-                      "at=5s wifi.fail comm-1 for=2min\n"
-                      "at=5s wifi.loss comm-2 rate=1.0 for=2min\n")
-                  .ok());
-  world_.RunFor(10s);
-
-  core::CollectingClient app_a;
-  core::CollectingClient app_b;
-  const auto id_a = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,2) DURATION 40 sec"),
-      app_a);
-  const auto id_b = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,2) DURATION 40 sec"),
-      app_b);
-  ASSERT_TRUE(id_a.ok());
-  ASSERT_TRUE(id_b.ok());
-  EXPECT_EQ(devices_[0]
-                ->contory()
-                .facade(query::SourceSel::kAdHocNetwork)
-                .active_original_count(),
-            2u);
-
-  world_.RunFor(90s);
-
-  // Nothing could be delivered, but every lifecycle still ended in
-  // exactly one terminal state — no leaks, no invalid transitions.
-  EXPECT_TRUE(app_a.items.empty());
-  EXPECT_TRUE(app_b.items.empty());
-
-  const core::QueryTable& table = devices_[0]->contory().queries();
-  EXPECT_EQ(table.active_count(), 0u);
-  EXPECT_EQ(table.invalid_transitions(), 0u);
-  int done_a = 0;
-  int done_b = 0;
-  for (const auto& completion : table.completions()) {
-    if (completion.id == *id_a) ++done_a;
-    if (completion.id == *id_b) ++done_b;
-  }
-  EXPECT_EQ(done_a, 1);
-  EXPECT_EQ(done_b, 1);
 }
 
 // --- Determinism (acceptance: two same-seed runs are byte-identical) -------
@@ -822,8 +539,8 @@ std::string RunChaosScenario(std::uint64_t seed) {
   core::CollectingClient client;
   EXPECT_TRUE(device.contory()
                   .ProcessCxtQuery(
-                      Q(world.sim(),
-                        "SELECT location DURATION 5 min EVERY 5 sec"),
+                      NewQuery(world.sim(),
+                               "SELECT location DURATION 5 min EVERY 5 sec"),
                       client)
                   .ok());
   world.RunFor(3min);

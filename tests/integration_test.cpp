@@ -10,13 +10,7 @@ namespace contory::core {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 CxtItem TempItem(testbed::World& world, double value,
                  double accuracy = 0.2) {
@@ -45,8 +39,8 @@ TEST(BtAdHocIntegrationTest, OneHopOnDemandQuery) {
 
   CollectingClient client;
   const auto id = requester.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM adHocNetwork DURATION 1 min"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM adHocNetwork DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   // Inquiry 13 s + SDP 1.1 s.
@@ -75,8 +69,9 @@ TEST(BtAdHocIntegrationTest, PeriodicPollsWithoutRediscovery) {
 
   CollectingClient client;
   const auto id = requester.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM adHocNetwork DURATION 5 min EVERY 15 sec"),
+      NewQuery(
+          world.sim(),
+          "SELECT temperature FROM adHocNetwork DURATION 5 min EVERY 15 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(2min);
@@ -106,9 +101,9 @@ TEST(BtAdHocIntegrationTest, WhereFiltersAtRequester) {
 
   CollectingClient client;
   const auto id = requester.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM adHocNetwork WHERE accuracy<=0.3 "
-        "DURATION 1 min"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM adHocNetwork WHERE accuracy<=0.3 "
+               "DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(30s);
@@ -151,8 +146,8 @@ TEST_F(WifiLineTest, TwoHopSmFinderRoundTrip) {
   CollectingClient client;
   const SimTime start = world_.Now();
   const auto id = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,2) DURATION 1 min"),
+      NewQuery(world_.sim(),
+               "SELECT temperature FROM adHocNetwork(1,2) DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(30s);
@@ -177,8 +172,8 @@ TEST_F(WifiLineTest, HopBudgetDiscardsTooDistantResults) {
 
   CollectingClient client;
   const auto id = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
+      NewQuery(world_.sim(),
+               "SELECT temperature FROM adHocNetwork(1,1) DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(1min);
@@ -204,8 +199,8 @@ TEST_F(WifiLineTest, CollectsFromMultipleNodes) {
   }
   CollectingClient client;
   const auto id = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT temperature FROM adHocNetwork(all,2) DURATION 1 min"),
+      NewQuery(world_.sim(),
+               "SELECT temperature FROM adHocNetwork(all,2) DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(1min);
@@ -224,8 +219,9 @@ TEST_F(WifiLineTest, PeriodicRoundsKeepCollecting) {
   }};
   CollectingClient client;
   const auto id = devices_[0]->contory().ProcessCxtQuery(
-      Q(world_.sim(),
-        "SELECT wind FROM adHocNetwork(all,1) DURATION 3 min EVERY 20 sec"),
+      NewQuery(
+          world_.sim(),
+          "SELECT wind FROM adHocNetwork(all,1) DURATION 3 min EVERY 20 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world_.RunFor(3min + 5s);
@@ -244,7 +240,7 @@ TEST(InfraIntegrationTest, OnDemandQueryOverUmts) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT temperature FROM extInfra DURATION 1 min"),
+      NewQuery(world.sim(), "SELECT temperature FROM extInfra DURATION 1 min"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(30s);
@@ -263,8 +259,8 @@ TEST(InfraIntegrationTest, PeriodicRegistrationPushes) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM extInfra DURATION 5 min EVERY 30 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM extInfra DURATION 5 min EVERY 30 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(3min);
@@ -284,9 +280,9 @@ TEST(InfraIntegrationTest, EventQueryFiresOnCondition) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM extInfra DURATION 10 min "
-        "EVENT AVG(temperature)>25"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM extInfra DURATION 10 min "
+               "EVENT AVG(temperature)>25"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(30s);
@@ -318,8 +314,8 @@ TEST(MultiMechanismTest, FromListAssignsBothFacades) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM adHocNetwork, extInfra DURATION 2 min"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM adHocNetwork, extInfra DURATION 2 min"),
       client);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(device.contory().CurrentMechanisms(*id).size(), 2u);
@@ -359,8 +355,8 @@ TEST(AuthenticatedAccessTest, LockedTagNeedsKey) {
   // A finder without the key cannot read the locked tag.
   CollectingClient client;
   const auto id = requester.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT location FROM adHocNetwork(1,1) DURATION 30 sec"),
+      NewQuery(world.sim(),
+               "SELECT location FROM adHocNetwork(1,1) DURATION 30 sec"),
       client);
   ASSERT_TRUE(id.ok());
   world.RunFor(1min);

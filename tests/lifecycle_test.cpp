@@ -4,8 +4,9 @@
 // records, no double-finishes, no invalid state transitions — even when
 // the lifecycle is perturbed at its most awkward moments: cancellation
 // from inside a delivery callback (also followed by a resubmission under
-// the same id), a failover target that fails while the failover is in
-// flight, and a facade-wide StopAll while a query is already degraded.
+// the same id), and a failover target that fails while the failover is in
+// flight. A facade-wide StopAll while a query is already degraded is the
+// stopall_during_degraded.scn case.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -22,17 +23,7 @@ namespace contory {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Parsed(const std::string& text, const std::string& id) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = id;
-  return *std::move(q);
-}
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  return Parsed(text, sim.ids().NextId("q"));
-}
+using testbed::NewQuery;
 
 int CompletionsFor(const core::QueryTable& table, const std::string& id) {
   int n = 0;
@@ -80,8 +71,8 @@ TEST(LifecycleInvariantTest, CancelDuringDeliveryIsSingleTerminal) {
   CancelOnFirstItemClient client;
   client.factory = &device.contory();
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(),
-        "SELECT temperature FROM intSensor DURATION 2 min EVERY 5 sec"),
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor DURATION 2 min EVERY 5 sec"),
       client);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   client.query_id = *id;
@@ -109,7 +100,7 @@ class CancelAndResubmitClient : public core::Client {
     if (acted) return;
     acted = true;
     factory->CancelCxtQuery(query_id);
-    resubmit = factory->ProcessCxtQuery(Parsed(text, query_id), *this);
+    resubmit = factory->ProcessCxtQuery(query, *this);
   }
   void InformError(const std::string& msg) override {
     errors.push_back(msg);
@@ -117,7 +108,7 @@ class CancelAndResubmitClient : public core::Client {
   bool MakeDecision(const std::string&) override { return true; }
 
   core::ContextFactory* factory = nullptr;
-  std::string text;
+  query::CxtQuery query;  // resubmitted verbatim, id included
   std::string query_id;
   bool acted = false;
   std::optional<Result<std::string>> resubmit;
@@ -140,12 +131,11 @@ TEST(LifecycleInvariantTest, StaleIdMissesAfterCancelAndResubmitInDelivery) {
   // activation still has extInfra to assign — through the stale id.
   CancelAndResubmitClient client;
   client.factory = &factory;
-  client.text =
-      "SELECT temperature FROM intSensor, extInfra DURATION 5 min "
-      "EVERY 30 sec";
-  client.query_id = world.sim().ids().NextId("q");
-  const auto first =
-      factory.ProcessCxtQuery(Parsed(client.text, client.query_id), client);
+  client.query = NewQuery(world.sim(),
+                          "SELECT temperature FROM intSensor, extInfra "
+                          "DURATION 5 min EVERY 30 sec");
+  client.query_id = client.query.id;
+  const auto first = factory.ProcessCxtQuery(client.query, client);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(client.resubmit.has_value());
   ASSERT_TRUE(client.resubmit->ok()) << client.resubmit->status().ToString();
@@ -207,7 +197,7 @@ class GpsWorldTest : public ::testing::Test {
 TEST_F(GpsWorldTest, FailDuringFailoverIsSingleTerminal) {
   core::CollectingClient client;
   const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 2 min EVERY 5 sec"),
+      NewQuery(world_.sim(), "SELECT location DURATION 2 min EVERY 5 sec"),
       client);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
@@ -222,46 +212,6 @@ TEST_F(GpsWorldTest, FailDuringFailoverIsSingleTerminal) {
                       "at=60s bt.fail phone-A for=180s\n")
                   .ok());
   world_.RunFor(2min);  // past the 2 min DURATION
-
-  const core::QueryTable& table = device_->contory().queries();
-  EXPECT_EQ(table.active_count(), 0u);
-  EXPECT_EQ(table.invalid_transitions(), 0u);
-  EXPECT_EQ(CompletionsFor(table, *id), 1);
-}
-
-TEST_F(GpsWorldTest, StopAllDuringDegradedIsSingleTerminal) {
-  core::CollectingClient client;
-  const auto id = device_->contory().ProcessCxtQuery(
-      Q(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
-      client);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-
-  // Drive the query into degraded mode (GPS and BT both dark, repository
-  // warm from the healthy phase; the BT radio follows the GPS down so the
-  // recovery probes cannot flap back onto a GPS-less BT stack).
-  world_.RunFor(55s);
-  ASSERT_TRUE(world_.injector()
-                  .ExecuteText(
-                      "at=60s gps.off gps-1 for=600s\n"
-                      "at=80s bt.fail phone-A for=580s\n")
-                  .ok());
-  world_.RunFor(90s);
-  ASSERT_TRUE(device_->contory().IsDegraded(*id));
-
-  // A facade-wide StopAll (what the reducePower/reduceLoad policies do)
-  // must not double-finish a query that no facade is serving any more.
-  for (const query::SourceSel kind :
-       {query::SourceSel::kIntSensor, query::SourceSel::kAdHocNetwork,
-        query::SourceSel::kExtInfra}) {
-    device_->contory().facade(kind).StopAll(
-        ResourceExhausted("policy suspended the query"));
-  }
-  world_.RunFor(30s);
-  EXPECT_TRUE(device_->contory().IsDegraded(*id));
-  EXPECT_EQ(device_->contory().queries().active_count(), 1u);
-
-  device_->contory().CancelCxtQuery(*id);
-  world_.RunFor(10s);
 
   const core::QueryTable& table = device_->contory().queries();
   EXPECT_EQ(table.active_count(), 0u);

@@ -29,13 +29,7 @@ namespace contory {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 // --- MetricsRegistry --------------------------------------------------------
 
@@ -455,8 +449,9 @@ TEST_F(ObsTest, PeriodicQueryYieldsOneRootSpanWithTerminalStatus) {
   auto& device = world.AddDevice(opts);
 
   core::CollectingClient client;
-  auto q = Q(world.sim(),
-             "SELECT temperature FROM intSensor DURATION 30 sec EVERY 5 sec");
+  auto q = NewQuery(
+               world.sim(),
+               "SELECT temperature FROM intSensor DURATION 30 sec EVERY 5 sec");
   const std::string id = q.id;
   ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
   world.RunFor(40s);
@@ -528,8 +523,8 @@ TEST_F(ObsTest, RuntimeDisableSuppressesEveryHook) {
     ASSERT_TRUE(
         device.contory()
             .ProcessCxtQuery(
-                Q(world.sim(),
-                  "SELECT temperature FROM intSensor DURATION 1 min"),
+                NewQuery(world.sim(),
+                         "SELECT temperature FROM intSensor DURATION 1 min"),
                 client)
             .ok());
     world.RunFor(30s);
@@ -576,8 +571,9 @@ TEST_F(ObsTest, ReentrantCancelClosesSpansExactlyOnce) {
   auto& device = world.AddDevice(opts);
 
   CancelingClient client;
-  auto q = Q(world.sim(),
-             "SELECT temperature FROM intSensor DURATION 5 min EVERY 5 sec");
+  auto q = NewQuery(
+               world.sim(),
+               "SELECT temperature FROM intSensor DURATION 5 min EVERY 5 sec");
   client.factory = &device.contory();
   client.query_id = q.id;
   const std::string id = q.id;
@@ -628,8 +624,9 @@ TEST_F(ObsTest, RefusedTransitionSurfacesInRegistry) {
   auto& device = world.AddDevice(opts);
 
   core::CollectingClient client;
-  auto q = Q(world.sim(),
-             "SELECT temperature FROM intSensor DURATION 5 min EVERY 5 sec");
+  auto q = NewQuery(
+               world.sim(),
+               "SELECT temperature FROM intSensor DURATION 5 min EVERY 5 sec");
   const std::string id = q.id;
   ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
   world.RunFor(1s);
@@ -666,7 +663,7 @@ TEST_F(ObsTest, DegradedLifecycleProducesNestedStageSpans) {
   world.AddGps("gps-1", {3, 0});
 
   core::CollectingClient client;
-  auto q = Q(world.sim(), "SELECT location DURATION 20 min EVERY 5 sec");
+  auto q = NewQuery(world.sim(), "SELECT location DURATION 20 min EVERY 5 sec");
   const std::string id = q.id;
   ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
   world.RunFor(60s);
@@ -748,7 +745,7 @@ TEST_F(ObsTest, DegradedLifecycleProducesNestedStageSpans) {
 }
 
 TEST_F(ObsTest, ChaosFaultWindowsLandInMetrics) {
-  // The WifiRouteChaosTest topology: three WiFi-only communicators in a
+  // The wifi_route_chaos topology: three WiFi-only communicators in a
   // line, remote temperature published on the far one. A warm-up phase
   // fills the querier's repository; then the publisher's radio drops
   // every frame for a while, and finally the querier's own radio fails
@@ -776,9 +773,9 @@ TEST_F(ObsTest, ChaosFaultWindowsLandInMetrics) {
   ASSERT_TRUE(devices[2]->contory().PublishCxtItem(item, true).ok());
 
   core::CollectingClient app;
-  auto q = Q(world.sim(),
-             "SELECT temperature FROM adHocNetwork(1,2) "
-             "DURATION 3 min EVERY 15 sec");
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature FROM adHocNetwork(1,2) "
+                    "DURATION 3 min EVERY 15 sec");
   const std::string id = q.id;
   ASSERT_TRUE(devices[0]->contory().ProcessCxtQuery(std::move(q), app).ok());
   world.RunFor(25s);

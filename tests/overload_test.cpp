@@ -1,8 +1,9 @@
 // OverloadGovernor tests: the admission-side overload-protection tier.
 // Per-client token buckets (sim-clock deterministic), 3-level priority
-// shedding with watermark hysteresis, the reduceLoad rule hook, the
-// stale-answer fast path into degraded mode, and 100k submits under
-// shedding with a coherent lifecycle ledger.
+// shedding, the stale-answer fast path into degraded mode, and 100k
+// submits under shedding with a coherent lifecycle ledger. Watermark
+// hysteresis and the reduceLoad rule hook are the
+// overload_shed_then_retry and reduce_load_policy .scn cases.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -241,95 +242,6 @@ TEST_F(OverloadWorldTest, WatermarksShedBackgroundThenStandardNeverInteractive) 
   }
 }
 
-TEST_F(OverloadWorldTest, ShedClearsBelowLowWatermarkAndRetrySucceeds) {
-  testbed::World world{44};
-  testbed::DeviceOptions opts = GovernedOptions();
-  opts.factory_config.overload.shed_high_watermark = 2;  // low defaults to 1
-  opts.factory_config.overload.stale_fast_path = false;
-  auto& device = world.AddDevice(opts);
-  core::CollectingClient client;
-  auto& factory = device.contory();
-
-  std::vector<std::string> ids;
-  for (int i = 0; i < 2; ++i) {
-    const auto id = factory.ProcessCxtQuery(
-        TempQuery(world.sim(), query::QueryPriority::kStandard), client);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-  const auto refused = factory.ProcessCxtQuery(
-      TempQuery(world.sim(), query::QueryPriority::kBackground), client);
-  ASSERT_FALSE(refused.ok());
-  const double hint = core::OverloadGovernor::ParseRetryAfterSeconds(
-      refused.status().message());
-  EXPECT_GT(hint, 0.0);
-
-  // Hysteresis: while occupancy sits between the low and high watermark
-  // background stays shed; only falling below low clears the level.
-  factory.CancelCxtQuery(ids[0]);
-  ASSERT_FALSE(factory
-                   .ProcessCxtQuery(TempQuery(world.sim(),
-                                              query::QueryPriority::
-                                                  kBackground),
-                                    client)
-                   .ok());
-  factory.CancelCxtQuery(ids[1]);
-  world.RunFor(std::chrono::duration_cast<SimDuration>(
-      std::chrono::duration<double>(hint)));
-  EXPECT_TRUE(factory
-                  .ProcessCxtQuery(TempQuery(world.sim(),
-                                             query::QueryPriority::
-                                                 kBackground),
-                                   client)
-                  .ok());
-}
-
-TEST_F(OverloadWorldTest, ReduceLoadRuleShedsBackgroundAdmissions) {
-  testbed::World world{45};
-  testbed::DeviceOptions opts = GovernedOptions();  // watermarks unarmed
-  // The live sensor warms the repository immediately; force refusals so
-  // the rule's shed is visible as a typed error.
-  opts.factory_config.overload.stale_fast_path = false;
-  auto& device = world.AddDevice(opts);
-  core::CollectingClient client;
-  auto& factory = device.contory();
-
-  // Unarmed governor: background admits freely.
-  ASSERT_TRUE(factory
-                  .ProcessCxtQuery(TempQuery(world.sim(),
-                                             query::QueryPriority::
-                                                 kBackground),
-                                   client)
-                  .ok());
-
-  core::ContextRule rule;
-  rule.name = "always-reduce-load";
-  rule.condition = core::RuleExpr::Leaf(
-      {"batteryPercent", core::RuleOp::kLessThan, CxtValue{101.0}});
-  rule.action = core::RuleAction::kReduceLoad;
-  factory.AddControlPolicy(rule);
-  world.RunFor(6s);  // one policy-evaluation period
-  ASSERT_TRUE(factory.active_actions().contains(
-      core::RuleAction::kReduceLoad));
-
-  const auto refused = factory.ProcessCxtQuery(
-      TempQuery(world.sim(), query::QueryPriority::kBackground), client);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kOverloaded);
-  EXPECT_TRUE(factory
-                  .ProcessCxtQuery(TempQuery(world.sim(),
-                                             query::QueryPriority::
-                                                 kStandard),
-                                   client)
-                  .ok());
-  EXPECT_TRUE(factory
-                  .ProcessCxtQuery(TempQuery(world.sim(),
-                                             query::QueryPriority::
-                                                 kInteractive),
-                                   client)
-                  .ok());
-}
-
 // --- Stale-answer fast path -------------------------------------------------
 
 TEST_F(OverloadWorldTest, StaleFastPathServesWarmRepositoryWithStaleness) {
@@ -446,7 +358,7 @@ TEST_F(OverloadWorldTest, ColdTypesAreRefusedNotDegraded) {
 
 // --- Submit storm -----------------------------------------------------------
 
-std::vector<query::CxtQuery> MixedBatch(sim::Simulation& sim, int n) {
+std::vector<query::CxtQuery> MixedQueries(sim::Simulation& sim, int n) {
   std::vector<query::CxtQuery> batch;
   batch.reserve(n);
   for (int i = 0; i < n; ++i) {
@@ -477,14 +389,11 @@ TEST_F(OverloadWorldTest, HundredKSubmitsUnderSheddingStayCoherent) {
   core::CollectingClient client;
   auto& factory = device.contory();
 
-  const auto results =
-      factory.ProcessCxtQueryBatch(MixedBatch(world.sim(), kN), client);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
-
+  std::vector<query::CxtQuery> queries = MixedQueries(world.sim(), kN);
   std::vector<std::string> ids;
   std::size_t shed = 0;
   for (int i = 0; i < kN; ++i) {
-    const auto& r = results[i];
+    const auto r = factory.ProcessCxtQuery(std::move(queries[i]), client);
     if (r.ok()) {
       ids.push_back(*r);
     } else {

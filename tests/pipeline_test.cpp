@@ -18,13 +18,7 @@ namespace contory {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 // --- QueryTable -------------------------------------------------------------
 
@@ -157,8 +151,9 @@ TEST_F(PipelineWorldTest, CancelRacingDurationExpiryIsSingleTerminal) {
     std::string id;
     const auto submit = [&] {
       const auto r = device.contory().ProcessCxtQuery(
-          Q(world.sim(),
-            "SELECT temperature FROM intSensor DURATION 30 sec EVERY 5 sec"),
+          NewQuery(
+              world.sim(),
+              "SELECT temperature FROM intSensor DURATION 30 sec EVERY 5 sec"),
           client);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       id = *r;
@@ -207,8 +202,9 @@ TEST_F(PipelineWorldTest, StopAllAcrossShardsIsSingleTerminalPerQuery) {
   std::vector<std::string> ids;
   for (int i = 0; i < 24; ++i) {
     const auto r = device.contory().ProcessCxtQuery(
-        Q(world.sim(),
-          "SELECT temperature FROM intSensor DURATION 10 min EVERY 30 sec"),
+        NewQuery(
+            world.sim(),
+            "SELECT temperature FROM intSensor DURATION 10 min EVERY 30 sec"),
         client);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ids.push_back(*r);
@@ -233,49 +229,24 @@ TEST_F(PipelineWorldTest, StopAllAcrossShardsIsSingleTerminalPerQuery) {
   }
 }
 
-// --- Batch submit -----------------------------------------------------------
+// --- 100k submits -----------------------------------------------------------
 
-std::vector<query::CxtQuery> MakeBatch(sim::Simulation& sim, int n) {
+std::vector<query::CxtQuery> MakeQueries(sim::Simulation& sim, int n) {
   std::vector<query::CxtQuery> queries;
   queries.reserve(n);
   for (int i = 0; i < n; ++i) {
-    queries.push_back(
-        Q(sim, "SELECT temperature FROM intSensor DURATION 5 min EVERY 1 min"));
+    queries.push_back(NewQuery(
+        sim, "SELECT temperature FROM intSensor DURATION 5 min EVERY 1 min"));
   }
   return queries;
 }
 
-testbed::DeviceOptions BatchDeviceOptions() {
+testbed::DeviceOptions SensorDeviceOptions() {
   testbed::DeviceOptions opts;
   opts.with_bt = false;
   opts.with_cellular = false;
   opts.internal_sensors = {vocab::kTemperature};
   return opts;
-}
-
-TEST_F(PipelineWorldTest, BatchReportsPerQueryRejections) {
-  testbed::World world{605};
-  auto& device = world.AddDevice(BatchDeviceOptions());
-  core::CollectingClient client;
-
-  auto queries = MakeBatch(world.sim(), 4);
-  queries[2].id = queries[1].id;  // duplicate id inside the batch
-  const auto results =
-      device.contory().ProcessCxtQueryBatch(std::move(queries), client);
-  ASSERT_EQ(results.size(), 4u);
-  int ok = 0;
-  int duplicate = 0;
-  for (const auto& r : results) {
-    if (r.ok()) {
-      ++ok;
-    } else if (r.status().code() == StatusCode::kAlreadyExists) {
-      ++duplicate;
-    }
-  }
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(duplicate, 1);
-  EXPECT_EQ(device.contory().queries().active_count(), 3u);
-  EXPECT_EQ(device.contory().queries().invalid_transitions(), 0u);
 }
 
 // The acceptance-scale invariant: at 100k concurrent queries, the obs
@@ -285,7 +256,7 @@ TEST_F(PipelineWorldTest, BatchReportsPerQueryRejections) {
 TEST_F(PipelineWorldTest, ObsStaysConsistentAcrossShardsAt100k) {
   constexpr int kN = 100'000;
   testbed::World world{606};
-  testbed::DeviceOptions opts = BatchDeviceOptions();
+  testbed::DeviceOptions opts = SensorDeviceOptions();
   core::ContextFactoryConfig cfg;
   // 100k *distinct* real-world queries would not merge; merged
   // mega-clusters also make per-query cancel quadratic (re-merge of the
@@ -295,12 +266,10 @@ TEST_F(PipelineWorldTest, ObsStaysConsistentAcrossShardsAt100k) {
   auto& device = world.AddDevice(opts);
   core::CollectingClient client;
 
-  const auto results =
-      device.contory().ProcessCxtQueryBatch(MakeBatch(world.sim(), kN), client);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(kN));
   std::vector<std::string> ids;
   ids.reserve(kN);
-  for (const auto& r : results) {
+  for (auto& q : MakeQueries(world.sim(), kN)) {
+    const auto r = device.contory().ProcessCxtQuery(std::move(q), client);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ids.push_back(*r);
   }

@@ -13,13 +13,7 @@ namespace contory::core {
 namespace {
 
 using namespace std::chrono_literals;
-
-query::CxtQuery Q(sim::Simulation& sim, const std::string& text) {
-  auto q = query::ParseQuery(text);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  q->id = sim.ids().NextId("q");
-  return *std::move(q);
-}
+using testbed::NewQuery;
 
 /// Provider whose transport is the test body: items are pushed in
 /// manually with Push().
@@ -62,7 +56,7 @@ struct Harness {
       finished = true;
       final_status = std::move(s);
     };
-    provider = std::make_unique<FakeProvider>(sim, Q(sim, query_text),
+    provider = std::make_unique<FakeProvider>(sim, NewQuery(sim, query_text),
                                               std::move(callbacks));
   }
   sim::Simulation& sim;
@@ -207,7 +201,7 @@ TEST(ProviderBaseTest, DefaultPollPeriodTracksClauses) {
   cb.deliver = [](const CxtItem&) {};
   cb.finished = [](Status) {};
   FakeProvider fresh{
-      sim, Q(sim, "SELECT t FRESHNESS 30 sec DURATION 1 hour"),
+      sim, NewQuery(sim, "SELECT t FRESHNESS 30 sec DURATION 1 hour"),
       std::move(cb)};
   (void)fresh;
 }
@@ -223,7 +217,7 @@ TEST(LocalProviderTest, SamplesInternalSensorPeriodically) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT temperature FROM intSensor "
+      NewQuery(world.sim(), "SELECT temperature FROM intSensor "
                      "DURATION 1 min EVERY 10 sec"),
       client);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
@@ -243,7 +237,8 @@ TEST(LocalProviderTest, OnDemandSamplesOnceAndCompletes) {
   auto& device = world.AddDevice(opts);
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT wind FROM intSensor DURATION 1 min"), client);
+      NewQuery(world.sim(), "SELECT wind FROM intSensor DURATION 1 min"),
+      client);
   ASSERT_TRUE(id.ok());
   world.RunFor(5s);
   EXPECT_EQ(client.items.size(), 1u);
@@ -260,7 +255,7 @@ TEST(LocalProviderTest, GpsStreamYieldsLocationItems) {
 
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT location FROM intSensor "
+      NewQuery(world.sim(), "SELECT location FROM intSensor "
                      "DURATION 2 min EVERY 5 sec"),
       client);
   ASSERT_TRUE(id.ok());
@@ -281,7 +276,7 @@ TEST(LocalProviderTest, NoSensorNoGpsFailsQuery) {
   auto& device = world.AddDevice(opts);
   CollectingClient client;
   const auto id = device.contory().ProcessCxtQuery(
-      Q(world.sim(), "SELECT humidity FROM intSensor DURATION 1 min"),
+      NewQuery(world.sim(), "SELECT humidity FROM intSensor DURATION 1 min"),
       client);
   // With an explicit FROM intSensor and nothing local, submission still
   // succeeds (the facade accepts) but the provider fails fast and the

@@ -159,6 +159,68 @@ TEST(ScenarioParseTest, TextPropertyNeedsOperator) {
   EXPECT_TRUE(Contains(msg, "line 4")) << msg;
 }
 
+constexpr const char* kOneQuery =
+    "scenario t\n"
+    "device phone-A bt=off cell=off sensors=temperature\n"
+    "query q1 on phone-A : SELECT temperature FROM intSensor DURATION 10 "
+    "sec\n";
+
+TEST(ScenarioParseTest, LastStaleSelectorIsNumeric) {
+  auto spec = ParseScenario(std::string(kOneQuery) +
+                            "expect q.q1.last_stale == 0\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const ExpectSpec& e = spec->steps.back().expect;
+  EXPECT_EQ(e.property, "last_stale");
+  EXPECT_FALSE(e.is_text);
+  EXPECT_EQ(e.number, 0.0);
+}
+
+TEST(ScenarioParseTest, StatusSelectorComparesCodeName) {
+  auto spec = ParseScenario(std::string(kOneQuery) +
+                            "expect q.q1.status == OVERLOADED\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const ExpectSpec& e = spec->steps.back().expect;
+  EXPECT_TRUE(e.is_text);
+  EXPECT_EQ(e.text, "OVERLOADED");
+  const std::string msg =
+      ParseError(std::string(kOneQuery) + "expect q.q1.status\n");
+  EXPECT_TRUE(Contains(msg, "line 4")) << msg;
+}
+
+TEST(ScenarioParseTest, LastSwitchSelectorIsTextual) {
+  auto spec = ParseScenario(
+      "scenario t\n"
+      "device phone-A\n"
+      "expect d.phone-A.last_switch == intSensor>adHocNetwork\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const ExpectSpec& e = spec->steps.back().expect;
+  EXPECT_EQ(e.domain, ExpectSpec::Domain::kDevice);
+  EXPECT_TRUE(e.is_text);
+  EXPECT_EQ(e.text, "intSensor>adHocNetwork");
+  const std::string msg = ParseError(
+      "scenario t\n"
+      "device phone-A\n"
+      "expect d.phone-A.last_switch >= 1\n");
+  EXPECT_TRUE(Contains(msg, "line 3")) << msg;
+}
+
+TEST(ScenarioParseTest, ServerDroppedSelectorTakesDottedAddress) {
+  auto spec = ParseScenario(
+      "scenario t\n"
+      "server infra.dynamos.fi\n"
+      "expect srv.infra.dynamos.fi.dropped >= 1\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  const ExpectSpec& e = spec->steps.back().expect;
+  EXPECT_EQ(e.domain, ExpectSpec::Domain::kServer);
+  EXPECT_EQ(e.entity, "infra.dynamos.fi");
+  const std::string msg = ParseError(
+      "scenario t\n"
+      "server infra.dynamos.fi\n"
+      "expect srv.ghost.fi.dropped >= 1\n");
+  EXPECT_TRUE(Contains(msg, "line 3")) << msg;
+  EXPECT_TRUE(Contains(msg, "ghost.fi")) << msg;
+}
+
 TEST(ScenarioParseTest, CancelOfUndeclaredQueryIsLineNumbered) {
   const std::string msg = ParseError(
       "scenario t\n"
