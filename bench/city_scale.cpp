@@ -28,6 +28,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -70,6 +71,10 @@ struct SizeResult {
   double position_updates = 0.0;
   double build_ms = 0.0;
   double sweep_ms = 0.0;
+  /// Sweep wall time per position update issued during the sweep: an
+  /// upper bound on the mobility tick's per-phone cost, since the sweep
+  /// also routes the finders.
+  double ns_per_update = 0.0;
 };
 
 /// Wall-clocks NodesWithin at WiFi range from ~256 sampled nodes, once
@@ -137,7 +142,12 @@ SizeResult RunSize(std::size_t nodes, std::size_t rounds, int num_hops,
   const SimDuration timeout = std::chrono::milliseconds{
       static_cast<std::int64_t>(1500.0 * 2.0 * (num_hops + 1))};
 
+  const auto updates = [&city] {
+    return city.mobility() != nullptr ? city.mobility()->position_updates()
+                                      : std::uint64_t{0};
+  };
   Rng pick{seed ^ 0xc1f7u};
+  const std::uint64_t updates_before = updates();
   const auto sweep_start = Clock::now();
   const double joules_before = city.TotalEnergyJoules();
   std::size_t successes = 0;
@@ -184,9 +194,11 @@ SizeResult RunSize(std::size_t nodes, std::size_t rounds, int num_hops,
   out.grid_cells = static_cast<double>(city.medium().occupied_cells());
   out.mean_cell_occupancy = city.medium().mean_cell_occupancy();
   out.cell_size_m = city.medium().cell_size_m();
-  out.position_updates =
-      city.mobility() != nullptr
-          ? static_cast<double>(city.mobility()->position_updates())
+  out.position_updates = static_cast<double>(updates());
+  const std::uint64_t sweep_updates = updates() - updates_before;
+  out.ns_per_update =
+      sweep_updates > 0
+          ? out.sweep_ms * 1e6 / static_cast<double>(sweep_updates)
           : 0.0;
   return out;
 }
@@ -227,9 +239,9 @@ int Run(const std::vector<std::size_t>& sizes, std::size_t rounds,
     const SizeResult& r = results.back();
     std::printf(
         "  done: success %.0f%%, hops p50 %.0f, grid speedup x%.1f "
-        "(build %.0f ms, sweep %.0f ms)\n",
+        "(build %.0f ms, sweep %.0f ms, %.0f ns/update)\n",
         r.success_rate * 100.0, r.hops_p50, r.neighbor_speedup_p50,
-        r.build_ms, r.sweep_ms);
+        r.build_ms, r.sweep_ms, r.ns_per_update);
   }
 
   std::vector<bench::Row> finder_rows;
@@ -258,6 +270,9 @@ int Run(const std::vector<std::size_t>& sizes, std::size_t rounds,
   if (!out_path.empty()) {
     bench::JsonObject json;
     json.Set("bench", std::string("city_scale"));
+    json.Set("cores",
+             static_cast<double>(std::thread::hardware_concurrency()));
+    json.Set("build_type", std::string(CONTORY_BUILD_TYPE));
     json.Set("seed", 20260808.0);
     json.Set("rounds_per_size", static_cast<double>(rounds));
     json.Set("num_hops", static_cast<double>(num_hops));
@@ -278,6 +293,7 @@ int Run(const std::vector<std::size_t>& sizes, std::size_t rounds,
       json.Set(p + "position_updates", r.position_updates);
       json.Set(p + "build_ms", r.build_ms);
       json.Set(p + "sweep_ms", r.sweep_ms);
+      json.Set(p + "ns_per_update", r.ns_per_update);
     }
     for (const SizeResult& r : results) {
       if (r.nodes == 10000) {

@@ -22,6 +22,13 @@ std::uint64_t PackCell(std::int64_t cx, std::int64_t cy) noexcept {
   return (ux << 32) | (uy & 0xffff'ffffULL);
 }
 
+/// Home slot of `key` in a table of `mask + 1` slots. Fibonacci hashing
+/// folds both packed cell coordinates into the low bits.
+std::size_t HomeSlot(std::uint64_t key, std::size_t mask) noexcept {
+  const std::uint64_t h = key * 0x9e37'79b9'7f4a'7c15ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+}
+
 }  // namespace
 
 double Distance(Position a, Position b) noexcept {
@@ -29,7 +36,8 @@ double Distance(Position a, Position b) noexcept {
 }
 
 Medium::Medium(MediumOptions options)
-    : use_grid_(options.use_grid),
+    : nodes_(1), names_(1),  // NodeId 0 is kInvalidNode
+      use_grid_(options.use_grid),
       fixed_cell_size_(options.cell_size_m > 0.0) {
   if (fixed_cell_size_) cell_size_ = options.cell_size_m;
 }
@@ -39,24 +47,55 @@ std::uint64_t Medium::CellKeyFor(Position pos) const noexcept {
                   ClampCoord(pos.y / cell_size_));
 }
 
+std::size_t Medium::ProbeCell(std::uint64_t key) const noexcept {
+  const std::size_t mask = cell_index_.size() - 1;
+  std::size_t i = HomeSlot(key, mask);
+  while (cell_index_[i].cell != kNoCell && cell_index_[i].key != key) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+std::uint32_t Medium::FindCell(std::uint64_t key) const noexcept {
+  return cell_index_.empty() ? kNoCell : cell_index_[ProbeCell(key)].cell;
+}
+
+std::uint32_t Medium::FindOrAddCell(std::uint64_t key) {
+  if (2 * (cells_.size() + 1) > cell_index_.size()) {
+    std::vector<KeySlot> old(
+        std::max<std::size_t>(64, 2 * cell_index_.size()));
+    old.swap(cell_index_);
+    for (const KeySlot& slot : old) {
+      if (slot.cell != kNoCell) cell_index_[ProbeCell(slot.key)] = slot;
+    }
+  }
+  KeySlot& slot = cell_index_[ProbeCell(key)];
+  if (slot.cell == kNoCell) {
+    slot = KeySlot{key, static_cast<std::uint32_t>(cells_.size())};
+    cells_.emplace_back();
+  }
+  return slot.cell;
+}
+
 void Medium::InsertIntoCell(NodeId id, NodeInfo& info) {
-  info.cell = CellKeyFor(info.pos);
+  info.cell_key = CellKeyFor(info.pos);
+  info.cell = FindOrAddCell(info.cell_key);
   std::vector<CellEntry>& entries = cells_[info.cell];
+  if (entries.empty()) ++occupied_cells_;
   info.slot = static_cast<std::uint32_t>(entries.size());
   entries.push_back(CellEntry{id, info.pos});
 }
 
 void Medium::RemoveFromCell(const NodeInfo& info) {
-  const auto it = cells_.find(info.cell);
-  std::vector<CellEntry>& entries = it->second;
+  std::vector<CellEntry>& entries = cells_[info.cell];
   const std::uint32_t slot = info.slot;
   if (slot + 1 != entries.size()) {
     // Swap-remove: the tail entry changes slots; fix its back-pointer.
     entries[slot] = entries.back();
-    nodes_.find(entries[slot].id)->second.slot = slot;
+    nodes_[entries[slot].id].slot = slot;
   }
   entries.pop_back();
-  if (entries.empty()) cells_.erase(it);
+  if (entries.empty()) --occupied_cells_;  // the cell stays for reuse
 }
 
 void Medium::MaybeResize() {
@@ -73,7 +112,11 @@ void Medium::MaybeResize() {
 
 void Medium::RebuildGrid() {
   cells_.clear();
-  for (auto& [id, info] : nodes_) InsertIntoCell(id, info);
+  cell_index_.clear();
+  occupied_cells_ = 0;
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
+    if (nodes_[id].alive) InsertIntoCell(id, nodes_[id]);
+  }
   PublishGauges();
 }
 
@@ -85,16 +128,16 @@ void Medium::PublishGauges() const {
         obs::Observability::metrics().GetGauge("medium_grid_occupancy");
     static obs::Gauge& cell_size =
         obs::Observability::metrics().GetGauge("medium_grid_cell_size_m");
-    cells.Set(static_cast<double>(cells_.size()));
+    cells.Set(static_cast<double>(occupied_cells_));
     occupancy.Set(mean_cell_occupancy());
     cell_size.Set(cell_size_);
   });
 }
 
 double Medium::mean_cell_occupancy() const noexcept {
-  if (cells_.empty()) return 0.0;
-  return static_cast<double>(nodes_.size()) /
-         static_cast<double>(cells_.size());
+  if (occupied_cells_ == 0) return 0.0;
+  return static_cast<double>(live_nodes_) /
+         static_cast<double>(occupied_cells_);
 }
 
 void Medium::NoteRadioRange(double range_m) {
@@ -109,50 +152,49 @@ void Medium::NoteRadioRange(double range_m) {
 }
 
 NodeId Medium::Register(std::string name, Position pos) {
-  const NodeId id = next_id_++;
-  NodeInfo& info =
-      nodes_.emplace(id, NodeInfo{std::move(name), pos, 0, 0}).first->second;
-  InsertIntoCell(id, info);
+  const auto id = static_cast<NodeId>(nodes_.size());
+  nodes_.push_back(NodeInfo{pos, 0, 0, 0, /*alive=*/true});
+  names_.push_back(std::move(name));
+  ++live_nodes_;
+  InsertIntoCell(id, nodes_.back());
   PublishGauges();
   return id;
 }
 
 void Medium::Unregister(NodeId id) {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
-  RemoveFromCell(it->second);
-  nodes_.erase(it);
+  if (Find(id) == nullptr) return;
+  RemoveFromCell(nodes_[id]);
+  nodes_[id].alive = false;
+  names_[id] = std::string{};
+  --live_nodes_;
   PublishGauges();
 }
 
-bool Medium::Exists(NodeId id) const noexcept { return nodes_.contains(id); }
+bool Medium::Exists(NodeId id) const noexcept { return Find(id) != nullptr; }
 
 Result<Position> Medium::GetPosition(NodeId id) const {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
+  const NodeInfo* info = Find(id);
+  if (info == nullptr) {
     return NotFound("node " + std::to_string(id) + " not registered");
   }
-  return it->second.pos;
+  return info->pos;
 }
 
 Result<std::string> Medium::GetName(NodeId id) const {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
+  if (Find(id) == nullptr) {
     return NotFound("node " + std::to_string(id) + " not registered");
   }
-  return it->second.name;
+  return names_[id];
 }
 
 Status Medium::SetPosition(NodeId id, Position pos) {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
+  if (Find(id) == nullptr) {
     return NotFound("node " + std::to_string(id) + " not registered");
   }
-  NodeInfo& info = it->second;
+  NodeInfo& info = nodes_[id];
   info.pos = pos;
-  const std::uint64_t new_cell = CellKeyFor(pos);
-  if (new_cell == info.cell) {
-    cells_.find(info.cell)->second[info.slot].pos = pos;
+  if (CellKeyFor(pos) == info.cell_key) {
+    cells_[info.cell][info.slot].pos = pos;
     return Status::Ok();
   }
   RemoveFromCell(info);
@@ -161,31 +203,31 @@ Status Medium::SetPosition(NodeId id, Position pos) {
 }
 
 Result<double> Medium::DistanceBetween(NodeId a, NodeId b) const {
-  const auto ia = nodes_.find(a);
-  if (ia == nodes_.end()) {
+  const NodeInfo* ia = Find(a);
+  if (ia == nullptr) {
     return NotFound("node " + std::to_string(a) + " not registered");
   }
-  const auto ib = nodes_.find(b);
-  if (ib == nodes_.end()) {
+  const NodeInfo* ib = Find(b);
+  if (ib == nullptr) {
     return NotFound("node " + std::to_string(b) + " not registered");
   }
-  return Distance(ia->second.pos, ib->second.pos);
+  return Distance(ia->pos, ib->pos);
 }
 
 bool Medium::InRange(NodeId a, NodeId b, double range_m) const {
-  const auto ia = nodes_.find(a);
-  if (ia == nodes_.end()) return false;
-  const auto ib = nodes_.find(b);
-  if (ib == nodes_.end()) return false;
-  return Distance(ia->second.pos, ib->second.pos) <= range_m;
+  const NodeInfo* ia = Find(a);
+  if (ia == nullptr) return false;
+  const NodeInfo* ib = Find(b);
+  if (ib == nullptr) return false;
+  return Distance(ia->pos, ib->pos) <= range_m;
 }
 
 std::vector<NodeId> Medium::NodesWithin(
     NodeId center, double range_m,
     const std::function<bool(NodeId)>& filter) const {
-  const auto cit = nodes_.find(center);
-  if (cit == nodes_.end()) return {};
-  const Position cpos = cit->second.pos;
+  const NodeInfo* cinfo = Find(center);
+  if (cinfo == nullptr) return {};
+  const Position cpos = cinfo->pos;
 
   COBS({
     static obs::Counter& grid_queries =
@@ -205,7 +247,9 @@ std::vector<NodeId> Medium::NodesWithin(
   };
 
   if (!use_grid_) {
-    for (const auto& [id, info] : nodes_) consider(id, info.pos);
+    for (NodeId id = 1; id < nodes_.size(); ++id) {
+      if (nodes_[id].alive) consider(id, nodes_[id].pos);
+    }
   } else {
     const std::int64_t cx0 = ClampCoord((cpos.x - range_m) / cell_size_);
     const std::int64_t cx1 = ClampCoord((cpos.x + range_m) / cell_size_);
@@ -213,18 +257,20 @@ std::vector<NodeId> Medium::NodesWithin(
     const std::int64_t cy1 = ClampCoord((cpos.y + range_m) / cell_size_);
     const double span_x = static_cast<double>(cx1 - cx0 + 1);
     const double span_y = static_cast<double>(cy1 - cy0 + 1);
-    if (span_x * span_y > static_cast<double>(cells_.size())) {
-      // The range covers more cells than exist: walking every occupied
-      // cell is cheaper (and bounded by N) — e.g. an "everything" query.
-      for (const auto& [key, entries] : cells_) {
+    if (span_x * span_y > static_cast<double>(occupied_cells_)) {
+      // The range covers more cells than are occupied: walking the dense
+      // cell vector is cheaper — e.g. an "everything" query.
+      for (const std::vector<CellEntry>& entries : cells_) {
         for (const CellEntry& e : entries) consider(e.id, e.pos);
       }
     } else {
       for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
         for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-          const auto cell = cells_.find(PackCell(cx, cy));
-          if (cell == cells_.end()) continue;
-          for (const CellEntry& e : cell->second) consider(e.id, e.pos);
+          const std::uint32_t cell = FindCell(PackCell(cx, cy));
+          if (cell == kNoCell) continue;
+          for (const CellEntry& e : cells_[cell]) {
+            consider(e.id, e.pos);
+          }
         }
       }
     }
@@ -248,9 +294,10 @@ std::vector<NodeId> Medium::NodesWithin(
 
 std::vector<NodeId> Medium::AllNodes() const {
   std::vector<NodeId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, info] : nodes_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  ids.reserve(live_nodes_);
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
+    if (nodes_[id].alive) ids.push_back(id);
+  }
   return ids;
 }
 

@@ -5,8 +5,17 @@
 // which peers are in range. Mobility (sailing boats, city commuters) is
 // expressed by updating positions over simulated time.
 //
-// Range queries run against a uniform spatial hash grid so that a city
-// of 100k moving nodes stays O(neighbors) per query instead of O(N).
+// Storage is dense. Node ids are handed out 1, 2, 3, ... and never
+// reused, so the node table is a vector indexed by NodeId (slot 0 is
+// unused; Unregister clears an `alive` flag). Range queries run against
+// a uniform spatial hash grid so that a city of 100k moving nodes stays
+// O(neighbors) per query instead of O(N). Cells live in a dense vector,
+// and every node keeps a handle to its cell (key, cell index, slot), so
+// a SetPosition that stays in its cell writes two vector slots and
+// hashes nothing. The key -> cell index table is consulted only when a
+// node migrates cells and by range queries; a cell that empties is kept
+// for reuse rather than freed.
+//
 // The grid is an index only: NodesWithin's result contract — nearest
 // first, exact distance ties broken by ascending NodeId — is identical
 // to the brute-force scan, which remains available behind `set_use_grid
@@ -18,7 +27,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -60,14 +68,15 @@ class Medium {
   [[nodiscard]] Result<Position> GetPosition(NodeId id) const;
   [[nodiscard]] Result<std::string> GetName(NodeId id) const;
   /// Moves a node. The grid migrates the node between cells
-  /// incrementally (O(1)); same-cell moves only rewrite the slot.
+  /// incrementally (O(1)); same-cell moves only rewrite the slot, with
+  /// no hash lookup.
   Status SetPosition(NodeId id, Position pos);
 
   /// Distance between two registered nodes (error if either is gone).
   [[nodiscard]] Result<double> DistanceBetween(NodeId a, NodeId b) const;
 
   /// True when both exist and are within `range_m` of each other.
-  /// Single-pass: two raw map probes, no Result plumbing — this is the
+  /// Single-pass: two node-table reads, no Result plumbing — this is the
   /// per-packet hot path for both radios.
   [[nodiscard]] bool InRange(NodeId a, NodeId b, double range_m) const;
 
@@ -81,7 +90,7 @@ class Medium {
       const std::function<bool(NodeId)>& filter = {}) const;
 
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
+    return live_nodes_;
   }
 
   /// All currently registered node ids, ascending.
@@ -100,25 +109,47 @@ class Medium {
   void set_use_grid(bool use_grid) noexcept { use_grid_ = use_grid; }
   [[nodiscard]] bool use_grid() const noexcept { return use_grid_; }
   [[nodiscard]] double cell_size_m() const noexcept { return cell_size_; }
+  /// Cells holding at least one node (retained empty cells excluded).
   [[nodiscard]] std::size_t occupied_cells() const noexcept {
-    return cells_.size();
+    return occupied_cells_;
   }
   /// Mean nodes per occupied cell (0 when empty) — the occupancy gauge.
   [[nodiscard]] double mean_cell_occupancy() const noexcept;
 
  private:
+  /// Node table slot, indexed by NodeId. Hot fields only; the name lives
+  /// in the parallel `names_` vector.
   struct NodeInfo {
-    std::string name;
     Position pos;
-    std::uint64_t cell = 0;   // current cell key
-    std::uint32_t slot = 0;   // index into that cell's entry vector
+    std::uint64_t cell_key = 0;  // grid key of the current cell
+    std::uint32_t cell = 0;      // index into cells_
+    std::uint32_t slot = 0;      // index into that cell's entry vector
+    bool alive = false;          // false for slot 0 and unregistered ids
   };
+  /// One node's entry in its cell.
   struct CellEntry {
     NodeId id;
-    Position pos;  // mirrored so queries never probe nodes_ per candidate
+    Position pos;  // mirrored so queries never read nodes_ per candidate
   };
 
+  static constexpr std::uint32_t kNoCell = 0xffff'ffff;
+  /// One slot of the key -> cell index table.
+  struct KeySlot {
+    std::uint64_t key = 0;
+    std::uint32_t cell = kNoCell;  // kNoCell = free slot
+  };
+
+  /// The live node `id`, or nullptr.
+  [[nodiscard]] const NodeInfo* Find(NodeId id) const noexcept {
+    return id < nodes_.size() && nodes_[id].alive ? &nodes_[id] : nullptr;
+  }
   [[nodiscard]] std::uint64_t CellKeyFor(Position pos) const noexcept;
+  /// cell_index_ slot holding `key`, or the free slot it would take.
+  [[nodiscard]] std::size_t ProbeCell(std::uint64_t key) const noexcept;
+  /// The cells_ index for `key`, or kNoCell.
+  [[nodiscard]] std::uint32_t FindCell(std::uint64_t key) const noexcept;
+  /// The cells_ index for `key`, appending an empty cell when absent.
+  std::uint32_t FindOrAddCell(std::uint64_t key);
   void InsertIntoCell(NodeId id, NodeInfo& info);
   void RemoveFromCell(const NodeInfo& info);
   /// Re-derives the cell size from the noted ranges; rebuilds the grid
@@ -127,9 +158,16 @@ class Medium {
   void RebuildGrid();
   void PublishGauges() const;
 
-  std::unordered_map<NodeId, NodeInfo> nodes_;
-  std::unordered_map<std::uint64_t, std::vector<CellEntry>> cells_;
-  NodeId next_id_ = 1;
+  std::vector<NodeInfo> nodes_;  // [0] unused; ids are never reused
+  std::vector<std::string> names_;  // parallel to nodes_
+  std::vector<std::vector<CellEntry>> cells_;  // emptied cells are kept
+  /// Grid key -> cells_ index, open addressing with linear probing.
+  /// Cells are never erased (RebuildGrid clears wholesale), so the table
+  /// is insert-only and needs no tombstones. Power-of-two size, at most
+  /// half full; read only on migration and by range queries.
+  std::vector<KeySlot> cell_index_;
+  std::size_t live_nodes_ = 0;
+  std::size_t occupied_cells_ = 0;  // non-empty entries of cells_
   bool use_grid_ = true;
   bool fixed_cell_size_ = false;
   double cell_size_ = 100.0;

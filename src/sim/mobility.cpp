@@ -51,19 +51,21 @@ void MobilityModel::Stop() { task_.reset(); }
 
 void MobilityModel::Tick() {
   ++ticks_;
+  const std::uint64_t before = position_updates_;
   Advance(ToSeconds(tick_));
+  COBS({
+    static obs::Counter& updates = obs::Observability::metrics().GetCounter(
+        "mobility_position_updates_total");
+    updates.Inc(position_updates_ - before);
+  });
 }
 
 void MobilityModel::CommitPosition(std::size_t index, net::Position pos) {
   Managed& m = nodes_[index];
   m.pos = pos;
-  (void)medium_.SetPosition(m.id, pos);
-  ++position_updates_;
-  COBS({
-    static obs::Counter& updates = obs::Observability::metrics().GetCounter(
-        "mobility_position_updates_total");
-    updates.Inc();
-  });
+  // A node removed from the Medium (e.g. a kNodeLeave fault) keeps its
+  // model-side walk so RNG draws stay in step, but is not counted.
+  if (medium_.SetPosition(m.id, pos).ok()) ++position_updates_;
 }
 
 // --- Random waypoint ----------------------------------------------------
@@ -73,16 +75,15 @@ RandomWaypoint::RandomWaypoint(Simulation& sim, net::Medium& medium,
                                std::uint64_t seed)
     : MobilityModel(sim, medium, config.tick, seed), config_(config) {}
 
-void RandomWaypoint::PickWaypoint(State& state, net::Position from) {
+void RandomWaypoint::PickWaypoint(State& state) {
   state.target = RandomPointIn(config_.area, rng());
   state.speed_mps = rng().Uniform(config_.speed_min_mps,
                                   config_.speed_max_mps);
-  (void)from;
 }
 
-void RandomWaypoint::OnManaged(std::size_t index) {
+void RandomWaypoint::OnManaged(std::size_t /*index*/) {
   State state;
-  PickWaypoint(state, nodes()[index].pos);
+  PickWaypoint(state);
   states_.push_back(state);
 }
 
@@ -99,7 +100,7 @@ void RandomWaypoint::Advance(double dt_s) {
     if (arrived) {
       st.pause_left_s = rng().Uniform(ToSeconds(config_.pause_min),
                                       ToSeconds(config_.pause_max));
-      PickWaypoint(st, pos);
+      PickWaypoint(st);
     }
   }
 }

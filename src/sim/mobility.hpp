@@ -63,7 +63,8 @@ class MobilityModel {
   [[nodiscard]] std::size_t managed_count() const noexcept {
     return nodes_.size();
   }
-  /// Total SetPosition writes issued (the grid-migration traffic).
+  /// Total successful SetPosition writes (the grid-migration traffic);
+  /// writes to a node no longer in the Medium are not counted.
   [[nodiscard]] std::uint64_t position_updates() const noexcept {
     return position_updates_;
   }
@@ -128,7 +129,7 @@ class RandomWaypoint final : public MobilityModel {
     double speed_mps = 1.0;
     double pause_left_s = 0.0;
   };
-  void PickWaypoint(State& state, net::Position from);
+  void PickWaypoint(State& state);
 
   RandomWaypointConfig config_;
   std::vector<State> states_;

@@ -4,8 +4,11 @@
 // MetricsRegistry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
+#include <vector>
 
 #include "obs/observability.hpp"
 #include "testbed/city_scenario.hpp"
@@ -71,6 +74,47 @@ TEST(CityTest, RunsAreDeterministicPerSeed) {
   EXPECT_EQ(a.outcome.latency, b.outcome.latency);
   EXPECT_DOUBLE_EQ(a.joules, b.joules);
   EXPECT_EQ(a.moves, b.moves);
+}
+
+// Golden values for one seed, recorded before the Medium's storage went
+// dense. A storage or scheduling change that is meant to be invisible in
+// simulated time must leave every one of them untouched.
+TEST(CityTest, SeedPinnedOutputs) {
+  obs::Observability::ResetForTest();
+  CityOptions options;
+  options.phones = 1000;
+  options.area_m = 70.0 * std::sqrt(1000.0);
+  options.provider_fraction = 0.25;
+  options.seed = 20261017;
+  CityScenario city(options);
+  city.sim().RunFor(seconds{20});
+
+  constexpr std::size_t kRounds = 4;
+  constexpr std::size_t kIssuers[kRounds] = {17, 256, 511, 998};
+  std::size_t successes = 0;
+  std::vector<int> hops;
+  std::vector<SimDuration> latency;
+  for (const std::size_t issuer : kIssuers) {
+    std::optional<CityScenario::FinderOutcome> outcome;
+    city.LaunchFinder(issuer, -1, 10, seconds{33},
+                      [&](CityScenario::FinderOutcome o) { outcome = o; });
+    city.sim().RunFor(seconds{38});
+    ASSERT_TRUE(outcome.has_value());
+    successes += outcome->success ? 1 : 0;
+    if (outcome->replied) {
+      hops.push_back(outcome->hops);
+      latency.push_back(outcome->latency);
+    }
+  }
+  ASSERT_FALSE(hops.empty());
+  std::sort(hops.begin(), hops.end());
+  std::sort(latency.begin(), latency.end());
+
+  EXPECT_EQ(successes, 3u);
+  EXPECT_EQ(hops[hops.size() / 2], 13);
+  EXPECT_EQ(latency[latency.size() / 2].count(), 8145719);
+  EXPECT_DOUBLE_EQ(city.TotalEnergyJoules(), 192563.11740705266);
+  EXPECT_EQ(city.mobility()->position_updates(), 171572u);
 }
 
 TEST(CityTest, NoProvidersMeansNoSuccess) {

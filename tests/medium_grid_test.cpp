@@ -244,6 +244,77 @@ TEST(MediumGridTest, OccupancyIntrospection) {
   EXPECT_EQ(medium.occupied_cells(), 2u);
 }
 
+/// Checks the occupancy gauges against counts recomputed from positions,
+/// and every live node's queries against the oracle, both at WiFi range
+/// and at a range wide enough to take the walk-all-cells fallback.
+void ExpectGridCoherent(const MirroredMediums& m, double cell_size) {
+  std::unordered_set<std::int64_t> cells;
+  for (const NodeId id : m.live) {
+    const Position pos = *m.grid.GetPosition(id);
+    const auto cx = static_cast<std::int64_t>(std::floor(pos.x / cell_size));
+    const auto cy = static_cast<std::int64_t>(std::floor(pos.y / cell_size));
+    cells.insert(cx * 1'000'003 + cy);
+  }
+  EXPECT_EQ(m.grid.node_count(), m.live.size());
+  EXPECT_EQ(m.grid.occupied_cells(), cells.size());
+  EXPECT_DOUBLE_EQ(m.grid.mean_cell_occupancy(),
+                   cells.empty() ? 0.0
+                                 : static_cast<double>(m.live.size()) /
+                                       static_cast<double>(cells.size()));
+  for (const NodeId center : m.live) {
+    EXPECT_EQ(m.grid.NodesWithin(center, 100.0),
+              m.oracle.NodesWithin(center, 100.0))
+        << "center " << center;
+    EXPECT_EQ(m.grid.NodesWithin(center, 1e9),
+              m.oracle.NodesWithin(center, 1e9))
+        << "center " << center;
+  }
+}
+
+TEST(MediumGridTest, RetainedCellsKeepCountsAndQueriesExact) {
+  // Cells that empty out stay allocated for reuse; they must never show
+  // up in the occupancy gauges or change a query result.
+  const double cell = 100.0;
+  MirroredMediums m;
+  m.grid = Medium(MediumOptions{true, cell});
+  m.oracle = Medium(MediumOptions{false, cell});
+  const NodeId a = m.Register("a", {10, 10});
+  const NodeId b = m.Register("b", {20, 20});
+  const NodeId c = m.Register("c", {250, 50});
+  ExpectGridCoherent(m, cell);
+
+  // Drive both residents out of the first cell, leaving it empty...
+  m.SetPosition(a, {450, 450});
+  m.SetPosition(b, {260, 60});
+  ExpectGridCoherent(m, cell);
+  // ...and back in again: the retained cell is reused.
+  m.SetPosition(a, {30, 30});
+  m.SetPosition(b, {40, 40});
+  ExpectGridCoherent(m, cell);
+  // Same-cell nudges after the round trip.
+  m.SetPosition(a, {31, 32});
+  ExpectGridCoherent(m, cell);
+
+  // Unregister the last node of a cell, then register into it again.
+  m.Unregister(c);
+  ExpectGridCoherent(m, cell);
+  const NodeId d = m.Register("d", {255, 55});
+  EXPECT_GT(d, c);  // ids are never reused
+  ExpectGridCoherent(m, cell);
+
+  // Empty the whole medium, then repopulate one retained cell.
+  m.Unregister(a);
+  m.Unregister(b);
+  m.Unregister(d);
+  EXPECT_EQ(m.grid.occupied_cells(), 0u);
+  EXPECT_DOUBLE_EQ(m.grid.mean_cell_occupancy(), 0.0);
+  EXPECT_TRUE(m.grid.AllNodes().empty());
+  const NodeId e = m.Register("e", {470, 470});
+  const NodeId f = m.Register("f", {480, 470});
+  ExpectGridCoherent(m, cell);
+  EXPECT_EQ(m.grid.AllNodes(), (std::vector<NodeId>{e, f}));
+}
+
 TEST(MediumGridTest, UnregisterSwapKeepsBackPointersCoherent) {
   // Three nodes in one cell; removing the middle one swap-moves the tail
   // entry. A follow-up move of the swapped node must not corrupt the

@@ -157,6 +157,24 @@ TEST(MobilityModelTest, ManageIgnoresUnregisteredNodes) {
   EXPECT_EQ(model.managed_count(), 1u);
 }
 
+TEST(MobilityModelTest, UnregisteredNodeIsNotCounted) {
+  // A node that leaves the Medium after Manage() (e.g. a kNodeLeave
+  // fault) keeps its model-side walk, but its failed writes are not
+  // position updates.
+  const MobilityArea area{200.0, 200.0};
+  RandomWaypointConfig config;
+  config.area = area;
+  config.pause_max = SimDuration::zero();  // would move every tick
+  World w(1, area, 5);
+  RandomWaypoint model(w.sim, w.medium, config, 6);
+  model.Manage(w.ids[0]);
+  w.medium.Unregister(w.ids[0]);
+  model.Start();
+  w.sim.RunFor(std::chrono::seconds{10});
+  EXPECT_EQ(model.ticks(), 10u);
+  EXPECT_EQ(model.position_updates(), 0u);
+}
+
 TEST(CommuterFlowTest, DayPhaseWrapsOverTheDay) {
   World w(1, MobilityArea{100, 100}, 1);
   CommuterFlowConfig config;
