@@ -49,8 +49,8 @@ ContextFactory::ContextFactory(DeviceServices services,
               [this](QueryRecord& record, query::SourceSel kind) {
                 return AssignToFacade(record, kind);
               },
-              [this](const std::string& query_id, query::SourceSel kind) {
-                facades_.at(kind)->Cancel(query_id);
+              [this](QueryId qid, query::SourceSel kind) {
+                facades_.at(kind)->Cancel(qid);
               }}) {
   // Tracer spans attribute energy to the owning device; the phone is
   // owned by the caller (testbed::World) and outlives this factory.
@@ -92,9 +92,9 @@ void ContextFactory::WireReferences() {
 }
 
 std::unique_ptr<CxtProvider> ContextFactory::MakeProvider(
-    query::SourceSel kind, query::CxtQuery q,
+    query::SourceSel kind, QueryId first, query::CxtQuery q,
     CxtProvider::Callbacks callbacks) {
-  QueryRecord* record = table_.Find(q.id);
+  QueryRecord* record = table_.FindById(first);
   Client* client = record != nullptr ? record->client : nullptr;
   switch (kind) {
     case query::SourceSel::kIntSensor:
@@ -154,18 +154,18 @@ void ContextFactory::BuildFacades() {
     }
     auto facade = std::make_unique<Facade>(
         *services_.sim, kind,
-        [this, kind](query::CxtQuery q, CxtProvider::Callbacks callbacks) {
-          return MakeProvider(kind, std::move(q), std::move(callbacks));
+        [this, kind](QueryId first, query::CxtQuery q,
+                     CxtProvider::Callbacks callbacks) {
+          return MakeProvider(kind, first, std::move(q), std::move(callbacks));
         },
         policy);
-    facade->SetDelivery(
-        [this, kind](const std::string& query_id, const CxtItem& item) {
-          router_.OnFacadeDelivery(query_id, item, kind);
-        });
-    facade->SetFinished(
-        [this, kind](const std::string& query_id, const Status& status) {
-          coordinator_.OnFacadeFinished(kind, query_id, status);
-        });
+    facade->SetDelivery([this, kind](std::span<const QueryId> matched,
+                                     const CxtItem& item) {
+      router_.OnFacadeDelivery(matched, item, kind);
+    });
+    facade->SetFinished([this, kind](QueryId qid, const Status& status) {
+      coordinator_.OnFacadeFinished(kind, qid, status);
+    });
     facades_.emplace(kind, std::move(facade));
   }
 }
@@ -293,7 +293,7 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
               : *to_submit.duration.time - elapsed;
     }
   }
-  const Status s = facades_.at(kind)->Submit(to_submit);
+  const Status s = facades_.at(kind)->Submit(qid, std::move(to_submit));
   // Submit can deliver synchronously, and the client may cancel (or
   // otherwise finish) the query from inside that delivery — which
   // erases the record. Re-resolve before touching it again.
@@ -324,12 +324,12 @@ void ContextFactory::CancelCxtQuery(const std::string& query_id) {
         obs::Observability::metrics().GetCounter("queries_cancelled_total");
     cancelled.Inc();
   });
+  const QueryId qid = record->qid;
   for (const query::SourceSel kind : record->assigned) {
-    facades_.at(kind)->Cancel(query_id);
+    facades_.at(kind)->Cancel(qid);
   }
-  coordinator_.DropQuery(query_id);
-  router_.OnQueryCancelled(query_id);
-  table_.Finish(query_id);
+  router_.OnQueryCancelled(qid);
+  table_.FinishById(qid);
 }
 
 bool ContextFactory::IsDegraded(const std::string& query_id) const {
@@ -399,7 +399,12 @@ void ContextFactory::StoreCxtItem(const CxtItem& item,
 
 Status ContextFactory::EnableFusion(const std::string& query_id,
                                     AggregatorConfig config) {
-  return router_.EnableFusion(query_id, config);
+  QueryRecord* record = table_.Find(query_id);
+  if (record == nullptr) {
+    return NotFound("no active query '" + query_id + "'");
+  }
+  record->fusion = std::make_unique<CxtAggregator>(*services_.sim, config);
+  return Status::Ok();
 }
 
 Status ContextFactory::RegisterCxtServer(Client& client) {

@@ -124,8 +124,7 @@ class ContextFactory {
   /// Numeric fusion replaces each delivery with the accuracy-weighted
   /// combination of the recent window.
   Status EnableFusion(const std::string& query_id,
-                      AggregatorConfig config = {
-                          .strategy = AggregationStrategy::kFuseNumeric});
+                      AggregatorConfig config = {});
 
   // --- Control policies --------------------------------------------------
   void AddControlPolicy(ContextRule rule);
@@ -190,7 +189,7 @@ class ContextFactory {
   void WireReferences();
   void BuildFacades();
   [[nodiscard]] std::unique_ptr<CxtProvider> MakeProvider(
-      query::SourceSel kind, query::CxtQuery q,
+      query::SourceSel kind, QueryId first, query::CxtQuery q,
       CxtProvider::Callbacks callbacks);
 
   Status AssignToFacade(QueryRecord& record, query::SourceSel kind);

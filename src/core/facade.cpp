@@ -60,8 +60,8 @@ Status Facade::StartCluster(Cluster& cluster) {
   callbacks.finished = [this, cluster_ptr](Status status) {
     OnProviderFinished(*cluster_ptr, status);
   };
-  cluster.provider =
-      provider_factory_(cluster.merged, std::move(callbacks));
+  cluster.provider = provider_factory_(cluster.qids.front(), cluster.merged,
+                                       std::move(callbacks));
   if (cluster.provider == nullptr) {
     return Internal("provider factory returned null");
   }
@@ -76,7 +76,7 @@ Status Facade::StartCluster(Cluster& cluster) {
   return Status::Ok();
 }
 
-Status Facade::Submit(query::CxtQuery q) {
+Status Facade::Submit(QueryId qid, query::CxtQuery q) {
   if (const Status s = q.Validate(); !s.ok()) return s;
 
   // Query merging: only clusters under the same (select_type, mode) key
@@ -99,9 +99,10 @@ Status Facade::Submit(query::CxtQuery q) {
                    cluster->merged.id.c_str());
         COBS(MergedCounter(kind_).Inc());
         cluster->merged = *std::move(merged);
-        by_original_id_[q.id] = cluster;
+        by_qid_[qid] = cluster;
         ++live_originals_;
         cluster->originals.push_back(std::move(q));
+        cluster->qids.push_back(qid);
         cluster->provider->UpdateQuery(cluster->merged);
         return Status::Ok();
       }
@@ -111,8 +112,8 @@ Status Facade::Submit(query::CxtQuery q) {
   auto cluster = std::make_unique<Cluster>();
   cluster->key = key;
   cluster->merged = q;
-  const std::string id = q.id;
   cluster->originals.push_back(std::move(q));
+  cluster->qids.push_back(qid);
   Cluster& ref = *cluster;
   clusters_.push_back(std::move(cluster));
   const Status s = StartCluster(ref);
@@ -138,7 +139,7 @@ Status Facade::Submit(query::CxtQuery q) {
       ref.bucket_pos = bucket.size();
       bucket.push_back(&ref);
     }
-    by_original_id_[id] = &ref;
+    by_qid_[qid] = &ref;
   }
   return s;
 }
@@ -149,11 +150,9 @@ void Facade::MarkDead(Cluster& cluster) {
   cluster.indexed = false;
   --live_clusters_;
   live_originals_ -= cluster.originals.size();
-  for (const auto& original : cluster.originals) {
-    const auto it = by_original_id_.find(original.id);
-    if (it != by_original_id_.end() && it->second == &cluster) {
-      by_original_id_.erase(it);
-    }
+  for (const QueryId qid : cluster.qids) {
+    const auto it = by_qid_.find(qid);
+    if (it != by_qid_.end() && it->second == &cluster) by_qid_.erase(it);
   }
   const auto bucket_it = merge_index_.find(cluster.key);
   if (bucket_it != merge_index_.end()) {
@@ -175,18 +174,16 @@ void Facade::MarkDead(Cluster& cluster) {
 void Facade::OnProviderDelivery(Cluster& cluster, const CxtItem& item) {
   if (cluster.dead || !delivery_) return;
   // Post-extraction: each original query gets exactly the data matching
-  // its own clauses. Matching ids are snapshotted first so a client that
+  // its own clauses. Matching qids are snapshotted first so a client that
   // cancels queries from inside its delivery callback cannot invalidate
   // the iteration.
-  std::vector<std::string> matched;
-  for (const auto& original : cluster.originals) {
-    if (query::PostExtract(original, item, sim_.Now())) {
-      matched.push_back(original.id);
+  std::vector<QueryId> matched;
+  for (std::size_t i = 0; i < cluster.originals.size(); ++i) {
+    if (query::PostExtract(cluster.originals[i], item, sim_.Now())) {
+      matched.push_back(cluster.qids[i]);
     }
   }
-  for (const auto& id : matched) {
-    delivery_(id, item);
-  }
+  if (!matched.empty()) delivery_(matched, item);
 }
 
 void Facade::OnProviderFinished(Cluster& cluster, const Status& status) {
@@ -199,21 +196,16 @@ void Facade::OnProviderFinished(Cluster& cluster, const Status& status) {
     // logic run reentrantly against a half-updated query record; move
     // the notification to a fresh event instead.
     sim_.ScheduleAfter(SimDuration::zero(),
-                       [this, life = life_, originals = cluster.originals,
-                        status]() {
+                       [this, life = life_, qids = cluster.qids, status]() {
                          if (!*life || !finished_) return;
-                         for (const auto& original : originals) {
-                           finished_(original.id, status);
-                         }
+                         for (const QueryId qid : qids) finished_(qid, status);
                        },
                        "facade.finish");
     ScheduleReap();
     return;
   }
   if (finished_) {
-    for (const auto& original : cluster.originals) {
-      finished_(original.id, status);
-    }
+    for (const QueryId qid : cluster.qids) finished_(qid, status);
   }
   ScheduleReap();
 }
@@ -237,28 +229,28 @@ void Facade::ScheduleReap() {
   }, "facade.reap");
 }
 
-void Facade::Cancel(const std::string& query_id) {
-  const auto it = by_original_id_.find(query_id);
-  if (it == by_original_id_.end()) {
+bool Facade::EraseOriginal(Cluster& cluster, QueryId qid) {
+  const auto pos = std::find(cluster.qids.begin(), cluster.qids.end(), qid);
+  if (pos == cluster.qids.end()) return false;
+  cluster.originals.erase(cluster.originals.begin() +
+                          (pos - cluster.qids.begin()));
+  cluster.qids.erase(pos);
+  return true;
+}
+
+void Facade::Cancel(QueryId qid) {
+  const auto it = by_qid_.find(qid);
+  if (it == by_qid_.end()) {
     // Not indexed yet: the query's cluster may be inside Start(), whose
     // synchronous first delivery led to this cancel. Drop the original;
     // Submit stops the provider once Start() returns.
-    if (starting_ != nullptr) {
-      std::erase_if(starting_->originals, [&](const query::CxtQuery& q) {
-        return q.id == query_id;
-      });
-    }
+    if (starting_ != nullptr) EraseOriginal(*starting_, qid);
     return;
   }
   Cluster* cluster = it->second;
-  if (cluster->dead) return;
-  const auto orig_it = std::find_if(
-      cluster->originals.begin(), cluster->originals.end(),
-      [&](const query::CxtQuery& q) { return q.id == query_id; });
-  if (orig_it == cluster->originals.end()) return;
-  cluster->originals.erase(orig_it);
+  if (cluster->dead || !EraseOriginal(*cluster, qid)) return;
   --live_originals_;
-  by_original_id_.erase(it);
+  by_qid_.erase(it);
   if (cluster->originals.empty()) {
     cluster->provider->Stop();
     MarkDead(*cluster);
@@ -282,9 +274,7 @@ void Facade::StopAll(const Status& status) {
     cluster.provider->Stop();
     MarkDead(cluster);
     if (finished_) {
-      for (const auto& original : cluster.originals) {
-        finished_(original.id, status);
-      }
+      for (const QueryId qid : cluster.qids) finished_(qid, status);
     }
   }
   ScheduleReap();

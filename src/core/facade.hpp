@@ -16,15 +16,17 @@
 // mode) — the source is this facade itself — and Submit only runs the
 // full Merge check inside the one bucket that could possibly accept the
 // query, examining at most kMaxMergeCandidates live clusters. Cancel
-// resolves the owning cluster through a per-original-id map, and cluster
-// death swap-removes from the bucket at a recorded position. A negative
+// resolves the owning cluster through a map indexed by QueryId, and
+// cluster death swap-removes from the bucket at a recorded position.
+// The facade never sees query id strings as keys: originals are named
+// by the QueryId the table issued at admission. A negative
 // merge threshold (merging disabled) bypasses the index entirely, so
 // Submit and teardown stay O(1) however many clusters share a key.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -38,16 +40,17 @@ namespace contory::core {
 
 class Facade {
  public:
-  /// Builds a provider of this facade's mechanism for a (merged) query.
+  /// Builds a provider of this facade's mechanism for a (merged) query;
+  /// `first` is the original the cluster was started for.
   using ProviderFactory = std::function<std::unique_ptr<CxtProvider>(
-      query::CxtQuery, CxtProvider::Callbacks)>;
-  /// Result for one *original* query (post-extraction already applied).
+      QueryId first, query::CxtQuery, CxtProvider::Callbacks)>;
+  /// One provider item and the *original* queries it matched
+  /// (post-extraction already applied); called once per item.
   using Delivery =
-      std::function<void(const std::string& query_id, const CxtItem&)>;
+      std::function<void(std::span<const QueryId> matched, const CxtItem&)>;
   /// One original query finished on this facade: Ok (duration complete)
   /// or a transport failure the factory should react to.
-  using Finished = std::function<void(const std::string& query_id,
-                                      const Status& status)>;
+  using Finished = std::function<void(QueryId qid, const Status& status)>;
 
   Facade(sim::Simulation& sim, query::SourceSel kind,
          ProviderFactory provider_factory, query::MergePolicy policy = {});
@@ -61,13 +64,13 @@ class Facade {
   void SetDelivery(Delivery delivery) { delivery_ = std::move(delivery); }
   void SetFinished(Finished finished) { finished_ = std::move(finished); }
 
-  /// Assigns a query: merged into an existing compatible cluster (the
+  /// Assigns query `qid`: merged into an existing compatible cluster (the
   /// provider's parameters are updated) or given a fresh provider.
-  Status Submit(query::CxtQuery q);
+  Status Submit(QueryId qid, query::CxtQuery q);
 
   /// Cancels one original query. The cluster re-merges the remaining
   /// originals or, when none remain, its provider stops.
-  void Cancel(const std::string& query_id);
+  void Cancel(QueryId qid);
 
   /// Stops every provider, reporting `status` per original (used by
   /// control-policy enforcement: reducePower suspends queries).
@@ -108,9 +111,11 @@ class Facade {
     ClusterKey key;
     query::CxtQuery merged;
     std::vector<query::CxtQuery> originals;
+    /// The originals' QueryIds, index-aligned with `originals`.
+    std::vector<QueryId> qids;
     std::unique_ptr<CxtProvider> provider;
     bool dead = false;
-    /// True while the cluster is present in merge_index_/by_original_id_
+    /// True while the cluster is present in merge_index_/by_qid_
     /// and counted in the live totals (set after a successful start).
     bool indexed = false;
     /// Position inside merge_index_[key] while indexed there (swap-remove
@@ -125,6 +130,8 @@ class Facade {
 
   [[nodiscard]] static ClusterKey KeyFor(const query::CxtQuery& q);
 
+  /// Removes `qid` from the cluster's originals; false when absent.
+  static bool EraseOriginal(Cluster& cluster, QueryId qid);
   void OnProviderDelivery(Cluster& cluster, const CxtItem& item);
   void OnProviderFinished(Cluster& cluster, const Status& status);
   /// Marks a cluster dead and detaches it from both indexes; the object
@@ -146,8 +153,8 @@ class Facade {
   /// point lookups, so a string compare per tree level is pure waste.
   std::unordered_map<ClusterKey, std::vector<Cluster*>, ClusterKeyHash>
       merge_index_;
-  /// Live original query id -> owning cluster (Cancel's lookup).
-  std::unordered_map<std::string, Cluster*> by_original_id_;
+  /// Live original query -> owning cluster (Cancel's lookup).
+  std::unordered_map<QueryId, Cluster*> by_qid_;
   std::size_t live_clusters_ = 0;
   std::size_t live_originals_ = 0;
   /// Non-null while the named cluster's provider is inside Start(); a

@@ -1,5 +1,6 @@
 #include "core/pipeline/delivery_router.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "obs/observability.hpp"
@@ -41,36 +42,38 @@ void NoteDelivered(QueryRecord& record, query::SourceSel mechanism,
 
 }  // namespace
 
-void DeliveryRouter::OnFacadeDelivery(const std::string& query_id,
+void DeliveryRouter::OnFacadeDelivery(std::span<const QueryId> matched,
                                       const CxtItem& item,
                                       query::SourceSel mechanism) {
-  QueryRecord* record = table_.Find(query_id);
-  if (record == nullptr || record->client == nullptr) return;
-  const std::uint64_t items_before = record->items_delivered;
-  // Dedup by item id only when several mechanisms serve the query; a
-  // single mechanism legitimately re-delivers an unchanged observation on
-  // every periodic round.
-  const bool multi_mechanism = record->assigned.size() > 1;
-  const bool fresh = table_.RecordDelivery(*record, item.id);
-  if (!fresh) {
-    if (multi_mechanism) return;  // duplicate across mechanisms
-    ++record->items_delivered;    // same observation, new periodic round
-  }
-  // Optional fusion aggregation for multi-mechanism queries.
-  const auto agg = aggregators_.find(query_id);
-  if (agg != aggregators_.end()) {
-    auto fused = agg->second.Process(item);
-    if (!fused.has_value()) return;
-    repository_.Store(*fused);
+  bool stored = false;
+  for (const QueryId qid : matched) {
+    QueryRecord* record = table_.FindById(qid);
+    if (record == nullptr || record->client == nullptr) continue;
+    const std::uint64_t items_before = record->items_delivered;
+    // Dedup by item id only when several mechanisms serve the query; a
+    // single mechanism legitimately re-delivers an unchanged observation
+    // on every periodic round.
+    const bool multi_mechanism = record->assigned.size() > 1;
+    const bool fresh = table_.RecordDelivery(*record, item.id);
+    if (!fresh) {
+      if (multi_mechanism) continue;  // duplicate across mechanisms
+      ++record->items_delivered;      // same observation, new round
+    }
+    std::optional<CxtItem> fused;
+    if (record->fusion != nullptr) {
+      fused = record->fusion->Process(item);
+      if (!fused.has_value()) continue;
+      repository_.Store(*fused);
+    } else if (!stored) {
+      // The raw item is one observation however many queries match it.
+      repository_.Store(item);
+      stored = true;
+    }
     // Hooks fire before Route(): a client cancelling from inside
-    // ReceiveCxtItem erases the record, so it must not be touched after.
+    // ReceiveCxtItems erases the record, so it must not be touched after.
     COBS(NoteDelivered(*record, mechanism, items_before, sim_.Now()));
-    Route(*record, *fused);
-    return;
+    Route(*record, fused.has_value() ? *fused : item);
   }
-  repository_.Store(item);
-  COBS(NoteDelivered(*record, mechanism, items_before, sim_.Now()));
-  Route(*record, item);
 }
 
 void DeliveryRouter::DeliverStale(QueryRecord& record, CxtItem item) {
@@ -91,7 +94,7 @@ void DeliveryRouter::DeliverStale(QueryRecord& record, CxtItem item) {
 void DeliveryRouter::Route(QueryRecord& record, const CxtItem& item) {
   Client* client = record.client;
   ClientQueue& queue = queues_[client];
-  queue.items.push_back(Pending{record.query.id, item});
+  queue.items.push_back(Pending{record.qid, item});
   if (queue.draining) return;  // the outer drain hands it over in order
   queue.draining = true;
   // Hand over everything queued in one ReceiveCxtItems call per round:
@@ -113,28 +116,10 @@ void DeliveryRouter::Route(QueryRecord& record, const CxtItem& item) {
   queue.draining = false;
 }
 
-Status DeliveryRouter::EnableFusion(const std::string& query_id,
-                                    AggregatorConfig config) {
-  if (table_.Find(query_id) == nullptr) {
-    return NotFound("no active query '" + query_id + "'");
-  }
-  aggregators_.erase(query_id);
-  aggregators_.emplace(std::piecewise_construct,
-                       std::forward_as_tuple(query_id),
-                       std::forward_as_tuple(sim_, config));
-  return Status::Ok();
-}
-
-void DeliveryRouter::OnQueryFinished(const std::string& query_id) {
-  aggregators_.erase(query_id);
-}
-
-void DeliveryRouter::OnQueryCancelled(const std::string& query_id) {
-  aggregators_.erase(query_id);
+void DeliveryRouter::OnQueryCancelled(QueryId qid) {
   for (auto& [client, queue] : queues_) {
-    std::erase_if(queue.items, [&](const Pending& p) {
-      return p.query_id == query_id;
-    });
+    std::erase_if(queue.items,
+                  [qid](const Pending& p) { return p.qid == qid; });
   }
 }
 

@@ -36,18 +36,6 @@ FailoverCoordinator::FailoverCoordinator(
   }
 }
 
-void FailoverCoordinator::FinishQuery(const std::string& query_id) {
-  recovery_probes_.erase(query_id);
-  degraded_tasks_.erase(query_id);
-  router_.OnQueryFinished(query_id);
-  table_.Finish(query_id);
-}
-
-void FailoverCoordinator::DropQuery(const std::string& query_id) {
-  recovery_probes_.erase(query_id);
-  degraded_tasks_.erase(query_id);
-}
-
 bool FailoverCoordinator::DegradeAtAdmission(QueryRecord& record,
                                              const Status& cause) {
   if (!config_.enable_degraded_mode) return false;
@@ -55,9 +43,9 @@ bool FailoverCoordinator::DegradeAtAdmission(QueryRecord& record,
 }
 
 void FailoverCoordinator::OnFacadeFinished(query::SourceSel kind,
-                                           const std::string& query_id,
+                                           QueryId qid,
                                            const Status& status) {
-  QueryRecord* record = table_.Find(query_id);
+  QueryRecord* record = table_.FindById(qid);
   if (record == nullptr) return;
   record->assigned.erase(kind);
   COBS({
@@ -79,10 +67,10 @@ void FailoverCoordinator::OnFacadeFinished(query::SourceSel kind,
   if (status.ok()) {
     // Duration complete on this mechanism; the query is over when no
     // facade still serves it.
-    if (record->assigned.empty()) FinishQuery(query_id);
+    if (record->assigned.empty()) table_.FinishById(qid);
     return;
   }
-  CLOG_INFO(kModule, "query %s failed on %s: %s", query_id.c_str(),
+  CLOG_INFO(kModule, "query %s failed on %s: %s", record->query.id.c_str(),
             query::SourceSelName(kind), status.ToString().c_str());
   record->failed.insert(kind);
   table_.Transition(*record, QueryState::kFailingOver);
@@ -119,7 +107,7 @@ void FailoverCoordinator::TryFailover(QueryRecord& record,
                                  ") and no alternative is available");
     }
     if (record.assigned.empty()) {
-      FinishQuery(record.query.id);
+      table_.FinishById(record.qid);
     } else {
       // Another mechanism still serves the query; resume normal life.
       table_.Transition(record, QueryState::kActive);
@@ -165,45 +153,42 @@ void FailoverCoordinator::TryFailover(QueryRecord& record,
         query::SourceSelName(*replacement));
   }
   // Arm the switch-back probe toward the preferred mechanism.
-  if (record.plan.preferred == failed_kind) {
-    StartRecoveryProbe(record.query.id);
-  }
+  if (record.plan.preferred == failed_kind) StartRecoveryProbe(record);
 }
 
-void FailoverCoordinator::StartRecoveryProbe(const std::string& query_id) {
-  if (recovery_probes_.contains(query_id)) return;
-  recovery_probes_[query_id] = std::make_unique<sim::PeriodicTask>(
+void FailoverCoordinator::StartRecoveryProbe(QueryRecord& record) {
+  if (record.recovery_probe != nullptr) return;
+  record.recovery_probe = std::make_unique<sim::PeriodicTask>(
       sim_, config_.recovery_probe_period,
-      [this, query_id] { ProbeRecovery(query_id); });
+      [this, qid = record.qid] { ProbeRecovery(qid); });
 }
 
 bool FailoverCoordinator::SwitchBackToPreferred(QueryRecord& record) {
-  const std::string query_id = record.query.id;
+  const QueryId qid = record.qid;
   const query::SourceSel preferred = record.plan.preferred;
   // Tear down the stopgap mechanism(s) and switch back.
   for (const query::SourceSel kind : record.assigned) {
-    hooks_.cancel(query_id, kind);
+    hooks_.cancel(qid, kind);
   }
   const auto old = record.assigned;
   record.assigned.clear();
   record.failed.erase(preferred);
   if (!hooks_.assign(record, preferred).ok()) return false;
-  switch_log_.push_back(SwitchEvent{sim_.Now(), query_id,
+  // The client may have cancelled from inside a synchronous delivery.
+  if (table_.FindById(qid) == nullptr) return false;
+  switch_log_.push_back(SwitchEvent{sim_.Now(), record.query.id,
                                     old.empty() ? preferred : *old.begin(),
                                     preferred});
-  recovery_probes_.erase(query_id);  // safe: PeriodicTask survives this
+  record.recovery_probe.reset();  // safe: PeriodicTask survives this
   return true;
 }
 
-void FailoverCoordinator::ProbeRecovery(const std::string& query_id) {
-  QueryRecord* record = table_.Find(query_id);
-  if (record == nullptr) {
-    recovery_probes_.erase(query_id);
-    return;
-  }
+void FailoverCoordinator::ProbeRecovery(QueryId qid) {
+  QueryRecord* record = table_.FindById(qid);
+  if (record == nullptr) return;
   const query::SourceSel preferred = record->plan.preferred;
   if (record->assigned.contains(preferred)) {
-    recovery_probes_.erase(query_id);
+    record->recovery_probe.reset();
     return;
   }
   // The only probe that needs real work is the BT-GPS one: re-run
@@ -217,23 +202,22 @@ void FailoverCoordinator::ProbeRecovery(const std::string& query_id) {
     bt_ref_.InvalidateDiscoveryCache();
     bt_ref_.Discover(
         SimDuration::zero(),
-        [this, query_id](Result<std::vector<net::BtDeviceInfo>> devices) {
+        [this, qid](Result<std::vector<net::BtDeviceInfo>> devices) {
           if (!devices.ok() || devices->empty()) return;
-          if (table_.Find(query_id) == nullptr) return;
+          if (table_.FindById(qid) == nullptr) return;
           // Check each device for the GPS service, then switch back.
           const auto device = devices->front();
           bt_ref_.controller()->DiscoverServices(
               device.node, sensors::kGpsServiceName,
-              [this, query_id](Result<std::vector<net::ServiceRecord>>
-                                   records) {
+              [this, qid](Result<std::vector<net::ServiceRecord>> records) {
                 if (!records.ok() || records->empty()) return;
-                QueryRecord* record = table_.Find(query_id);
+                QueryRecord* record = table_.FindById(qid);
                 if (record == nullptr) return;
                 const query::SourceSel preferred = record->plan.preferred;
                 if (record->assigned.contains(preferred)) return;
                 if (SwitchBackToPreferred(*record)) {
                   CLOG_INFO(kModule, "query %s switched back to %s",
-                            query_id.c_str(),
+                            record->query.id.c_str(),
                             query::SourceSelName(preferred));
                   if (record->client != nullptr) {
                     record->client->InformError(
@@ -263,7 +247,8 @@ bool FailoverCoordinator::EnterDegradedMode(QueryRecord& record,
   // Degradation is whole-query: while any mechanism still serves it,
   // live data beats stale data and the record stays ACTIVE.
   if (!record.assigned.empty()) return false;
-  const std::string id = record.query.id;
+  const std::string& id = record.query.id;
+  const QueryId qid = record.qid;
   if (!repository_.Latest(record.query.select_type).ok()) {
     return false;  // nothing cached: a stale answer is not possible
   }
@@ -291,35 +276,38 @@ bool FailoverCoordinator::EnterDegradedMode(QueryRecord& record,
                              "); no live provisioning mechanism");
   if (record.query.mode() == query::InteractionMode::kOnDemand) {
     // One stale answer completes an on-demand round.
-    DeliverDegraded(id);
-    FinishQuery(id);
+    DeliverDegraded(qid);
+    table_.FinishById(qid);
     return true;
   }
   SimDuration period = config_.degraded_poll_period;
   if (period <= SimDuration::zero()) {
     period = record.query.every.value_or(std::chrono::seconds{5});
   }
-  degraded_tasks_[id] = std::make_unique<sim::PeriodicTask>(
-      sim_, period, [this, id] { DeliverDegraded(id); });
+  record.degraded_task = std::make_unique<sim::PeriodicTask>(
+      sim_, period, [this, qid] { DeliverDegraded(qid); });
   // First stale answer now, not one period from now.
-  DeliverDegraded(id);
-  recovery_probes_[id] = std::make_unique<sim::PeriodicTask>(
+  DeliverDegraded(qid);
+  // The client may have cancelled from inside that delivery.
+  QueryRecord* live = table_.FindById(qid);
+  if (live == nullptr) return true;
+  live->recovery_probe = std::make_unique<sim::PeriodicTask>(
       sim_, config_.recovery_probe_period,
-      [this, id] { ProbeDegradedRecovery(id); });
+      [this, qid] { ProbeDegradedRecovery(qid); });
   return true;
 }
 
-void FailoverCoordinator::DeliverDegraded(const std::string& query_id) {
-  QueryRecord* record = table_.Find(query_id);
-  if (record == nullptr || !record->degraded() ||
-      record->client == nullptr) {
-    degraded_tasks_.erase(query_id);
+void FailoverCoordinator::DeliverDegraded(QueryId qid) {
+  QueryRecord* record = table_.FindById(qid);
+  if (record == nullptr) return;
+  if (!record->degraded() || record->client == nullptr) {
+    record->degraded_task.reset();
     return;
   }
   // The DURATION clause keeps its meaning while degraded.
   if (record->query.duration.time.has_value() &&
       sim_.Now() >= record->submitted + *record->query.duration.time) {
-    FinishQuery(query_id);
+    table_.FinishById(qid);
     return;
   }
   auto item = repository_.Latest(record->query.select_type);
@@ -328,10 +316,11 @@ void FailoverCoordinator::DeliverDegraded(const std::string& query_id) {
   router_.DeliverStale(*record, *std::move(item));
 }
 
-void FailoverCoordinator::ProbeDegradedRecovery(const std::string& query_id) {
-  QueryRecord* record = table_.Find(query_id);
-  if (record == nullptr || !record->degraded()) {
-    recovery_probes_.erase(query_id);
+void FailoverCoordinator::ProbeDegradedRecovery(QueryId qid) {
+  QueryRecord* record = table_.FindById(qid);
+  if (record == nullptr) return;
+  if (!record->degraded()) {
+    record->recovery_probe.reset();
     return;
   }
   // While degraded, any live mechanism beats stale data: reconsider them
@@ -339,6 +328,8 @@ void FailoverCoordinator::ProbeDegradedRecovery(const std::string& query_id) {
   const auto kind = planner_.SelectMechanism(record->query, {});
   if (!kind.ok()) return;  // everything still down
   if (!hooks_.assign(*record, *kind).ok()) return;  // next probe retries
+  // The client may have cancelled from inside a synchronous delivery.
+  if (table_.FindById(qid) == nullptr) return;
   table_.Transition(*record, QueryState::kActive);
   COBS({
     if (record->obs.degraded != 0) {
@@ -353,16 +344,16 @@ void FailoverCoordinator::ProbeDegradedRecovery(const std::string& query_id) {
         .Inc();
   });
   record->failed.clear();
-  degraded_tasks_.erase(query_id);
+  record->degraded_task.reset();
   // `from` approximates: degraded mode has no SourceSel of its own.
-  switch_log_.push_back(
-      SwitchEvent{sim_.Now(), query_id, record->plan.preferred, *kind});
+  switch_log_.push_back(SwitchEvent{sim_.Now(), record->query.id,
+                                    record->plan.preferred, *kind});
   CLOG_INFO(kModule, "query %s recovered from degraded mode to %s",
-            query_id.c_str(), query::SourceSelName(*kind));
+            record->query.id.c_str(), query::SourceSelName(*kind));
   record->client->InformError(std::string("provisioning restored to ") +
                               query::SourceSelName(*kind) +
                               " after degraded mode");
-  recovery_probes_.erase(query_id);  // safe: PeriodicTask survives this
+  record->recovery_probe.reset();  // safe: PeriodicTask survives this
 }
 
 }  // namespace contory::core

@@ -9,11 +9,12 @@
 // cycle), and graceful degradation to stale repository data when nothing
 // is left. All lifecycle effects go through the QueryTable's state
 // machine: ACTIVE -> FAILING_OVER -> ACTIVE | DEGRADED -> ... -> DONE.
+// The probes and degraded tasks live in the query's record and hold
+// only its QueryId, so finishing the record stops them, and a callback
+// that outlives its query (a BT discovery in flight) finds nothing.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ class FailoverCoordinator {
     /// assignment on success.
     std::function<Status(QueryRecord&, query::SourceSel)> assign;
     /// Cancels one original query on the facade of `kind`.
-    std::function<void(const std::string&, query::SourceSel)> cancel;
+    std::function<void(QueryId, query::SourceSel)> cancel;
   };
 
   FailoverCoordinator(sim::Simulation& sim, FailoverConfig config,
@@ -68,12 +69,8 @@ class FailoverCoordinator {
 
   /// A facade finished one original query: duration complete (Ok) or a
   /// transport failure that triggers failover / degradation.
-  void OnFacadeFinished(query::SourceSel kind, const std::string& query_id,
+  void OnFacadeFinished(query::SourceSel kind, QueryId qid,
                         const Status& status);
-
-  /// Cancel path: forget per-query probes and degraded tasks without
-  /// logging a completion (the caller finishes the record).
-  void DropQuery(const std::string& query_id);
 
   /// Admission-time stale fast path (OverloadGovernor): moves a freshly
   /// ADMITTED record straight into degraded mode — one stale answer and
@@ -95,22 +92,19 @@ class FailoverCoordinator {
  private:
   void TryFailover(QueryRecord& record, query::SourceSel failed_kind,
                    const Status& status);
-  void StartRecoveryProbe(const std::string& query_id);
-  void ProbeRecovery(const std::string& query_id);
+  void StartRecoveryProbe(QueryRecord& record);
+  void ProbeRecovery(QueryId qid);
   /// Cancels every assigned facade and re-assigns the preferred one;
-  /// shared by both recovery probes. Returns true on success.
+  /// shared by both recovery probes. Returns true on success, when the
+  /// query is still live afterwards.
   bool SwitchBackToPreferred(QueryRecord& record);
 
   /// Degraded mode: serve stale repository data when every mechanism is
   /// down. Returns false when there is nothing cached to serve (the
   /// caller falls back to the hard error path).
   bool EnterDegradedMode(QueryRecord& record, const Status& cause);
-  void DeliverDegraded(const std::string& query_id);
-  void ProbeDegradedRecovery(const std::string& query_id);
-
-  /// Normal terminal path: tears down probes/tasks, releases router
-  /// state, and logs the completion in the table.
-  void FinishQuery(const std::string& query_id);
+  void DeliverDegraded(QueryId qid);
+  void ProbeDegradedRecovery(QueryId qid);
 
   sim::Simulation& sim_;
   FailoverConfig config_;
@@ -122,8 +116,6 @@ class FailoverCoordinator {
   BTReference& bt_ref_;
   Hooks hooks_;
 
-  std::map<std::string, std::unique_ptr<sim::PeriodicTask>> recovery_probes_;
-  std::map<std::string, std::unique_ptr<sim::PeriodicTask>> degraded_tasks_;
   std::vector<SwitchEvent> switch_log_;
   std::uint64_t degraded_deliveries_ = 0;
 };

@@ -176,11 +176,6 @@ bool QueryTable::Transition(QueryRecord& record, QueryState to) {
   return true;
 }
 
-void QueryTable::Finish(const std::string& id) {
-  const auto it = ids_.find(id);
-  if (it != ids_.end()) FinishById(it->second);
-}
-
 void QueryTable::FinishById(QueryId qid) {
   const auto it = records_.find(qid);
   if (it == records_.end()) return;

@@ -1,11 +1,13 @@
 // QueryTable: the single source of truth for query lifecycle state.
 //
 // The paper's QueryManager (Sec. 4.3) "is responsible for maintaining an
-// updated list of all active queries". At production scale that
-// bookkeeping must not be duplicated: facades, failover, degraded mode
-// and delivery all used to keep fragments of per-query state. The table
-// owns one lifecycle record per query and an explicit state machine
-// every pipeline stage reads and writes through:
+// updated list of all active queries". The table owns one record per
+// query, and the record is the only home of that query's state: its
+// lifecycle, plan, assigned facades, dedup window, tracer spans, fusion
+// window and failover timers (recovery probe, degraded task). Erasing
+// the record in FinishById tears all of it down, so finishing a query
+// needs no per-module teardown hook. Every pipeline stage reads and
+// writes the record through an explicit state machine:
 //
 //        Admit           Assign            mechanism fails
 //   ---> ADMITTED ------> ACTIVE <------------> FAILING_OVER
@@ -24,14 +26,16 @@
 // interleave.
 //
 // Structure: records live in one map keyed by a u64 QueryId, handed out
-// sequentially from 1 and never reused; a second map resolves the
-// public id strings at the API boundary. Both properties the factory
-// leans on follow from that:
+// sequentially from 1 and never reused. Inside the pipeline and the
+// facades a query is named only by its QueryId; the id strings are
+// resolved once, at the public API, through the table's second map.
+// Both properties the factory leans on follow from that:
 //   - record references stay valid across Admit (node-based map), so a
 //     facade Submit that admits a query reentrantly cannot move the
 //     record its caller is holding;
-//   - a QueryId held across a reentrant cancel misses afterwards, even
-//     when the client resubmits under the same id string.
+//   - a QueryId held across a reentrant cancel (or captured by a timer
+//     or discovery callback) misses afterwards, even when the client
+//     resubmits under the same id string.
 // The terminal Completion log is bounded (oldest dropped, drops counted)
 // so a million finishes cannot grow memory without bound; tests that
 // audit full lifecycle history opt into the unbounded mode with
@@ -43,6 +47,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -51,15 +56,12 @@
 
 #include "common/status.hpp"
 #include "core/client.hpp"
+#include "core/providers/aggregator.hpp"
 #include "core/query/query.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulation.hpp"
 
 namespace contory::core {
-
-/// Query handle: sequential from 1, never reused. 0 means "invalid".
-using QueryId = std::uint64_t;
-inline constexpr QueryId kInvalidQueryId = 0;
 
 enum class QueryState : std::uint8_t {
   kAdmitted,     // registered; no facade assigned yet
@@ -107,6 +109,14 @@ struct QueryRecord {
   std::unordered_set<std::string> seen_items;
   std::vector<std::string> seen_order;
   std::size_t seen_oldest = 0;
+
+  /// Fusion window (EnableFusion); null delivers items unfused.
+  std::unique_ptr<CxtAggregator> fusion;
+  /// Failover timers: the switch-back (or degraded-recovery) probe and
+  /// the stale-delivery task while degraded. Their callbacks hold only
+  /// this record's qid.
+  std::unique_ptr<sim::PeriodicTask> recovery_probe;
+  std::unique_ptr<sim::PeriodicTask> degraded_task;
 
   /// Tracer span handles (0 = no span). Plain uint64 fields — the hot
   /// path must never do a string-keyed lookup to find its span. One
@@ -171,6 +181,8 @@ class QueryTable {
   /// tracer span; assigns nothing yet. Returns the query's fresh id.
   Result<QueryId> Admit(query::CxtQuery query, Client& client);
 
+  /// Resolves a public id string (the API boundary); everything behind
+  /// it uses FindById.
   [[nodiscard]] QueryRecord* Find(const std::string& id);
   [[nodiscard]] const QueryRecord* Find(const std::string& id) const;
   [[nodiscard]] QueryRecord* FindById(QueryId qid);
@@ -182,9 +194,9 @@ class QueryTable {
   bool Transition(QueryRecord& record, QueryState to);
 
   /// Terminal transition: logs a Completion exactly once and erases the
-  /// record. Finishing an unknown id is a harmless no-op (cancel racing
-  /// a duration expiry).
-  void Finish(const std::string& id);
+  /// record, which stops its timers and drops its fusion window.
+  /// Finishing an unknown qid is a harmless no-op (cancel racing a
+  /// duration expiry).
   void FinishById(QueryId qid);
 
   /// Records a delivery; returns false when `item_id` was already

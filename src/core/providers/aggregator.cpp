@@ -44,10 +44,7 @@ CxtItem CxtAggregator::Fuse(const CxtItem& latest) {
 
 std::optional<CxtItem> CxtAggregator::Process(CxtItem item) {
   if (IsDuplicate(item.id)) return std::nullopt;
-  if (config_.strategy == AggregationStrategy::kPassThrough) {
-    return item;
-  }
-  // Numeric fusion: non-numeric values pass through untouched.
+  // Non-numeric values pass through untouched.
   if (!item.value.is_number()) return item;
   const SimTime now = sim_.Now();
   window_.push_back(item);

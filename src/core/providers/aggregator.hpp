@@ -1,13 +1,12 @@
 // CxtAggregator (Sec. 4.3).
 //
 // "A CxtAggregator can be used to combine context items collected from
-// single or multiple CxtProviders." Two strategies:
-//  * pass-through: deduplicate by item id (the same item can arrive over
-//    several mechanisms when a query is assigned to multiple facades);
-//  * numeric fusion: combine recent same-type readings into one item whose
-//    value is the accuracy-weighted mean — "combining results collected
-//    through different context mechanisms allows applications to partly
-//    relieve the uncertainty of single context sources".
+// single or multiple CxtProviders." It deduplicates by item id (the same
+// item can arrive over several mechanisms when a query is assigned to
+// multiple facades) and fuses recent same-type numeric readings into one
+// item whose value is the accuracy-weighted mean — "combining results
+// collected through different context mechanisms allows applications to
+// partly relieve the uncertainty of single context sources".
 #pragma once
 
 #include <deque>
@@ -20,13 +19,7 @@
 
 namespace contory::core {
 
-enum class AggregationStrategy : std::uint8_t {
-  kPassThrough,
-  kFuseNumeric,
-};
-
 struct AggregatorConfig {
-  AggregationStrategy strategy = AggregationStrategy::kPassThrough;
   /// Readings within this window fuse together.
   SimDuration fusion_window = std::chrono::seconds{5};
   /// Dedup memory cap (ids remembered).
@@ -41,10 +34,6 @@ class CxtAggregator {
   /// or nullopt when it was absorbed (duplicate, or fused into a later
   /// delivery).
   [[nodiscard]] std::optional<CxtItem> Process(CxtItem item);
-
-  [[nodiscard]] AggregationStrategy strategy() const noexcept {
-    return config_.strategy;
-  }
 
  private:
   [[nodiscard]] bool IsDuplicate(const std::string& id);

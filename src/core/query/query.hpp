@@ -3,6 +3,7 @@
 // "instantiating context query objects in few lines of code" looked like).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -112,3 +113,13 @@ class QueryBuilder {
 };
 
 }  // namespace contory::query
+
+namespace contory::core {
+
+/// Internal query handle, issued by the QueryTable at admission:
+/// sequential from 1, never reused. 0 means "invalid". Id strings
+/// (CxtQuery::id) stay at the public API; the pipeline passes these.
+using QueryId = std::uint64_t;
+inline constexpr QueryId kInvalidQueryId = 0;
+
+}  // namespace contory::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 
 #include "core/facade.hpp"
 #include "sim/simulation.hpp"
@@ -45,17 +46,22 @@ struct FacadeHarness {
   explicit FacadeHarness(std::uint64_t seed = 3) : sim(seed) {
     facade = std::make_unique<Facade>(
         sim, query::SourceSel::kAdHocNetwork,
-        [this](query::CxtQuery q, CxtProvider::Callbacks callbacks) {
+        [this](QueryId, query::CxtQuery q, CxtProvider::Callbacks callbacks) {
           return std::make_unique<ScriptedProvider>(
               sim, std::move(q), std::move(callbacks), providers);
         });
     facade->SetDelivery(
-        [this](const std::string& id, const CxtItem& item) {
-          deliveries[id].push_back(item);
+        [this](std::span<const QueryId> matched, const CxtItem& item) {
+          ++delivery_calls;
+          for (const QueryId qid : matched) deliveries[qid].push_back(item);
         });
-    facade->SetFinished([this](const std::string& id, const Status& s) {
-      finished[id] = s;
-    });
+    facade->SetFinished(
+        [this](QueryId qid, const Status& s) { finished[qid] = s; });
+  }
+
+  /// Submits `q` under the next QueryId (readable as last_qid).
+  Status Submit(query::CxtQuery q) {
+    return facade->Submit(++last_qid, std::move(q));
   }
 
   CxtItem Item(const std::string& type, double value,
@@ -72,16 +78,17 @@ struct FacadeHarness {
   sim::Simulation sim;
   std::vector<ScriptedProvider*> providers;
   std::unique_ptr<Facade> facade;
-  std::map<std::string, std::vector<CxtItem>> deliveries;
-  std::map<std::string, Status> finished;
+  QueryId last_qid = kInvalidQueryId;
+  int delivery_calls = 0;
+  std::map<QueryId, std::vector<CxtItem>> deliveries;
+  std::map<QueryId, Status> finished;
 };
 
 TEST(FacadeTest, FirstQueryCreatesProvider) {
   FacadeHarness h;
-  ASSERT_TRUE(
-      h.facade->Submit(NewQuery(h.sim, "SELECT temperature DURATION 1 hour "
-                                "EVERY 10 sec"))
-          .ok());
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT temperature DURATION 1 hour "
+                                       "EVERY 10 sec"))
+                  .ok());
   EXPECT_EQ(h.facade->active_provider_count(), 1u);
   EXPECT_EQ(h.providers.size(), 1u);
 }
@@ -90,17 +97,13 @@ TEST(FacadeTest, SameSelectMergesIntoOneProvider) {
   // The paper's headline merging behaviour: two temperature queries, one
   // provider with the widened parameters.
   FacadeHarness h;
-  ASSERT_TRUE(h.facade
-                  ->Submit(NewQuery(
-                               h.sim,
-                               "SELECT temperature FROM adHocNetwork(all,3) "
-                               "FRESHNESS 10sec DURATION 1hour EVERY 15sec"))
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim,
+                                "SELECT temperature FROM adHocNetwork(all,3) "
+                                "FRESHNESS 10sec DURATION 1hour EVERY 15sec"))
                   .ok());
-  ASSERT_TRUE(h.facade
-                  ->Submit(NewQuery(
-                               h.sim,
-                               "SELECT temperature FROM adHocNetwork(all,1) "
-                               "FRESHNESS 20sec DURATION 2hour EVERY 30sec"))
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim,
+                                "SELECT temperature FROM adHocNetwork(all,1) "
+                                "FRESHNESS 20sec DURATION 2hour EVERY 30sec"))
                   .ok());
   EXPECT_EQ(h.facade->active_provider_count(), 1u);
   EXPECT_EQ(h.facade->active_original_count(), 2u);
@@ -113,12 +116,9 @@ TEST(FacadeTest, SameSelectMergesIntoOneProvider) {
 
 TEST(FacadeTest, DifferentSelectsGetSeparateProviders) {
   FacadeHarness h;
-  ASSERT_TRUE(h.facade
-                  ->Submit(NewQuery(h.sim,
-                                    "SELECT temperature DURATION 1 hour"))
-                  .ok());
   ASSERT_TRUE(
-      h.facade->Submit(NewQuery(h.sim, "SELECT wind DURATION 1 hour")).ok());
+      h.Submit(NewQuery(h.sim, "SELECT temperature DURATION 1 hour")).ok());
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT wind DURATION 1 hour")).ok());
   EXPECT_EQ(h.facade->active_provider_count(), 2u);
 }
 
@@ -130,10 +130,10 @@ TEST(FacadeTest, PostExtractionSplitsResults) {
   auto loose = NewQuery(h.sim,
                         "SELECT temperature WHERE accuracy<=0.9 "
                         "DURATION 1 hour EVERY 10 sec");
-  const std::string strict_id = strict.id;
-  const std::string loose_id = loose.id;
-  ASSERT_TRUE(h.facade->Submit(std::move(strict)).ok());
-  ASSERT_TRUE(h.facade->Submit(std::move(loose)).ok());
+  ASSERT_TRUE(h.Submit(std::move(strict)).ok());
+  const QueryId strict_id = h.last_qid;
+  ASSERT_TRUE(h.Submit(std::move(loose)).ok());
+  const QueryId loose_id = h.last_qid;
   ASSERT_EQ(h.providers.size(), 1u);  // merged (WHERE dropped)
 
   h.providers[0]->Push(h.Item("temperature", 20.0, /*accuracy=*/0.5));
@@ -144,13 +144,14 @@ TEST(FacadeTest, PostExtractionSplitsResults) {
   h.providers[0]->Push(h.Item("temperature", 21.0, /*accuracy=*/0.1));
   EXPECT_EQ(h.deliveries[strict_id].size(), 1u);
   EXPECT_EQ(h.deliveries[loose_id].size(), 2u);
+  EXPECT_EQ(h.delivery_calls, 2);  // one call per provider item
 }
 
 TEST(FacadeTest, CancelLastOriginalStopsProvider) {
   FacadeHarness h;
   auto q = NewQuery(h.sim, "SELECT temperature DURATION 1 hour EVERY 10 sec");
-  const std::string id = q.id;
-  ASSERT_TRUE(h.facade->Submit(std::move(q)).ok());
+  ASSERT_TRUE(h.Submit(std::move(q)).ok());
+  const QueryId id = h.last_qid;
   h.facade->Cancel(id);
   EXPECT_EQ(h.facade->active_provider_count(), 0u);
   h.sim.RunFor(1s);  // reap
@@ -161,9 +162,9 @@ TEST(FacadeTest, CancelOneOfTwoNarrowsMergedQuery) {
   FacadeHarness h;
   auto fast = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 5sec");
   auto slow = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 60sec");
-  const std::string fast_id = fast.id;
-  ASSERT_TRUE(h.facade->Submit(std::move(fast)).ok());
-  ASSERT_TRUE(h.facade->Submit(std::move(slow)).ok());
+  ASSERT_TRUE(h.Submit(std::move(fast)).ok());
+  const QueryId fast_id = h.last_qid;
+  ASSERT_TRUE(h.Submit(std::move(slow)).ok());
   ASSERT_EQ(h.providers.size(), 1u);
   EXPECT_EQ(h.providers[0]->query().every, SimDuration{5s});
 
@@ -177,10 +178,10 @@ TEST(FacadeTest, ProviderFailureReportsEveryOriginal) {
   FacadeHarness h;
   auto a = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 10sec");
   auto b = NewQuery(h.sim, "SELECT temperature DURATION 1hour EVERY 20sec");
-  const std::string a_id = a.id;
-  const std::string b_id = b.id;
-  ASSERT_TRUE(h.facade->Submit(std::move(a)).ok());
-  ASSERT_TRUE(h.facade->Submit(std::move(b)).ok());
+  ASSERT_TRUE(h.Submit(std::move(a)).ok());
+  const QueryId a_id = h.last_qid;
+  ASSERT_TRUE(h.Submit(std::move(b)).ok());
+  const QueryId b_id = h.last_qid;
   h.providers[0]->ForceFail(Unavailable("radio died"));
   EXPECT_EQ(h.finished[a_id].code(), StatusCode::kUnavailable);
   EXPECT_EQ(h.finished[b_id].code(), StatusCode::kUnavailable);
@@ -191,10 +192,10 @@ TEST(FacadeTest, StopAllSuspendsEverything) {
   FacadeHarness h;
   auto a = NewQuery(h.sim, "SELECT temperature DURATION 1hour");
   auto b = NewQuery(h.sim, "SELECT wind DURATION 1hour");
-  const std::string a_id = a.id;
-  const std::string b_id = b.id;
-  ASSERT_TRUE(h.facade->Submit(std::move(a)).ok());
-  ASSERT_TRUE(h.facade->Submit(std::move(b)).ok());
+  ASSERT_TRUE(h.Submit(std::move(a)).ok());
+  const QueryId a_id = h.last_qid;
+  ASSERT_TRUE(h.Submit(std::move(b)).ok());
+  const QueryId b_id = h.last_qid;
   h.facade->StopAll(ResourceExhausted("reducePower"));
   EXPECT_EQ(h.finished[a_id].code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(h.finished[b_id].code(), StatusCode::kResourceExhausted);
@@ -204,10 +205,8 @@ TEST(FacadeTest, StopAllSuspendsEverything) {
 TEST(FacadeTest, ProvidersCreatedCounterTracksMergeSavings) {
   FacadeHarness h;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(h.facade
-                    ->Submit(NewQuery(h.sim,
-                                      "SELECT temperature DURATION 1hour "
-                                      "EVERY 10sec"))
+    ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT temperature DURATION 1hour "
+                                         "EVERY 10sec"))
                     .ok());
   }
   EXPECT_EQ(h.facade->providers_created(), 1u);  // all merged
@@ -220,14 +219,15 @@ TEST(FacadeTest, MergingDisabledByPolicy) {
   no_merge.threshold = -1.0;
   auto facade = std::make_unique<Facade>(
       h.sim, query::SourceSel::kAdHocNetwork,
-      [&h](query::CxtQuery q, CxtProvider::Callbacks callbacks) {
+      [&h](QueryId, query::CxtQuery q, CxtProvider::Callbacks callbacks) {
         return std::make_unique<ScriptedProvider>(
             h.sim, std::move(q), std::move(callbacks), h.providers);
       },
       no_merge);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(facade
-                    ->Submit(NewQuery(h.sim,
+                    ->Submit(static_cast<QueryId>(i + 1),
+                             NewQuery(h.sim,
                                       "SELECT temperature DURATION 1hour "
                                       "EVERY 10sec"))
                     .ok());
@@ -239,7 +239,7 @@ TEST(FacadeTest, InvalidQueryRejected) {
   FacadeHarness h;
   query::CxtQuery bad;
   bad.id = "bad";
-  EXPECT_FALSE(h.facade->Submit(bad).ok());
+  EXPECT_FALSE(h.Submit(bad).ok());
   EXPECT_EQ(h.facade->active_provider_count(), 0u);
 }
 

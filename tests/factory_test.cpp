@@ -3,6 +3,10 @@
 // control-policy enforcement.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/contory.hpp"
 #include "testbed/testbed.hpp"
 
@@ -283,6 +287,47 @@ TEST(FactoryTest, ItemsLandInRepository) {
                   .ok());
   world.RunFor(30s);
   EXPECT_TRUE(device.contory().repository().Latest(vocab::kLight).ok());
+}
+
+TEST(FactoryTest, RepositoryStoresEachProviderItemOnce) {
+  // Eight merged queries share one provider; each sampling round is one
+  // observation, so it is written through to the repository once, not
+  // once per matching query.
+  testbed::World world{114};
+  testbed::DeviceOptions opts;
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  std::vector<CollectingClient> clients(8);
+  for (CollectingClient& client : clients) {
+    ASSERT_TRUE(device.contory()
+                    .ProcessCxtQuery(NewQuery(world.sim(),
+                                              "SELECT temperature FROM "
+                                              "intSensor DURATION 10 min "
+                                              "EVERY 10 sec"),
+                                     client)
+                    .ok());
+  }
+  ASSERT_EQ(device.contory()
+                .facade(query::SourceSel::kIntSensor)
+                .active_provider_count(),
+            1u);
+  world.RunFor(1min);
+
+  // The first query saw every round: its first sample arrived at its own
+  // submission, before the other seven merged in.
+  const std::size_t rounds = clients[0].items.size();
+  ASSERT_GT(rounds, 1u);
+  for (std::size_t i = 1; i < clients.size(); ++i) {
+    EXPECT_EQ(clients[i].items.size(), rounds - 1) << i;
+  }
+  const CxtRepository& repository = device.contory().repository();
+  ASSERT_LT(rounds, repository.capacity_per_type());  // nothing evicted
+  const std::vector<CxtItem> recent = repository.Recent(vocab::kTemperature);
+  std::set<std::string> ids;
+  for (const CxtItem& item : recent) ids.insert(item.id);
+  EXPECT_EQ(ids.size(), recent.size()) << "duplicate item ids stored";
+  EXPECT_EQ(recent.size(), rounds);
+  EXPECT_EQ(repository.size(), rounds);  // the reduceMemory gauge
 }
 
 }  // namespace

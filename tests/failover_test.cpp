@@ -1,6 +1,7 @@
 // Failover around the Fig. 5 experiment: delivery across the switch, the
-// no-alternative error path, and the switch's BT discovery cost. The
-// switch-there-and-back timeline itself is the failover_switch.scn case.
+// no-alternative error path, the switch's BT discovery cost, and a
+// switch-back discovery that outlives its query. The switch-there-and-back
+// timeline itself is the failover_switch.scn case.
 #include <gtest/gtest.h>
 
 #include "core/contory.hpp"
@@ -107,6 +108,61 @@ TEST_F(FailoverTest, SwitchCostIsBtDiscovery) {
   // Inquiry draws ~360 mW — the discovery peaks Fig. 5 shows (163-292 mW
   // averaged over the meter's 500 ms window).
   EXPECT_GT(peak, 150.0);
+}
+
+TEST_F(FailoverTest, RecoveryCallbackOutlivingItsQueryActsOnNothing) {
+  // The BT-GPS switch-back probe runs a discovery whose callbacks hold
+  // only the probing query's QueryId. The query is cancelled while that
+  // discovery is in flight and a new one is submitted under the same id
+  // string. The new one names extInfra first with the modem off, so as a
+  // fresh query it fails over away from its preferred mechanism: exactly
+  // the state a stale switch-back would act on, had the callback looked
+  // the query up by its id string.
+  ContextFactory& factory = device_->contory();
+  CollectingClient client;
+  const auto id = factory.ProcessCxtQuery(
+      NewQuery(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec"),
+      client);
+  ASSERT_TRUE(id.ok());
+  world_.RunFor(60s);
+  gps_->PowerOff();
+  world_.RunFor(30s);
+  ASSERT_EQ(factory.switch_log().size(), 1u);
+  const SimTime failover_at = factory.switch_log()[0].at;
+  ASSERT_EQ(factory.CurrentMechanisms(*id),
+            std::set<query::SourceSel>{query::SourceSel::kAdHocNetwork});
+
+  // Probes tick every 20 s after the failover. The GPS comes back after
+  // the second probe's discovery has finished, so the third one finds it.
+  world_.sim().RunUntil(failover_at + 55s);
+  ASSERT_FALSE(device_->bt()->inquiry_in_progress());
+  gps_->PowerOn();
+  world_.sim().RunUntil(failover_at + 61s);
+  ASSERT_TRUE(device_->bt()->inquiry_in_progress());
+  ASSERT_EQ(factory.switch_log().size(), 1u);
+
+  factory.CancelCxtQuery(*id);
+  device_->modem()->SetRadioOn(false);
+  query::CxtQuery next = NewQuery(
+      world_.sim(),
+      "SELECT location FROM extInfra, adHocNetwork DURATION 20 min "
+      "EVERY 5 sec");
+  next.id = *id;
+  CollectingClient next_client;
+  const auto resubmitted = factory.ProcessCxtQuery(next, next_client);
+  ASSERT_TRUE(resubmitted.ok());
+  ASSERT_EQ(*resubmitted, *id);
+  world_.RunFor(1min);  // inquiry, SDP and every callback waiting on them
+
+  // What a fresh submission does: extInfra fails, intSensor replaces it
+  // beside adHocNetwork, and nothing switches the query back.
+  ASSERT_EQ(factory.switch_log().size(), 2u);
+  EXPECT_EQ(factory.switch_log()[1].query_id, *id);
+  EXPECT_EQ(factory.switch_log()[1].from, query::SourceSel::kExtInfra);
+  EXPECT_EQ(factory.switch_log()[1].to, query::SourceSel::kIntSensor);
+  EXPECT_EQ(factory.CurrentMechanisms(*id),
+            (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
+                                        query::SourceSel::kAdHocNetwork}));
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 // records, no double-finishes, no invalid state transitions — even when
 // the lifecycle is perturbed at its most awkward moments: cancellation
 // from inside a delivery callback (also followed by a resubmission under
-// the same id), and a failover target that fails while the failover is in
-// flight. A facade-wide StopAll while a query is already degraded is the
-// stopall_during_degraded.scn case.
+// the same id, or aimed at a merged peer in the middle of one item's
+// fan-out), and a failover target that fails while the failover is in
+// flight. A finished query, cancelled or expired while degraded, must
+// leave no timer scheduled behind. A facade-wide StopAll while a query is
+// already degraded is the stopall_during_degraded.scn case.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -178,6 +180,61 @@ TEST(LifecycleInvariantTest, StaleIdMissesAfterCancelAndResubmitInDelivery) {
   obs::Observability::ResetForTest();
 }
 
+// A client that, once armed, cancels another client's query from inside
+// its own delivery — the next qid in the same fan-out span.
+class CancelPeerClient : public core::CollectingClient {
+ public:
+  void ReceiveCxtItem(const CxtItem& item) override {
+    CollectingClient::ReceiveCxtItem(item);
+    if (factory == nullptr || peer_id.empty()) return;
+    factory->CancelCxtQuery(peer_id);
+    peer_id.clear();
+  }
+
+  core::ContextFactory* factory = nullptr;
+  std::string peer_id;
+};
+
+TEST(LifecycleInvariantTest, PeerCancelledMidFanOutIsSkipped) {
+  testbed::World world{505};
+  testbed::DeviceOptions opts;
+  opts.with_bt = false;
+  opts.with_cellular = false;
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  core::ContextFactory& factory = device.contory();
+
+  CancelPeerClient first;
+  core::CollectingClient peer;
+  const auto first_id = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor DURATION 5 min EVERY 10 sec"),
+      first);
+  const auto peer_id = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor DURATION 5 min EVERY 10 sec"),
+      peer);
+  ASSERT_TRUE(first_id.ok());
+  ASSERT_TRUE(peer_id.ok());
+  ASSERT_EQ(factory.facade(query::SourceSel::kIntSensor)
+                .active_provider_count(),
+            1u);  // merged: one provider item fans out to both
+  const std::size_t peer_items = peer.items.size();
+  first.factory = &factory;
+  first.peer_id = *peer_id;
+
+  // The next round matches both; delivering it to the first query
+  // cancels the peer, whose qid then misses in the same fan-out.
+  world.RunFor(1min);
+  EXPECT_TRUE(first.peer_id.empty());
+  EXPECT_EQ(peer.items.size(), peer_items);
+  EXPECT_GT(first.items.size(), 1u);
+  const core::QueryTable& table = factory.queries();
+  EXPECT_EQ(table.Find(*peer_id), nullptr);
+  EXPECT_EQ(CompletionsFor(table, *peer_id), 1);
+  EXPECT_EQ(table.invalid_transitions(), 0u);
+}
+
 class GpsWorldTest : public ::testing::Test {
  protected:
   GpsWorldTest() : world_(502) {
@@ -217,6 +274,78 @@ TEST_F(GpsWorldTest, FailDuringFailoverIsSingleTerminal) {
   EXPECT_EQ(table.active_count(), 0u);
   EXPECT_EQ(table.invalid_transitions(), 0u);
   EXPECT_EQ(CompletionsFor(table, *id), 1);
+}
+
+TEST(LifecycleInvariantTest, FinishedQueriesLeaveNothingScheduled) {
+  // A query's failover timers and fusion window live in its record, so
+  // finishing it — by cancel or by DURATION expiry — must leave no event
+  // behind. Both queries degrade when the only sensor fails with the
+  // repository warm; the first, with fusion enabled, is cancelled, the
+  // second expires while degraded.
+  testbed::World world{504};
+  testbed::DeviceOptions opts;
+  opts.name = "phone-A";
+  opts.with_bt = false;
+  opts.with_wifi = false;
+  opts.with_cellular = false;
+  opts.internal_sensors = {vocab::kTemperature};
+  core::ContextFactoryConfig cfg;
+  cfg.recovery_probe_period = 10min;  // stays degraded once there
+  opts.factory_config = cfg;
+  auto& device = world.AddDevice(opts);
+  core::ContextFactory& factory = device.contory();
+  sim::Simulation& sim = world.sim();
+
+  const std::size_t pending_before = sim.pending();
+  core::CollectingClient cancelled_client;
+  core::CollectingClient expired_client;
+  const auto cancelled = factory.ProcessCxtQuery(
+      NewQuery(sim, "SELECT temperature FROM intSensor DURATION 20 min "
+                    "EVERY 5 sec"),
+      cancelled_client);
+  const auto expired = factory.ProcessCxtQuery(
+      NewQuery(sim, "SELECT temperature FROM intSensor DURATION 2 min "
+                    "EVERY 5 sec"),
+      expired_client);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  ASSERT_TRUE(factory.EnableFusion(*cancelled).ok());
+  ASSERT_TRUE(world.injector()
+                  .ExecuteText("at=30s sensor.fail temperature@phone-A\n")
+                  .ok());
+  world.RunFor(1min);
+
+  // Degraded, with every per-query timer armed in the record.
+  const core::QueryTable& table = factory.queries();
+  for (const std::string& id : {*cancelled, *expired}) {
+    ASSERT_TRUE(factory.IsDegraded(id)) << id;
+    const core::QueryRecord* record = table.Find(id);
+    ASSERT_NE(record, nullptr) << id;
+    EXPECT_NE(record->recovery_probe, nullptr) << id;
+    EXPECT_NE(record->degraded_task, nullptr) << id;
+  }
+  EXPECT_NE(table.Find(*cancelled)->fusion, nullptr);
+
+  factory.CancelCxtQuery(*cancelled);
+  const std::size_t cancelled_items = cancelled_client.items.size();
+  const std::size_t cancelled_errors = cancelled_client.errors.size();
+  world.RunFor(1min);  // past the 2 min DURATION, plus the facade reap
+  ASSERT_EQ(table.Find(*expired), nullptr);
+  EXPECT_EQ(table.active_count(), 0u);
+  EXPECT_EQ(CompletionsFor(table, *cancelled), 1);
+  EXPECT_EQ(CompletionsFor(table, *expired), 1);
+  EXPECT_EQ(table.invalid_transitions(), 0u);
+  EXPECT_EQ(sim.pending(), pending_before);
+
+  // Nothing reaches either client afterwards, past the probe period too.
+  const std::size_t expired_items = expired_client.items.size();
+  const std::size_t expired_errors = expired_client.errors.size();
+  world.RunFor(15min);
+  EXPECT_EQ(cancelled_client.items.size(), cancelled_items);
+  EXPECT_EQ(cancelled_client.errors.size(), cancelled_errors);
+  EXPECT_EQ(expired_client.items.size(), expired_items);
+  EXPECT_EQ(expired_client.errors.size(), expired_errors);
+  EXPECT_EQ(sim.pending(), pending_before);
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST_F(QueryTableTest, StaleIdMisses) {
   EXPECT_EQ(*a, 1u);  // sequential from 1; 0 is the invalid id
   EXPECT_EQ(*b, 2u);
 
-  table_.Finish("q-a");
+  table_.FinishById(*a);
   EXPECT_EQ(table_.FindById(*a), nullptr);
   EXPECT_EQ(table_.Find("q-a"), nullptr);
 
@@ -92,8 +92,9 @@ TEST_F(QueryTableTest, CompletionLogIsBounded) {
   table_.SetCompletionLogCapacity(8);
   for (int i = 0; i < 20; ++i) {
     const std::string id = "q-" + std::to_string(i);
-    ASSERT_TRUE(table_.Admit(MakeQuery(id), client_).ok());
-    table_.Finish(id);
+    const auto qid = table_.Admit(MakeQuery(id), client_);
+    ASSERT_TRUE(qid.ok());
+    table_.FinishById(*qid);
   }
   EXPECT_EQ(table_.completions().size(), 8u);
   EXPECT_EQ(table_.completions_dropped(), 12u);
@@ -121,9 +122,10 @@ TEST_F(QueryTableTest, InvalidTransitionIsRefusedAndCounted) {
 }
 
 TEST_F(QueryTableTest, FinishTwiceIsSingleCompletion) {
-  ASSERT_TRUE(table_.Admit(MakeQuery("q-once"), client_).ok());
-  table_.Finish("q-once");
-  table_.Finish("q-once");  // cancel racing an expiry: harmless no-op
+  const auto qid = table_.Admit(MakeQuery("q-once"), client_);
+  ASSERT_TRUE(qid.ok());
+  table_.FinishById(*qid);
+  table_.FinishById(*qid);  // cancel racing an expiry: harmless no-op
   EXPECT_EQ(table_.completions().size(), 1u);
   EXPECT_EQ(table_.total_completed(), 1u);
 }

@@ -99,11 +99,15 @@ TEST(RepositoryTest, ShrinkReducesCapacityAndContent) {
   EXPECT_EQ(repo.size(), 2u);  // stays capped
 }
 
-TEST(AggregatorTest, PassThroughDeduplicates) {
+TEST(AggregatorTest, DeduplicatesById) {
+  // The same item arriving over a second mechanism is absorbed, not
+  // fused in twice.
   sim::Simulation sim;
   CxtAggregator agg{sim};
   auto item = Item("same-id", "t", 1, sim.Now());
-  EXPECT_TRUE(agg.Process(item).has_value());
+  const auto fused = agg.Process(item);
+  ASSERT_TRUE(fused.has_value());
+  EXPECT_EQ(fused->source.address, "cxtAggregator");
   EXPECT_FALSE(agg.Process(item).has_value());
 }
 
@@ -123,9 +127,7 @@ TEST(AggregatorTest, DedupMemoryIsBounded) {
 
 TEST(AggregatorTest, FusionWeightsByAccuracy) {
   sim::Simulation sim;
-  AggregatorConfig cfg;
-  cfg.strategy = AggregationStrategy::kFuseNumeric;
-  CxtAggregator agg{sim, cfg};
+  CxtAggregator agg{sim};
 
   auto precise = Item("a", vocab::kTemperature, 10.0, sim.Now());
   precise.metadata.accuracy = 0.1;  // weight 10
@@ -144,7 +146,6 @@ TEST(AggregatorTest, FusionWeightsByAccuracy) {
 TEST(AggregatorTest, FusionWindowExpires) {
   sim::Simulation sim;
   AggregatorConfig cfg;
-  cfg.strategy = AggregationStrategy::kFuseNumeric;
   cfg.fusion_window = 5s;
   CxtAggregator agg{sim, cfg};
   (void)agg.Process(Item("a", "t", 100.0, sim.Now()));
@@ -157,9 +158,7 @@ TEST(AggregatorTest, FusionWindowExpires) {
 
 TEST(AggregatorTest, NonNumericPassesThroughFusion) {
   sim::Simulation sim;
-  AggregatorConfig cfg;
-  cfg.strategy = AggregationStrategy::kFuseNumeric;
-  CxtAggregator agg{sim, cfg};
+  CxtAggregator agg{sim};
   CxtItem item;
   item.id = "a";
   item.type = vocab::kActivity;
