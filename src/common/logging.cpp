@@ -1,7 +1,6 @@
 #include "common/logging.hpp"
 
 #include <cstdio>
-#include <mutex>
 
 namespace contory {
 namespace {
@@ -9,7 +8,6 @@ namespace {
 LogLevel g_level = LogLevel::kWarn;
 Log::Sink g_sink;
 std::function<SimTime()> g_time_source;
-std::mutex g_mutex;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -28,13 +26,9 @@ const char* LevelName(LogLevel level) {
 void Log::SetLevel(LogLevel level) noexcept { g_level = level; }
 LogLevel Log::level() noexcept { return g_level; }
 
-void Log::SetSink(Sink sink) {
-  const std::lock_guard lock{g_mutex};
-  g_sink = std::move(sink);
-}
+void Log::SetSink(Sink sink) { g_sink = std::move(sink); }
 
 void Log::SetTimeSource(std::function<SimTime()> now) {
-  const std::lock_guard lock{g_mutex};
   g_time_source = std::move(now);
 }
 
@@ -45,7 +39,6 @@ void Log::Emit(LogLevel level, const char* module, const char* fmt, ...) {
   std::vsnprintf(msg, sizeof msg, fmt, args);
   va_end(args);
 
-  const std::lock_guard lock{g_mutex};
   std::string line;
   if (g_time_source) {
     line += FormatTime(g_time_source());

@@ -11,6 +11,8 @@
 namespace contory::core {
 namespace {
 constexpr const char* kModule = "factory";
+/// Period of the control-policy evaluation loop.
+constexpr SimDuration kPolicyPeriod = std::chrono::seconds{5};
 
 DeviceServices Validated(DeviceServices services) {
   services.CheckRequired();
@@ -42,8 +44,7 @@ ContextFactory::ContextFactory(DeviceServices services,
       coordinator_(
           *services_.sim,
           FailoverConfig{config_.recovery_probe_period,
-                         config_.enable_degraded_mode,
-                         config_.degraded_poll_period},
+                         config_.enable_degraded_mode},
           table_, planner_, repository_, router_, internal_ref_, bt_ref_,
           FailoverCoordinator::Hooks{
               [this](QueryRecord& record, query::SourceSel kind) {
@@ -73,7 +74,7 @@ ContextFactory::ContextFactory(DeviceServices services,
   services_.phone->SetContoryRunning(true);
 
   policy_task_ = std::make_unique<sim::PeriodicTask>(
-      *services_.sim, config_.policy_period, [this] { policy_.Evaluate(); });
+      *services_.sim, kPolicyPeriod, [this] { policy_.Evaluate(); });
 }
 
 ContextFactory::~ContextFactory() {
@@ -148,17 +149,13 @@ void ContextFactory::BuildFacades() {
   for (const query::SourceSel kind :
        {query::SourceSel::kIntSensor, query::SourceSel::kExtInfra,
         query::SourceSel::kAdHocNetwork}) {
-    query::MergePolicy policy = config_.merge_policy;
-    if (!config_.enable_query_merging) {
-      policy.threshold = -1.0;  // nothing merges
-    }
     auto facade = std::make_unique<Facade>(
         *services_.sim, kind,
         [this, kind](QueryId first, query::CxtQuery q,
                      CxtProvider::Callbacks callbacks) {
           return MakeProvider(kind, first, std::move(q), std::move(callbacks));
         },
-        policy);
+        config_.enable_query_merging);
     facade->SetDelivery([this, kind](std::span<const QueryId> matched,
                                      const CxtItem& item) {
       router_.OnFacadeDelivery(matched, item, kind);
@@ -185,12 +182,17 @@ Result<std::string> ContextFactory::ProcessCxtQuery(query::CxtQuery query,
       admission_.Admit(query, client, policy_.active_actions(), &decision);
   if (!admitted.ok()) return admitted.status();
   const QueryId qid = *admitted;
+  QueryRecord* record = table_.FindById(qid);
+  if (record->query.duration.time.has_value()) {
+    record->expiry.emplace(
+        *services_.sim, record->submitted + *record->query.duration.time,
+        [this, qid] { Expire(qid); }, "query.expiry");
+  }
   if (decision.outcome == OverloadGovernor::Decision::Outcome::kDegrade) {
     // Stale-answer-first: the record is in the table but never plans or
     // activates; the degraded-mode machinery serves it.
     return DegradeAtAdmission(qid, decision);
   }
-  QueryRecord* record = table_.FindById(qid);
 
   // Stage 2: planning (FROM clause -> facade set + failover order).
   auto plan = planner_.Plan(record->query);
@@ -280,9 +282,10 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
   // Listed before Submit: a cancel from inside a synchronous first
   // delivery must reach this facade too.
   const bool newly_assigned = record.assigned.insert(kind).second;
-  // Providers arm their DURATION timer from "now", but the clause is
-  // anchored at submission — a failover re-assignment must hand the
-  // facade only the remaining window or the clock restarts.
+  // The record's expiry ends the query, but the wire query still carries
+  // DURATION to the context server, which counts it from "now": a
+  // failover re-assignment must hand the facade only the remaining
+  // window.
   query::CxtQuery to_submit = record.query;
   if (to_submit.duration.time.has_value()) {
     const SimDuration elapsed = services_.sim->Now() - record.submitted;
@@ -313,6 +316,23 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
     });
   }
   return s;
+}
+
+void ContextFactory::Expire(QueryId qid) {
+  QueryRecord* record = table_.FindById(qid);
+  if (record == nullptr) return;
+  if (record->assigned.empty()) {  // degraded: no facade serves it
+    table_.FinishById(qid);
+    return;
+  }
+  // Leave each facade as a finished provider would, so the provision
+  // spans close "ok"; the last one finishes the record. A snapshot,
+  // because OnFacadeFinished edits the set.
+  const std::set<query::SourceSel> kinds = record->assigned;
+  for (const query::SourceSel kind : kinds) {
+    facades_.at(kind)->Cancel(qid);
+    coordinator_.OnFacadeFinished(kind, qid, Status::Ok());
+  }
 }
 
 void ContextFactory::CancelCxtQuery(const std::string& query_id) {

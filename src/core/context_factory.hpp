@@ -48,12 +48,9 @@
 namespace contory::core {
 
 struct ContextFactoryConfig {
-  query::MergePolicy merge_policy;
   CxtRepositoryConfig repository;
   AccessControllerConfig access;
   ResourcesMonitorConfig resources;
-  /// Period of the control-policy evaluation loop.
-  SimDuration policy_period = std::chrono::seconds{5};
   /// Recovery-probe interval after a failover (Fig. 5: how soon the
   /// factory notices the GPS is back).
   SimDuration recovery_probe_period = std::chrono::seconds{30};
@@ -62,7 +59,8 @@ struct ContextFactoryConfig {
   /// On-demand SM-FINDER rounds lost to mobility are relaunched this many
   /// times before the query fails.
   int adhoc_finder_retries = 1;
-  /// Disables query merging entirely (ablation benches).
+  /// Disables query merging entirely (ablation benches); when on, queries
+  /// with the same SELECT share a provider (query::Mergeable).
   bool enable_query_merging = true;
   /// Retry/backoff policy providers apply to transient transport failures
   /// (coverage gaps, broker outages, radio flaps) before escalating to
@@ -72,9 +70,6 @@ struct ContextFactoryConfig {
   /// repository with explicit staleness metadata instead of erroring,
   /// probing for recovery in the background.
   bool enable_degraded_mode = true;
-  /// Delivery period while degraded; zero means the query's EVERY (or 5 s
-  /// when the query names none).
-  SimDuration degraded_poll_period = SimDuration::zero();
   /// Completion-log bound (0 = unbounded; lifecycle-audit tests opt in).
   std::size_t completion_log_capacity = 4096;
   /// Overload protection in front of admission: per-client token
@@ -193,6 +188,9 @@ class ContextFactory {
       CxtProvider::Callbacks callbacks);
 
   Status AssignToFacade(QueryRecord& record, query::SourceSel kind);
+  /// The query's DURATION is over: cancels it on its facades and
+  /// finishes it as a normal completion (queued items still arrive).
+  void Expire(QueryId qid);
 
   /// Stale-answer-first fast path for a shed-but-warm admission: hands
   /// the ADMITTED record to the degraded-mode machinery.

@@ -35,11 +35,11 @@ obs::Counter& MergedCounter(query::SourceSel kind) {
 }  // namespace
 
 Facade::Facade(sim::Simulation& sim, query::SourceSel kind,
-               ProviderFactory provider_factory, query::MergePolicy policy)
+               ProviderFactory provider_factory, bool merging)
     : sim_(sim),
       kind_(kind),
       provider_factory_(std::move(provider_factory)),
-      policy_(policy) {
+      merging_(merging) {
   if (!provider_factory_) {
     throw std::invalid_argument("Facade: null provider factory");
   }
@@ -80,19 +80,18 @@ Status Facade::Submit(QueryId qid, query::CxtQuery q) {
   if (const Status s = q.Validate(); !s.ok()) return s;
 
   // Query merging: only clusters under the same (select_type, mode) key
-  // can possibly accept the query; join the first compatible one. A
-  // negative threshold means nothing ever merges, so both the candidate
-  // scan and the index feeding it are skipped outright.
-  const bool merging = policy_.threshold >= 0.0;
+  // can possibly accept the query; join the first compatible one. With
+  // merging off, both the candidate scan and the index feeding it are
+  // skipped outright.
   const ClusterKey key = KeyFor(q);
-  if (merging) {
+  if (merging_) {
     const auto bucket_it = merge_index_.find(key);
     if (bucket_it != merge_index_.end()) {
       std::size_t examined = 0;
       for (Cluster* cluster : bucket_it->second) {
         if (cluster->dead) continue;
         if (++examined > kMaxMergeCandidates) break;
-        auto merged = query::Merge(cluster->merged, q, policy_);
+        auto merged = query::Merge(cluster->merged, q);
         if (!merged.ok()) continue;
         CLOG_DEBUG(kModule, "%s: merged %s into %s",
                    query::SourceSelName(kind_), q.id.c_str(),
@@ -134,7 +133,7 @@ Status Facade::Submit(QueryId qid, query::CxtQuery q) {
     ref.indexed = true;
     ++live_clusters_;
     ++live_originals_;
-    if (merging) {
+    if (merging_) {
       auto& bucket = merge_index_[key];
       ref.bucket_pos = bucket.size();
       bucket.push_back(&ref);
@@ -258,7 +257,7 @@ void Facade::Cancel(QueryId qid) {
     return;
   }
   // Re-merge the remaining originals so the provider narrows back.
-  auto merged = query::MergeAll(cluster->originals, policy_);
+  auto merged = query::MergeAll(cluster->originals);
   if (merged.ok()) {
     cluster->merged = *std::move(merged);
     cluster->provider->UpdateQuery(cluster->merged);
@@ -288,14 +287,6 @@ std::uint64_t Facade::retries_observed() const {
     }
   }
   return n;
-}
-
-std::vector<std::string> Facade::ActiveMergedIds() const {
-  std::vector<std::string> ids;
-  for (const auto& cluster : clusters_) {
-    if (!cluster->dead) ids.push_back(cluster->merged.id);
-  }
-  return ids;
 }
 
 }  // namespace contory::core

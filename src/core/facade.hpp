@@ -10,18 +10,23 @@
 // but each CxtProvider is assigned only to one (single or merged) query
 // at time."
 //
+// A cluster is shared transport, not a query: one provider, the merged
+// clauses, and the QueryIds of the originals it serves. Everything else
+// about a query, its DURATION clock included, lives in its QueryRecord,
+// so merging and cancelling peers never changes when an original ends.
+// The merged query keeps the first original's id.
+//
 // Cluster matching is indexed, not scanned: query merging structurally
-// requires equal SELECT type and interaction mode (query::QueryDistance
-// returns +inf otherwise), so clusters are bucketed by (select_type,
-// mode) — the source is this facade itself — and Submit only runs the
-// full Merge check inside the one bucket that could possibly accept the
-// query, examining at most kMaxMergeCandidates live clusters. Cancel
-// resolves the owning cluster through a map indexed by QueryId, and
-// cluster death swap-removes from the bucket at a recorded position.
-// The facade never sees query id strings as keys: originals are named
-// by the QueryId the table issued at admission. A negative
-// merge threshold (merging disabled) bypasses the index entirely, so
-// Submit and teardown stay O(1) however many clusters share a key.
+// requires equal SELECT type and interaction mode (query::Mergeable), so
+// clusters are bucketed by (select_type, mode) — the source is this
+// facade itself — and Submit only runs the full Merge check inside the
+// one bucket that could possibly accept the query, examining at most
+// kMaxMergeCandidates live clusters. Cancel resolves the owning cluster
+// through a map indexed by QueryId, and cluster death swap-removes from
+// the bucket at a recorded position. The facade never sees query id
+// strings as keys: originals are named by the QueryId the table issued
+// at admission. With merging disabled the index is bypassed entirely,
+// so Submit and teardown stay O(1) however many clusters share a key.
 #pragma once
 
 #include <functional>
@@ -52,8 +57,9 @@ class Facade {
   /// or a transport failure the factory should react to.
   using Finished = std::function<void(QueryId qid, const Status& status)>;
 
+  /// `merging` false gives every original its own provider (ablation).
   Facade(sim::Simulation& sim, query::SourceSel kind,
-         ProviderFactory provider_factory, query::MergePolicy policy = {});
+         ProviderFactory provider_factory, bool merging = true);
   ~Facade();
 
   Facade(const Facade&) = delete;
@@ -82,8 +88,6 @@ class Facade {
   [[nodiscard]] std::size_t active_original_count() const noexcept {
     return live_originals_;
   }
-  /// The merged query texts currently driving providers (diagnostics).
-  [[nodiscard]] std::vector<std::string> ActiveMergedIds() const;
   /// Total providers ever created (the merging ablation's key metric).
   [[nodiscard]] std::uint64_t providers_created() const noexcept {
     return providers_created_;
@@ -94,8 +98,8 @@ class Facade {
 
  private:
   /// Merge-compatibility bucket: SELECT type and interaction mode are
-  /// hard gates in query::QueryDistance, so only clusters under the same
-  /// key can ever accept the query.
+  /// hard gates in query::Mergeable, so only clusters under the same key
+  /// can ever accept the query.
   using ClusterKey = std::pair<std::string, int>;
 
   struct ClusterKeyHash {
@@ -124,7 +128,7 @@ class Facade {
   };
 
   /// Submit examines at most this many live clusters per bucket: past
-  /// that the distance checks themselves would dominate submission cost,
+  /// that the merge checks themselves would dominate submission cost,
   /// so the query gets a fresh provider instead of a deeper search.
   static constexpr std::size_t kMaxMergeCandidates = 64;
 
@@ -144,7 +148,7 @@ class Facade {
   sim::Simulation& sim_;
   query::SourceSel kind_;
   ProviderFactory provider_factory_;
-  query::MergePolicy policy_;
+  bool merging_;
   Delivery delivery_;
   Finished finished_;
   std::vector<std::unique_ptr<Cluster>> clusters_;

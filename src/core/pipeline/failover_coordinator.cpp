@@ -280,12 +280,9 @@ bool FailoverCoordinator::EnterDegradedMode(QueryRecord& record,
     table_.FinishById(qid);
     return true;
   }
-  SimDuration period = config_.degraded_poll_period;
-  if (period <= SimDuration::zero()) {
-    period = record.query.every.value_or(std::chrono::seconds{5});
-  }
   record.degraded_task = std::make_unique<sim::PeriodicTask>(
-      sim_, period, [this, qid] { DeliverDegraded(qid); });
+      sim_, record.query.every.value_or(std::chrono::seconds{5}),
+      [this, qid] { DeliverDegraded(qid); });
   // First stale answer now, not one period from now.
   DeliverDegraded(qid);
   // The client may have cancelled from inside that delivery.
@@ -302,12 +299,6 @@ void FailoverCoordinator::DeliverDegraded(QueryId qid) {
   if (record == nullptr) return;
   if (!record->degraded() || record->client == nullptr) {
     record->degraded_task.reset();
-    return;
-  }
-  // The DURATION clause keeps its meaning while degraded.
-  if (record->query.duration.time.has_value() &&
-      sim_.Now() >= record->submitted + *record->query.duration.time) {
-    table_.FinishById(qid);
     return;
   }
   auto item = repository_.Latest(record->query.select_type);

@@ -43,10 +43,8 @@ struct FailoverConfig {
   SimDuration recovery_probe_period = std::chrono::seconds{30};
   /// When failover has nowhere left to go, answer from the local
   /// repository with explicit staleness metadata instead of erroring.
+  /// Degraded delivery runs at the query's EVERY, or every 5 s.
   bool enable_degraded_mode = true;
-  /// Delivery period while degraded; zero means the query's EVERY (or
-  /// 5 s when the query names none).
-  SimDuration degraded_poll_period = SimDuration::zero();
 };
 
 class FailoverCoordinator {

@@ -4,10 +4,10 @@
 // updated list of all active queries". The table owns one record per
 // query, and the record is the only home of that query's state: its
 // lifecycle, plan, assigned facades, dedup window, tracer spans, fusion
-// window and failover timers (recovery probe, degraded task). Erasing
-// the record in FinishById tears all of it down, so finishing a query
-// needs no per-module teardown hook. Every pipeline stage reads and
-// writes the record through an explicit state machine:
+// window, DURATION expiry and failover timers (recovery probe, degraded
+// task). Erasing the record in FinishById tears all of it down, so
+// finishing a query needs no per-module teardown hook. Every pipeline
+// stage reads and writes the record through an explicit state machine:
 //
 //        Admit           Assign            mechanism fails
 //   ---> ADMITTED ------> ACTIVE <------------> FAILING_OVER
@@ -38,8 +38,8 @@
 //     resubmits under the same id string.
 // The terminal Completion log is bounded (oldest dropped, drops counted)
 // so a million finishes cannot grow memory without bound; tests that
-// audit full lifecycle history opt into the unbounded mode with
-// SetCompletionLogCapacity(0).
+// audit full lifecycle history construct the table with capacity 0
+// (unbounded).
 //
 // Threading contract: none. The simulation is single-threaded, and
 // every call happens on its thread.
@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -110,6 +111,10 @@ struct QueryRecord {
   std::vector<std::string> seen_order;
   std::size_t seen_oldest = 0;
 
+  /// The time DURATION's end, armed at admission for submitted +
+  /// DURATION and never moved: merging, failover and degraded mode all
+  /// leave it alone. Empty for sample-count DURATIONs.
+  std::optional<sim::Timer> expiry;
   /// Fusion window (EnableFusion); null delivers items unfused.
   std::unique_ptr<CxtAggregator> fusion;
   /// Failover timers: the switch-back (or degraded-recovery) probe and
@@ -218,10 +223,6 @@ class QueryTable {
     return completions_;
   }
   void ClearCompletions() { completions_.clear(); }
-  /// 0 = unbounded. Takes effect from the next Finish.
-  void SetCompletionLogCapacity(std::size_t capacity) {
-    completion_cap_ = capacity;
-  }
   /// Completions evicted from the bounded log (total_completed() still
   /// counts them).
   [[nodiscard]] std::uint64_t completions_dropped() const noexcept {
@@ -258,7 +259,7 @@ class QueryTable {
   std::uint64_t total_completed_ = 0;
   std::uint64_t invalid_transitions_ = 0;
   std::deque<Completion> completions_;
-  std::size_t completion_cap_;
+  const std::size_t completion_cap_;
   std::uint64_t completions_dropped_ = 0;
   obs::QueryTracer::EnergyProbe energy_probe_;
 };

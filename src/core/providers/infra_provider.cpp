@@ -15,7 +15,8 @@ InfraCxtProvider::InfraCxtProvider(sim::Simulation& sim,
     : CxtProvider(sim, std::move(query), std::move(callbacks)),
       cellular_(cellular),
       infra_address_(std::move(infra_address)),
-      topic_("cxt." + this->query().id) {}
+      query_id_(this->query().id),
+      topic_("cxt." + query_id_) {}
 
 InfraCxtProvider::~InfraCxtProvider() {
   *life_ = false;
@@ -31,7 +32,9 @@ std::vector<std::byte> InfraCxtProvider::BuildRequest(
     infra::ServerOp op) const {
   ByteWriter w;
   w.WriteU8(static_cast<std::uint8_t>(op));
-  const auto qbytes = query().Serialize();
+  query::CxtQuery wire = query();
+  wire.id = query_id_;
+  const auto qbytes = wire.Serialize();
   w.WriteU32(static_cast<std::uint32_t>(qbytes.size()));
   w.WriteRaw(qbytes);
   // Everything over the event-based platform travels notification-sized.
@@ -62,7 +65,7 @@ void InfraCxtProvider::DoStop() {
     registered_ = false;
     ByteWriter w;
     w.WriteU8(static_cast<std::uint8_t>(infra::ServerOp::kCancelQuery));
-    w.WriteString(query().id);
+    w.WriteString(query_id_);
     cellular_.SendRequest(infra_address_, std::move(w).Take(),
                           [](Result<std::vector<std::byte>>) {});
   }
@@ -130,7 +133,7 @@ void InfraCxtProvider::RegisterLongRunning() {
           return;
         }
         registered_ = true;
-        CLOG_DEBUG(kModule, "query %s registered at %s", query().id.c_str(),
+        CLOG_DEBUG(kModule, "query %s registered at %s", query_id_.c_str(),
                    infra_address_.c_str());
       },
       AttemptTimeout());

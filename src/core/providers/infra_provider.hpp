@@ -49,6 +49,10 @@ class InfraCxtProvider final : public CxtProvider {
 
   CellularReference& cellular_;
   std::string infra_address_;
+  /// The id the server knows this provider by, fixed at construction: a
+  /// re-merge may hand query() another original's id, but requests,
+  /// pushes ("cxt.<id>") and the cancel all stay under this one.
+  const std::string query_id_;
   std::string topic_;
   bool registered_ = false;
   std::shared_ptr<bool> life_ = std::make_shared<bool>(true);

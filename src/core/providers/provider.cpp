@@ -15,29 +15,18 @@ CxtProvider::CxtProvider(sim::Simulation& sim, query::CxtQuery query,
   }
 }
 
-CxtProvider::~CxtProvider() {
-  sim_.Cancel(duration_timer_);
-  sim_.Cancel(retry_timer_);
-}
+CxtProvider::~CxtProvider() { sim_.Cancel(retry_timer_); }
 
 void CxtProvider::Start() {
   if (running_) return;
   running_ = true;
   finished_ = false;
-  if (query_.duration.time.has_value()) {
-    duration_timer_ = sim_.ScheduleAfter(*query_.duration.time, [this] {
-      duration_timer_ = sim::kInvalidTimer;
-      FinishOnce(Status::Ok());
-    }, "provider.duration");
-  }
   DoStart();
 }
 
 void CxtProvider::Stop() {
   if (!running_) return;
   running_ = false;
-  sim_.Cancel(duration_timer_);
-  duration_timer_ = sim::kInvalidTimer;
   sim_.Cancel(retry_timer_);
   retry_timer_ = sim::kInvalidTimer;
   DoStop();
@@ -78,13 +67,6 @@ SimDuration CxtProvider::AttemptTimeout() const noexcept {
 
 void CxtProvider::UpdateQuery(query::CxtQuery query) {
   query_ = std::move(query);
-  if (running_ && query_.duration.time.has_value()) {
-    sim_.Cancel(duration_timer_);
-    duration_timer_ = sim_.ScheduleAfter(*query_.duration.time, [this] {
-      duration_timer_ = sim::kInvalidTimer;
-      FinishOnce(Status::Ok());
-    }, "provider.duration");
-  }
   if (running_) OnQueryUpdated();
 }
 

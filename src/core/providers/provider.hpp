@@ -6,9 +6,10 @@
 // event-based query, and periodic query."
 //
 // The base class owns the query-lifecycle machinery every concrete
-// provider shares: the DURATION timer (time- or sample-bounded), WHERE +
-// FRESHNESS filtering, the EVENT evaluation window, and delivery/
-// completion callbacks. Subclasses implement the transport: local
+// provider shares: the sample-count DURATION, WHERE + FRESHNESS
+// filtering, the EVENT evaluation window, and delivery/completion
+// callbacks. A time DURATION is not the provider's: each original query
+// expires on its own QueryRecord's clock and is cancelled on the facade. Subclasses implement the transport: local
 // sensors, the remote infrastructure, or the ad hoc network.
 #pragma once
 
@@ -32,8 +33,8 @@ class CxtProvider {
     /// A result matching the (merged) query. The Facade post-extracts per
     /// original query before clients see it.
     std::function<void(const CxtItem&)> deliver;
-    /// Query over: Ok = duration/samples complete; error = the transport
-    /// failed and the factory should reconfigure (Fig. 5).
+    /// Query over: Ok = on-demand round or samples complete; error = the
+    /// transport failed and the factory should reconfigure (Fig. 5).
     std::function<void(Status)> finished;
   };
 
@@ -49,15 +50,15 @@ class CxtProvider {
   /// Human-readable transport detail ("BT one-hop", "WiFi SM", ...).
   [[nodiscard]] virtual const char* transport() const noexcept = 0;
 
-  /// Begins provisioning: arms the DURATION timer then calls DoStart().
+  /// Begins provisioning: calls DoStart().
   void Start();
   /// Cancels provisioning silently (no finished callback).
   void Stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
 
   /// Applies a merged/updated query ("each CxtProvider is assigned only
-  /// to one (single or merged) query at time"). Re-arms the duration
-  /// timer and informs the subclass (rate changes etc.).
+  /// to one (single or merged) query at time") and informs the subclass
+  /// (rate changes etc.).
   void UpdateQuery(query::CxtQuery query);
 
   /// Arms the transient-failure retry policy: transports that report a
@@ -144,7 +145,6 @@ class CxtProvider {
   Callbacks callbacks_;
   bool running_ = false;
   bool finished_ = false;
-  sim::TimerId duration_timer_ = sim::kInvalidTimer;
   sim::TimerId retry_timer_ = sim::kInvalidTimer;
   std::optional<RetryState> retry_state_;
   std::uint64_t retries_ = 0;

@@ -1,15 +1,11 @@
 #include "core/query/merge.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "core/query/predicate.hpp"
 
 namespace contory::query {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Are the FROM clauses compatible for merging? Destinations (region/
 /// entity) must match exactly; source kinds must overlap structurally.
@@ -28,60 +24,21 @@ bool FromCompatible(const FromClause& a, const FromClause& b) {
   return true;
 }
 
-double ScopeDelta(const FromClause& a, const FromClause& b) {
-  double delta = 0.0;
-  const std::size_t n = std::min(a.sources.size(), b.sources.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& sa = a.sources[i].scope;
-    const auto& sb = b.sources[i].scope;
-    if (!sa.has_value() || !sb.has_value()) continue;
-    delta += std::abs(sa->num_hops - sb->num_hops);
-    const int na = sa->all_nodes() ? 1'000 : sa->num_nodes;
-    const int nb = sb->all_nodes() ? 1'000 : sb->num_nodes;
-    delta += std::abs(na - nb) / 100.0;
-  }
-  return delta;
-}
-
-double RatioDelta(std::optional<SimDuration> a, std::optional<SimDuration> b) {
-  if (!a.has_value() && !b.has_value()) return 0.0;
-  if (!a.has_value() || !b.has_value()) return 1.0;
-  const double x = static_cast<double>(a->count());
-  const double y = static_cast<double>(b->count());
-  if (x == 0.0 || y == 0.0) return 1.0;
-  return std::abs(x - y) / std::max(x, y);
-}
-
 }  // namespace
 
-double QueryDistance(const CxtQuery& a, const CxtQuery& b,
-                     const MergePolicy& policy) {
-  // Structural gates: beyond these, queries never merge.
-  if (a.select_type != b.select_type) return kInf;
-  if (a.event != b.event) return kInf;  // different EVENT conditions
+bool Mergeable(const CxtQuery& a, const CxtQuery& b) {
   // On-demand merges with on-demand, periodic with periodic; an
-  // event-based query only merges with an identical-EVENT one (above).
-  if (a.mode() != b.mode()) return kInf;
-  if (!FromCompatible(a.from, b.from)) return kInf;
-
-  return policy.w_freshness * RatioDelta(a.freshness, b.freshness) +
-         policy.w_every * RatioDelta(a.every, b.every) +
-         policy.w_scope * ScopeDelta(a.from, b.from);
+  // event-based query only merges with an identical-EVENT one.
+  return a.select_type == b.select_type && a.event == b.event &&
+         a.mode() == b.mode() && FromCompatible(a.from, b.from);
 }
 
-bool Mergeable(const CxtQuery& a, const CxtQuery& b,
-               const MergePolicy& policy) {
-  return QueryDistance(a, b, policy) <= policy.threshold;
-}
-
-Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b,
-                       const MergePolicy& policy) {
-  if (!Mergeable(a, b, policy)) {
+Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b) {
+  if (!Mergeable(a, b)) {
     return FailedPrecondition("queries '" + a.id + "' and '" + b.id +
                               "' are not in the same cluster");
   }
-  CxtQuery m = a;
-  m.id = a.id + "+" + b.id;
+  CxtQuery m = a;  // keeps a's id
 
   // FROM: widest scope per source.
   for (std::size_t i = 0; i < m.from.sources.size(); ++i) {
@@ -146,29 +103,11 @@ bool PostExtract(const CxtQuery& q, const CxtItem& item, SimTime now) {
   return true;
 }
 
-std::vector<std::vector<std::size_t>> ClusterQueries(
-    std::span<const CxtQuery> queries, const MergePolicy& policy) {
-  std::vector<std::vector<std::size_t>> clusters;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    bool placed = false;
-    for (auto& cluster : clusters) {
-      if (Mergeable(queries[cluster.front()], queries[i], policy)) {
-        cluster.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) clusters.push_back({i});
-  }
-  return clusters;
-}
-
-Result<CxtQuery> MergeAll(std::span<const CxtQuery> queries,
-                          const MergePolicy& policy) {
+Result<CxtQuery> MergeAll(std::span<const CxtQuery> queries) {
   if (queries.empty()) return InvalidArgument("no queries to merge");
   CxtQuery acc = queries.front();
   for (std::size_t i = 1; i < queries.size(); ++i) {
-    auto merged = Merge(acc, queries[i], policy);
+    auto merged = Merge(acc, queries[i]);
     if (!merged.ok()) return merged.status();
     acc = *std::move(merged);
   }

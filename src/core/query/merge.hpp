@@ -9,20 +9,22 @@
 // are put in the same cluster. In our design, for simplicity, we put in
 // the same cluster queries with the same SELECT clause."
 //
+// The clustering rule here is that simplification, made structural:
+// queries share a cluster when they could share one provider (Mergeable).
+//
 // The merged query must *subsume* both inputs so that post-extraction can
 // recover each original's results:
-//   FROM      -> widest scope (all > k nodes; max hops; union of sources)
+//   FROM      -> widest ad hoc scope (all > k nodes; max hops)
 //   WHERE     -> kept only when identical, else dropped (post-extraction
 //                re-applies each original's WHERE)
 //   FRESHNESS -> loosest (max)
-//   DURATION  -> longest (max)
+//   DURATION  -> longest (max); only the wire query reads it, since each
+//                original's clock lives in its QueryRecord
 //   EVERY     -> fastest rate (min), per the paper's example
 //   EVENT     -> queries with different EVENT clauses do not merge
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/time.hpp"
@@ -31,48 +33,20 @@
 
 namespace contory::query {
 
-/// Tuning of the clustering distance. The default reproduces the paper's
-/// simplification: same SELECT => distance 0 (always below threshold).
-struct MergePolicy {
-  /// Queries at distance <= threshold merge.
-  double threshold = 1.0;
-  /// Weight of the freshness difference (normalized ratio).
-  double w_freshness = 0.0;
-  /// Weight of the EVERY-rate difference (normalized ratio).
-  double w_every = 0.0;
-  /// Weight of the FROM-scope difference (hops/nodes deltas).
-  double w_scope = 0.0;
-};
+/// True when the two queries land in the same cluster: same SELECT, same
+/// interaction mode, same EVENT, and the same FROM sources up to ad hoc
+/// scope (which merging widens).
+[[nodiscard]] bool Mergeable(const CxtQuery& a, const CxtQuery& b);
 
-/// Distance between two queries. +infinity when they are structurally
-/// unmergeable (different SELECT, incompatible modes, different EVENT or
-/// destinations). Otherwise a weighted sum of clause differences per
-/// `policy` (0.0 under the default paper policy).
-[[nodiscard]] double QueryDistance(const CxtQuery& a, const CxtQuery& b,
-                                   const MergePolicy& policy = {});
-
-/// True when the two queries would land in the same cluster.
-[[nodiscard]] bool Mergeable(const CxtQuery& a, const CxtQuery& b,
-                             const MergePolicy& policy = {});
-
-/// q3 = merge(q1, q2). Fails when !Mergeable. The result keeps q1's id
-/// with a "+<q2 id>" suffix so logs show the lineage.
-[[nodiscard]] Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b,
-                                     const MergePolicy& policy = {});
+/// q3 = merge(q1, q2). Fails when !Mergeable. The result keeps q1's id.
+[[nodiscard]] Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b);
 
 /// Post-extraction: does `item`, produced by a merged query, match the
 /// *original* query `q` (WHERE + FRESHNESS at time `now`)?
 [[nodiscard]] bool PostExtract(const CxtQuery& q, const CxtItem& item,
                                SimTime now);
 
-/// Greedy clustering of the index set {0..queries.size()-1}: each query
-/// joins the first cluster whose representative is within threshold.
-/// Deterministic given input order.
-[[nodiscard]] std::vector<std::vector<std::size_t>> ClusterQueries(
-    std::span<const CxtQuery> queries, const MergePolicy& policy = {});
-
-/// Merges a whole cluster into one query (left fold).
-[[nodiscard]] Result<CxtQuery> MergeAll(std::span<const CxtQuery> queries,
-                                        const MergePolicy& policy = {});
+/// Merges a whole cluster into one query (left fold; keeps the first id).
+[[nodiscard]] Result<CxtQuery> MergeAll(std::span<const CxtQuery> queries);
 
 }  // namespace contory::query

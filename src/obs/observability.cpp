@@ -2,7 +2,7 @@
 
 namespace contory::obs {
 
-std::atomic<bool> Observability::enabled_{true};
+bool Observability::enabled_ = true;
 
 MetricsRegistry& Observability::metrics() {
   static MetricsRegistry registry;

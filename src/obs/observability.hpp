@@ -18,8 +18,6 @@
 // through every constructor. Tests call ResetForTest() in SetUp.
 #pragma once
 
-#include <atomic>
-
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/tracer.hpp"
@@ -28,12 +26,8 @@ namespace contory::obs {
 
 class Observability {
  public:
-  static void Enable(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] static bool Enabled() noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  static void Enable(bool on) noexcept { enabled_ = on; }
+  [[nodiscard]] static bool Enabled() noexcept { return enabled_; }
 
   /// The process-wide registry/tracer/recorder. Construction is lazy;
   /// references stay valid for the process lifetime.
@@ -47,7 +41,7 @@ class Observability {
   static void ResetForTest();
 
  private:
-  static std::atomic<bool> enabled_;
+  static bool enabled_;
 };
 
 }  // namespace contory::obs

@@ -118,4 +118,16 @@ void PeriodicTask::Arm(SimDuration delay) {
   });
 }
 
+Timer::Timer(Simulation& sim, SimTime at, std::function<void()> on_fire,
+             std::string label)
+    : sim_(sim), on_fire_(std::move(on_fire)) {
+  if (!on_fire_) throw std::invalid_argument("Timer: null callback");
+  pending_ = sim_.ScheduleAt(at, [this] {
+    pending_ = kInvalidTimer;
+    // Run a moved-out copy: the callback may destroy this Timer.
+    const auto fire = std::move(on_fire_);
+    fire();
+  }, std::move(label));
+}
+
 }  // namespace contory::sim

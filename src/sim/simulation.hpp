@@ -142,4 +142,23 @@ class PeriodicTask {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
+/// A one-shot timer with RAII cancellation: destroying it before it
+/// fires cancels the event. Pinned in place (the pending event points
+/// at it); hold it in a std::optional to arm it later. The callback may
+/// destroy the Timer.
+class Timer {
+ public:
+  Timer(Simulation& sim, SimTime at, std::function<void()> on_fire,
+        std::string label = {});
+  ~Timer() { sim_.Cancel(pending_); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+ private:
+  Simulation& sim_;
+  std::function<void()> on_fire_;
+  TimerId pending_ = kInvalidTimer;
+};
+
 }  // namespace contory::sim

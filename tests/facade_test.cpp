@@ -215,15 +215,13 @@ TEST(FacadeTest, ProvidersCreatedCounterTracksMergeSavings) {
 
 TEST(FacadeTest, MergingDisabledByPolicy) {
   FacadeHarness h;
-  query::MergePolicy no_merge;
-  no_merge.threshold = -1.0;
   auto facade = std::make_unique<Facade>(
       h.sim, query::SourceSel::kAdHocNetwork,
       [&h](QueryId, query::CxtQuery q, CxtProvider::Callbacks callbacks) {
         return std::make_unique<ScriptedProvider>(
             h.sim, std::move(q), std::move(callbacks), h.providers);
       },
-      no_merge);
+      /*merging=*/false);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(facade
                     ->Submit(static_cast<QueryId>(i + 1),

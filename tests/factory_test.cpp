@@ -1,6 +1,7 @@
 // Integration tests for the ContextFactory: the paper's public interface,
-// transparent mechanism selection, publishing, remote storage, and
-// control-policy enforcement.
+// transparent mechanism selection, publishing, remote storage,
+// control-policy enforcement, and per-query DURATION under merging,
+// cancellation and degraded mode.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -328,6 +329,143 @@ TEST(FactoryTest, RepositoryStoresEachProviderItemOnce) {
   EXPECT_EQ(ids.size(), recent.size()) << "duplicate item ids stored";
   EXPECT_EQ(recent.size(), rounds);
   EXPECT_EQ(repository.size(), rounds);  // the reduceMemory gauge
+}
+
+// --- DURATION is anchored at submission, per original ----------------------
+
+/// When `id` reached DONE, relative to the epoch; -1 s if it has not.
+SimDuration FinishedAt(const QueryTable& table, const std::string& id) {
+  for (const QueryTable::Completion& c : table.completions()) {
+    if (c.id == id) return c.at - kSimEpoch;
+  }
+  return -1s;
+}
+
+TEST(FactoryTest, MergedQueryEndsAtItsOwnDuration) {
+  // A 10-min query merged with a peer at minute 5 reaches DONE at minute
+  // 10 and hears nothing after it; the peer keeps the shared provider
+  // until its own minute 15.
+  testbed::World world{115};
+  testbed::DeviceOptions opts;
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  ContextFactory& factory = device.contory();
+  const char* text =
+      "SELECT temperature FROM intSensor DURATION 10 min EVERY 10 sec";
+  CollectingClient first_client, peer_client;
+  const auto first =
+      factory.ProcessCxtQuery(NewQuery(world.sim(), text), first_client);
+  ASSERT_TRUE(first.ok());
+  world.RunFor(5min);
+  const auto peer =
+      factory.ProcessCxtQuery(NewQuery(world.sim(), text), peer_client);
+  ASSERT_TRUE(peer.ok());
+  ASSERT_EQ(factory.active_provider_count(), 1u);  // merged
+
+  world.RunFor(5min + 1s);
+  EXPECT_EQ(FinishedAt(factory.queries(), *first), SimDuration{10min});
+  EXPECT_EQ(first_client.items.size(), 60u);  // t = 0, 10, ..., 590 s
+  EXPECT_NE(factory.queries().Find(*peer), nullptr);
+  EXPECT_EQ(factory.active_provider_count(), 1u);
+
+  world.RunFor(10min);
+  EXPECT_EQ(first_client.items.size(), 60u);
+  EXPECT_EQ(FinishedAt(factory.queries(), *peer), SimDuration{15min});
+  EXPECT_EQ(factory.active_provider_count(), 0u);
+  EXPECT_EQ(factory.queries().invalid_transitions(), 0u);
+}
+
+TEST(FactoryTest, PeerCancelKeepsSurvivorDuration) {
+  // Cancelling a peer at minute 50 re-merges the cluster; the 1-h
+  // survivor still finishes at minute 60.
+  testbed::World world{116};
+  testbed::DeviceOptions opts;
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  ContextFactory& factory = device.contory();
+  CollectingClient survivor_client, peer_client;
+  const auto survivor = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor DURATION 1 hour "
+               "EVERY 30 sec"),
+      survivor_client);
+  ASSERT_TRUE(survivor.ok());
+  world.RunFor(1min);
+  const auto peer = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor DURATION 2 hour "
+               "EVERY 10 sec"),
+      peer_client);
+  ASSERT_TRUE(peer.ok());
+  ASSERT_EQ(factory.active_provider_count(), 1u);  // merged
+  world.RunFor(49min);
+  factory.CancelCxtQuery(*peer);
+
+  world.RunFor(1h);
+  EXPECT_EQ(FinishedAt(factory.queries(), *survivor), SimDuration{60min});
+  EXPECT_EQ(factory.queries().active_count(), 0u);
+  EXPECT_EQ(factory.active_provider_count(), 0u);
+}
+
+TEST(FactoryTest, DegradedQueryFinishesAtItsDeadline) {
+  // The only sensor fails with the repository warm: the query is served
+  // stale every 7 s and still ends at its 2-min deadline, not at the
+  // first degraded poll after it.
+  testbed::World world{117};
+  testbed::DeviceOptions opts;
+  opts.name = "phone-A";
+  opts.with_bt = false;
+  opts.with_wifi = false;
+  opts.with_cellular = false;
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  ContextFactory& factory = device.contory();
+  CollectingClient client;
+  const auto id = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM intSensor DURATION 2 min "
+               "EVERY 7 sec"),
+      client);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(world.injector()
+                  .ExecuteText("at=30s sensor.fail temperature@phone-A\n")
+                  .ok());
+  world.RunFor(1min);
+  ASSERT_TRUE(factory.IsDegraded(*id));
+
+  world.RunFor(2min);
+  EXPECT_EQ(FinishedAt(factory.queries(), *id), SimDuration{2min});
+  ASSERT_FALSE(factory.queries().completions().empty());
+  EXPECT_EQ(factory.queries().completions().back().from,
+            QueryState::kDegraded);
+}
+
+TEST(FactoryTest, MergedInfraQueriesLeaveNoServerRegistration) {
+  // Two merged extInfra queries register once at the server under the
+  // first one's id; cancelling both, first one first, must cancel that
+  // registration.
+  testbed::World world{118};
+  testbed::DeviceOptions opts;
+  opts.infra_address = "infra.fi";
+  auto& device = world.AddDevice(opts);
+  infra::ContextServer& server = world.AddContextServer("infra.fi");
+  ContextFactory& factory = device.contory();
+  const char* text =
+      "SELECT temperature FROM extInfra DURATION 1 hour EVERY 10 sec";
+  CollectingClient client;
+  const auto a = factory.ProcessCxtQuery(NewQuery(world.sim(), text), client);
+  const auto b = factory.ProcessCxtQuery(NewQuery(world.sim(), text), client);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(factory.active_provider_count(), 1u);  // merged
+  world.RunFor(30s);
+  ASSERT_EQ(server.active_query_count(), 1u);
+
+  factory.CancelCxtQuery(*a);
+  world.RunFor(10s);
+  EXPECT_EQ(server.active_query_count(), 1u);  // b still served
+  factory.CancelCxtQuery(*b);
+  world.RunFor(10s);
+  EXPECT_EQ(server.active_query_count(), 0u);
 }
 
 }  // namespace

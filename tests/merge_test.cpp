@@ -1,4 +1,5 @@
-// Unit tests for query aggregation: clustering, merging, post-extraction.
+// Unit tests for query aggregation: the cluster rule, merging,
+// post-extraction.
 #include <gtest/gtest.h>
 
 #include "core/model/vocabulary.hpp"
@@ -36,14 +37,12 @@ TEST(MergeTest, PaperExampleMergesExactly) {
   EXPECT_EQ(q3->freshness, SimDuration{20s});          // max
   EXPECT_EQ(q3->duration.time, SimDuration{2h});       // max
   EXPECT_EQ(q3->every, SimDuration{15s});              // min
-  EXPECT_EQ(q3->id, "q1+q2");
+  EXPECT_EQ(q3->id, "q1");  // the first original's id
 }
 
 TEST(MergeTest, DifferentSelectNeverMerges) {
   const CxtQuery a = Q("SELECT temperature DURATION 1hour", "a");
   const CxtQuery b = Q("SELECT wind DURATION 1hour", "b");
-  EXPECT_EQ(QueryDistance(a, b),
-            std::numeric_limits<double>::infinity());
   EXPECT_FALSE(Mergeable(a, b));
   EXPECT_FALSE(Merge(a, b).ok());
 }
@@ -127,14 +126,26 @@ TEST(MergeTest, DifferentRegionsDoNotMerge) {
   EXPECT_FALSE(Mergeable(a, b));
 }
 
-TEST(MergeTest, StricterPolicyStopsDistantQueries) {
-  MergePolicy strict;
-  strict.threshold = 0.1;
-  strict.w_every = 1.0;
-  const CxtQuery a = Q("SELECT t DURATION 1hour EVERY 1sec", "a");
-  const CxtQuery b = Q("SELECT t DURATION 1hour EVERY 60sec", "b");
-  EXPECT_TRUE(Mergeable(a, b));  // default paper policy: same SELECT
-  EXPECT_FALSE(Mergeable(a, b, strict));
+TEST(MergeTest, DistantClausesStillMerge) {
+  // "we put in the same cluster queries with the same SELECT clause":
+  // no clause distance keeps two compatible queries apart.
+  const CxtQuery a = Q(
+      "SELECT t FROM adHocNetwork(1,1) FRESHNESS 1sec DURATION 1min "
+      "EVERY 1sec",
+      "a");
+  const CxtQuery b = Q(
+      "SELECT t FROM adHocNetwork(all,5) DURATION 9hour EVERY 60sec", "b");
+  EXPECT_TRUE(Mergeable(a, b));
+  EXPECT_TRUE(Mergeable(b, a));
+}
+
+TEST(MergeTest, DifferentSourcesDoNotMerge) {
+  const CxtQuery local = Q("SELECT t FROM intSensor DURATION 1hour", "a");
+  const CxtQuery adhoc =
+      Q("SELECT t FROM adHocNetwork(all,1) DURATION 1hour", "b");
+  const CxtQuery any = Q("SELECT t DURATION 1hour", "c");
+  EXPECT_FALSE(Mergeable(local, adhoc));
+  EXPECT_FALSE(Mergeable(local, any));
 }
 
 TEST(PostExtractTest, AppliesOriginalWhere) {
@@ -173,21 +184,6 @@ TEST(PostExtractTest, RejectsWrongTypeAndExpired) {
   EXPECT_FALSE(PostExtract(q, expired, kSimEpoch + 2s));
 }
 
-TEST(ClusterTest, GroupsBySelectUnderDefaultPolicy) {
-  const std::vector<CxtQuery> queries = {
-      Q("SELECT temperature DURATION 1hour EVERY 10sec", "a"),
-      Q("SELECT wind DURATION 1hour", "b"),
-      Q("SELECT temperature DURATION 2hour EVERY 30sec", "c"),
-      Q("SELECT wind DURATION 2hour", "d"),
-      Q("SELECT location DURATION 1hour", "e"),
-  };
-  const auto clusters = ClusterQueries(queries);
-  ASSERT_EQ(clusters.size(), 3u);
-  EXPECT_EQ(clusters[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(clusters[1], (std::vector<std::size_t>{1, 3}));
-  EXPECT_EQ(clusters[2], (std::vector<std::size_t>{4}));
-}
-
 TEST(ClusterTest, MergeAllFoldsCluster) {
   const std::vector<CxtQuery> queries = {
       Q("SELECT t FRESHNESS 10sec DURATION 1hour EVERY 15sec", "a"),
@@ -199,6 +195,7 @@ TEST(ClusterTest, MergeAllFoldsCluster) {
   EXPECT_EQ(merged->freshness, SimDuration{20s});
   EXPECT_EQ(merged->duration.time, SimDuration{3h});
   EXPECT_EQ(merged->every, SimDuration{15s});
+  EXPECT_EQ(merged->id, "a");
 }
 
 TEST(ClusterTest, MergeAllEmptyFails) {

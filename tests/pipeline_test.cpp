@@ -89,22 +89,22 @@ TEST_F(QueryTableTest, StaleIdMisses) {
 }
 
 TEST_F(QueryTableTest, CompletionLogIsBounded) {
-  table_.SetCompletionLogCapacity(8);
+  core::QueryTable table(sim_, /*completion_log_capacity=*/8);
   for (int i = 0; i < 20; ++i) {
     const std::string id = "q-" + std::to_string(i);
-    const auto qid = table_.Admit(MakeQuery(id), client_);
+    const auto qid = table.Admit(MakeQuery(id), client_);
     ASSERT_TRUE(qid.ok());
-    table_.FinishById(*qid);
+    table.FinishById(*qid);
   }
-  EXPECT_EQ(table_.completions().size(), 8u);
-  EXPECT_EQ(table_.completions_dropped(), 12u);
-  EXPECT_EQ(table_.total_completed(), 20u);
-  EXPECT_EQ(table_.total_admitted(), 20u);
-  EXPECT_EQ(table_.active_count(), 0u);
-  EXPECT_TRUE(table_.ActiveIds().empty());
+  EXPECT_EQ(table.completions().size(), 8u);
+  EXPECT_EQ(table.completions_dropped(), 12u);
+  EXPECT_EQ(table.total_completed(), 20u);
+  EXPECT_EQ(table.total_admitted(), 20u);
+  EXPECT_EQ(table.active_count(), 0u);
+  EXPECT_TRUE(table.ActiveIds().empty());
   // The bounded log keeps the newest completions.
-  EXPECT_EQ(table_.completions().front().id, "q-12");
-  EXPECT_EQ(table_.completions().back().id, "q-19");
+  EXPECT_EQ(table.completions().front().id, "q-12");
+  EXPECT_EQ(table.completions().back().id, "q-19");
 }
 
 TEST_F(QueryTableTest, InvalidTransitionIsRefusedAndCounted) {

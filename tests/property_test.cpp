@@ -1,7 +1,10 @@
 // Property-style parameterized sweeps over the core invariants:
-// serialization round-trips, parser idempotence, merge subsumption,
-// predicate algebra, simulation determinism, and energy-ledger math.
+// serialization round-trips, parser idempotence, merge subsumption (pairs
+// and seeded cancel re-merges on a Facade), predicate algebra, simulation determinism, and energy-ledger math.
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <map>
 
 #include "core/contory.hpp"
 #include "energy/energy_model.hpp"
@@ -223,6 +226,122 @@ INSTANTIATE_TEST_SUITE_P(
                   "EVENT AVG(t)>25",
                   "SELECT t FRESHNESS 50sec DURATION 4hour "
                   "EVENT AVG(t)>25"}));
+
+// --- Cancel re-merge keeps subsumption ---------------------------------------
+// Seeded submit/cancel sequences on one Facade: after every step, the one
+// provider's query must subsume every original still in the cluster.
+
+/// Transportless provider; the test only reads its (merged) query.
+class ClusterProbeProvider final : public core::CxtProvider {
+ public:
+  ClusterProbeProvider(sim::Simulation& sim, query::CxtQuery q,
+                       Callbacks callbacks,
+                       std::vector<ClusterProbeProvider*>& live)
+      : core::CxtProvider(sim, std::move(q), std::move(callbacks)),
+        live_(live) {
+    live_.push_back(this);
+  }
+  ~ClusterProbeProvider() override { std::erase(live_, this); }
+
+  query::SourceSel kind() const noexcept override {
+    return query::SourceSel::kAdHocNetwork;
+  }
+  const char* transport() const noexcept override { return "probe"; }
+
+ protected:
+  void DoStart() override {}
+  void DoStop() override {}
+
+ private:
+  std::vector<ClusterProbeProvider*>& live_;
+};
+
+/// One mergeable query with seeded scope, WHERE, FRESHNESS and EVERY.
+query::CxtQuery GenerateClusterQuery(Rng& rng, const std::string& id) {
+  const std::int64_t nodes = rng.UniformInt(0, 10);
+  std::string text = "SELECT temperature FROM adHocNetwork(" +
+                     (nodes == 0 ? std::string("all")
+                                 : std::to_string(nodes)) +
+                     "," + std::to_string(rng.UniformInt(1, 4)) + ")";
+  switch (rng.UniformInt(0, 2)) {
+    case 0: text += " WHERE accuracy<=0.2"; break;
+    case 1: text += " WHERE accuracy<=0.5"; break;
+    default: break;
+  }
+  if (rng.Bernoulli(0.7)) {
+    text += " FRESHNESS " + std::to_string(rng.UniformInt(1, 60)) + " sec";
+  }
+  text += " DURATION 1 hour EVERY " + std::to_string(rng.UniformInt(1, 60)) +
+          " sec";
+  auto q = query::ParseQuery(text);
+  EXPECT_TRUE(q.ok()) << text;
+  q->id = id;
+  return *std::move(q);
+}
+
+void ExpectSubsumes(const query::CxtQuery& m, const query::CxtQuery& q) {
+  const auto& merged_scope = m.from.sources[0].scope;
+  const auto& scope = q.from.sources[0].scope;
+  ASSERT_TRUE(merged_scope.has_value() && scope.has_value());
+  EXPECT_GE(merged_scope->num_hops, scope->num_hops) << q.id;
+  if (!merged_scope->all_nodes()) {
+    EXPECT_FALSE(scope->all_nodes()) << q.id;
+    EXPECT_GE(merged_scope->num_nodes, scope->num_nodes) << q.id;
+  }
+  if (m.freshness.has_value()) {
+    ASSERT_TRUE(q.freshness.has_value()) << q.id;
+    EXPECT_GE(*m.freshness, *q.freshness) << q.id;
+  }
+  ASSERT_TRUE(m.every.has_value() && q.every.has_value());
+  EXPECT_LE(*m.every, *q.every) << q.id;
+  if (m.where.has_value()) EXPECT_EQ(m.where, q.where) << q.id;
+}
+
+class CancelRemergeTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CancelRemergeTest, ProviderSubsumesEveryRemainingOriginal) {
+  sim::Simulation sim{GetParam()};
+  Rng rng{GetParam()};
+  std::vector<ClusterProbeProvider*> providers;
+  core::Facade facade(
+      sim, query::SourceSel::kAdHocNetwork,
+      [&](core::QueryId, query::CxtQuery q,
+          core::CxtProvider::Callbacks callbacks) {
+        return std::make_unique<ClusterProbeProvider>(
+            sim, std::move(q), std::move(callbacks), providers);
+      });
+  std::map<core::QueryId, query::CxtQuery> live;
+  core::QueryId next = 1;
+  for (int step = 0; step < 200; ++step) {
+    if (live.empty() || (live.size() < 12 && rng.Bernoulli(0.55))) {
+      query::CxtQuery q =
+          GenerateClusterQuery(rng, "q" + std::to_string(next));
+      ASSERT_TRUE(facade.Submit(next, q).ok());
+      live.emplace(next++, std::move(q));
+    } else {
+      auto victim = live.begin();
+      std::advance(victim, rng.UniformInt(
+                               0, static_cast<std::int64_t>(live.size()) - 1));
+      facade.Cancel(victim->first);
+      live.erase(victim);
+    }
+    sim.RunUntil(sim.Now());  // reap a stopped provider
+    ASSERT_EQ(facade.active_original_count(), live.size());
+    if (live.empty()) {
+      EXPECT_TRUE(providers.empty()) << "step " << step;
+      continue;
+    }
+    ASSERT_EQ(providers.size(), 1u) << "step " << step;
+    const query::CxtQuery& merged = providers.front()->query();
+    for (const auto& [qid, original] : live) {
+      ExpectSubsumes(merged, original);
+    }
+    if (HasFailure()) FAIL() << "seed " << GetParam() << " step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CancelRemergeTest,
+                         ::testing::Values(1u, 7u, 42u, 1234u, 99991u));
 
 // --- Predicate algebra -------------------------------------------------------
 

@@ -1,5 +1,5 @@
-// Unit tests for the CxtProvider base machinery (duration, filtering,
-// event windowing, sample counting) via a scripted fake provider, plus
+// Unit tests for the CxtProvider base machinery (filtering, event
+// windowing, sample counting) via a scripted fake provider, plus
 // LocalCxtProvider against the testbed.
 #include <gtest/gtest.h>
 
@@ -109,14 +109,16 @@ TEST(ProviderBaseTest, AppliesFreshness) {
   EXPECT_EQ(h.delivered.size(), 1u);
 }
 
-TEST(ProviderBaseTest, DurationTimeCompletes) {
+TEST(ProviderBaseTest, TimeDurationIsLeftToTheQueryRecord) {
+  // A provider serves a cluster, not a query: each original expires on
+  // its own record's clock, so the provider runs until it is stopped.
   sim::Simulation sim;
   Harness h{sim, "SELECT temperature DURATION 1 min EVERY 10 sec"};
   h.provider->Start();
   sim.RunFor(2min);
-  EXPECT_TRUE(h.finished);
-  EXPECT_TRUE(h.final_status.ok());
-  EXPECT_FALSE(h.provider->running());
+  EXPECT_FALSE(h.finished);
+  h.provider->Push(Item(sim, "temperature", 1.0));
+  EXPECT_EQ(h.delivered.size(), 1u);
 }
 
 TEST(ProviderBaseTest, DurationSamplesCompletes) {
@@ -162,7 +164,7 @@ TEST(ProviderBaseTest, FailureReportsOnce) {
   h.provider->ForceFail(Unavailable("radio died"));
   EXPECT_TRUE(h.finished);
   EXPECT_EQ(h.final_status.code(), StatusCode::kUnavailable);
-  // A second failure (or the duration timer) must not re-report.
+  // A second failure must not re-report.
   h.finished = false;
   h.provider->ForceFail(Unavailable("again"));
   sim.RunFor(2h);
@@ -178,18 +180,6 @@ TEST(ProviderBaseTest, StopIsSilent) {
   EXPECT_FALSE(h.finished);
   h.provider->Push(Item(sim, "temperature", 1.0));
   EXPECT_TRUE(h.delivered.empty());  // stopped providers drop items
-}
-
-TEST(ProviderBaseTest, UpdateQueryExtendsDuration) {
-  sim::Simulation sim;
-  Harness h{sim, "SELECT temperature DURATION 1 min EVERY 10 sec"};
-  h.provider->Start();
-  sim.RunFor(30s);
-  auto longer = h.provider->query();
-  longer.duration.time = 1h;
-  h.provider->UpdateQuery(longer);
-  sim.RunFor(2min);
-  EXPECT_FALSE(h.finished);  // extended past the original minute
 }
 
 TEST(ProviderBaseTest, DefaultPollPeriodTracksClauses) {
