@@ -21,18 +21,9 @@ class Client {
   virtual ~Client() = default;
 
   /// Handles a context item collected for one of this client's queries.
+  /// Never called reentrantly: items that arise while it runs are handed
+  /// over after it returns.
   virtual void ReceiveCxtItem(const CxtItem& item) = 0;
-
-  /// Batch delivery: the DeliveryRouter hands over everything queued for
-  /// this client in one call (one virtual dispatch per drain instead of
-  /// per item — the difference is real at 1M-query scale). The default
-  /// forwards item-by-item, so existing clients keep working unchanged.
-  /// Items in a handed-over batch are the client's: cancelling a query
-  /// from inside the callback purges only items still queued in the
-  /// router, not the remainder of this batch.
-  virtual void ReceiveCxtItems(const std::vector<CxtItem>& items) {
-    for (const CxtItem& item : items) ReceiveCxtItem(item);
-  }
 
   /// Notified of malfunction or failure affecting this client's queries
   /// (e.g. "sensor lost; switched to adHocNetwork provisioning").

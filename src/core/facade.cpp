@@ -1,6 +1,7 @@
 #include "core/facade.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.hpp"
 #include "obs/observability.hpp"
@@ -100,9 +101,12 @@ Status Facade::Submit(QueryId qid, query::CxtQuery q) {
         cluster->merged = *std::move(merged);
         by_qid_[qid] = cluster;
         ++live_originals_;
+        // A submitted DURATION is what remains of the query's window.
+        const std::optional<SimDuration> window = q.duration.time;
         cluster->originals.push_back(std::move(q));
         cluster->qids.push_back(qid);
         cluster->provider->UpdateQuery(cluster->merged);
+        if (window) cluster->provider->CoverDeadline(sim_.Now() + *window);
         return Status::Ok();
       }
     }

@@ -14,7 +14,9 @@
 // clauses, and the QueryIds of the originals it serves. Everything else
 // about a query, its DURATION clock included, lives in its QueryRecord,
 // so merging and cancelling peers never changes when an original ends.
-// The merged query keeps the first original's id.
+// The merged query keeps the first original's id; a query merging in
+// tells the provider its deadline (CoverDeadline), so a remote
+// registration made for the first original can be extended to it.
 //
 // Cluster matching is indexed, not scanned: query merging structurally
 // requires equal SELECT type and interaction mode (query::Mergeable), so

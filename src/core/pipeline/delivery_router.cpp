@@ -50,15 +50,7 @@ void DeliveryRouter::OnFacadeDelivery(std::span<const QueryId> matched,
     QueryRecord* record = table_.FindById(qid);
     if (record == nullptr || record->client == nullptr) continue;
     const std::uint64_t items_before = record->items_delivered;
-    // Dedup by item id only when several mechanisms serve the query; a
-    // single mechanism legitimately re-delivers an unchanged observation
-    // on every periodic round.
-    const bool multi_mechanism = record->assigned.size() > 1;
-    const bool fresh = table_.RecordDelivery(*record, item.id);
-    if (!fresh) {
-      if (multi_mechanism) continue;  // duplicate across mechanisms
-      ++record->items_delivered;      // same observation, new round
-    }
+    if (!table_.RecordDelivery(*record, item.id)) continue;
     std::optional<CxtItem> fused;
     if (record->fusion != nullptr) {
       fused = record->fusion->Process(item);
@@ -70,7 +62,7 @@ void DeliveryRouter::OnFacadeDelivery(std::span<const QueryId> matched,
       stored = true;
     }
     // Hooks fire before Route(): a client cancelling from inside
-    // ReceiveCxtItems erases the record, so it must not be touched after.
+    // ReceiveCxtItem erases the record, so it must not be touched after.
     COBS(NoteDelivered(*record, mechanism, items_before, sim_.Now()));
     Route(*record, fused.has_value() ? *fused : item);
   }
@@ -92,33 +84,30 @@ void DeliveryRouter::DeliverStale(QueryRecord& record, CxtItem item) {
 }
 
 void DeliveryRouter::Route(QueryRecord& record, const CxtItem& item) {
-  Client* client = record.client;
-  ClientQueue& queue = queues_[client];
-  queue.items.push_back(Pending{record.qid, item});
-  if (queue.draining) return;  // the outer drain hands it over in order
-  queue.draining = true;
-  // Hand over everything queued in one ReceiveCxtItems call per round:
-  // one virtual dispatch per drain, not per item. Nested deliveries
-  // (a client submitting from inside the callback) land in queue.items
-  // and are picked up by the next round, preserving order; a nested
-  // cancel purges queued items but never the batch already handed over.
-  std::vector<CxtItem> batch;
-  while (!queue.items.empty()) {
-    batch.clear();
-    batch.reserve(queue.items.size());
-    for (Pending& pending : queue.items) {
-      batch.push_back(std::move(pending.item));
+  Client* const client = record.client;
+  for (Drain& frame : draining_) {
+    if (frame.client == client) {
+      // The client is inside a callback: the outer call hands it over.
+      frame.queued.push_back(Pending{record.qid, item});
+      return;
     }
-    queue.items.clear();
-    items_routed_ += batch.size();
-    client->ReceiveCxtItems(batch);
   }
-  queue.draining = false;
+  Drain& frame = draining_.emplace_back(Drain{client, {}});
+  ++items_routed_;
+  client->ReceiveCxtItem(item);
+  std::vector<Pending> round;
+  while (!frame.queued.empty()) {
+    round.swap(frame.queued);
+    items_routed_ += round.size();
+    for (const Pending& pending : round) client->ReceiveCxtItem(pending.item);
+    round.clear();
+  }
+  draining_.pop_back();
 }
 
 void DeliveryRouter::OnQueryCancelled(QueryId qid) {
-  for (auto& [client, queue] : queues_) {
-    std::erase_if(queue.items,
+  for (Drain& frame : draining_) {
+    std::erase_if(frame.queued,
                   [qid](const Pending& p) { return p.qid == qid; });
   }
 }

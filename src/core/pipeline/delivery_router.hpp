@@ -3,7 +3,7 @@
 // Everything between a facade's post-extracted delivery and the client:
 // cross-facade dedup, the query's fusion window (QueryRecord::fusion,
 // installed by EnableFusion), the repository write-through, staleness
-// annotation for degraded answers, and per-client delivery queues. A
+// annotation for degraded answers, and the hand-over to the client. A
 // facade hands over each provider item once, with the QueryIds of the
 // originals it matched; the router writes the raw item to the
 // repository at most once per provider item, however many queries it
@@ -11,20 +11,19 @@
 // no per-query state of its own: a query's state lives in its record,
 // and only items still queued for a client name it, by QueryId.
 //
-// The queues make delivery reentrancy-safe: a client that submits or
-// cancels queries from inside the delivery callback can trigger nested
-// deliveries, which are appended to its queue and handed over in order
-// by the outermost drain — all within the same simulation event, so
-// timing stays deterministic. The drain hands each round over as one
-// ReceiveCxtItems batch (one virtual dispatch per drain, not per item);
-// a nested cancel purges items still queued, never a batch already
-// handed over.
+// Delivery is synchronous (deterministic timing) and never reenters a
+// client: an item goes straight to ReceiveCxtItem, uncopied, unless its
+// client is already inside that callback (it submitted a query that
+// delivers synchronously). Then it queues in the client's drain frame,
+// on a stack that is almost always 0 or 1 deep, and the outer call
+// hands it over after the current item, in rounds. A cancel purges its
+// query's queued items, never the round being handed over.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <span>
+#include <vector>
 
 #include "core/model/cxt_item.hpp"
 #include "core/pipeline/query_table.hpp"
@@ -41,7 +40,7 @@ class DeliveryRouter {
 
   /// Facade delivery entry, once per provider item: for each matched
   /// query, dedup across mechanisms, fusion, repository store, then the
-  /// per-client queue. A qid that misses (cancelled earlier in the same
+  /// client. A qid that misses (cancelled earlier in the same
   /// span) is skipped. `mechanism` names the facade kind that produced
   /// the item (delivery metrics + span attribution).
   void OnFacadeDelivery(std::span<const QueryId> matched, const CxtItem& item,
@@ -65,11 +64,10 @@ class DeliveryRouter {
     QueryId qid;
     CxtItem item;
   };
-  struct ClientQueue {
-    std::deque<Pending> items;
-    /// True while the outermost Route() call is handing items over;
-    /// nested Route() calls only append.
-    bool draining = false;
+  /// A client inside its callback and the items queued for it meanwhile.
+  struct Drain {
+    Client* client;
+    std::vector<Pending> queued;
   };
 
   void Route(QueryRecord& record, const CxtItem& item);
@@ -77,9 +75,8 @@ class DeliveryRouter {
   sim::Simulation& sim_;
   QueryTable& table_;
   CxtRepository& repository_;
-  /// std::map, not unordered_map: node-based, so the reference a drain
-  /// loop holds stays valid when a nested delivery inserts a new client.
-  std::map<Client*, ClientQueue> queues_;
+  /// Innermost last; a deque, so frames never move.
+  std::deque<Drain> draining_;
   std::uint64_t items_routed_ = 0;
 };
 

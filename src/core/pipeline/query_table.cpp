@@ -10,6 +10,10 @@ namespace contory::core {
 namespace {
 constexpr const char* kModule = "querytable";
 
+/// A QueryId is (generation << 32) | slot (see the header).
+constexpr QueryId kNextGeneration = QueryId{1} << 32;
+std::size_t SlotOf(QueryId qid) { return qid & 0xffffffffu; }
+
 /// Cached registry handles (stable across Reset(); see MetricsRegistry).
 obs::Gauge& LiveGauge() {
   static obs::Gauge& g =
@@ -60,8 +64,8 @@ QueryTable::QueryTable(sim::Simulation& sim,
 QueryTable::~QueryTable() {
   COBS({
     const SimTime now = sim_.Now();
-    for (auto& [qid, record] : records_) {
-      CloseSpans(record, now, "torn-down", "torn-down");
+    for (const auto& record : slots_) {
+      if (record != nullptr) CloseSpans(*record, now, "torn-down", "torn-down");
     }
   });
 }
@@ -98,11 +102,23 @@ Result<QueryId> QueryTable::Admit(query::CxtQuery query, Client& client) {
   if (query.id.empty()) {
     return InvalidArgument("query must have an id before registration");
   }
-  if (!ids_.try_emplace(query.id, next_qid_).second) {
+  const auto [id_it, inserted] = ids_.try_emplace(query.id, kInvalidQueryId);
+  if (!inserted) {
     return AlreadyExists("query '" + query.id + "' already active");
   }
-  const QueryId qid = next_qid_++;
-  QueryRecord& record = records_[qid];
+  // The newest freed slot under its next generation, or a new slot.
+  QueryId qid;
+  if (free_.empty()) {
+    qid = kNextGeneration | slots_.size();
+    slots_.emplace_back();
+  } else {
+    qid = free_.back() + kNextGeneration;
+    free_.pop_back();
+  }
+  id_it->second = qid;
+  ++total_admitted_;
+  QueryRecord& record =
+      *(slots_[SlotOf(qid)] = std::make_unique<QueryRecord>());
   record.client = &client;
   record.qid = qid;
   record.submitted = sim_.Now();
@@ -116,8 +132,9 @@ Result<QueryId> QueryTable::Admit(query::CxtQuery query, Client& client) {
 }
 
 QueryRecord* QueryTable::FindById(QueryId qid) {
-  const auto it = records_.find(qid);
-  return it == records_.end() ? nullptr : &it->second;
+  if (SlotOf(qid) >= slots_.size()) return nullptr;
+  QueryRecord* record = slots_[SlotOf(qid)].get();
+  return record != nullptr && record->qid == qid ? record : nullptr;
 }
 
 const QueryRecord* QueryTable::FindById(QueryId qid) const {
@@ -177,12 +194,13 @@ bool QueryTable::Transition(QueryRecord& record, QueryState to) {
 }
 
 void QueryTable::FinishById(QueryId qid) {
-  const auto it = records_.find(qid);
-  if (it == records_.end()) return;
+  if (FindById(qid) == nullptr) return;
   // Unlink before closing spans: from here on the id misses, and a
-  // resubmission under the same id string gets a fresh record.
-  auto node = records_.extract(it);
-  QueryRecord& record = node.mapped();
+  // resubmission under the same id string gets a fresh record. A slot
+  // whose generation is exhausted is retired, so no id ever repeats.
+  const std::unique_ptr<QueryRecord> owned = std::move(slots_[SlotOf(qid)]);
+  if ((qid >> 32) != 0xffffffffu) free_.push_back(qid);
+  QueryRecord& record = *owned;
   ids_.erase(record.query.id);
   const QueryState from = record.state;
   const SimTime now = sim_.Now();
@@ -210,16 +228,22 @@ void QueryTable::FinishById(QueryId qid) {
 
 bool QueryTable::RecordDelivery(QueryRecord& record,
                                 const std::string& item_id) {
-  if (!record.seen_items.insert(item_id).second) return false;
-  // FIFO window, O(1) eviction: once it is full, the new id overwrites
-  // the oldest in place.
-  if (record.seen_order.size() < kSeenCap) {
-    record.seen_order.push_back(item_id);
-  } else {
-    std::string& oldest = record.seen_order[record.seen_oldest];
-    record.seen_items.erase(oldest);
-    oldest = item_id;
-    record.seen_oldest = (record.seen_oldest + 1) % kSeenCap;
+  if (record.plan.initial.size() > 1) {  // see QueryRecord::DedupWindow
+    if (record.dedup == nullptr) {
+      record.dedup = std::make_unique<QueryRecord::DedupWindow>();
+    }
+    QueryRecord::DedupWindow& window = *record.dedup;
+    if (!window.seen_items.insert(item_id).second) {
+      if (record.assigned.size() > 1) return false;  // across mechanisms
+    } else if (window.order.size() < kSeenCap) {
+      window.order.push_back(item_id);
+    } else {
+      // FIFO window, O(1) eviction: the new id overwrites the oldest.
+      std::string& oldest = window.order[window.oldest];
+      window.seen_items.erase(oldest);
+      oldest = item_id;
+      window.oldest = (window.oldest + 1) % kSeenCap;
+    }
   }
   ++record.items_delivered;
   return true;

@@ -25,17 +25,18 @@
 // matter how cancel, failover, degraded delivery and policy enforcement
 // interleave.
 //
-// Structure: records live in one map keyed by a u64 QueryId, handed out
-// sequentially from 1 and never reused. Inside the pipeline and the
-// facades a query is named only by its QueryId; the id strings are
-// resolved once, at the public API, through the table's second map.
-// Both properties the factory leans on follow from that:
-//   - record references stay valid across Admit (node-based map), so a
-//     facade Submit that admits a query reentrantly cannot move the
-//     record its caller is holding;
+// Structure: records are heap-allocated in a slot vector with a LIFO
+// free list, so memory follows the peak of live queries. A QueryId packs
+// the slot (low 32 bits) and the slot's generation (high 32 bits, from
+// 1): unique, never reused, never 0. Inside the pipeline and the facades
+// a query is named only by its QueryId; the id strings are resolved
+// once, at the public API, through the table's one map. The factory
+// leans on two properties:
+//   - records never move, so a facade Submit that admits a query
+//     reentrantly cannot move the record its caller is holding;
 //   - a QueryId held across a reentrant cancel (or captured by a timer
 //     or discovery callback) misses afterwards, even when the client
-//     resubmits under the same id string.
+//     resubmits under the same id string into the same slot.
 // The terminal Completion log is bounded (oldest dropped, drops counted)
 // so a million finishes cannot grow memory without bound; tests that
 // audit full lifecycle history construct the table with capacity 0
@@ -104,12 +105,16 @@ struct QueryRecord {
   std::set<query::SourceSel> failed;
   SimTime submitted{};
   std::uint64_t items_delivered = 0;
-  /// Ids of items already delivered (cross-facade dedup), bounded to
-  /// the newest QueryTable::kSeenCap. seen_order is a ring once full;
-  /// seen_oldest indexes the next id to evict.
-  std::unordered_set<std::string> seen_items;
-  std::vector<std::string> seen_order;
-  std::size_t seen_oldest = 0;
+  /// Ids of the newest QueryTable::kSeenCap items delivered (`order` is
+  /// a ring once full). Only plans that start on several mechanisms get
+  /// one: failover is break-before-make, so no other query is ever
+  /// served by two facades at once.
+  struct DedupWindow {
+    std::unordered_set<std::string> seen_items;
+    std::vector<std::string> order;
+    std::size_t oldest = 0;
+  };
+  std::unique_ptr<DedupWindow> dedup;
 
   /// The time DURATION's end, armed at admission for submitted +
   /// DURATION and never moved: merging, failover and degraded mode all
@@ -204,13 +209,14 @@ class QueryTable {
   /// duration expiry).
   void FinishById(QueryId qid);
 
-  /// Records a delivery; returns false when `item_id` was already
-  /// delivered for this query (duplicate across facades).
+  /// Counts a delivery, or returns false when `item_id` already reached
+  /// the query while two of its mechanisms serve it (drop it). One
+  /// mechanism re-delivering an unchanged observation is a new round.
   bool RecordDelivery(QueryRecord& record, const std::string& item_id);
 
   /// Live queries.
   [[nodiscard]] std::size_t active_count() const noexcept {
-    return records_.size();
+    return ids_.size();
   }
 
   /// All live ids, sorted. Diagnostics only — allocates O(active_count).
@@ -222,7 +228,6 @@ class QueryTable {
   [[nodiscard]] const std::deque<Completion>& completions() const noexcept {
     return completions_;
   }
-  void ClearCompletions() { completions_.clear(); }
   /// Completions evicted from the bounded log (total_completed() still
   /// counts them).
   [[nodiscard]] std::uint64_t completions_dropped() const noexcept {
@@ -238,7 +243,7 @@ class QueryTable {
   }
   /// Queries ever admitted (diagnostics; admitted == completed + live).
   [[nodiscard]] std::uint64_t total_admitted() const noexcept {
-    return next_qid_ - 1;
+    return total_admitted_;
   }
 
  private:
@@ -253,9 +258,11 @@ class QueryTable {
   sim::Simulation& sim_;
   /// Public id string -> handle, for the string-keyed boundary API.
   std::unordered_map<std::string, QueryId> ids_;
-  /// Node-based: references stay valid across Admit (see header).
-  std::unordered_map<QueryId, QueryRecord> records_;
-  QueryId next_qid_ = 1;
+  /// Indexed by a QueryId's slot; null while free. free_ holds the last
+  /// id each free slot issued.
+  std::vector<std::unique_ptr<QueryRecord>> slots_;
+  std::vector<QueryId> free_;
+  std::uint64_t total_admitted_ = 0;
   std::uint64_t total_completed_ = 0;
   std::uint64_t invalid_transitions_ = 0;
   std::deque<Completion> completions_;

@@ -110,7 +110,20 @@ void InfraCxtProvider::RunOnDemand() {
       AttemptTimeout());
 }
 
+void InfraCxtProvider::CoverDeadline(SimTime deadline) {
+  // The merged DURATION is the longest window, so re-registering the
+  // merged query reaches `deadline`; DoStop() still cancels it.
+  if (!running() || registered_until_ == SimTime{} ||
+      deadline <= registered_until_) {
+    return;
+  }
+  RegisterLongRunning();
+}
+
 void InfraCxtProvider::RegisterLongRunning() {
+  if (query().duration.time.has_value()) {
+    registered_until_ = sim().Now() + *query().duration.time;
+  }
   cellular_.SetTopicHandler(
       topic_, [this](const infra::Event& event) { HandlePush(event); });
   cellular_.SendRequest(

@@ -33,6 +33,11 @@ class InfraCxtProvider final : public CxtProvider {
     return "UMTS event-based";
   }
 
+  /// Re-registers, under the merged query, when `deadline` falls after
+  /// the registration the server holds (it lapses at the DURATION of the
+  /// query that started the cluster).
+  void CoverDeadline(SimTime deadline) override;
+
   [[nodiscard]] static bool CanServe(const CellularReference& cellular,
                                      const std::string& infra_address);
 
@@ -55,6 +60,9 @@ class InfraCxtProvider final : public CxtProvider {
   const std::string query_id_;
   std::string topic_;
   bool registered_ = false;
+  /// When the last registration sent lapses at the server; zero until a
+  /// registration with a time DURATION is sent.
+  SimTime registered_until_{};
   std::shared_ptr<bool> life_ = std::make_shared<bool>(true);
 };
 

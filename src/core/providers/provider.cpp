@@ -113,12 +113,10 @@ void CxtProvider::Offer(CxtItem item) {
   if (!PassesFilters(item)) return;
   if (query_.event.has_value()) {
     event_window_.push_back(item);
-    while (event_window_.size() > kEventWindowCap) {
-      event_window_.pop_front();
+    if (event_window_.size() > kEventWindowCap) {
+      event_window_.erase(event_window_.begin());
     }
-    const std::vector<CxtItem> window{event_window_.begin(),
-                                      event_window_.end()};
-    const auto fire = query::EvalEvent(*query_.event, window);
+    const auto fire = query::EvalEvent(*query_.event, event_window_);
     if (!fire.ok() || !*fire) return;
   }
   Deliver(item);

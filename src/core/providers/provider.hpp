@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -60,6 +59,10 @@ class CxtProvider {
   /// to one (single or merged) query at time") and informs the subclass
   /// (rate changes etc.).
   void UpdateQuery(query::CxtQuery query);
+
+  /// A query merged into this provider's cluster ends at `deadline`;
+  /// a provider holding a remote registration extends it to match.
+  virtual void CoverDeadline(SimTime /*deadline*/) {}
 
   /// Arms the transient-failure retry policy: transports that report a
   /// retryable failure through RetryTransient() back off and re-attempt
@@ -148,7 +151,7 @@ class CxtProvider {
   sim::TimerId retry_timer_ = sim::kInvalidTimer;
   std::optional<RetryState> retry_state_;
   std::uint64_t retries_ = 0;
-  std::deque<CxtItem> event_window_;
+  std::vector<CxtItem> event_window_;
   std::uint64_t delivered_ = 0;
   std::uint64_t offered_ = 0;
   std::uint64_t trace_span_ = 0;

@@ -116,9 +116,11 @@ class QueryBuilder {
 
 namespace contory::core {
 
-/// Internal query handle, issued by the QueryTable at admission:
-/// sequential from 1, never reused. 0 means "invalid". Id strings
-/// (CxtQuery::id) stay at the public API; the pipeline passes these.
+/// Internal query handle, issued by the QueryTable at admission: unique
+/// and never reused, but not sequential (the table's slot in the low 32
+/// bits, that slot's generation in the high 32). 0 means "invalid". Id
+/// strings (CxtQuery::id) stay at the public API; the pipeline passes
+/// these.
 using QueryId = std::uint64_t;
 inline constexpr QueryId kInvalidQueryId = 0;
 

@@ -468,5 +468,47 @@ TEST(FactoryTest, MergedInfraQueriesLeaveNoServerRegistration) {
   EXPECT_EQ(server.active_query_count(), 0u);
 }
 
+TEST(FactoryTest, MergedInfraPeerOutlivesTheFirstDuration) {
+  // The cluster registers at the server with the first query's DURATION.
+  // A peer that merges in later with a later deadline must keep
+  // receiving pushes after the first query has ended.
+  testbed::World world{119};
+  testbed::DeviceOptions opts;
+  opts.infra_address = "infra.fi";
+  auto& device = world.AddDevice(opts);
+  infra::ContextServer& server = world.AddContextServer("infra.fi");
+  CxtItem reading;
+  reading.id = "remote-temperature";
+  reading.type = vocab::kTemperature;
+  reading.value = 21.0;
+  server.StoreDirect({reading, "remote", std::nullopt});
+  ContextFactory& factory = device.contory();
+  CollectingClient first;
+  CollectingClient peer;
+  const auto a = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM extInfra DURATION 10 min EVERY 10 sec"),
+      first);
+  ASSERT_TRUE(a.ok());
+  world.RunFor(5min);
+  const auto b = factory.ProcessCxtQuery(
+      NewQuery(world.sim(),
+               "SELECT temperature FROM extInfra DURATION 20 min EVERY 10 sec"),
+      peer);
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(factory.active_provider_count(), 1u);  // merged
+
+  world.RunFor(6min);  // minute 11: the first query is over
+  EXPECT_EQ(factory.queries().Find(*a), nullptr);
+  const std::size_t at_minute_11 = peer.items.size();
+  world.RunFor(4min);  // minute 15
+  EXPECT_EQ(server.active_query_count(), 1u);
+  EXPECT_GE(peer.items.size(), at_minute_11 + 20);  // one push per 10 s
+
+  world.RunFor(11min);  // minute 26: the peer ended at minute 25
+  EXPECT_EQ(factory.queries().Find(*b), nullptr);
+  EXPECT_EQ(server.active_query_count(), 0u);
+}
+
 }  // namespace
 }  // namespace contory::core

@@ -1,8 +1,12 @@
 // Failover around the Fig. 5 experiment: delivery across the switch, the
-// no-alternative error path, the switch's BT discovery cost, and a
+// no-alternative error path, the switch's BT discovery cost, a
+// single-source query never held by two mechanisms at once, and a
 // switch-back discovery that outlives its query. The switch-there-and-back
 // timeline itself is the failover_switch.scn case.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "core/contory.hpp"
 #include "testbed/testbed.hpp"
@@ -70,6 +74,54 @@ TEST_F(FailoverTest, DeliveryContinuesThroughFailure) {
   // "context provisioning should take place without any interruption":
   // the ad hoc path keeps items flowing.
   EXPECT_GT(client.items.size(), at_failure + 10);
+}
+
+// Checks, at every delivery, that the query is served by more than one
+// mechanism only if its plan started on more than one.
+class MechanismAuditClient : public CollectingClient {
+ public:
+  void ReceiveCxtItem(const CxtItem& item) override {
+    CollectingClient::ReceiveCxtItem(item);
+    const QueryRecord* record = table->Find(query_id);
+    if (record == nullptr) return;
+    mechanisms.insert(record->assigned.begin(), record->assigned.end());
+    if (record->assigned.size() > 1 && record->plan.initial.size() <= 1) {
+      ++violations;
+    }
+  }
+
+  const QueryTable* table = nullptr;
+  std::string query_id;
+  std::set<query::SourceSel> mechanisms;
+  int violations = 0;
+};
+
+TEST_F(FailoverTest, SwitchesAreBreakBeforeMake) {
+  // The router keeps its cross-mechanism dedup window only for plans
+  // that start on several mechanisms. That is sound only if failover
+  // and switch-back never let two mechanisms serve a single-source
+  // query at once.
+  ContextFactory& factory = device_->contory();
+  MechanismAuditClient client;
+  client.table = &factory.queries();
+  const query::CxtQuery q =
+      NewQuery(world_.sim(), "SELECT location DURATION 20 min EVERY 5 sec");
+  client.query_id = q.id;
+  ASSERT_TRUE(factory.ProcessCxtQuery(q, client).ok());
+  world_.RunFor(60s);
+  gps_->PowerOff();
+  world_.RunFor(3min);
+  gps_->PowerOn();
+  world_.RunFor(3min);
+
+  ASSERT_EQ(factory.switch_log().size(), 2u);  // there and back
+  EXPECT_EQ(client.mechanisms,
+            (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
+                                        query::SourceSel::kAdHocNetwork}));
+  EXPECT_EQ(client.violations, 0);
+  const QueryRecord* record = factory.queries().Find(q.id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->plan.initial.size(), 1u);
 }
 
 TEST_F(FailoverTest, NoAlternativeMeansInformError) {

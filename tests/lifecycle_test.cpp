@@ -6,11 +6,15 @@
 // from inside a delivery callback (also followed by a resubmission under
 // the same id, or aimed at a merged peer in the middle of one item's
 // fan-out), and a failover target that fails while the failover is in
-// flight. A finished query, cancelled or expired while degraded, must
+// flight. A query a client submits from inside its delivery callback
+// gets its synchronous first item after that callback returns, never
+// through a reentrant one, and cancelling it there purges that item. A
+// finished query, cancelled or expired while degraded, must
 // leave no timer scheduled behind. A facade-wide StopAll while a query is
 // already degraded is the stopall_during_degraded.scn case.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
@@ -101,6 +105,7 @@ class CancelAndResubmitClient : public core::Client {
     items.push_back(item);
     if (acted) return;
     acted = true;
+    cancelled_qid = factory->queries().Find(query_id)->qid;
     factory->CancelCxtQuery(query_id);
     resubmit = factory->ProcessCxtQuery(query, *this);
   }
@@ -113,6 +118,7 @@ class CancelAndResubmitClient : public core::Client {
   query::CxtQuery query;  // resubmitted verbatim, id included
   std::string query_id;
   bool acted = false;
+  core::QueryId cancelled_qid = core::kInvalidQueryId;
   std::optional<Result<std::string>> resubmit;
   std::vector<CxtItem> items;
   std::vector<std::string> errors;
@@ -149,7 +155,7 @@ TEST(LifecycleInvariantTest, StaleIdMissesAfterCancelAndResubmitInDelivery) {
   EXPECT_EQ(table.active_count(), 1u);
   const core::QueryRecord* live = table.Find(client.query_id);
   ASSERT_NE(live, nullptr);
-  EXPECT_EQ(live->qid, 2u);  // the cancelled query held 1
+  EXPECT_NE(live->qid, client.cancelled_qid);
   EXPECT_EQ(live->assigned,
             (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
                                         query::SourceSel::kExtInfra}));
@@ -233,6 +239,96 @@ TEST(LifecycleInvariantTest, PeerCancelledMidFanOutIsSkipped) {
   EXPECT_EQ(table.Find(*peer_id), nullptr);
   EXPECT_EQ(CompletionsFor(table, *peer_id), 1);
   EXPECT_EQ(table.invalid_transitions(), 0u);
+}
+
+// A client that, on its first item, submits a second query whose first
+// sample is delivered synchronously inside that Submit, and optionally
+// cancels it straight away. It records the callback depth it sees.
+class NestedSubmitClient : public core::Client {
+ public:
+  void ReceiveCxtItem(const CxtItem& item) override {
+    max_depth = std::max(max_depth, ++depth);
+    types.push_back(item.type);
+    if (factory != nullptr && !nested.has_value()) {
+      nested = factory->ProcessCxtQuery(nested_query, *this);
+      items_after_submit = types.size();
+      if (cancel_nested && nested->ok()) factory->CancelCxtQuery(**nested);
+    }
+    --depth;
+  }
+  void InformError(const std::string&) override {}
+  bool MakeDecision(const std::string&) override { return true; }
+
+  core::ContextFactory* factory = nullptr;
+  query::CxtQuery nested_query;
+  bool cancel_nested = false;
+  std::optional<Result<std::string>> nested;
+  std::size_t items_after_submit = 0;
+  int depth = 0;
+  int max_depth = 0;
+  std::vector<std::string> types;
+};
+
+class NestedDeliveryTest : public ::testing::Test {
+ protected:
+  NestedDeliveryTest() : world_(506) {
+    testbed::DeviceOptions opts;
+    opts.with_bt = false;
+    opts.with_cellular = false;
+    opts.internal_sensors = {vocab::kTemperature, vocab::kLight};
+    device_ = &world_.AddDevice(opts);
+    client_.nested_query =
+        NewQuery(world_.sim(),
+                 "SELECT light FROM intSensor DURATION 5 min EVERY 10 sec");
+  }
+
+  /// Submits the outer query; its first item arrives synchronously, and
+  /// the client acts on it before this returns.
+  void SubmitOuter() {
+    client_.factory = &device_->contory();
+    const auto id = device_->contory().ProcessCxtQuery(
+        NewQuery(world_.sim(),
+                 "SELECT temperature FROM intSensor DURATION 5 min "
+                 "EVERY 10 sec"),
+        client_);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(client_.nested.has_value());
+    ASSERT_TRUE(client_.nested->ok()) << client_.nested->status().ToString();
+  }
+
+  testbed::World world_;
+  testbed::Device* device_ = nullptr;
+  NestedSubmitClient client_;
+};
+
+TEST_F(NestedDeliveryTest, NestedItemFollowsTheCurrentOne) {
+  SubmitOuter();
+  // The nested query's first sample was queued, not handed over inside
+  // the callback that submitted it; it followed once that returned.
+  EXPECT_EQ(client_.items_after_submit, 1u);
+  EXPECT_EQ(client_.types,
+            (std::vector<std::string>{vocab::kTemperature, vocab::kLight}));
+  world_.RunFor(1min);
+  EXPECT_EQ(client_.max_depth, 1);
+  EXPECT_GT(std::count(client_.types.begin(), client_.types.end(),
+                       vocab::kLight),
+            1);
+}
+
+TEST_F(NestedDeliveryTest, NestedCancelPurgesQueuedItems) {
+  client_.cancel_nested = true;
+  SubmitOuter();
+  world_.RunFor(1min);
+  // The nested query's synchronous first sample was still queued when
+  // the client cancelled it: purged, never delivered.
+  EXPECT_EQ(std::count(client_.types.begin(), client_.types.end(),
+                       vocab::kLight),
+            0);
+  EXPECT_GT(client_.types.size(), 1u);  // the outer query keeps going
+  EXPECT_EQ(client_.max_depth, 1);
+  const core::QueryTable& table = device_->contory().queries();
+  EXPECT_EQ(table.Find(**client_.nested), nullptr);
+  EXPECT_EQ(CompletionsFor(table, **client_.nested), 1);
 }
 
 class GpsWorldTest : public ::testing::Test {

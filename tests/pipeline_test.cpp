@@ -1,12 +1,15 @@
 // QueryTable tests: duplicate refusal, id/string lookup, stale-id
 // misses, the bounded completion log and the state-machine guard; then
-// lifecycle races and the batch submit path over the full middleware —
+// the DeliveryRouter's cross-mechanism dedup; then lifecycle races and
+// the batch submit path over the full middleware —
 // including the obs-consistency invariant (admitted == completed + live,
 // zero invalid transitions, no leaked open spans) at 100k-query scale.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/contory.hpp"
@@ -69,18 +72,22 @@ TEST_F(QueryTableTest, StaleIdMisses) {
   const auto b = table_.Admit(MakeQuery("q-b"), client_);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, 1u);  // sequential from 1; 0 is the invalid id
-  EXPECT_EQ(*b, 2u);
+  EXPECT_NE(*a, core::kInvalidQueryId);
+  EXPECT_NE(*b, core::kInvalidQueryId);
+  EXPECT_NE(*a, *b);
 
   table_.FinishById(*a);
   EXPECT_EQ(table_.FindById(*a), nullptr);
   EXPECT_EQ(table_.Find("q-a"), nullptr);
 
-  // Resubmitting under the same id string gets a fresh id; the old one
-  // keeps missing, so a caller holding it cannot touch the new record.
+  // Resubmitting under the same id string gets a fresh id (ids are
+  // never reused, though the record may take the freed slot); the old
+  // one keeps missing, so a caller holding it cannot touch the new
+  // record.
   const auto a2 = table_.Admit(MakeQuery("q-a"), client_);
   ASSERT_TRUE(a2.ok());
-  EXPECT_EQ(*a2, 3u);
+  EXPECT_NE(*a2, *a);
+  EXPECT_NE(*a2, *b);
   EXPECT_EQ(table_.FindById(*a), nullptr);
   EXPECT_EQ(table_.Find("q-a"), table_.FindById(*a2));
   table_.FinishById(*a);  // stale finish: harmless no-op
@@ -128,6 +135,106 @@ TEST_F(QueryTableTest, FinishTwiceIsSingleCompletion) {
   table_.FinishById(*qid);  // cancel racing an expiry: harmless no-op
   EXPECT_EQ(table_.completions().size(), 1u);
   EXPECT_EQ(table_.total_completed(), 1u);
+}
+
+TEST_F(QueryTableTest, IdsStayUniqueAcrossSlotReuse) {
+  // Finished records free their slot for the next admission, but every
+  // id issued stays distinct, and each finished one keeps missing.
+  std::unordered_set<core::QueryId> issued;
+  std::vector<core::QueryId> finished;
+  const auto live = table_.Admit(MakeQuery("q-live"), client_);
+  ASSERT_TRUE(live.ok());
+  issued.insert(*live);
+  for (int i = 0; i < 50; ++i) {
+    const auto qid = table_.Admit(MakeQuery("q-" + std::to_string(i)), client_);
+    ASSERT_TRUE(qid.ok());
+    EXPECT_TRUE(issued.insert(*qid).second) << "id reused: " << *qid;
+    table_.FinishById(*qid);
+    finished.push_back(*qid);
+  }
+  for (const core::QueryId qid : finished) {
+    EXPECT_EQ(table_.FindById(qid), nullptr);
+  }
+  EXPECT_EQ(table_.FindById(*live), table_.Find("q-live"));
+  EXPECT_EQ(table_.active_count(), 1u);
+  EXPECT_EQ(table_.total_admitted(), 51u);
+  EXPECT_EQ(table_.total_completed(), 50u);
+}
+
+// --- DeliveryRouter ---------------------------------------------------------
+
+class DeliveryRouterTest : public QueryTableTest {
+ protected:
+  DeliveryRouterTest()
+      : repository_(sim_), router_(sim_, table_, repository_) {}
+
+  /// Admits a query as if the planner chose `initial` and the facades in
+  /// `assigned` serve it now.
+  core::QueryRecord& AdmitPlanned(const std::string& id,
+                                  std::vector<query::SourceSel> initial,
+                                  std::set<query::SourceSel> assigned) {
+    const auto qid = table_.Admit(MakeQuery(id), client_);
+    EXPECT_TRUE(qid.ok());
+    core::QueryRecord& record = *table_.FindById(*qid);
+    record.plan.initial = std::move(initial);
+    record.assigned = std::move(assigned);
+    return record;
+  }
+
+  void Deliver(const core::QueryRecord& record, const std::string& item_id,
+               query::SourceSel mechanism) {
+    CxtItem item;
+    item.id = item_id;
+    item.type = vocab::kTemperature;
+    item.value = 20.0;
+    item.timestamp = sim_.Now();
+    const core::QueryId qid = record.qid;
+    router_.OnFacadeDelivery({&qid, 1}, item, mechanism);
+  }
+
+  std::vector<std::string> ReceivedIds() const {
+    std::vector<std::string> ids;
+    for (const CxtItem& item : client_.items) ids.push_back(item.id);
+    return ids;
+  }
+
+  core::CxtRepository repository_;
+  core::DeliveryRouter router_;
+};
+
+TEST_F(DeliveryRouterTest, CrossMechanismDuplicateIsDeliveredOnce) {
+  using query::SourceSel;
+  core::QueryRecord& record =
+      AdmitPlanned("q-two", {SourceSel::kIntSensor, SourceSel::kExtInfra},
+                   {SourceSel::kIntSensor});
+  // intSensor delivers synchronously inside its own Submit, before
+  // extInfra is assigned: the window must already remember the item.
+  Deliver(record, "x", SourceSel::kIntSensor);
+  record.assigned.insert(SourceSel::kExtInfra);
+  Deliver(record, "x", SourceSel::kExtInfra);
+  Deliver(record, "y", SourceSel::kExtInfra);
+  Deliver(record, "y", SourceSel::kIntSensor);
+  EXPECT_EQ(ReceivedIds(), (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(record.items_delivered, 2u);
+
+  // Down to one mechanism, an unchanged observation is a new round.
+  record.assigned.erase(SourceSel::kExtInfra);
+  Deliver(record, "y", SourceSel::kIntSensor);
+  EXPECT_EQ(ReceivedIds(), (std::vector<std::string>{"x", "y", "y"}));
+  EXPECT_EQ(record.items_delivered, 3u);
+}
+
+TEST_F(DeliveryRouterTest, SingleSourceRedeliveryIsCounted) {
+  // A periodic single-source query re-delivered an unchanged
+  // observation gets it every round.
+  core::QueryRecord& record = AdmitPlanned(
+      "q-one", {query::SourceSel::kIntSensor}, {query::SourceSel::kIntSensor});
+  for (int round = 0; round < 3; ++round) {
+    Deliver(record, "x", query::SourceSel::kIntSensor);
+  }
+  EXPECT_EQ(ReceivedIds(), (std::vector<std::string>{"x", "x", "x"}));
+  EXPECT_EQ(record.items_delivered, 3u);
+  EXPECT_EQ(router_.items_routed(), 3u);
 }
 
 // --- Lifecycle races over the full middleware ------------------------------

@@ -4,7 +4,8 @@
 # facades a query is named by its QueryId, and its state lives in its
 # QueryRecord. Two string-keyed containers are allowed:
 #   - QueryTable::ids_, the id-string -> QueryId map at the API boundary;
-#   - QueryRecord::seen_items, the item-id dedup window (wire ids).
+#   - QueryRecord::seen_items, the item-id dedup window (wire ids); it
+#     exists only for plans that start on more than one mechanism.
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/query_id_guard.cmake
 cmake_minimum_required(VERSION 3.16)
