@@ -19,7 +19,8 @@
 // harness for docs/OBSERVABILITY.md. "both" runs the 10k sweep twice and
 // reports the relative submit-latency overhead at the 10k milestone
 // (budget: <= 5%). --out=FILE then writes the comparison instead (see
-// BENCH_obs.json at the repo root).
+// BENCH_obs.json at the repo root), with the interquartile range of the
+// per-rep overheads, `cores` and the build type beside it.
 //
 // --overload switches to the overload-protection sweep: a 10x offered-
 // load spike against an OverloadGovernor-gated factory, reporting
@@ -679,6 +680,7 @@ int main(int argc, char** argv) {
   std::vector<bench::JsonObject> json;
   double on_final_us = 0.0;
   double off_final_us = 0.0;
+  double overhead_iqr_pct = 0.0;
   if (obs_mode == "both") {
     // Interleave repetitions per mode and compare the median of the
     // per-sweep medians: a single sweep's p50 still swings ~10% with
@@ -690,6 +692,7 @@ int main(int argc, char** argv) {
     constexpr int kReps = 9;
     std::vector<double> off_p50s;
     std::vector<double> on_p50s;
+    std::vector<double> rep_overheads_pct;
     for (int rep = 0; rep < kReps; ++rep) {
       const bool on_first = (rep % 2) == 1;
       const SweepResult first = RunSweep(on_first, obs_milestones);
@@ -698,6 +701,9 @@ int main(int argc, char** argv) {
       const SweepResult& on = on_first ? first : second;
       off_p50s.push_back(off.submit_p50_final_us);
       on_p50s.push_back(on.submit_p50_final_us);
+      rep_overheads_pct.push_back(
+          (on.submit_p50_final_us - off.submit_p50_final_us) /
+          off.submit_p50_final_us * 100.0);
       if (rep == kReps - 1) {
         json.insert(json.end(), off.json.begin(), off.json.end());
         json.insert(json.end(), on.json.begin(), on.json.end());
@@ -705,8 +711,13 @@ int main(int argc, char** argv) {
     }
     std::sort(off_p50s.begin(), off_p50s.end());
     std::sort(on_p50s.begin(), on_p50s.end());
+    std::sort(rep_overheads_pct.begin(), rep_overheads_pct.end());
     off_final_us = off_p50s[kReps / 2];
     on_final_us = on_p50s[kReps / 2];
+    // How far the reps disagree: a median overhead smaller than this
+    // spread is not resolved on the host it came from.
+    overhead_iqr_pct =
+        rep_overheads_pct[3 * kReps / 4] - rep_overheads_pct[kReps / 4];
   } else {
     const bool on = obs_mode == "on";
     const SweepResult r = RunSweep(on, obs_milestones);
@@ -722,8 +733,9 @@ int main(int argc, char** argv) {
                            : 0.0;
     std::printf(
         "\nObservability overhead at 10k active queries: submit p50 "
-        "%.2f us (on) vs %.2f us (off) = %+.2f%% (budget: <= 5%%)\n",
-        on_final_us, off_final_us, overhead_pct);
+        "%.2f us (on) vs %.2f us (off) = %+.2f%% (budget: <= 5%%); "
+        "per-rep overhead IQR %.2f points\n",
+        on_final_us, off_final_us, overhead_pct, overhead_iqr_pct);
     if (!out_path.empty()) {
       bench::JsonObject summary;
       summary.Set("bench", "scale_queries")
@@ -731,7 +743,11 @@ int main(int argc, char** argv) {
           .Set("submit_p50_us_obs_on", on_final_us)
           .Set("submit_p50_us_obs_off", off_final_us)
           .Set("submit_overhead_pct", overhead_pct)
-          .Set("budget_pct", 5.0);
+          .Set("overhead_iqr_pct", overhead_iqr_pct)
+          .Set("budget_pct", 5.0)
+          .Set("cores",
+               static_cast<double>(std::thread::hardware_concurrency()))
+          .Set("build_type", std::string(CONTORY_BUILD_TYPE));
       std::FILE* f = std::fopen(out_path.c_str(), "w");
       if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -132,8 +132,8 @@ std::unique_ptr<CxtProvider> ContextFactory::MakeProvider(
       // merged cluster carries its first query's id, so the whole
       // cluster's hops attribute to that query's tree.
       COBS(if (record != nullptr) {
-        std::uint64_t parent =
-            EnsureProvisionSpan(*record, query::SourceSel::kAdHocNetwork);
+        std::uint64_t parent = record->obs.provision[static_cast<std::size_t>(
+            query::SourceSel::kAdHocNetwork)];
         if (parent == 0) parent = record->obs.root;
         provider->SetTraceSpan(parent);
       });
@@ -258,24 +258,19 @@ Result<std::string> ContextFactory::DegradeAtAdmission(
 
 Status ContextFactory::AssignToFacade(QueryRecord& record,
                                       query::SourceSel kind) {
-  bool armed = false;
+  const auto i = static_cast<std::size_t>(kind);
+  bool opened = false;
   COBS({
     // One provision window per mechanism the query is ever assigned to;
-    // re-assignment after failover opens a fresh window. Assignment sits
-    // on the submit hot path, so only the window's start and an energy
-    // sample are recorded here ("armed"); EnsureProvisionSpan()
-    // materializes the tracer span at the stage's first real event.
-    // Arming happens before Submit because providers may deliver their
-    // first item synchronously from inside it, and that delivery must
-    // land on the span with the assignment-time start.
-    const auto i = static_cast<std::size_t>(kind);
-    QueryRecord::ObsSpans& spans = record.obs;
-    if (spans.provision[i] == 0 && !spans.provision_pending[i]) {
-      spans.provision_pending[i] = true;
-      spans.provision_start[i] = services_.sim->Now();
-      spans.provision_energy0[i] =
-          services_.phone->energy().TotalEnergyJoules();
-      armed = true;
+    // re-assignment after failover opens a fresh window. It opens before
+    // Submit because providers may deliver their first item (and the
+    // adHoc provider nests its hop spans) from inside it.
+    std::uint64_t& span = record.obs.provision[i];
+    if (span == 0) {
+      span = obs::Observability::tracer().BeginStage(
+          record.obs.root, "provision", query::SourceSelName(kind),
+          services_.sim->Now());
+      opened = span != 0;
     }
   });
   const QueryId qid = record.qid;
@@ -303,16 +298,12 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
   QueryRecord* live = table_.FindById(qid);
   if (live == nullptr || s.ok()) return s;
   if (newly_assigned) live->assigned.erase(kind);
-  if (armed) {
+  if (opened) {
     COBS({
-      const std::uint64_t span = EnsureProvisionSpan(*live, kind);
-      if (span != 0) {
-        obs::Observability::tracer().EndStage(span, services_.sim->Now(),
-                                              "not-assigned");
-      }
-      const auto i = static_cast<std::size_t>(kind);
+      obs::Observability::tracer().EndStage(live->obs.provision[i],
+                                            services_.sim->Now(),
+                                            "not-assigned");
       live->obs.provision[i] = 0;
-      live->obs.provision_pending[i] = false;
     });
   }
   return s;

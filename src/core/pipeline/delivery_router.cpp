@@ -32,7 +32,7 @@ void NoteDelivered(QueryRecord& record, query::SourceSel mechanism,
   DeliveredCounter(mechanism).Inc();
   auto& tracer = obs::Observability::tracer();
   tracer.AddItems(record.obs.root);
-  tracer.AddItems(EnsureProvisionSpan(record, mechanism));
+  tracer.AddItems(record.obs.provision[static_cast<std::size_t>(mechanism)]);
   if (items_before == 0) {
     metrics
         .GetHistogram("first_delivery_latency_ms", {{"mechanism", mech}})

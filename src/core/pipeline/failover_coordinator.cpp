@@ -50,12 +50,13 @@ void FailoverCoordinator::OnFacadeFinished(query::SourceSel kind,
   record->assigned.erase(kind);
   COBS({
     // The mechanism's provision window ends here, successful or not.
-    const std::uint64_t span = EnsureProvisionSpan(*record, kind);
+    std::uint64_t& span =
+        record->obs.provision[static_cast<std::size_t>(kind)];
     if (span != 0) {
       obs::Observability::tracer().EndStage(
           span, sim_.Now(),
           status.ok() ? "ok" : "failed: " + status.ToString());
-      record->obs.provision[static_cast<std::size_t>(kind)] = 0;
+      span = 0;
     }
     if (!status.ok()) {
       obs::Observability::metrics()

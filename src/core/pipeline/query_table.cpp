@@ -33,19 +33,6 @@ obs::Counter& CompletedCounter(QueryState from) {
 
 }  // namespace
 
-std::uint64_t EnsureProvisionSpan(QueryRecord& record,
-                                  query::SourceSel kind) {
-  const auto i = static_cast<std::size_t>(kind);
-  QueryRecord::ObsSpans& spans = record.obs;
-  if (spans.provision[i] == 0 && spans.provision_pending[i]) {
-    spans.provision_pending[i] = false;
-    spans.provision[i] = obs::Observability::tracer().BeginStageAt(
-        spans.root, "provision", query::SourceSelName(kind),
-        spans.provision_start[i], spans.provision_energy0[i]);
-  }
-  return spans.provision[i];
-}
-
 const char* QueryStateName(QueryState state) noexcept {
   switch (state) {
     case QueryState::kAdmitted: return "ADMITTED";
@@ -74,11 +61,9 @@ void QueryTable::CloseSpans(QueryRecord& record, SimTime now,
                             const char* how, const char* root_status) {
   auto& tracer = obs::Observability::tracer();
   QueryRecord::ObsSpans& spans = record.obs;
-  for (std::size_t k = 0; k < 4; ++k) {
-    const std::uint64_t sid =
-        EnsureProvisionSpan(record, static_cast<query::SourceSel>(k));
+  for (std::uint64_t& sid : spans.provision) {
     if (sid != 0) tracer.EndStage(sid, now, how);
-    spans.provision[k] = 0;
+    sid = 0;
   }
   if (spans.failover != 0) {
     tracer.EndStage(spans.failover, now, how);

@@ -130,18 +130,11 @@ struct QueryRecord {
 
   /// Tracer span handles (0 = no span). Plain uint64 fields — the hot
   /// path must never do a string-keyed lookup to find its span. One
-  /// provision slot per SourceSel mechanism (indexed by its enum value).
+  /// provision slot per SourceSel mechanism (indexed by its enum value),
+  /// opened at facade assignment and closed when that facade finishes.
   struct ObsSpans {
     std::uint64_t root = 0;
     std::uint64_t provision[4] = {0, 0, 0, 0};
-    /// Deferred provision-span opens: facade assignment sits on the
-    /// submit hot path, so it only records the window start and an
-    /// energy sample here ("armed"); EnsureProvisionSpan() materializes
-    /// the tracer span at the stage's first real event (delivery,
-    /// failover, finish) with these as its true open-time values.
-    SimTime provision_start[4] = {};
-    double provision_energy0[4] = {0.0, 0.0, 0.0, 0.0};
-    bool provision_pending[4] = {false, false, false, false};
     std::uint64_t failover = 0;
     std::uint64_t degraded = 0;
   };
@@ -151,12 +144,6 @@ struct QueryRecord {
     return state == QueryState::kDegraded;
   }
 };
-
-/// Returns the provision-span handle for `kind`, materializing a span
-/// armed at facade assignment on first use. 0 when the mechanism never
-/// had an assignment window or the root span is already closed. Callers
-/// are expected to be inside a COBS block.
-std::uint64_t EnsureProvisionSpan(QueryRecord& record, query::SourceSel kind);
 
 class QueryTable {
  public:

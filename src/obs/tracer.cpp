@@ -3,59 +3,42 @@
 #include <utility>
 
 namespace contory::obs {
+namespace {
+
+/// A handle is (generation << 32) | slot, with generations from 1.
+constexpr std::uint64_t kNextGeneration = std::uint64_t{1} << 32;
+std::size_t SlotOf(std::uint64_t handle) { return handle & 0xffffffffu; }
+
+}  // namespace
 
 std::uint64_t QueryTracer::BeginQuery(const std::string& query_id,
                                       SimTime now, EnergyProbe probe) {
   const double energy = probe ? probe() : 0.0;
-  const std::uint64_t id = next_id_++;
-  ++started_;
-  Span& span = EmplaceOpen(id);
-  span.id = id;
+  Span& span = EmplaceOpen();
   span.query_id = query_id;
   span.name = "query";
   span.start = now;
   span.energy_start_j = energy;
   span.probe = std::move(probe);
-  return id;
+  return span.id;
 }
 
 std::uint64_t QueryTracer::BeginStage(std::uint64_t root_id, const char* name,
                                       const char* mechanism, SimTime now) {
   const Span* root = FindOpenSlot(root_id);
   if (root == nullptr) return 0;
-  return InsertStage(*root, root_id, name, mechanism, now,
-                     root->probe ? root->probe() : 0.0);
-}
-
-std::uint64_t QueryTracer::BeginStageAt(std::uint64_t root_id,
-                                        const char* name,
-                                        const char* mechanism, SimTime start,
-                                        double energy_start_j) {
-  const Span* root = FindOpenSlot(root_id);
-  if (root == nullptr) return 0;
-  return InsertStage(*root, root_id, name, mechanism, start,
-                     energy_start_j);
-}
-
-std::uint64_t QueryTracer::InsertStage(const Span& root_span,
-                                       std::uint64_t root_id,
-                                       const char* name,
-                                       const char* mechanism, SimTime start,
-                                       double energy_start_j) {
-  const std::uint64_t id = next_id_++;
-  ++started_;
-  // EmplaceOpen may compact the window and relocate the root span; copy
-  // what the new span needs from it first.
-  std::string query_id = root_span.query_id;
-  Span& span = EmplaceOpen(id);
-  span.id = id;
+  const double energy = root->probe ? root->probe() : 0.0;
+  // EmplaceOpen may grow the table and move the root span; copy what the
+  // new span needs from it first.
+  std::string query_id = root->query_id;
+  Span& span = EmplaceOpen();
   span.parent = root_id;
   span.query_id = std::move(query_id);
   span.name = name;
   if (mechanism != nullptr) span.mechanism = mechanism;
-  span.start = start;
-  span.energy_start_j = energy_start_j;
-  return id;
+  span.start = now;
+  span.energy_start_j = energy;
+  return span.id;
 }
 
 std::uint64_t QueryTracer::BeginHop(std::uint64_t parent_id, std::string name,
@@ -63,20 +46,17 @@ std::uint64_t QueryTracer::BeginHop(std::uint64_t parent_id, std::string name,
   const Span* parent = FindOpenSlot(parent_id);
   if (parent == nullptr) return 0;
   const double energy = probe ? probe() : 0.0;
-  // EmplaceOpen may compact the window and relocate the parent span; copy
-  // what the new span needs from it first.
+  // EmplaceOpen may grow the table and move the parent span; copy what
+  // the new span needs from it first.
   std::string query_id = parent->query_id;
-  const std::uint64_t id = next_id_++;
-  ++started_;
-  Span& span = EmplaceOpen(id);
-  span.id = id;
+  Span& span = EmplaceOpen();
   span.parent = parent_id;
   span.query_id = std::move(query_id);
   span.name = std::move(name);
   span.start = now;
   span.energy_start_j = energy;
   span.probe = std::move(probe);
-  return id;
+  return span.id;
 }
 
 void QueryTracer::AddNote(std::uint64_t span_id, std::string note) {
@@ -85,13 +65,8 @@ void QueryTracer::AddNote(std::uint64_t span_id, std::string note) {
 }
 
 void QueryTracer::NoteOpenRoots(const std::string& note) {
-  for (const auto& chunk : window_) {
-    for (Span& span : chunk->slots) {
-      if (span.id != 0 && span.parent == 0) span.notes.push_back(note);
-    }
-  }
-  for (auto& [id, span] : old_) {
-    if (span.parent == 0) span.notes.push_back(note);
+  for (Span& span : slots_) {
+    if (span.open && span.parent == 0) span.notes.push_back(note);
   }
 }
 
@@ -112,15 +87,28 @@ const Span* QueryTracer::EndQuery(std::uint64_t root_id, SimTime now,
 
 const Span* QueryTracer::Close(std::uint64_t span_id, SimTime now,
                                std::string status, bool is_root) {
-  if (span_id == 0) return nullptr;  // the no-op handle, by contract
-  Span span;
-  if (!TakeOpen(span_id, span)) {
-    // The id was real if it is below the allocator watermark — that is a
-    // second close of a finished span, the bug double_closes() exists to
-    // surface. Unknown garbage ids are ignored silently.
-    if (span_id < next_id_) ++double_closes_;
+  Span* slot = FindOpenSlot(span_id);
+  if (slot == nullptr) {
+    // A real handle (its slot exists and has issued this generation) is
+    // a second close of a finished span, the bug double_closes() exists
+    // to surface. The no-op handle 0 and garbage handles are ignored.
+    const std::uint64_t generation = span_id >> 32;
+    if (generation != 0 && SlotOf(span_id) < slots_.size() &&
+        generation <= (slots_[SlotOf(span_id)].id >> 32)) {
+      ++double_closes_;
+    }
     return nullptr;
   }
+  Span span = std::move(*slot);
+  // Reset the slot so its next span never inherits stale fields (moved-
+  // from SSO strings keep their content); it keeps only its last handle.
+  *slot = Span{};
+  slot->id = span_id;
+  slot->open = false;
+  // A slot whose generation is exhausted is retired, so no handle ever
+  // repeats.
+  if ((span_id >> 32) != 0xffffffffu) free_.push_back(span_id);
+  --open_count_;
   span.end = now;
   span.status = std::move(status);
   span.open = false;
@@ -143,94 +131,28 @@ const Span* QueryTracer::Close(std::uint64_t span_id, SimTime now,
   return &finished_.back();
 }
 
-Span& QueryTracer::EmplaceOpen(std::uint64_t id) {
-  std::size_t offset = static_cast<std::size_t>(id - base_);
-  if (offset / kChunkSpans >= window_.size()) {
-    AppendChunk();  // may compact the front, moving base_
-    offset = static_cast<std::size_t>(id - base_);
+Span& QueryTracer::EmplaceOpen() {
+  // The newest freed slot under its next generation, or a new slot.
+  std::uint64_t id;
+  if (free_.empty()) {
+    id = kNextGeneration | slots_.size();
+    slots_.emplace_back();
+  } else {
+    id = free_.back() + kNextGeneration;
+    free_.pop_back();
   }
-  Chunk& chunk = *window_[offset / kChunkSpans];
-  Span& span = chunk.slots[offset % kChunkSpans];
-  ++chunk.live;
+  Span& span = slots_[SlotOf(id)];
+  span.id = id;
+  span.open = true;
+  ++started_;
   ++open_count_;
   return span;
 }
 
-void QueryTracer::AppendChunk() {
-  if (!spares_.empty()) {
-    window_.push_back(std::move(spares_.back()));
-    spares_.pop_back();
-  } else {
-    window_.push_back(std::make_unique<Chunk>());
-  }
-  // Keep the window bounded: spans still open in the oldest chunk move
-  // to the old generation, so one immortal query can't pin every chunk
-  // allocated after it.
-  while (window_.size() > kMaxWindowChunks) {
-    Chunk& front = *window_.front();
-    for (Span& span : front.slots) {
-      if (span.id != 0) {
-        old_.emplace(span.id, std::move(span));
-        span = Span{};
-        --front.live;
-      }
-    }
-    window_.pop_front();
-    base_ += kChunkSpans;
-  }
-}
-
-void QueryTracer::TrimFront() {
-  // Only fully-closed, fully-populated chunks are released; the tail
-  // chunk (window size 1) is still being filled and keeps its slots.
-  while (window_.size() > 1 && window_.front()->live == 0) {
-    if (spares_.size() < kSpareChunks) {
-      spares_.push_back(std::move(window_.front()));
-    }
-    window_.pop_front();
-    base_ += kChunkSpans;
-  }
-}
-
 Span* QueryTracer::FindOpenSlot(std::uint64_t span_id) {
-  if (span_id >= base_) {
-    const std::size_t offset = static_cast<std::size_t>(span_id - base_);
-    const std::size_t chunk = offset / kChunkSpans;
-    if (chunk >= window_.size()) return nullptr;
-    Span& span = window_[chunk]->slots[offset % kChunkSpans];
-    return span.id == span_id ? &span : nullptr;
-  }
-  const auto it = old_.find(span_id);
-  return it != old_.end() ? &it->second : nullptr;
-}
-
-const Span* QueryTracer::FindOpenSlot(std::uint64_t span_id) const {
-  return const_cast<QueryTracer*>(this)->FindOpenSlot(span_id);
-}
-
-bool QueryTracer::TakeOpen(std::uint64_t span_id, Span& out) {
-  if (span_id >= base_) {
-    const std::size_t offset = static_cast<std::size_t>(span_id - base_);
-    const std::size_t chunk = offset / kChunkSpans;
-    if (chunk >= window_.size()) return false;
-    Chunk& c = *window_[chunk];
-    Span& span = c.slots[offset % kChunkSpans];
-    if (span.id != span_id) return false;
-    out = std::move(span);
-    // Reset the slot so a reused chunk never leaks stale fields (moved-
-    // from SSO strings keep their content) and id 0 marks it empty.
-    span = Span{};
-    --c.live;
-    --open_count_;
-    TrimFront();
-    return true;
-  }
-  const auto it = old_.find(span_id);
-  if (it == old_.end()) return false;
-  out = std::move(it->second);
-  old_.erase(it);
-  --open_count_;
-  return true;
+  if (SlotOf(span_id) >= slots_.size()) return nullptr;
+  Span& span = slots_[SlotOf(span_id)];
+  return span.open && span.id == span_id ? &span : nullptr;
 }
 
 void QueryTracer::PushFinished(Span&& span) {
@@ -253,7 +175,7 @@ std::vector<Span> QueryTracer::FinishedFor(const std::string& query_id) const {
 }
 
 const Span* QueryTracer::FindOpen(std::uint64_t span_id) const {
-  return FindOpenSlot(span_id);
+  return const_cast<QueryTracer*>(this)->FindOpenSlot(span_id);
 }
 
 void QueryTracer::SetCapacity(std::size_t finished_cap) {
@@ -265,13 +187,10 @@ void QueryTracer::SetCapacity(std::size_t finished_cap) {
 }
 
 void QueryTracer::Reset() {
-  window_.clear();
-  spares_.clear();
-  old_.clear();
-  base_ = 1;
+  slots_ = std::vector<Span>();
+  free_ = std::vector<std::uint64_t>();
   open_count_ = 0;
   finished_.clear();
-  next_id_ = 1;
   started_ = 0;
   dropped_ = 0;
   double_closes_ = 0;

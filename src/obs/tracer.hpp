@@ -24,23 +24,20 @@
 // and the root's full lifetime.
 //
 // Cost discipline: spans are identified by plain uint64 handles the
-// instrumented objects keep (QueryRecord.obs), and handles are allocated
-// sequentially, so open spans live in a dense chunked window indexed by
-// (id - base) — opening a span is a couple of sequential cache-line
-// writes, with no hashing and no per-span allocation. Long-lived spans
-// whose window chunk would otherwise pin memory are compacted into an
-// old-generation map (bounded by *concurrently open* spans, not by spans
-// ever started).
+// instrumented objects keep (QueryRecord.obs), and open spans live in one
+// slot table: a vector of spans plus a LIFO free list of closed slots. A
+// handle packs the slot (low 32 bits) and that slot's generation (high 32
+// bits, from 1), so finding an open span is a bounds check plus a handle
+// compare, opening one reuses the newest freed slot (no hashing, no
+// per-span allocation), and memory follows the peak of *concurrently*
+// open spans, not spans ever started.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -89,7 +86,9 @@ class QueryTracer {
   QueryTracer(const QueryTracer&) = delete;
   QueryTracer& operator=(const QueryTracer&) = delete;
 
-  /// Opens the root span for `query_id`. Returns its handle (never 0).
+  /// Opens the root span for `query_id`. Returns its handle: unique and
+  /// never 0, but not sequential (slots are reused under a new
+  /// generation).
   std::uint64_t BeginQuery(const std::string& query_id, SimTime now,
                            EnergyProbe probe = {});
 
@@ -98,14 +97,6 @@ class QueryTracer {
   /// the root is unknown or already closed.
   std::uint64_t BeginStage(std::uint64_t root_id, const char* name,
                            const char* mechanism, SimTime now);
-
-  /// BeginStage for deferred opens: the caller supplies the window's
-  /// start time and opening energy sample (captured when the stage
-  /// logically began), so materializing an already-running stage does
-  /// not misattribute its time or energy window.
-  std::uint64_t BeginStageAt(std::uint64_t root_id, const char* name,
-                             const char* mechanism, SimTime start,
-                             double energy_start_j);
 
   /// Opens a hop span nested under *any* open span (`parent_id` may be a
   /// root or a stage — SM hop chains hang off the provision span when one
@@ -145,6 +136,8 @@ class QueryTracer {
   /// All finished spans of one query, roots and stages.
   [[nodiscard]] std::vector<Span> FinishedFor(
       const std::string& query_id) const;
+  /// The open span behind `span_id`, or nullptr. The pointer is valid
+  /// until the next Begin* call (opening a span may grow the table).
   [[nodiscard]] const Span* FindOpen(std::uint64_t span_id) const;
   [[nodiscard]] std::uint64_t spans_started() const noexcept {
     return started_;
@@ -157,11 +150,10 @@ class QueryTracer {
   [[nodiscard]] std::uint64_t double_closes() const noexcept {
     return double_closes_;
   }
-  /// Long-lived open spans compacted out of the dense window (see
-  /// kMaxWindowChunks). Bounded by *concurrently open* spans; tests
-  /// assert it drains to zero once everything closes or Reset() runs.
-  [[nodiscard]] std::size_t old_generation_size() const noexcept {
-    return old_.size();
+  /// Slots in the open-span table: the peak of concurrently open spans
+  /// since construction or Reset().
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return slots_.size();
   }
 
   void SetCapacity(std::size_t finished_cap);
@@ -169,47 +161,22 @@ class QueryTracer {
   void Reset();
 
  private:
-  /// Open spans live in a dense window of fixed chunks: slot index is
-  /// (id - base_), chunks are appended as ids grow and popped from the
-  /// front once every span in them has closed. A slot with id == 0 is
-  /// empty (pristine: closed slots are reset on close, so reused chunks
-  /// never leak stale field values into new spans).
-  static constexpr std::size_t kChunkSpans = 256;  // power of two
-  /// Window bound: beyond this many chunks the front chunk's still-open
-  /// spans are compacted into old_ so churn can't grow memory without
-  /// bound (one immortal query must not pin every chunk after it).
-  static constexpr std::size_t kMaxWindowChunks = 64;
-  static constexpr std::size_t kSpareChunks = 2;
-  struct Chunk {
-    std::array<Span, kChunkSpans> slots;
-    std::size_t live = 0;
-  };
-
-  std::uint64_t InsertStage(const Span& root_span, std::uint64_t root_id,
-                            const char* name, const char* mechanism,
-                            SimTime start, double energy_start_j);
+  /// A fresh open span in the newest freed slot (or a new slot), with
+  /// its handle set. May grow slots_, moving every open span.
+  Span& EmplaceOpen();
+  /// Non-const FindOpen.
+  [[nodiscard]] Span* FindOpenSlot(std::uint64_t span_id);
   const Span* Close(std::uint64_t span_id, SimTime now, std::string status,
                     bool is_root);
   void PushFinished(Span&& span);
 
-  /// Slot for freshly-allocated id `id` (always the next sequential id).
-  Span& EmplaceOpen(std::uint64_t id);
-  [[nodiscard]] Span* FindOpenSlot(std::uint64_t span_id);
-  [[nodiscard]] const Span* FindOpenSlot(std::uint64_t span_id) const;
-  /// Moves the span out and empties its slot; false when not open.
-  bool TakeOpen(std::uint64_t span_id, Span& out);
-  void AppendChunk();
-  void TrimFront();
-
-  std::deque<std::unique_ptr<Chunk>> window_;
-  std::vector<std::unique_ptr<Chunk>> spares_;
-  /// Long-lived spans evicted from the window (see kMaxWindowChunks).
-  std::unordered_map<std::uint64_t, Span> old_;
-  /// Id of window_[0].slots[0]; always chunk-aligned relative to id 1.
-  std::uint64_t base_ = 1;
+  /// Indexed by a handle's slot. A closed slot keeps the last handle it
+  /// issued with open == false, so a handle is real iff its generation is
+  /// at most its slot's. free_ holds the last handle of each free slot.
+  std::vector<Span> slots_;
+  std::vector<std::uint64_t> free_;
   std::size_t open_count_ = 0;
   std::deque<Span> finished_;
-  std::uint64_t next_id_ = 1;
   std::uint64_t started_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t double_closes_ = 0;

@@ -306,6 +306,44 @@ TEST(ObsTracerTest, DoubleCloseIsCounted) {
   EXPECT_EQ(tracer.double_closes(), 1u);
 }
 
+TEST(ObsTracerTest, StaleHandleMissesTheSpanReusingItsSlot) {
+  obs::QueryTracer tracer;
+  const auto root = tracer.BeginQuery("q-1", kSimEpoch);
+  const auto a = tracer.BeginStage(root, "provision", "intSensor", kSimEpoch);
+  ASSERT_NE(tracer.EndStage(a, kSimEpoch + 1s, "ok"), nullptr);
+  // B opens in A's freed slot under the next generation.
+  const auto b = tracer.BeginStage(root, "failover", nullptr, kSimEpoch + 2s);
+  ASSERT_NE(b, 0u);
+  ASSERT_NE(b, a);
+  EXPECT_EQ(tracer.slot_count(), 2u);
+
+  // Every use of the stale handle A misses B.
+  EXPECT_EQ(tracer.FindOpen(a), nullptr);
+  EXPECT_EQ(tracer.BeginStage(a, "provision", "intSensor", kSimEpoch), 0u);
+  EXPECT_EQ(tracer.BeginHop(a, "hop:1", kSimEpoch), 0u);
+  tracer.AddItems(a, 5);
+  tracer.AddNote(a, "stale");
+  const obs::Span* open_b = tracer.FindOpen(b);
+  ASSERT_NE(open_b, nullptr);
+  EXPECT_EQ(open_b->items, 0u);
+  EXPECT_TRUE(open_b->notes.empty());
+  EXPECT_EQ(tracer.spans_started(), 3u);
+
+  // Closing A again is a double close, not a close of B.
+  EXPECT_EQ(tracer.EndStage(a, kSimEpoch + 3s, "ok"), nullptr);
+  EXPECT_EQ(tracer.double_closes(), 1u);
+  EXPECT_EQ(tracer.open_count(), 2u);
+
+  const obs::Span* closed_b = tracer.EndStage(b, kSimEpoch + 4s, "switched");
+  ASSERT_NE(closed_b, nullptr);
+  EXPECT_EQ(closed_b->id, b);
+  EXPECT_EQ(closed_b->name, "failover");
+  EXPECT_EQ(closed_b->status, "switched");
+  ASSERT_NE(tracer.EndQuery(root, kSimEpoch + 5s, "DONE"), nullptr);
+  EXPECT_EQ(tracer.open_count(), 0u);
+  EXPECT_EQ(tracer.double_closes(), 1u);
+}
+
 TEST(ObsTracerTest, EnergyProbeSampledAtBoundaries) {
   double energy = 1.5;
   obs::QueryTracer tracer;
@@ -507,6 +545,74 @@ TEST_F(ObsTest, PeriodicQueryYieldsOneRootSpanWithTerminalStatus) {
       "first_delivery_latency_ms", {{"mechanism", "intSensor"}});
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->count(), 1u);
+}
+
+/// Records the sim time of its first item.
+class FirstArrivalClient : public core::CollectingClient {
+ public:
+  explicit FirstArrivalClient(const sim::Simulation& sim) : sim_(sim) {}
+  void ReceiveCxtItem(const CxtItem& item) override {
+    if (items.empty()) first_at = sim_.Now();
+    CollectingClient::ReceiveCxtItem(item);
+  }
+
+  SimTime first_at{};
+
+ private:
+  const sim::Simulation& sim_;
+};
+
+TEST_F(ObsTest, ProvisionSpanOpensAtFacadeAssignment) {
+  // An extInfra query's first item needs the cellular round trip to the
+  // context server, so it lands well after the facade assignment. The
+  // provision window still starts at the assignment and samples the
+  // energy ledger there.
+  testbed::World world{93};
+  testbed::DeviceOptions opts;
+  opts.infra_address = "infra.fi";
+  auto& device = world.AddDevice(opts);
+  infra::ContextServer& server = world.AddContextServer("infra.fi");
+  CxtItem reading;
+  reading.id = "remote-temperature";
+  reading.type = vocab::kTemperature;
+  reading.value = 21.0;
+  server.StoreDirect({reading, "remote", std::nullopt});
+  world.RunFor(5s);
+
+  FirstArrivalClient client(world.sim());
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature FROM extInfra DURATION 1 min "
+                    "EVERY 20 sec");
+  const std::string id = q.id;
+  const SimTime assigned_at = world.sim().Now();
+  const double energy_at_assignment =
+      device.phone().energy().TotalEnergyJoules();
+  ASSERT_GT(energy_at_assignment, 0.0);
+  ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
+  world.RunFor(2min);
+
+  ASSERT_FALSE(client.items.empty());
+  EXPECT_GT(client.first_at, assigned_at);
+  if (!HooksLive()) {
+    EXPECT_EQ(tracer().spans_started(), 0u);
+    return;
+  }
+  const obs::Span* root = nullptr;
+  const obs::Span* provision = nullptr;
+  const auto spans = tracer().FinishedFor(id);
+  for (const obs::Span& s : spans) {
+    if (s.name == "query") root = &s;
+    if (s.name == "provision") provision = &s;
+  }
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(provision, nullptr);
+  EXPECT_EQ(provision->mechanism, "extInfra");
+  EXPECT_EQ(provision->start, root->start);
+  EXPECT_EQ(provision->start, assigned_at);
+  EXPECT_DOUBLE_EQ(provision->energy_start_j, energy_at_assignment);
+  EXPECT_EQ(provision->items, client.items.size());
+  EXPECT_EQ(tracer().open_count(), 0u);
+  EXPECT_EQ(tracer().double_closes(), 0u);
 }
 
 TEST_F(ObsTest, RuntimeDisableSuppressesEveryHook) {
@@ -853,18 +959,16 @@ TEST_F(ObsTest, ChaosFaultWindowsLandInMetrics) {
 TEST_F(ObsTest, ResetForTestLeavesNoRetainedSpansOrFrames) {
   // Tracer calls below go straight at the singleton (no COBS gate), so
   // this holds in the disabled run too: reset must drain every piece of
-  // retained observability state — the open window, the old-generation
-  // map, the finished deque, and the recorder ring.
+  // retained observability state — the open-span slot table, the
+  // finished deque, and the recorder ring.
   auto& tr = tracer();
   const std::uint64_t root = tr.BeginQuery("q-reset", kSimEpoch);
-  // Enough sequential churn to advance the dense window far past the
-  // root's chunk, forcing it into the old generation.
   for (int i = 0; i < 20'000; ++i) {
     const std::uint64_t stage =
         tr.BeginStage(root, "provision", "intSensor", kSimEpoch);
     ASSERT_NE(tr.EndStage(stage, kSimEpoch, "ok"), nullptr);
   }
-  EXPECT_EQ(tr.old_generation_size(), 1u);
+  EXPECT_EQ(tr.slot_count(), 2u);
   EXPECT_EQ(tr.open_count(), 1u);
 
   obs::RecorderConfig config;
@@ -876,14 +980,17 @@ TEST_F(ObsTest, ResetForTestLeavesNoRetainedSpansOrFrames) {
 
   obs::Observability::ResetForTest();
   EXPECT_EQ(tr.open_count(), 0u);
-  EXPECT_EQ(tr.old_generation_size(), 0u);
+  EXPECT_EQ(tr.slot_count(), 0u);
   EXPECT_TRUE(tr.finished().empty());
   EXPECT_EQ(tr.spans_started(), 0u);
   EXPECT_EQ(tr.spans_dropped(), 0u);
   EXPECT_TRUE(obs::Observability::recorder().frames().empty());
   EXPECT_EQ(obs::Observability::recorder().samples_total(), 0u);
-  // Closing the stale pre-reset handle is a no-op, not a double close.
+  // The stale pre-reset handle is a no-op, not a double close.
+  EXPECT_EQ(tr.FindOpen(root), nullptr);
+  tr.AddNote(root, "late");
   EXPECT_EQ(tr.EndQuery(root, kSimEpoch + 2s, "late"), nullptr);
+  EXPECT_EQ(tr.double_closes(), 0u);
 }
 
 }  // namespace

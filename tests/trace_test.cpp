@@ -4,9 +4,9 @@
 // on the loss path ("lost: ..."), or never opened at all when the next
 // hop is unreachable (noted on the root instead) — so the finished span
 // tree reconstructs exactly where a finder's hops went. Also covered
-// here: the opt-in next-hop route cache counters, the tracer's
-// old-generation compaction under 100k-span churn, and the Chrome
-// trace-event export that renders all of it.
+// here: the opt-in next-hop route cache counters, the tracer's open-span
+// slot table holding at its concurrent peak under 100k-span churn, and
+// the Chrome trace-event export that renders all of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -261,27 +261,23 @@ TEST_F(TraceTest, RouteCacheCountsHitsMissesAndEvictions) {
 
 // Plain TEST: a local tracer needs no topology and no COBS gate, so this
 // also runs in the CONTORY_OBS=OFF compile.
-TEST(TracerChurnTest, OldGenerationCompactsAndDrainsUnderChurn) {
-  // 100k short-lived stage spans under one immortal root: the dense
-  // window advances far past the root's chunk, so the root must compact
-  // into the old generation — and must leave it once everything closes.
+TEST(TracerChurnTest, SlotTableHoldsConcurrentPeakUnderChurn) {
+  // 100k short-lived stage spans under one immortal root: every stage
+  // reopens the slot the previous one freed, so the table stays at the
+  // two concurrently open spans however many have been started.
   obs::QueryTracer tracer;
   const std::uint64_t root = tracer.BeginQuery("q-churn", kSimEpoch);
-  std::size_t max_old = 0;
   for (int i = 0; i < 100'000; ++i) {
     const std::uint64_t stage =
         tracer.BeginStage(root, "provision", "adHocNetwork", kSimEpoch);
     ASSERT_NE(stage, 0u);
     ASSERT_NE(tracer.EndStage(stage, kSimEpoch + 1s, "ok"), nullptr);
-    max_old = std::max(max_old, tracer.old_generation_size());
+    ASSERT_EQ(tracer.slot_count(), 2u);
   }
-  // Only the root ever outlives its chunk; churned spans never pile up.
-  EXPECT_EQ(max_old, 1u);
-  EXPECT_EQ(tracer.old_generation_size(), 1u);
   EXPECT_EQ(tracer.open_count(), 1u);
 
   ASSERT_NE(tracer.EndQuery(root, kSimEpoch + 2s, "DONE"), nullptr);
-  EXPECT_EQ(tracer.old_generation_size(), 0u);
+  EXPECT_EQ(tracer.slot_count(), 2u);
   EXPECT_EQ(tracer.open_count(), 0u);
   EXPECT_EQ(tracer.double_closes(), 0u);
   // The finished deque stayed bounded and counted what it shed.
