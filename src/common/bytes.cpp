@@ -150,6 +150,14 @@ Result<std::string> ByteReader::ReadString() {
   return out;
 }
 
+Result<std::vector<std::byte>> ByteReader::ReadBytes(std::size_t n) {
+  if (auto s = Require(n); !s.ok()) return s;
+  const auto first = data_.begin() + static_cast<std::ptrdiff_t>(pos_);
+  std::vector<std::byte> out(first, first + static_cast<std::ptrdiff_t>(n));
+  pos_ += n;
+  return out;
+}
+
 Status ByteReader::Skip(std::size_t n) {
   if (auto s = Require(n); !s.ok()) return s;
   pos_ += n;

@@ -70,6 +70,10 @@ class ByteReader {
   [[nodiscard]] Result<double> ReadF64();
   [[nodiscard]] Result<bool> ReadBool();
   [[nodiscard]] Result<std::string> ReadString();
+  /// The next n raw bytes: one bounds check and one copy. Fails with the
+  /// same "truncated frame" status as the scalar reads when fewer than n
+  /// bytes remain, before allocating anything.
+  [[nodiscard]] Result<std::vector<std::byte>> ReadBytes(std::size_t n);
   /// Skips n bytes (e.g. envelope padding).
   [[nodiscard]] Status Skip(std::size_t n);
 

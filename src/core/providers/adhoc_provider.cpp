@@ -43,13 +43,9 @@ Result<FinderState> FinderState::Decode(const std::vector<std::byte>& data) {
   FinderState state;
   const auto qlen = r.ReadU32();
   if (!qlen.ok()) return qlen.status();
-  std::vector<std::byte> qbytes(*qlen);
-  for (auto& b : qbytes) {
-    const auto byte = r.ReadU8();
-    if (!byte.ok()) return byte.status();
-    b = std::byte{*byte};
-  }
-  auto q = query::CxtQuery::Deserialize(qbytes);
+  const auto qbytes = r.ReadBytes(*qlen);
+  if (!qbytes.ok()) return qbytes.status();
+  auto q = query::CxtQuery::Deserialize(*qbytes);
   if (!q.ok()) return q.status();
   state.query = *std::move(q);
   const auto remaining = r.ReadI64();

@@ -253,16 +253,12 @@ void ContextServer::HandleRequest(net::NodeId from,
         respond(Nack("missing query"));
         return;
       }
-      std::vector<std::byte> qbytes(*len);
-      for (auto& b : qbytes) {
-        const auto byte = r.ReadU8();
-        if (!byte.ok()) {
-          respond(Nack("truncated query"));
-          return;
-        }
-        b = std::byte{*byte};
+      const auto qbytes = r.ReadBytes(*len);
+      if (!qbytes.ok()) {
+        respond(Nack("truncated query"));
+        return;
       }
-      const auto q = query::CxtQuery::Deserialize(qbytes);
+      const auto q = query::CxtQuery::Deserialize(*qbytes);
       if (!q.ok()) {
         respond(Nack("bad query: " + q.status().ToString()));
         return;
@@ -276,16 +272,12 @@ void ContextServer::HandleRequest(net::NodeId from,
         respond(Nack("missing query"));
         return;
       }
-      std::vector<std::byte> qbytes(*len);
-      for (auto& b : qbytes) {
-        const auto byte = r.ReadU8();
-        if (!byte.ok()) {
-          respond(Nack("truncated query"));
-          return;
-        }
-        b = std::byte{*byte};
+      const auto qbytes = r.ReadBytes(*len);
+      if (!qbytes.ok()) {
+        respond(Nack("truncated query"));
+        return;
       }
-      auto q = query::CxtQuery::Deserialize(qbytes);
+      auto q = query::CxtQuery::Deserialize(*qbytes);
       if (!q.ok()) {
         respond(Nack("bad query: " + q.status().ToString()));
         return;

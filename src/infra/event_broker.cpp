@@ -49,12 +49,9 @@ Result<Event> UnwrapEvent(const std::vector<std::byte>& wire) {
   event.topic = *std::move(topic);
   const auto len = r.ReadU32();
   if (!len.ok()) return len.status();
-  event.payload.resize(*len);
-  for (auto& b : event.payload) {
-    const auto byte = r.ReadU8();
-    if (!byte.ok()) return byte.status();
-    b = std::byte{*byte};
-  }
+  auto payload = r.ReadBytes(*len);
+  if (!payload.ok()) return payload.status();
+  event.payload = *std::move(payload);
   return event;
 }
 
@@ -119,17 +116,13 @@ void EventBroker::HandleRequest(net::NodeId from,
         respond(ErrorResponse("missing payload"));
         return;
       }
-      std::vector<std::byte> payload(*len);
-      for (auto& b : payload) {
-        const auto byte = r.ReadU8();
-        if (!byte.ok()) {
-          respond(ErrorResponse("truncated payload"));
-          return;
-        }
-        b = std::byte{*byte};
+      const auto payload = r.ReadBytes(*len);
+      if (!payload.ok()) {
+        respond(ErrorResponse("truncated payload"));
+        return;
       }
       ++events_published_;
-      const auto frame = WrapEvent(*topic, payload);
+      const auto frame = WrapEvent(*topic, *payload);
       for (const net::NodeId sub : subscribers_[*topic]) {
         if (sub == from) continue;  // no echo to the publisher
         const Status s = network_.PushToClient(sub, frame);

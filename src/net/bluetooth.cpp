@@ -17,9 +17,9 @@ constexpr const char* kLink = "bt.link";
 constexpr const char* kTransfer = "bt.transfer";
 }  // namespace
 
-BluetoothController* BluetoothBus::Find(NodeId id) const noexcept {
-  const auto it = controllers_.find(id);
-  return it == controllers_.end() ? nullptr : it->second;
+void BluetoothBus::Attach(NodeId id, BluetoothController* c) {
+  if (id >= controllers_.size()) controllers_.resize(id + 1, nullptr);
+  controllers_[id] = c;
 }
 
 BluetoothController::BluetoothController(sim::Simulation& sim,
@@ -82,10 +82,11 @@ void BluetoothController::StartInquiry(InquiryCallback done) {
       done(Unavailable("bluetooth radio switched off during inquiry"));
       return;
     }
+    std::vector<NodeId> ids;
+    bus_.medium().NodesWithinInto(node_, config_.range_m, ids,
+                                  [this](NodeId n) { return Reachable(n); });
     std::vector<BtDeviceInfo> found;
-    for (const NodeId id : bus_.medium().NodesWithin(
-             node_, config_.range_m,
-             [this](NodeId n) { return Reachable(n); })) {
+    for (const NodeId id : ids) {
       found.push_back(
           BtDeviceInfo{id, bus_.medium().GetName(id).value_or("?")});
     }

@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -39,15 +38,17 @@ class BluetoothBus {
   explicit BluetoothBus(Medium& medium) : medium_(medium) {}
 
   [[nodiscard]] Medium& medium() noexcept { return medium_; }
-  [[nodiscard]] BluetoothController* Find(NodeId id) const noexcept;
+  [[nodiscard]] BluetoothController* Find(NodeId id) const noexcept {
+    return id < controllers_.size() ? controllers_[id] : nullptr;
+  }
 
  private:
   friend class BluetoothController;
-  void Attach(NodeId id, BluetoothController* c) { controllers_[id] = c; }
-  void Detach(NodeId id) { controllers_.erase(id); }
+  void Attach(NodeId id, BluetoothController* c);
+  void Detach(NodeId id) { controllers_[id] = nullptr; }
 
   Medium& medium_;
-  std::unordered_map<NodeId, BluetoothController*> controllers_;
+  std::vector<BluetoothController*> controllers_;  // by NodeId; nullptr = none
 };
 
 /// An entry in a device's Service Discovery Database.

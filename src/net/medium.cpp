@@ -8,20 +8,6 @@
 namespace contory::net {
 namespace {
 
-/// Cell coordinates are clamped to 32-bit so one u64 key can hold both;
-/// at the 1 m minimum cell size that still spans ±2 billion meters.
-std::int64_t ClampCoord(double v) noexcept {
-  constexpr double kLim = 2'147'483'000.0;
-  const double clamped = std::max(-kLim, std::min(kLim, v));
-  return static_cast<std::int64_t>(std::floor(clamped));
-}
-
-std::uint64_t PackCell(std::int64_t cx, std::int64_t cy) noexcept {
-  const auto ux = static_cast<std::uint64_t>(cx + 0x8000'0000LL);
-  const auto uy = static_cast<std::uint64_t>(cy + 0x8000'0000LL);
-  return (ux << 32) | (uy & 0xffff'ffffULL);
-}
-
 /// Home slot of `key` in a table of `mask + 1` slots. Fibonacci hashing
 /// folds both packed cell coordinates into the low bits.
 std::size_t HomeSlot(std::uint64_t key, std::size_t mask) noexcept {
@@ -30,10 +16,6 @@ std::size_t HomeSlot(std::uint64_t key, std::size_t mask) noexcept {
 }
 
 }  // namespace
-
-double Distance(Position a, Position b) noexcept {
-  return std::hypot(a.x - b.x, a.y - b.y);
-}
 
 Medium::Medium(MediumOptions options)
     : nodes_(1), names_(1),  // NodeId 0 is kInvalidNode
@@ -222,13 +204,7 @@ bool Medium::InRange(NodeId a, NodeId b, double range_m) const {
   return Distance(ia->pos, ib->pos) <= range_m;
 }
 
-std::vector<NodeId> Medium::NodesWithin(
-    NodeId center, double range_m,
-    const std::function<bool(NodeId)>& filter) const {
-  const NodeInfo* cinfo = Find(center);
-  if (cinfo == nullptr) return {};
-  const Position cpos = cinfo->pos;
-
+void Medium::CountNeighborQuery() const {
   COBS({
     static obs::Counter& grid_queries =
         obs::Observability::metrics().GetCounter(
@@ -238,57 +214,14 @@ std::vector<NodeId> Medium::NodesWithin(
             "medium_neighbor_queries_total", {{"backend", "linear"}});
     (use_grid_ ? grid_queries : linear_queries).Inc();
   });
+}
 
-  std::vector<std::pair<double, NodeId>> hits;
-  const auto consider = [&](NodeId id, Position pos) {
-    if (id == center) return;
-    const double d = Distance(cpos, pos);
-    if (d <= range_m && (!filter || filter(id))) hits.emplace_back(d, id);
-  };
-
-  if (!use_grid_) {
-    for (NodeId id = 1; id < nodes_.size(); ++id) {
-      if (nodes_[id].alive) consider(id, nodes_[id].pos);
-    }
-  } else {
-    const std::int64_t cx0 = ClampCoord((cpos.x - range_m) / cell_size_);
-    const std::int64_t cx1 = ClampCoord((cpos.x + range_m) / cell_size_);
-    const std::int64_t cy0 = ClampCoord((cpos.y - range_m) / cell_size_);
-    const std::int64_t cy1 = ClampCoord((cpos.y + range_m) / cell_size_);
-    const double span_x = static_cast<double>(cx1 - cx0 + 1);
-    const double span_y = static_cast<double>(cy1 - cy0 + 1);
-    if (span_x * span_y > static_cast<double>(occupied_cells_)) {
-      // The range covers more cells than are occupied: walking the dense
-      // cell vector is cheaper — e.g. an "everything" query.
-      for (const std::vector<CellEntry>& entries : cells_) {
-        for (const CellEntry& e : entries) consider(e.id, e.pos);
-      }
-    } else {
-      for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
-        for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
-          const std::uint32_t cell = FindCell(PackCell(cx, cy));
-          if (cell == kNoCell) continue;
-          for (const CellEntry& e : cells_[cell]) {
-            consider(e.id, e.pos);
-          }
-        }
-      }
-    }
-  }
-
-  // Deterministic order: nearest first, distance ties broken by ascending
-  // NodeId (spelled out, not left to pair's lexicographic operator<, so
-  // the contract survives refactors of the hit representation). This is
-  // what makes the grid and the linear oracle byte-identical.
-  std::sort(hits.begin(), hits.end(),
-            [](const std::pair<double, NodeId>& a,
-               const std::pair<double, NodeId>& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
+std::vector<NodeId> Medium::NodesWithin(
+    NodeId center, double range_m,
+    const std::function<bool(NodeId)>& filter) const {
   std::vector<NodeId> out;
-  out.reserve(hits.size());
-  for (const auto& [d, id] : hits) out.push_back(id);
+  NodesWithinInto(center, range_m, out,
+                  [&filter](NodeId id) { return !filter || filter(id); });
   return out;
 }
 

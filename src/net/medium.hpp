@@ -21,8 +21,16 @@
 // to the brute-force scan, which remains available behind `set_use_grid
 // (false)` as the property-test oracle. Cell size is derived from the
 // radio ranges the protocol models register via NoteRadioRange.
+//
+// The range query is a template, NodesWithinInto, so the per-hop callers
+// (WiFi neighbor lists under every SM routing BFS, BT inquiry) inline
+// their filter and append into a buffer they reuse: with warm buffers a
+// query hashes nothing and allocates nothing. The std::function
+// NodesWithin is a thin wrapper over the same scan.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -41,7 +49,9 @@ struct Position {
   double y = 0.0;  // meters
 };
 
-[[nodiscard]] double Distance(Position a, Position b) noexcept;
+[[nodiscard]] inline double Distance(Position a, Position b) noexcept {
+  return std::hypot(a.x - b.x, a.y - b.y);
+}
 
 struct MediumOptions {
   /// Answer range queries from the spatial grid. OFF selects the linear
@@ -80,11 +90,20 @@ class Medium {
   /// per-packet hot path for both radios.
   [[nodiscard]] bool InRange(NodeId a, NodeId b, double range_m) const;
 
-  /// All other nodes within `range_m` of `center`, nearest first; exact
+  /// Appends to `out` every other node within `range_m` of `center` that
+  /// passes `filter` (callable as bool(NodeId)), nearest first; exact
   /// distance ties break by ascending NodeId (deterministic order even
-  /// for equidistant peers). Optionally filtered by a predicate; the
-  /// predicate only ever sees in-range nodes, but the order in which it
-  /// is consulted is unspecified (the result order is not).
+  /// for equidistant peers). The filter only ever sees in-range nodes,
+  /// but the order in which it is consulted is unspecified (the result
+  /// order is not). Appends nothing when `center` is not registered.
+  /// Counts one medium_neighbor_queries_total per call. Allocation-free
+  /// once `out` and the internal hit buffer are warm; a filter may itself
+  /// query this medium (the nested call just allocates its own buffer).
+  template <class Filter>
+  void NodesWithinInto(NodeId center, double range_m,
+                       std::vector<NodeId>& out, Filter&& filter) const;
+
+  /// NodesWithinInto into a fresh vector, with an optional predicate.
   [[nodiscard]] std::vector<NodeId> NodesWithin(
       NodeId center, double range_m,
       const std::function<bool(NodeId)>& filter = {}) const;
@@ -132,6 +151,12 @@ class Medium {
     Position pos;  // mirrored so queries never read nodes_ per candidate
   };
 
+  /// One in-range candidate of a range query.
+  struct Hit {
+    double distance;
+    NodeId id;
+  };
+
   static constexpr std::uint32_t kNoCell = 0xffff'ffff;
   /// One slot of the key -> cell index table.
   struct KeySlot {
@@ -142,6 +167,18 @@ class Medium {
   /// The live node `id`, or nullptr.
   [[nodiscard]] const NodeInfo* Find(NodeId id) const noexcept {
     return id < nodes_.size() && nodes_[id].alive ? &nodes_[id] : nullptr;
+  }
+  /// Cell coordinates are clamped to 32-bit so one u64 key can hold both;
+  /// at the 1 m minimum cell size that still spans ±2 billion meters.
+  static std::int64_t ClampCoord(double v) noexcept {
+    constexpr double kLim = 2'147'483'000.0;
+    const double clamped = std::max(-kLim, std::min(kLim, v));
+    return static_cast<std::int64_t>(std::floor(clamped));
+  }
+  static std::uint64_t PackCell(std::int64_t cx, std::int64_t cy) noexcept {
+    const auto ux = static_cast<std::uint64_t>(cx + 0x8000'0000LL);
+    const auto uy = static_cast<std::uint64_t>(cy + 0x8000'0000LL);
+    return (ux << 32) | (uy & 0xffff'ffffULL);
   }
   [[nodiscard]] std::uint64_t CellKeyFor(Position pos) const noexcept;
   /// cell_index_ slot holding `key`, or the free slot it would take.
@@ -157,6 +194,8 @@ class Medium {
   void MaybeResize();
   void RebuildGrid();
   void PublishGauges() const;
+  /// Bumps medium_neighbor_queries_total{backend} (COBS-gated).
+  void CountNeighborQuery() const;
 
   std::vector<NodeInfo> nodes_;  // [0] unused; ids are never reused
   std::vector<std::string> names_;  // parallel to nodes_
@@ -173,6 +212,71 @@ class Medium {
   double cell_size_ = 100.0;
   double min_range_ = 0.0;  // 0 = no range noted yet
   double max_range_ = 0.0;
+  /// Range-query hit buffer, borrowed (moved out and back) by each
+  /// NodesWithinInto so a nested query cannot clobber an outer one.
+  mutable std::vector<Hit> hits_;
 };
+
+template <class Filter>
+void Medium::NodesWithinInto(NodeId center, double range_m,
+                             std::vector<NodeId>& out,
+                             Filter&& filter) const {
+  const NodeInfo* cinfo = Find(center);
+  if (cinfo == nullptr) return;
+  const Position cpos = cinfo->pos;
+  CountNeighborQuery();
+
+  std::vector<Hit> hits = std::move(hits_);
+  hits.clear();
+  const auto consider = [&](NodeId id, Position pos) {
+    if (id == center) return;
+    // hypot >= max(|dx|, |dy|), so a node outside the bounding square is
+    // out of range; skipping hypot for it changes no result.
+    if (std::abs(cpos.x - pos.x) > range_m ||
+        std::abs(cpos.y - pos.y) > range_m) {
+      return;
+    }
+    const double d = Distance(cpos, pos);
+    if (d <= range_m && filter(id)) hits.push_back(Hit{d, id});
+  };
+
+  if (!use_grid_) {
+    for (NodeId id = 1; id < nodes_.size(); ++id) {
+      if (nodes_[id].alive) consider(id, nodes_[id].pos);
+    }
+  } else {
+    const std::int64_t cx0 = ClampCoord((cpos.x - range_m) / cell_size_);
+    const std::int64_t cx1 = ClampCoord((cpos.x + range_m) / cell_size_);
+    const std::int64_t cy0 = ClampCoord((cpos.y - range_m) / cell_size_);
+    const std::int64_t cy1 = ClampCoord((cpos.y + range_m) / cell_size_);
+    const double span_x = static_cast<double>(cx1 - cx0 + 1);
+    const double span_y = static_cast<double>(cy1 - cy0 + 1);
+    if (span_x * span_y > static_cast<double>(occupied_cells_)) {
+      // The range covers more cells than are occupied: walking the dense
+      // cell vector is cheaper — e.g. an "everything" query.
+      for (const std::vector<CellEntry>& entries : cells_) {
+        for (const CellEntry& e : entries) consider(e.id, e.pos);
+      }
+    } else {
+      for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
+        for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
+          const std::uint32_t cell = FindCell(PackCell(cx, cy));
+          if (cell == kNoCell) continue;
+          for (const CellEntry& e : cells_[cell]) consider(e.id, e.pos);
+        }
+      }
+    }
+  }
+
+  // Deterministic order: nearest first, distance ties broken by ascending
+  // NodeId. This is what makes the grid and the linear oracle
+  // byte-identical.
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.id < b.id;
+  });
+  for (const Hit& h : hits) out.push_back(h.id);
+  hits_ = std::move(hits);
+}
 
 }  // namespace contory::net

@@ -11,9 +11,9 @@ constexpr const char* kModule = "wifi";
 constexpr const char* kConnected = "wifi.connected";
 }  // namespace
 
-WifiController* WifiBus::Find(NodeId id) const noexcept {
-  const auto it = controllers_.find(id);
-  return it == controllers_.end() ? nullptr : it->second;
+void WifiBus::Attach(NodeId id, WifiController* c) {
+  if (id >= controllers_.size()) controllers_.resize(id + 1, nullptr);
+  controllers_[id] = c;
 }
 
 WifiController::WifiController(sim::Simulation& sim, WifiBus& bus,
@@ -51,11 +51,18 @@ void WifiController::SetFailed(bool failed) {
 }
 
 std::vector<NodeId> WifiController::Neighbors() const {
-  if (!enabled()) return {};
-  return bus_.medium().NodesWithin(node_, config_.range_m, [this](NodeId n) {
-    const WifiController* peer = bus_.Find(n);
-    return peer != nullptr && peer->enabled();
-  });
+  std::vector<NodeId> out;
+  NeighborsInto(out);
+  return out;
+}
+
+void WifiController::NeighborsInto(std::vector<NodeId>& out) const {
+  if (!enabled()) return;
+  bus_.medium().NodesWithinInto(node_, config_.range_m, out,
+                                [this](NodeId n) {
+                                  const WifiController* peer = bus_.Find(n);
+                                  return peer != nullptr && peer->enabled();
+                                });
 }
 
 bool WifiController::IsNeighbor(NodeId other) const {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -28,20 +27,23 @@ namespace contory::net {
 
 class WifiController;
 
-/// Per-simulation registry of WiFi radios.
+/// Per-simulation registry of WiFi radios, indexed by NodeId (Medium ids
+/// are dense), so Find is a bounds check plus a load.
 class WifiBus {
  public:
   explicit WifiBus(Medium& medium) : medium_(medium) {}
   [[nodiscard]] Medium& medium() noexcept { return medium_; }
-  [[nodiscard]] WifiController* Find(NodeId id) const noexcept;
+  [[nodiscard]] WifiController* Find(NodeId id) const noexcept {
+    return id < controllers_.size() ? controllers_[id] : nullptr;
+  }
 
  private:
   friend class WifiController;
-  void Attach(NodeId id, WifiController* c) { controllers_[id] = c; }
-  void Detach(NodeId id) { controllers_.erase(id); }
+  void Attach(NodeId id, WifiController* c);
+  void Detach(NodeId id) { controllers_[id] = nullptr; }
 
   Medium& medium_;
-  std::unordered_map<NodeId, WifiController*> controllers_;
+  std::vector<WifiController*> controllers_;  // nullptr = no radio
 };
 
 struct WifiConfig {
@@ -86,6 +88,8 @@ class WifiController {
 
   /// Enabled WiFi nodes currently in radio range, nearest first.
   [[nodiscard]] std::vector<NodeId> Neighbors() const;
+  /// Neighbors() appended to `out`: no allocation once `out` is warm.
+  void NeighborsInto(std::vector<NodeId>& out) const;
   [[nodiscard]] bool IsNeighbor(NodeId other) const;
 
   /// Sends a frame to a direct neighbor. Latency = per-hop connection

@@ -1,6 +1,5 @@
 #include "sm/sm_runtime.hpp"
 
-#include <queue>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -28,9 +27,12 @@ obs::Counter& RouteCacheEvictions() {
 }
 }
 
-SmRuntime* SmBus::Find(net::NodeId id) const noexcept {
-  const auto it = runtimes_.find(id);
-  return it == runtimes_.end() ? nullptr : it->second;
+void SmBus::Attach(net::NodeId id, SmRuntime* rt) {
+  if (id >= runtimes_.size()) {
+    runtimes_.resize(id + 1, nullptr);
+    visits_.resize(id + 1);
+  }
+  runtimes_[id] = rt;
 }
 
 SmRuntime::SmRuntime(sim::Simulation& sim, SmBus& bus,
@@ -235,40 +237,41 @@ void SmRuntime::Receive(net::NodeId from, const std::vector<std::byte>& wire) {
   ScheduleExecution(*std::move(sm), /*count_in_breakup=*/true);
 }
 
-SmRuntime::BfsResult SmRuntime::Bfs(
-    const std::unordered_set<net::NodeId>& exclude) const {
-  return Bfs(exclude, BfsOptions{});
-}
-
-SmRuntime::BfsResult SmRuntime::Bfs(
-    const std::unordered_set<net::NodeId>& exclude,
-    const BfsOptions& options) const {
-  BfsResult result;
-  std::queue<net::NodeId> frontier;
-  result.depth[node()] = 0;
-  result.order.push_back(node());
-  frontier.push(node());
-  while (!frontier.empty()) {
-    const net::NodeId current = frontier.front();
-    frontier.pop();
-    if (options.max_depth > 0 &&
-        result.depth[current] >= options.max_depth) {
+template <class Stop>
+net::NodeId SmRuntime::Bfs(const std::unordered_set<net::NodeId>& exclude,
+                           int max_depth, Stop&& stop) const {
+  std::vector<SmBus::Visit>& visits = bus_.visits_;
+  if (++bus_.epoch_ == 0) {  // wrapped: a stale stamp could match again
+    for (SmBus::Visit& v : visits) v.stamp = 0;
+    bus_.epoch_ = 1;
+  }
+  const std::uint32_t epoch = bus_.epoch_;
+  for (const net::NodeId id : exclude) {
+    if (id < visits.size()) visits[id].stamp = epoch;
+  }
+  std::vector<net::NodeId>& order = bus_.order_;
+  std::vector<net::NodeId>& neighbors = bus_.neighbors_;
+  order.clear();
+  visits[node()] = SmBus::Visit{epoch, net::kInvalidNode, 0};
+  order.push_back(node());
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const net::NodeId current = order[head];
+    const int depth = visits[current].depth;
+    if (max_depth > 0 && depth >= max_depth) {
       continue;  // bounded radius: do not expand past the hop budget
     }
-    const SmRuntime* rt = bus_.Find(current);
-    if (rt == nullptr) continue;
-    for (const net::NodeId nb : rt->wifi_.Neighbors()) {
-      if (result.depth.contains(nb) || exclude.contains(nb)) continue;
-      const SmRuntime* nb_rt = bus_.Find(nb);
+    neighbors.clear();
+    bus_.runtimes_[current]->wifi_.NeighborsInto(neighbors);
+    for (const net::NodeId nb : neighbors) {
+      if (nb >= visits.size() || visits[nb].stamp == epoch) continue;
+      const SmRuntime* nb_rt = bus_.runtimes_[nb];
       if (nb_rt == nullptr || !nb_rt->participating()) continue;
-      result.depth[nb] = result.depth[current] + 1;
-      result.parent[nb] = current;
-      result.order.push_back(nb);
-      if (options.stop && options.stop(nb)) return result;
-      frontier.push(nb);
+      visits[nb] = SmBus::Visit{epoch, current, depth + 1};
+      order.push_back(nb);
+      if (stop(nb)) return nb;
     }
   }
-  return result;
+  return net::kInvalidNode;
 }
 
 Result<net::NodeId> SmRuntime::NextHopTowardTag(
@@ -292,65 +295,47 @@ Result<net::NodeId> SmRuntime::NextHopTowardTag(
     }
     COBS(RouteCacheMisses().Inc());
   }
-  // Discovery order is nearest-first, so the search can stop at the first
-  // tagged node: identical result to a full BFS + scan, without touching
-  // the rest of a (possibly city-sized) overlay.
-  const auto exposes_tag = [this, &tag](net::NodeId n) {
-    const SmRuntime* rt = bus_.Find(n);
-    return rt != nullptr && rt->tags_.Has(tag);
-  };
-  const BfsResult bfs =
-      Bfs(exclude, BfsOptions{0, [&](net::NodeId n) {
-                                return n != node() && exposes_tag(n);
-                              }});
-  for (const net::NodeId candidate : bfs.order) {  // BFS order = nearest first
-    if (candidate == node()) continue;
-    const SmRuntime* rt = bus_.Find(candidate);
-    if (rt == nullptr || !rt->tags_.Has(tag)) continue;
-    // Walk back to the first hop from this node.
-    net::NodeId hop = candidate;
-    while (bfs.parent.at(hop) != node()) hop = bfs.parent.at(hop);
-    if (cacheable) {
-      if (route_cache_.size() >= config_.route_cache_capacity &&
-          !route_cache_.contains(tag)) {
-        route_cache_.clear();
-        COBS(RouteCacheEvictions().Inc());
-      }
-      route_cache_[tag] = RouteEntry{hop, sim_.Now()};
-    }
-    return hop;
+  // The nearest node exposing the tag is the first one discovered.
+  const net::NodeId target = Bfs(exclude, 0, [&](net::NodeId n) {
+    return bus_.runtimes_[n]->tags_.Has(tag);
+  });
+  if (target == net::kInvalidNode) {
+    return NotFound("no reachable node exposes tag '" + tag + "'");
   }
-  return NotFound("no reachable node exposes tag '" + tag + "'");
+  // Walk back to the first hop from this node.
+  net::NodeId hop = target;
+  while (bus_.visits_[hop].parent != node()) hop = bus_.visits_[hop].parent;
+  if (cacheable) {
+    if (route_cache_.size() >= config_.route_cache_capacity &&
+        !route_cache_.contains(tag)) {
+      route_cache_.clear();
+      COBS(RouteCacheEvictions().Inc());
+    }
+    route_cache_[tag] = RouteEntry{hop, sim_.Now()};
+  }
+  return hop;
 }
 
 Result<int> SmRuntime::HopDistanceToTag(const std::string& tag) const {
   if (tags_.Has(tag)) return 0;
-  const auto exposes_tag = [this, &tag](net::NodeId n) {
-    const SmRuntime* rt = bus_.Find(n);
-    return rt != nullptr && rt->tags_.Has(tag);
-  };
-  const BfsResult bfs =
-      Bfs({}, BfsOptions{0, [&](net::NodeId n) {
-                           return n != node() && exposes_tag(n);
-                         }});
-  for (const net::NodeId candidate : bfs.order) {
-    if (candidate == node()) continue;
-    const SmRuntime* rt = bus_.Find(candidate);
-    if (rt != nullptr && rt->tags_.Has(tag)) return bfs.depth.at(candidate);
+  const net::NodeId target = Bfs({}, 0, [&](net::NodeId n) {
+    return bus_.runtimes_[n]->tags_.Has(tag);
+  });
+  if (target == net::kInvalidNode) {
+    return NotFound("no reachable node exposes tag '" + tag + "'");
   }
-  return NotFound("no reachable node exposes tag '" + tag + "'");
+  return bus_.visits_[target].depth;
 }
 
 std::vector<std::pair<net::NodeId, int>> SmRuntime::NodesWithTag(
     const std::string& tag, int max_hops) const {
-  const BfsResult bfs = Bfs({}, BfsOptions{max_hops, nullptr});
+  (void)Bfs({}, max_hops, [](net::NodeId) { return false; });
   std::vector<std::pair<net::NodeId, int>> out;
-  for (const net::NodeId candidate : bfs.order) {
-    if (candidate == node()) continue;
-    const int depth = bfs.depth.at(candidate);
-    if (max_hops > 0 && depth > max_hops) continue;
-    const SmRuntime* rt = bus_.Find(candidate);
-    if (rt != nullptr && rt->tags_.Has(tag)) out.emplace_back(candidate, depth);
+  for (std::size_t i = 1; i < bus_.order_.size(); ++i) {  // [0] = this node
+    const net::NodeId candidate = bus_.order_[i];
+    if (bus_.runtimes_[candidate]->tags_.Has(tag)) {
+      out.emplace_back(candidate, bus_.visits_[candidate].depth);
+    }
   }
   return out;
 }

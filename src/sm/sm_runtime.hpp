@@ -13,11 +13,12 @@
 // the brick's bytes. Content-based routing ("nodes ... exposing the
 // 'contory' tag will collaborate with each other to forward the SM
 // towards the destination") is modelled as hop-by-hop forwarding along
-// shortest paths over the participation overlay.
+// shortest paths over the participation overlay: every hop runs one BFS
+// from the current node over dense, epoch-stamped scratch arrays owned by
+// the SmBus (no hash lookup and, once warm, no allocation per hop).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <string>
@@ -35,10 +36,14 @@ namespace contory::sm {
 
 class SmRuntime;
 
-/// Per-simulation registry of SM runtimes, used for migration delivery.
+/// Per-simulation registry of SM runtimes, used for migration delivery
+/// and as the home of the routing BFS scratch. Runtimes are indexed by
+/// NodeId (Medium ids are dense), so Find is a bounds check plus a load.
 class SmBus {
  public:
-  [[nodiscard]] SmRuntime* Find(net::NodeId id) const noexcept;
+  [[nodiscard]] SmRuntime* Find(net::NodeId id) const noexcept {
+    return id < runtimes_.size() ? runtimes_[id] : nullptr;
+  }
 
   /// Trace context ferried across the air gap out-of-band: the wire
   /// format must not change (it sets transfer times and energy), so the
@@ -67,10 +72,29 @@ class SmBus {
 
  private:
   friend class SmRuntime;
-  void Attach(net::NodeId id, SmRuntime* rt) { runtimes_[id] = rt; }
-  void Detach(net::NodeId id) { runtimes_.erase(id); }
-  std::unordered_map<net::NodeId, SmRuntime*> runtimes_;
+  void Attach(net::NodeId id, SmRuntime* rt);
+  void Detach(net::NodeId id) { runtimes_[id] = nullptr; }
+
+  std::vector<SmRuntime*> runtimes_;  // by NodeId; nullptr = no runtime
   std::unordered_map<std::string, TraceContext> traces_;
+
+  // --- Routing BFS scratch, shared by every runtime on this bus ---------
+  // The simulation is single-threaded, so one scratch serves all runtimes
+  // and a warm BFS allocates nothing. Rules (see SmRuntime::Bfs):
+  //   - a BFS's results (visits_, order_) are valid until the next BFS on
+  //     this bus;
+  //   - a BFS stop predicate must not start a BFS;
+  //   - a neighbor id beyond visits_ has no runtime (a radio registered
+  //     after the last runtime) and is non-participating.
+  struct Visit {
+    std::uint32_t stamp = 0;  // == epoch_: visited or excluded this BFS
+    net::NodeId parent = net::kInvalidNode;
+    int depth = 0;
+  };
+  std::vector<Visit> visits_;  // by NodeId, parallel to runtimes_
+  std::uint32_t epoch_ = 0;    // bumped per BFS; all stamps clear on wrap
+  std::vector<net::NodeId> order_;      // visit order, read as the FIFO
+  std::vector<net::NodeId> neighbors_;  // one expansion's WiFi neighbors
 };
 
 /// Execution context handed to a code-brick handler at the node where the
@@ -201,27 +225,19 @@ class SmRuntime {
   /// radio-off, peer gone) and drops its stashed trace context.
   void CloseHopOnLoss(const std::string& sm_id, const Status& cause);
 
-  /// BFS over the participation overlay from this node. Returns parent
-  /// pointers; see .cpp for use.
-  struct BfsResult {
-    std::vector<net::NodeId> order;                     // visit order
-    std::unordered_map<net::NodeId, net::NodeId> parent;
-    std::unordered_map<net::NodeId, int> depth;
-  };
-  /// `stop`: halts the search as soon as a just-discovered node satisfies
-  /// it — BFS discovery order equals nearest-first scan order, so callers
-  /// looking for the nearest match lose nothing by stopping there (a
-  /// city-scale overlay would otherwise be fully explored per query).
-  /// `max_depth` > 0 bounds the search radius in hops; depths <= the
-  /// bound are exact shortest-path distances either way.
-  struct BfsOptions {
-    int max_depth = 0;
-    std::function<bool(net::NodeId)> stop;
-  };
-  [[nodiscard]] BfsResult Bfs(
-      const std::unordered_set<net::NodeId>& exclude) const;
-  [[nodiscard]] BfsResult Bfs(const std::unordered_set<net::NodeId>& exclude,
-                              const BfsOptions& options) const;
+  /// BFS over the participation overlay from this node, into the bus
+  /// scratch: bus_.order_ lists the visited nodes in discovery order
+  /// (this node first) and bus_.visits_ holds their parent and hop depth.
+  /// Nodes in `exclude` other than this one are never visited. `stop(n)`
+  /// is consulted on each newly discovered node and halts the search at
+  /// the first true: discovery order is nearest-first, so callers looking
+  /// for the nearest match lose nothing by stopping there (a city-scale
+  /// overlay would otherwise be fully explored per query). `max_depth` > 0
+  /// bounds the search radius in hops. Returns the node that satisfied `stop`,
+  /// or kInvalidNode. See SmBus for the scratch rules.
+  template <class Stop>
+  net::NodeId Bfs(const std::unordered_set<net::NodeId>& exclude,
+                  int max_depth, Stop&& stop) const;
 
   sim::Simulation& sim_;
   SmBus& bus_;

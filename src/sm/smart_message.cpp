@@ -67,12 +67,9 @@ Result<SmartMessage> SmartMessage::Deserialize(
   sm.code_brick = *std::move(brick);
   auto data_len = r.ReadU32();
   if (!data_len.ok()) return data_len.status();
-  sm.data.resize(*data_len);
-  for (auto& b : sm.data) {
-    auto byte = r.ReadU8();
-    if (!byte.ok()) return byte.status();
-    b = std::byte{*byte};
-  }
+  auto data = r.ReadBytes(*data_len);
+  if (!data.ok()) return data.status();
+  sm.data = *std::move(data);
   auto origin = r.ReadU32();
   if (!origin.ok()) return origin.status();
   sm.origin = *origin;
@@ -99,7 +96,9 @@ Result<SmartMessage> SmartMessage::Deserialize(
     if (!v.ok()) return v.status();
     *d = SimDuration{*v};
   }
-  // Remaining bytes are control-state overhead + (possibly) code padding.
+  // Then the control-state overhead, and code padding unless the code was
+  // cached at the receiver (its length is not on the wire).
+  if (auto s = r.Skip(kControlStateOverhead); !s.ok()) return s;
   return sm;
 }
 

@@ -8,11 +8,16 @@
 //   temperatureTag: <name=temperature> <value=14C, 1C, trusted>
 // Tags may expire (context lifetime) and may be locked with a key
 // (the paper's authenticated access mode for published items).
+//
+// Storage is a flat vector in insertion order, searched by linear name
+// comparison: a phone exposes a handful of tags (a city phone holds
+// three: "contory", "contory.node.N", "cxt.<type>"), and the SM routing
+// BFS probes Has() at every node it visits, where hashing the name
+// cost more than comparing it against three short strings.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -36,7 +41,8 @@ class TagSpace {
   explicit TagSpace(sim::Simulation& sim) : sim_(sim) {}
 
   /// Creates or replaces a tag (publishing a fresh context value replaces
-  /// the stale one, as re-exposing a tag does on the SM platform).
+  /// the stale one, as re-exposing a tag does on the SM platform). A
+  /// replaced tag keeps its place in insertion order.
   void Upsert(std::string name, std::string value,
               std::optional<SimDuration> lifetime = std::nullopt,
               std::string access_key = {});
@@ -56,7 +62,7 @@ class TagSpace {
   Status Delete(const std::string& name);
 
   /// All live tags whose name starts with `prefix` (public and locked;
-  /// locked tags are returned with an empty value).
+  /// locked tags are returned with an empty value), in insertion order.
   [[nodiscard]] std::vector<Tag> Match(const std::string& prefix) const;
 
   /// Drops expired tags; returns how many were removed.
@@ -66,9 +72,11 @@ class TagSpace {
 
  private:
   [[nodiscard]] bool Expired(const Tag& tag) const noexcept;
+  /// The tag named `name` (live or expired), or nullptr.
+  [[nodiscard]] const Tag* Find(const std::string& name) const noexcept;
 
   sim::Simulation& sim_;
-  std::unordered_map<std::string, Tag> tags_;
+  std::vector<Tag> tags_;  // insertion order; names are unique
 };
 
 }  // namespace contory::sm

@@ -219,6 +219,38 @@ TEST(BytesTest, TruncatedStringFails) {
   EXPECT_FALSE(r.ReadString().ok());
 }
 
+TEST(BytesTest, ReadBytesExactZeroAndShort) {
+  ByteWriter w;
+  w.WriteRaw(std::vector<std::byte>{std::byte{1}, std::byte{2},
+                                    std::byte{3}});
+  ByteReader r{w.bytes()};
+  const auto none = r.ReadBytes(0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(r.remaining(), 3u);
+  const auto short_read = r.ReadBytes(4);  // one more than remains
+  ASSERT_FALSE(short_read.ok());
+  EXPECT_EQ(short_read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(short_read.status().message().find("truncated frame"),
+            std::string::npos);
+  EXPECT_EQ(r.remaining(), 3u);  // a failed read consumes nothing
+  const auto exact = r.ReadBytes(3);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(*exact, w.bytes());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_TRUE(r.ReadBytes(0).ok());
+  EXPECT_FALSE(r.ReadBytes(1).ok());
+}
+
+TEST(BytesTest, ReadBytesRejectsHugeLengthsWithoutAllocating) {
+  ByteWriter w;
+  w.WriteU32(0xffff'ffff);
+  ByteReader r{w.bytes()};
+  const auto len = r.ReadU32();
+  ASSERT_TRUE(len.ok());
+  EXPECT_FALSE(r.ReadBytes(*len).ok());
+}
+
 TEST(BytesTest, PaddingCountsTowardSize) {
   ByteWriter w;
   w.WritePadding(100);

@@ -1,15 +1,24 @@
 // Property-style parameterized sweeps over the core invariants:
 // serialization round-trips, parser idempotence, merge subsumption (pairs
-// and seeded cancel re-merges on a Facade), predicate algebra, simulation determinism, and energy-ledger math.
+// and seeded cancel re-merges on a Facade), predicate algebra, simulation
+// determinism, energy-ledger math, SM routing against a naive BFS oracle,
+// and wire truncation.
 #include <gtest/gtest.h>
 
 #include <iterator>
 #include <map>
+#include <memory>
+#include <queue>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/contory.hpp"
 #include "energy/energy_model.hpp"
+#include "net/wifi.hpp"
+#include "phone/phone_profiles.hpp"
 #include "sensors/gps.hpp"
 #include "sim/simulation.hpp"
+#include "sm/sm_runtime.hpp"
 
 namespace contory {
 namespace {
@@ -461,6 +470,257 @@ TEST_P(DeterminismTest, EnergyIntegralMatchesClosedForm) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
                          ::testing::Values(7, 77, 777, 7777));
+
+// --- SM content-based routing vs. a naive BFS oracle ------------------------
+
+/// The routing BFS written the plain way: hash-map depth/parent tables, a
+/// std::queue, and a fresh neighbor vector per expansion. Same visiting
+/// rules as SmRuntime: the source is always expanded, a neighbor joins
+/// when it is unvisited, not excluded, has a runtime and participates.
+struct NaiveBfs {
+  std::vector<net::NodeId> order;
+  std::unordered_map<net::NodeId, net::NodeId> parent;
+  std::unordered_map<net::NodeId, int> depth;
+};
+
+NaiveBfs RunNaiveBfs(const sm::SmBus& bus, net::NodeId source,
+                     const std::unordered_set<net::NodeId>& exclude,
+                     int max_depth,
+                     const std::function<bool(net::NodeId)>& stop) {
+  NaiveBfs bfs;
+  std::queue<net::NodeId> frontier;
+  bfs.depth[source] = 0;
+  bfs.order.push_back(source);
+  frontier.push(source);
+  while (!frontier.empty()) {
+    const net::NodeId current = frontier.front();
+    frontier.pop();
+    if (max_depth > 0 && bfs.depth[current] >= max_depth) continue;
+    for (const net::NodeId nb : bus.Find(current)->wifi().Neighbors()) {
+      if (bfs.depth.contains(nb) || exclude.contains(nb)) continue;
+      sm::SmRuntime* rt = bus.Find(nb);
+      if (rt == nullptr || !rt->participating()) continue;
+      bfs.depth[nb] = bfs.depth[current] + 1;
+      bfs.parent[nb] = current;
+      bfs.order.push_back(nb);
+      if (stop && stop(nb)) return bfs;
+      frontier.push(nb);
+    }
+  }
+  return bfs;
+}
+
+bool Exposes(const sm::SmBus& bus, net::NodeId n, const std::string& tag) {
+  sm::SmRuntime* rt = bus.Find(n);
+  return rt != nullptr && rt->tags().Has(tag);
+}
+
+Result<net::NodeId> NaiveNextHop(
+    const sm::SmBus& bus, net::NodeId source, const std::string& tag,
+    const std::unordered_set<net::NodeId>& exclude) {
+  const NaiveBfs bfs = RunNaiveBfs(bus, source, exclude, 0, {});
+  for (const net::NodeId candidate : bfs.order) {
+    if (candidate == source || !Exposes(bus, candidate, tag)) continue;
+    net::NodeId hop = candidate;
+    while (bfs.parent.at(hop) != source) hop = bfs.parent.at(hop);
+    return hop;
+  }
+  return NotFound("unreachable");
+}
+
+Result<int> NaiveHopDistance(const sm::SmBus& bus, net::NodeId source,
+                             const std::string& tag) {
+  if (Exposes(bus, source, tag)) return 0;
+  const NaiveBfs bfs = RunNaiveBfs(bus, source, {}, 0, {});
+  for (const net::NodeId candidate : bfs.order) {
+    if (candidate != source && Exposes(bus, candidate, tag)) {
+      return bfs.depth.at(candidate);
+    }
+  }
+  return NotFound("unreachable");
+}
+
+std::vector<std::pair<net::NodeId, int>> NaiveNodesWithTag(
+    const sm::SmBus& bus, net::NodeId source, const std::string& tag,
+    int max_hops) {
+  const NaiveBfs bfs = RunNaiveBfs(bus, source, {}, max_hops, {});
+  std::vector<std::pair<net::NodeId, int>> out;
+  for (const net::NodeId candidate : bfs.order) {
+    if (candidate != source && Exposes(bus, candidate, tag)) {
+      out.emplace_back(candidate, bfs.depth.at(candidate));
+    }
+  }
+  return out;
+}
+
+/// A random static topology: phones scattered over 500 m x 500 m (100 m
+/// WiFi range), some not participating, some with the radio off, some
+/// exposing the target tag; plus a runtime-less radio in the middle of
+/// the id range and a WiFi-only node registered after the last runtime.
+class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static constexpr int kPhones = 48;
+  static constexpr const char* kTag = "cxt.temperature";
+
+  void Build(Rng& rng) {
+    for (int i = 0; i < kPhones; ++i) {
+      AddRadio(rng);
+      const bool runtime_less = i == kPhones / 2;
+      if (rng.Bernoulli(0.1)) wifis_.back()->SetEnabled(false);
+      if (runtime_less) {
+        runtimes_.push_back(nullptr);
+        continue;
+      }
+      runtimes_.push_back(
+          std::make_unique<sm::SmRuntime>(sim_, bus_, *wifis_.back()));
+      sm::SmRuntime& rt = *runtimes_.back();
+      rt.SetParticipating(!rng.Bernoulli(0.15));
+      rt.tags().Upsert(core::HomeTagName(rt.node()), "1");
+      if (rng.Bernoulli(0.2)) rt.tags().Upsert(kTag, "14");
+    }
+    AddRadio(rng);  // WiFi only, id beyond every runtime
+  }
+
+  void AddRadio(Rng& rng) {
+    const std::string name = "p" + std::to_string(phones_.size());
+    phones_.push_back(std::make_unique<phone::SmartPhone>(
+        sim_, phone::Nokia9500(), name));
+    const net::NodeId node = medium_.Register(
+        name, {rng.Uniform(0, 500), rng.Uniform(0, 500)});
+    nodes_.push_back(node);
+    wifis_.push_back(std::make_unique<net::WifiController>(
+        sim_, wifi_bus_, *phones_.back(), node));
+    wifis_.back()->SetEnabled(true);
+  }
+
+  std::unordered_set<net::NodeId> RandomExclude(Rng& rng) {
+    std::unordered_set<net::NodeId> exclude;
+    for (const net::NodeId n : nodes_) {
+      if (rng.Bernoulli(0.1)) exclude.insert(n);
+    }
+    if (rng.Bernoulli(0.5)) exclude.insert(nodes_.back() + 1000);  // unknown
+    return exclude;
+  }
+
+  /// Every routing query from every live runtime, against the oracle.
+  void CheckAll(Rng& rng) {
+    for (const auto& rt : runtimes_) {
+      if (rt == nullptr) continue;
+      const net::NodeId src = rt->node();
+      const std::string home = core::HomeTagName(
+          nodes_[static_cast<std::size_t>(rng.UniformInt(
+              0, static_cast<std::int64_t>(nodes_.size()) - 1))]);
+      for (const std::string& tag : {std::string{kTag}, home,
+                                     std::string{"absent"}}) {
+        const auto exclude =
+            rng.Bernoulli(0.5) ? RandomExclude(rng)
+                               : std::unordered_set<net::NodeId>{};
+        const auto want = NaiveNextHop(bus_, src, tag, exclude);
+        const auto got = rt->NextHopTowardTag(tag, exclude);
+        ASSERT_EQ(got.ok(), want.ok()) << "node " << src << " tag " << tag;
+        if (want.ok()) {
+          ASSERT_EQ(*got, *want) << "node " << src << " tag " << tag;
+        }
+        const auto want_d = NaiveHopDistance(bus_, src, tag);
+        const auto got_d = rt->HopDistanceToTag(tag);
+        ASSERT_EQ(got_d.ok(), want_d.ok()) << "node " << src;
+        if (want_d.ok()) {
+          ASSERT_EQ(*got_d, *want_d) << "node " << src;
+          if (*want_d > 1) ++multi_hop_routes_;
+        }
+        for (const int max_hops : {0, 1, 2, 4}) {
+          ASSERT_EQ(rt->NodesWithTag(tag, max_hops),
+                    NaiveNodesWithTag(bus_, src, tag, max_hops))
+              << "node " << src << " max_hops " << max_hops;
+        }
+      }
+    }
+  }
+
+  int multi_hop_routes_ = 0;  // keeps the comparison from being vacuous
+  sim::Simulation sim_{GetParam()};
+  net::Medium medium_;
+  net::WifiBus wifi_bus_{medium_};
+  sm::SmBus bus_;
+  std::vector<std::unique_ptr<phone::SmartPhone>> phones_;
+  std::vector<net::NodeId> nodes_;
+  std::vector<std::unique_ptr<net::WifiController>> wifis_;
+  std::vector<std::unique_ptr<sm::SmRuntime>> runtimes_;
+};
+
+TEST_P(SmRoutingOracleTest, MatchesNaiveBfs) {
+  Rng rng{GetParam()};
+  Build(rng);
+  CheckAll(rng);
+
+  // Mid-run churn: a runtime is destroyed, participation and radios flip.
+  runtimes_[3].reset();
+  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
+    if (runtimes_[i] == nullptr) continue;
+    if (rng.Bernoulli(0.1)) {
+      runtimes_[i]->SetParticipating(!runtimes_[i]->participating());
+    }
+    if (rng.Bernoulli(0.05)) {
+      wifis_[i]->SetEnabled(!wifis_[i]->enabled());
+    }
+  }
+  CheckAll(rng);
+  EXPECT_GT(multi_hop_routes_, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmRoutingOracleTest,
+                         ::testing::Values(2011, 2012, 2013, 2021, 2022));
+
+// --- Wire truncation: every proper prefix is a Status, never a crash --------
+
+TEST(WireTruncationTest, EveryPrefixOfASmartMessageFrameFails) {
+  sm::SmartMessage sm;
+  sm.id = "sm-7";
+  sm.code_brick = "finder";
+  sm.data = {std::byte{1}, std::byte{2}, std::byte{3}};
+  sm.origin = 5;
+  sm.target_tag = "cxt.temperature";
+  sm.hop_count = 2;
+  sm.max_hops = 6;
+  sm.visited = {5, 9};
+  // A cached-code frame: the code bytes of an uncached one are opaque
+  // padding whose length is not on the wire.
+  const auto wire = sm.Serialize(/*code_bytes=*/4000,
+                                 /*code_cached_at_receiver=*/true);
+  ASSERT_TRUE(sm::SmartMessage::Deserialize(wire).ok());
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    const std::vector<std::byte> prefix(wire.begin(),
+                                        wire.begin() + static_cast<long>(n));
+    const auto back = sm::SmartMessage::Deserialize(prefix);
+    ASSERT_FALSE(back.ok()) << "prefix of " << n << " bytes";
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(WireTruncationTest, EveryPrefixOfAFinderStateFails) {
+  sim::Simulation sim;
+  auto query = query::ParseQuery(
+      "SELECT temperature FROM adHocNetwork(10,3) WHERE accuracy=0.2 "
+      "FRESHNESS 30 sec DURATION 1 hour");
+  ASSERT_TRUE(query.ok());
+  query->id = "q1";
+  core::FinderState state;
+  state.query = *query;
+  state.remaining_nodes = 2;
+  Rng rng{5};
+  for (int i = 0; i < 2; ++i) {
+    state.results.push_back(core::FinderState::Collected{GenerateItem(rng),
+                                                         i + 1});
+  }
+  const auto payload = state.Encode();
+  ASSERT_TRUE(core::FinderState::Decode(payload).ok());
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    const std::vector<std::byte> prefix(
+        payload.begin(), payload.begin() + static_cast<long>(n));
+    ASSERT_FALSE(core::FinderState::Decode(prefix).ok())
+        << "prefix of " << n << " bytes";
+  }
+}
 
 // --- NMEA round trip across the globe ----------------------------------------
 

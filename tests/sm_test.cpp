@@ -3,7 +3,9 @@
 // and content-based routing over the participation overlay.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "net/medium.hpp"
@@ -14,6 +16,23 @@
 #include "sm/sm_runtime.hpp"
 #include "sm/smart_message.hpp"
 #include "sm/tag_space.hpp"
+
+// Counts every global operator new in this binary, so a test can assert
+// that a warm routing hop allocates nothing. Out of line, so the compiler
+// does not pair an inlined free() with a new-expression.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace contory::sm {
 namespace {
@@ -91,6 +110,28 @@ TEST(TagSpaceTest, MatchByPrefixHidesLockedValues) {
     if (t.name == "cxt.location") EXPECT_TRUE(t.value.empty());
     if (t.name == "cxt.temperature") EXPECT_EQ(t.value, "14");
   }
+}
+
+TEST(TagSpaceTest, UpsertReplacesInPlaceAndKeepsInsertionOrder) {
+  sim::Simulation sim;
+  TagSpace tags{sim};
+  tags.Upsert("contory", "1");
+  tags.Upsert("contory.node.7", "1");
+  tags.Upsert("cxt.temperature", "14");
+  tags.Upsert("contory.node.7", "2", 5s, "key");
+  EXPECT_EQ(tags.size(), 3u);
+  const auto all = tags.Match("");
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].name, "contory");
+  EXPECT_EQ(all[1].name, "contory.node.7");
+  EXPECT_TRUE(all[1].value.empty());  // now key-locked
+  EXPECT_EQ(all[2].name, "cxt.temperature");
+  EXPECT_EQ(tags.ReadWithKey("contory.node.7", "key")->value, "2");
+  EXPECT_TRUE(tags.Delete("contory").ok());
+  EXPECT_EQ(tags.Match("").front().name, "contory.node.7");
+  sim.RunFor(5s);
+  EXPECT_EQ(tags.PurgeExpired(), 1u);
+  EXPECT_EQ(tags.size(), 1u);
 }
 
 TEST(TagSpaceTest, DeleteWorks) {
@@ -348,6 +389,36 @@ TEST_F(SmRuntimeTest, NonParticipatingNodesDoNotRoute) {
   runtimes_[3]->tags().Upsert("cxt.t", "x");
   runtimes_[1]->SetParticipating(false);
   EXPECT_FALSE(runtimes_[0]->NextHopTowardTag("cxt.t").ok());
+}
+
+TEST_F(SmRuntimeTest, RoutingSeesTagSpaceChangesAtTheNextBfs) {
+  runtimes_[3]->tags().Upsert("cxt.t", "x", 10s);
+  ASSERT_EQ(runtimes_[0]->NextHopTowardTag("cxt.t").value(), nodes_[1]);
+  // B drops the participation tag straight through its tag space.
+  ASSERT_TRUE(runtimes_[1]->tags().Delete("contory").ok());
+  EXPECT_FALSE(runtimes_[0]->NextHopTowardTag("cxt.t").ok());
+  EXPECT_TRUE(runtimes_[0]->NodesWithTag("cxt.t").empty());
+  // Re-exposing it restores the route.
+  runtimes_[1]->tags().Upsert("contory", "1");
+  EXPECT_EQ(runtimes_[0]->NextHopTowardTag("cxt.t").value(), nodes_[1]);
+  EXPECT_EQ(runtimes_[0]->HopDistanceToTag("cxt.t").value(), 3);
+  // The target tag expires: nothing to route toward any more.
+  sim_.RunFor(10s);
+  EXPECT_FALSE(runtimes_[0]->NextHopTowardTag("cxt.t").ok());
+  EXPECT_FALSE(runtimes_[0]->HopDistanceToTag("cxt.t").ok());
+  EXPECT_TRUE(runtimes_[0]->NodesWithTag("cxt.t").empty());
+}
+
+TEST_F(SmRuntimeTest, WarmRoutingHopAllocatesNothing) {
+  const std::string tag = "cxt.t";
+  runtimes_[3]->tags().Upsert(tag, "x");
+  (void)runtimes_[0]->NextHopTowardTag(tag);  // warms the bus scratch
+  const std::size_t before = g_allocations;
+  const auto hop = runtimes_[0]->NextHopTowardTag(tag);
+  const auto distance = runtimes_[1]->HopDistanceToTag(tag);
+  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(hop.value(), nodes_[1]);
+  EXPECT_EQ(distance.value(), 2);
 }
 
 TEST_F(SmRuntimeTest, HopDistanceToTag) {
