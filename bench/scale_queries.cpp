@@ -234,7 +234,9 @@ int RunScaleMode(bool smoke, std::size_t max_active,
         .Set("submit_p50_us_first_milestone", first.submit.p50_us)
         .Set("submit_p50_us_max", last.submit.p50_us)
         .Set("submit_p50_growth_ratio", growth)
-        .Set("cancel_p50_us_max", last.cancel.p50_us);
+        .Set("cancel_p50_us_max", last.cancel.p50_us)
+        .Set("obs", COBS_ON() ? "on" : "off")
+        .Set("build_type", std::string(CONTORY_BUILD_TYPE));
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -1,5 +1,7 @@
 #include "core/context_factory.hpp"
 
+#include <array>
+
 #include "common/logging.hpp"
 #include "core/providers/infra_provider.hpp"
 #include "core/providers/local_provider.hpp"
@@ -50,8 +52,8 @@ ContextFactory::ContextFactory(DeviceServices services,
               [this](QueryRecord& record, query::SourceSel kind) {
                 return AssignToFacade(record, kind);
               },
-              [this](QueryId qid, query::SourceSel kind) {
-                facades_.at(kind)->Cancel(qid);
+              [this](QueryRecord& record, query::SourceSel kind) {
+                CancelOnFacade(record, kind);
               }}) {
   // Tracer spans attribute energy to the owning device; the phone is
   // owned by the caller (testbed::World) and outlives this factory.
@@ -291,12 +293,20 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
               : *to_submit.duration.time - elapsed;
     }
   }
-  const Status s = facades_.at(kind)->Submit(qid, std::move(to_submit));
+  // Cleared first: a cancel from inside a synchronous first delivery
+  // must not reach a cluster this query served before.
+  record.cluster[i] = kInvalidClusterRef;
+  const Result<ClusterRef> ref =
+      facades_.at(kind)->Submit(qid, std::move(to_submit));
   // Submit can deliver synchronously, and the client may cancel (or
   // otherwise finish) the query from inside that delivery — which
   // erases the record. Re-resolve before touching it again.
   QueryRecord* live = table_.FindById(qid);
-  if (live == nullptr || s.ok()) return s;
+  if (live == nullptr) return ref.status();
+  if (ref.ok()) {
+    live->cluster[i] = *ref;
+    return Status::Ok();
+  }
   if (newly_assigned) live->assigned.erase(kind);
   if (opened) {
     COBS({
@@ -306,7 +316,13 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
       live->obs.provision[i] = 0;
     });
   }
-  return s;
+  return ref.status();
+}
+
+void ContextFactory::CancelOnFacade(const QueryRecord& record,
+                                    query::SourceSel kind) {
+  facades_.at(kind)->Cancel(record.qid,
+                            record.cluster[static_cast<std::size_t>(kind)]);
 }
 
 void ContextFactory::Expire(QueryId qid) {
@@ -317,11 +333,12 @@ void ContextFactory::Expire(QueryId qid) {
     return;
   }
   // Leave each facade as a finished provider would, so the provision
-  // spans close "ok"; the last one finishes the record. A snapshot,
-  // because OnFacadeFinished edits the set.
+  // spans close "ok"; the last one finishes the record. Snapshots,
+  // because OnFacadeFinished edits the set and erases the record.
   const std::set<query::SourceSel> kinds = record->assigned;
+  const auto refs = std::to_array(record->cluster);
   for (const query::SourceSel kind : kinds) {
-    facades_.at(kind)->Cancel(qid);
+    facades_.at(kind)->Cancel(qid, refs[static_cast<std::size_t>(kind)]);
     coordinator_.OnFacadeFinished(kind, qid, Status::Ok());
   }
 }
@@ -337,7 +354,7 @@ void ContextFactory::CancelCxtQuery(const std::string& query_id) {
   });
   const QueryId qid = record->qid;
   for (const query::SourceSel kind : record->assigned) {
-    facades_.at(kind)->Cancel(qid);
+    CancelOnFacade(*record, kind);
   }
   router_.OnQueryCancelled(qid);
   table_.FinishById(qid);

@@ -188,6 +188,9 @@ class ContextFactory {
       CxtProvider::Callbacks callbacks);
 
   Status AssignToFacade(QueryRecord& record, query::SourceSel kind);
+  /// Cancels the record's query on the facade of `kind`, through the
+  /// cluster handle Submit gave it.
+  void CancelOnFacade(const QueryRecord& record, query::SourceSel kind);
   /// The query's DURATION is over: cancels it on its facades and
   /// finishes it as a normal completion (queued items still arrive).
   void Expire(QueryId qid);

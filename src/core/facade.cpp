@@ -33,6 +33,22 @@ obs::Counter& MergedCounter(query::SourceSel kind) {
   return *slot;
 }
 
+/// A ClusterRef is (generation << 32) | slot, like a QueryId.
+constexpr ClusterRef kNextGeneration = ClusterRef{1} << 32;
+std::size_t SlotOf(ClusterRef ref) { return ref & 0xffffffffu; }
+
+/// Whether each source of `a` and `b` (one cluster, so the same sources)
+/// has an ad hoc scope: the fold takes that from its front query.
+bool SameScopePresence(const query::CxtQuery& a, const query::CxtQuery& b) {
+  for (std::size_t i = 0; i < a.from.sources.size(); ++i) {
+    if (a.from.sources[i].scope.has_value() !=
+        b.from.sources[i].scope.has_value()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Facade::Facade(sim::Simulation& sim, query::SourceSel kind,
@@ -46,10 +62,64 @@ Facade::Facade(sim::Simulation& sim, query::SourceSel kind,
   }
 }
 
-Facade::~Facade() { *life_ = false; }
+Facade::~Facade() {
+  *life_ = false;
+  // Providers are destroyed in creation order: a destructor may still
+  // talk to its transport (an unregister request, say).
+  for (Cluster* cluster : ByCreation(0)) cluster->provider.reset();
+}
 
 Facade::ClusterKey Facade::KeyFor(const query::CxtQuery& q) {
   return {q.select_type, static_cast<int>(q.mode())};
+}
+
+Facade::Cluster* Facade::Resolve(ClusterRef ref) {
+  if (ref == kInvalidClusterRef || SlotOf(ref) >= clusters_.size()) {
+    return nullptr;
+  }
+  Cluster& cluster = clusters_[SlotOf(ref)];
+  return cluster.ref == ref ? &cluster : nullptr;
+}
+
+Facade::Cluster& Facade::NewCluster() {
+  // The newest freed slot under its next generation, or a new slot.
+  ClusterRef ref;
+  if (free_.empty()) {
+    ref = kNextGeneration | clusters_.size();
+    clusters_.emplace_back();
+  } else {
+    ref = free_.back() + kNextGeneration;
+    free_.pop_back();
+  }
+  Cluster& cluster = clusters_[SlotOf(ref)];
+  cluster.ref = ref;
+  cluster.seq = next_seq_++;
+  cluster.dead = false;
+  return cluster;
+}
+
+void Facade::FreeSlot(Cluster& cluster) {
+  if (cluster.provider != nullptr) {
+    retries_reaped_ += cluster.provider->retries_attempted();
+    cluster.provider.reset();
+  }
+  cluster.originals.clear();
+  cluster.qids.clear();
+  // A slot whose generation is exhausted is retired, so no ref repeats.
+  if ((cluster.ref >> 32) != 0xffffffffu) free_.push_back(cluster.ref);
+  cluster.ref = kInvalidClusterRef;
+}
+
+std::vector<Facade::Cluster*> Facade::ByCreation(std::uint64_t from_seq) {
+  std::vector<Cluster*> out;
+  for (Cluster& cluster : clusters_) {
+    if (cluster.provider != nullptr && cluster.seq >= from_seq) {
+      out.push_back(&cluster);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Cluster* a, const Cluster* b) { return a->seq < b->seq; });
+  return out;
 }
 
 Status Facade::StartCluster(Cluster& cluster) {
@@ -61,8 +131,9 @@ Status Facade::StartCluster(Cluster& cluster) {
   callbacks.finished = [this, cluster_ptr](Status status) {
     OnProviderFinished(*cluster_ptr, status);
   };
-  cluster.provider = provider_factory_(cluster.qids.front(), cluster.merged,
-                                       std::move(callbacks));
+  // A singleton's merged query is its original.
+  cluster.provider = provider_factory_(
+      cluster.qids.front(), cluster.originals.front(), std::move(callbacks));
   if (cluster.provider == nullptr) {
     return Internal("provider factory returned null");
   }
@@ -77,101 +148,91 @@ Status Facade::StartCluster(Cluster& cluster) {
   return Status::Ok();
 }
 
-Status Facade::Submit(QueryId qid, query::CxtQuery q) {
+Result<ClusterRef> Facade::Submit(QueryId qid, query::CxtQuery q) {
   if (const Status s = q.Validate(); !s.ok()) return s;
 
   // Query merging: only clusters under the same (select_type, mode) key
-  // can possibly accept the query; join the first compatible one. With
-  // merging off, both the candidate scan and the index feeding it are
-  // skipped outright.
-  const ClusterKey key = KeyFor(q);
+  // can possibly accept the query; join the first compatible one. The
+  // one lookup also yields the bucket a fresh cluster joins. With
+  // merging off, both the candidate scan and the index are skipped.
+  IndexEntry* bucket = nullptr;
   if (merging_) {
-    const auto bucket_it = merge_index_.find(key);
-    if (bucket_it != merge_index_.end()) {
-      std::size_t examined = 0;
-      for (Cluster* cluster : bucket_it->second) {
-        if (cluster->dead) continue;
-        if (++examined > kMaxMergeCandidates) break;
-        auto merged = query::Merge(cluster->merged, q);
-        if (!merged.ok()) continue;
-        CLOG_DEBUG(kModule, "%s: merged %s into %s",
-                   query::SourceSelName(kind_), q.id.c_str(),
-                   cluster->merged.id.c_str());
-        COBS(MergedCounter(kind_).Inc());
-        cluster->merged = *std::move(merged);
-        by_qid_[qid] = cluster;
-        ++live_originals_;
-        // A submitted DURATION is what remains of the query's window.
-        const std::optional<SimDuration> window = q.duration.time;
-        cluster->originals.push_back(std::move(q));
-        cluster->qids.push_back(qid);
-        cluster->provider->UpdateQuery(cluster->merged);
-        if (window) cluster->provider->CoverDeadline(sim_.Now() + *window);
-        return Status::Ok();
-      }
+    bucket = &*merge_index_.try_emplace(KeyFor(q)).first;
+    std::size_t examined = 0;
+    for (Cluster* cluster : bucket->second.members) {
+      if (++examined > kMaxMergeCandidates) break;
+      auto merged = query::Merge(cluster->provider->query(), q);
+      if (!merged.ok()) continue;
+      CLOG_DEBUG(kModule, "%s: merged %s into %s",
+                 query::SourceSelName(kind_), q.id.c_str(),
+                 cluster->provider->query().id.c_str());
+      COBS(MergedCounter(kind_).Inc());
+      ++live_originals_;
+      // A submitted DURATION is what remains of the query's window.
+      const std::optional<SimDuration> window = q.duration.time;
+      cluster->originals.push_back(std::move(q));
+      cluster->qids.push_back(qid);
+      cluster->provider->UpdateQuery(*std::move(merged));
+      if (window) cluster->provider->CoverDeadline(sim_.Now() + *window);
+      return cluster->ref;
     }
   }
 
-  auto cluster = std::make_unique<Cluster>();
-  cluster->key = key;
-  cluster->merged = q;
-  cluster->originals.push_back(std::move(q));
-  cluster->qids.push_back(qid);
-  Cluster& ref = *cluster;
-  clusters_.push_back(std::move(cluster));
-  const Status s = StartCluster(ref);
+  Cluster& cluster = NewCluster();
+  const ClusterRef ref = cluster.ref;
+  cluster.originals.push_back(std::move(q));
+  cluster.qids.push_back(qid);
+  const Status s = StartCluster(cluster);
   if (!s.ok()) {
-    clusters_.pop_back();
-    return s;
-  }
-  if (ref.originals.empty() && !ref.dead) {
+    FreeSlot(cluster);
+  } else if (cluster.originals.empty() && !cluster.dead) {
     // Cancelled from inside its own first delivery (see Cancel).
-    ref.provider->Stop();
-    MarkDead(ref);
-    ScheduleReap();
-    return s;
-  }
-  // A provider that failed from inside its own Start() already marked the
-  // cluster dead; it never enters the indexes (the reap destroys it).
-  if (!ref.dead) {
-    ref.indexed = true;
+    cluster.provider->Stop();
+    MarkDead(cluster);
+  } else if (!cluster.dead) {
+    // A provider that failed from inside its own Start() already marked
+    // the cluster dead; it is never indexed (the reap frees it).
+    cluster.indexed = true;
     ++live_clusters_;
     ++live_originals_;
-    if (merging_) {
-      auto& bucket = merge_index_[key];
-      ref.bucket_pos = bucket.size();
-      bucket.push_back(&ref);
+    if (bucket != nullptr) {
+      cluster.bucket = bucket;
+      cluster.bucket_pos = bucket->second.members.size();
+      bucket->second.members.push_back(&cluster);
     }
-    by_qid_[qid] = &ref;
+    return ref;
   }
-  return s;
+  // Not indexed: the bucket this query created may be left empty.
+  if (bucket != nullptr) NoteIfEmptied(*bucket);
+  ScheduleReap();
+  if (!s.ok()) return s;
+  return ref;
 }
 
 void Facade::MarkDead(Cluster& cluster) {
   cluster.dead = true;
+  dead_.push_back(&cluster);
   if (!cluster.indexed) return;
   cluster.indexed = false;
   --live_clusters_;
   live_originals_ -= cluster.originals.size();
-  for (const QueryId qid : cluster.qids) {
-    const auto it = by_qid_.find(qid);
-    if (it != by_qid_.end() && it->second == &cluster) by_qid_.erase(it);
-  }
-  const auto bucket_it = merge_index_.find(cluster.key);
-  if (bucket_it != merge_index_.end()) {
-    auto& bucket = bucket_it->second;
-    // Swap-remove at the recorded position: O(1) where a scan-and-erase
-    // would make tearing down N same-key clusters quadratic.
-    const std::size_t pos = cluster.bucket_pos;
-    if (pos < bucket.size() && bucket[pos] == &cluster) {
-      bucket[pos] = bucket.back();
-      bucket[pos]->bucket_pos = pos;
-      bucket.pop_back();
-    } else {
-      std::erase(bucket, &cluster);
-    }
-    if (bucket.empty()) merge_index_.erase(bucket_it);
-  }
+  IndexEntry* const bucket = std::exchange(cluster.bucket, nullptr);
+  if (bucket == nullptr) return;
+  // Swap-remove at the recorded position: O(1) where a scan-and-erase
+  // would make tearing down N same-key clusters quadratic.
+  auto& members = bucket->second.members;
+  const std::size_t pos = cluster.bucket_pos;
+  members[pos] = members.back();
+  members[pos]->bucket_pos = pos;
+  members.pop_back();
+  NoteIfEmptied(*bucket);
+}
+
+void Facade::NoteIfEmptied(IndexEntry& entry) {
+  Bucket& bucket = entry.second;
+  if (!bucket.members.empty() || bucket.emptied) return;
+  bucket.emptied = true;
+  emptied_.push_back(&entry);
 }
 
 void Facade::OnProviderDelivery(Cluster& cluster, const CxtItem& item) {
@@ -217,67 +278,110 @@ void Facade::ScheduleReap() {
   if (reap_scheduled_) return;
   reap_scheduled_ = true;
   // Providers call finished() from their own stack; destroy them from a
-  // fresh event instead.
+  // fresh event instead, in creation order (see ~Facade).
   sim_.ScheduleAfter(SimDuration::zero(), [this, life = life_] {
     if (!*life) return;
     reap_scheduled_ = false;
-    for (const auto& c : clusters_) {
-      if (c->dead && c->provider != nullptr) {
-        retries_reaped_ += c->provider->retries_attempted();
+    std::sort(dead_.begin(), dead_.end(),
+              [](const Cluster* a, const Cluster* b) { return a->seq < b->seq; });
+    for (Cluster* cluster : dead_) FreeSlot(*cluster);
+    dead_.clear();
+    // A bucket refilled since it emptied stays.
+    for (IndexEntry* entry : emptied_) {
+      entry->second.emptied = false;
+      if (entry->second.members.empty()) {
+        merge_index_.erase(merge_index_.find(entry->first));
       }
     }
-    std::erase_if(clusters_, [](const std::unique_ptr<Cluster>& c) {
-      return c->dead;
-    });
+    emptied_.clear();
   }, "facade.reap");
 }
 
-bool Facade::EraseOriginal(Cluster& cluster, QueryId qid) {
-  const auto pos = std::find(cluster.qids.begin(), cluster.qids.end(), qid);
-  if (pos == cluster.qids.end()) return false;
-  cluster.originals.erase(cluster.originals.begin() +
-                          (pos - cluster.qids.begin()));
-  cluster.qids.erase(pos);
-  return true;
+std::size_t Facade::Position(const Cluster& cluster, QueryId qid) {
+  return static_cast<std::size_t>(
+      std::find(cluster.qids.begin(), cluster.qids.end(), qid) -
+      cluster.qids.begin());
 }
 
-void Facade::Cancel(QueryId qid) {
-  const auto it = by_qid_.find(qid);
-  if (it == by_qid_.end()) {
+void Facade::EraseAt(Cluster& cluster, std::size_t pos) {
+  const auto offset = static_cast<std::ptrdiff_t>(pos);
+  cluster.originals.erase(cluster.originals.begin() + offset);
+  cluster.qids.erase(cluster.qids.begin() + offset);
+}
+
+void Facade::Cancel(QueryId qid, ClusterRef ref) {
+  Cluster* cluster = Resolve(ref);
+  if (cluster != nullptr && !cluster->indexed) cluster = nullptr;
+  const std::size_t pos = cluster != nullptr ? Position(*cluster, qid) : 0;
+  if (cluster == nullptr || pos == cluster->qids.size()) {
     // Not indexed yet: the query's cluster may be inside Start(), whose
-    // synchronous first delivery led to this cancel. Drop the original;
-    // Submit stops the provider once Start() returns.
-    if (starting_ != nullptr) EraseOriginal(*starting_, qid);
+    // synchronous first delivery led to this cancel before Submit
+    // returned its ref. Drop the original; Submit stops the provider
+    // once Start() returns.
+    if (starting_ != nullptr) {
+      const std::size_t at = Position(*starting_, qid);
+      if (at < starting_->qids.size()) EraseAt(*starting_, at);
+    }
     return;
   }
-  Cluster* cluster = it->second;
-  if (cluster->dead || !EraseOriginal(*cluster, qid)) return;
-  --live_originals_;
-  by_qid_.erase(it);
-  if (cluster->originals.empty()) {
+  if (cluster->qids.size() == 1) {
+    // The original goes with the slot, at the reap.
     cluster->provider->Stop();
     MarkDead(*cluster);
     ScheduleReap();
     return;
   }
-  // Re-merge the remaining originals so the provider narrows back.
-  auto merged = query::MergeAll(cluster->originals);
-  if (merged.ok()) {
-    cluster->merged = *std::move(merged);
-    cluster->provider->UpdateQuery(cluster->merged);
+  --live_originals_;
+  Remerge(*cluster, pos);
+}
+
+void Facade::Remerge(Cluster& cluster, std::size_t pos) {
+  auto& originals = cluster.originals;
+  // The leaving original set no bound of its own when another original
+  // carries the same clauses; if it was the front, the new front must
+  // also agree on which ad hoc scopes are present (see the header).
+  bool same_bounds = false;
+  for (std::size_t i = 0; i < originals.size() && !same_bounds; ++i) {
+    same_bounds =
+        i != pos && query::SameMergeBounds(originals[pos], originals[i]);
   }
+  if (same_bounds && pos == 0) {
+    same_bounds = SameScopePresence(originals[0], originals[1]);
+  }
+  EraseAt(cluster, pos);
+
+  if (!same_bounds) {
+    // Re-merge the remaining originals so the provider narrows back.
+    auto merged = query::MergeAll(originals);
+    if (merged.ok()) cluster.provider->UpdateQuery(*std::move(merged));
+    return;
+  }
+  // The merged query is already MergeAll of the rest, up to the id and
+  // priority the fold takes from a new front.
+  const query::CxtQuery& front = originals.front();
+  const query::CxtQuery& current = cluster.provider->query();
+  if (current.id == front.id && current.priority == front.priority) return;
+  query::CxtQuery renamed = current;
+  renamed.id = front.id;
+  renamed.priority = front.priority;
+  cluster.provider->UpdateQuery(std::move(renamed));
 }
 
 void Facade::StopAll(const Status& status) {
-  // Index loop: finished_ may reenter this facade (failover submitting a
-  // replacement) and grow clusters_.
-  for (std::size_t i = 0; i < clusters_.size(); ++i) {
-    Cluster& cluster = *clusters_[i];
-    if (cluster.dead) continue;
-    cluster.provider->Stop();
-    MarkDead(cluster);
-    if (finished_) {
-      for (const QueryId qid : cluster.qids) finished_(qid, status);
+  // Creation order. finished_ may reenter this facade (failover
+  // submitting a replacement); the clusters it creates are stopped too,
+  // in a later pass.
+  std::uint64_t from = 0;
+  for (std::vector<Cluster*> batch = ByCreation(from); !batch.empty();
+       batch = ByCreation(from)) {
+    from = next_seq_;
+    for (Cluster* cluster : batch) {
+      if (cluster->dead) continue;
+      cluster->provider->Stop();
+      MarkDead(*cluster);
+      if (finished_) {
+        for (const QueryId qid : cluster->qids) finished_(qid, status);
+      }
     }
   }
   ScheduleReap();
@@ -285,9 +389,9 @@ void Facade::StopAll(const Status& status) {
 
 std::uint64_t Facade::retries_observed() const {
   std::uint64_t n = retries_reaped_;
-  for (const auto& cluster : clusters_) {
-    if (cluster->provider != nullptr) {
-      n += cluster->provider->retries_attempted();
+  for (const Cluster& cluster : clusters_) {
+    if (cluster.provider != nullptr) {
+      n += cluster.provider->retries_attempted();
     }
   }
   return n;

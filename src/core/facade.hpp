@@ -10,27 +10,48 @@
 // but each CxtProvider is assigned only to one (single or merged) query
 // at time."
 //
-// A cluster is shared transport, not a query: one provider, the merged
-// clauses, and the QueryIds of the originals it serves. Everything else
-// about a query, its DURATION clock included, lives in its QueryRecord,
-// so merging and cancelling peers never changes when an original ends.
-// The merged query keeps the first original's id; a query merging in
+// A cluster is shared transport, not a query: one provider, its
+// originals and their QueryIds. Everything else about a query, its
+// DURATION clock included, lives in its QueryRecord, so merging and
+// cancelling peers never changes when an original ends. The merged query
+// is the provider's own query(): the provider is built with it and every
+// re-merge hands it over through UpdateQuery, so the facade keeps no
+// second copy. It keeps the first original's id; a query merging in
 // tells the provider its deadline (CoverDeadline), so a remote
 // registration made for the first original can be extended to it.
+//
+// Clusters live in a slot table with a LIFO free list. A ClusterRef
+// packs the slot and the slot's generation, as a QueryId does: Submit
+// returns it, the query's record keeps it per mechanism, and Cancel goes
+// straight to the cluster with it; a stale ref misses on its
+// generation. A dead cluster's slot goes on a dead list, and the reap,
+// a zero-delay event, frees only those slots (destroying their
+// providers in creation order), so its cost follows the clusters that
+// died, not the clusters alive. Slots are reused, so each cluster also
+// carries a creation sequence number, and StopAll reports in that
+// order.
 //
 // Cluster matching is indexed, not scanned: query merging structurally
 // requires equal SELECT type and interaction mode (query::Mergeable), so
 // clusters are bucketed by (select_type, mode) — the source is this
 // facade itself — and Submit only runs the full Merge check inside the
 // one bucket that could possibly accept the query, examining at most
-// kMaxMergeCandidates live clusters. Cancel resolves the owning cluster
-// through a map indexed by QueryId, and cluster death swap-removes from
-// the bucket at a recorded position. The facade never sees query id
-// strings as keys: originals are named by the QueryId the table issued
-// at admission. With merging disabled the index is bypassed entirely,
-// so Submit and teardown stay O(1) however many clusters share a key.
+// kMaxMergeCandidates live clusters. A cluster holds a pointer to its
+// bucket and its position there: death swap-removes it without a
+// lookup. A bucket left empty is erased by the reap, which hashes only
+// for that. With merging disabled the index is bypassed entirely.
+//
+// Cancel re-merges exactly: the provider's query afterwards equals
+// query::MergeAll of the remaining originals in submission order. When
+// a remaining original has the leaving one's FROM, WHERE, FRESHNESS,
+// DURATION and EVERY (query::SameMergeBounds), the leaving original set
+// no bound of its own and the fold is skipped; if it was the front, the
+// merged query takes the new front's id and priority, as MergeAll does
+// (and when the two differ in whether an ad hoc scope is present, the
+// fold runs after all).
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -74,11 +95,16 @@ class Facade {
 
   /// Assigns query `qid`: merged into an existing compatible cluster (the
   /// provider's parameters are updated) or given a fresh provider.
-  Status Submit(QueryId qid, query::CxtQuery q);
+  /// Returns the serving cluster's handle, which Cancel takes back.
+  Result<ClusterRef> Submit(QueryId qid, query::CxtQuery q);
 
-  /// Cancels one original query. The cluster re-merges the remaining
-  /// originals or, when none remain, its provider stops.
-  void Cancel(QueryId qid);
+  /// Cancels one original query of the cluster `ref` names. The cluster
+  /// re-merges the remaining originals or, when none remain, its
+  /// provider stops. A stale or dead `ref` is a no-op, except while a
+  /// cluster is inside its provider's Start(): a cancel from its first,
+  /// synchronous delivery arrives before Submit returned the ref, and
+  /// drops the original from that cluster.
+  void Cancel(QueryId qid, ClusterRef ref);
 
   /// Stops every provider, reporting `status` per original (used by
   /// control-policy enforcement: reducePower suspends queries).
@@ -113,20 +139,39 @@ class Facade {
     }
   };
 
+  struct Cluster;
+  /// The clusters under one key, in merge-scan order. `emptied` marks a
+  /// bucket waiting on emptied_ for the reap.
+  struct Bucket {
+    std::vector<Cluster*> members;
+    bool emptied = false;
+  };
+  /// Hashed, not ordered: Submit sits on the hot path and only ever does
+  /// point lookups. Map nodes never move, so a cluster can hold its
+  /// entry's address across rehashes; entries are erased only by the
+  /// reap, so an address held across a provider's Start() stays valid.
+  using MergeIndex = std::unordered_map<ClusterKey, Bucket, ClusterKeyHash>;
+  using IndexEntry = MergeIndex::value_type;
+
   struct Cluster {
-    ClusterKey key;
-    query::CxtQuery merged;
     std::vector<query::CxtQuery> originals;
     /// The originals' QueryIds, index-aligned with `originals`.
     std::vector<QueryId> qids;
+    /// Null only while the slot is free.
     std::unique_ptr<CxtProvider> provider;
-    bool dead = false;
-    /// True while the cluster is present in merge_index_/by_qid_
-    /// and counted in the live totals (set after a successful start).
-    bool indexed = false;
-    /// Position inside merge_index_[key] while indexed there (swap-remove
-    /// bookkeeping; unused when merging is disabled).
+    /// This slot's current handle; kInvalidClusterRef while free.
+    ClusterRef ref = kInvalidClusterRef;
+    /// Creation order, across slot reuse (StopAll and the reap use it).
+    std::uint64_t seq = 0;
+    /// The merge_index_ entry holding this cluster while indexed there,
+    /// and its position among the members (swap-remove bookkeeping).
+    /// Null when merging is disabled.
+    IndexEntry* bucket = nullptr;
     std::size_t bucket_pos = 0;
+    bool dead = false;
+    /// True while the cluster is counted in the live totals and present
+    /// in its bucket (set after a successful start).
+    bool indexed = false;
   };
 
   /// Submit examines at most this many live clusters per bucket: past
@@ -136,16 +181,34 @@ class Facade {
 
   [[nodiscard]] static ClusterKey KeyFor(const query::CxtQuery& q);
 
-  /// Removes `qid` from the cluster's originals; false when absent.
-  static bool EraseOriginal(Cluster& cluster, QueryId qid);
+  /// The live-or-dead cluster `ref` names, or null for a stale ref.
+  [[nodiscard]] Cluster* Resolve(ClusterRef ref);
+  /// Takes a free slot (or a new one) under its next generation.
+  Cluster& NewCluster();
+  /// Destroys the cluster's provider and returns its slot to the free
+  /// list.
+  void FreeSlot(Cluster& cluster);
+  /// Index of `qid` among the cluster's originals; qids.size() when
+  /// absent.
+  [[nodiscard]] static std::size_t Position(const Cluster& cluster,
+                                            QueryId qid);
+  /// Removes the original at `pos`.
+  static void EraseAt(Cluster& cluster, std::size_t pos);
+  /// Re-merges after the original at `pos` left (see the header).
+  void Remerge(Cluster& cluster, std::size_t pos);
   void OnProviderDelivery(Cluster& cluster, const CxtItem& item);
   void OnProviderFinished(Cluster& cluster, const Status& status);
-  /// Marks a cluster dead and detaches it from both indexes; the object
-  /// itself is destroyed later by the reap.
+  /// Marks a cluster dead, detaches it from its bucket and puts it on the
+  /// dead list; the reap frees its slot later.
   void MarkDead(Cluster& cluster);
-  /// Destroys dead clusters outside provider callbacks.
+  /// Lists a bucket left without members for the reap to erase.
+  void NoteIfEmptied(IndexEntry& entry);
+  /// Frees the dead list's slots and erases the emptied buckets, outside
+  /// provider callbacks.
   void ScheduleReap();
   Status StartCluster(Cluster& cluster);
+  /// Clusters holding a provider, by creation order (StopAll, teardown).
+  [[nodiscard]] std::vector<Cluster*> ByCreation(std::uint64_t from_seq);
 
   sim::Simulation& sim_;
   query::SourceSel kind_;
@@ -153,14 +216,19 @@ class Facade {
   bool merging_;
   Delivery delivery_;
   Finished finished_;
-  std::vector<std::unique_ptr<Cluster>> clusters_;
+  /// Indexed by a ClusterRef's slot; a deque, so clusters never move. A
+  /// free slot keeps its Cluster object (and its vectors' capacity) for
+  /// the next cluster. free_ holds the last ref each free slot issued.
+  std::deque<Cluster> clusters_;
+  std::vector<ClusterRef> free_;
+  /// Dead clusters whose slots the next reap frees.
+  std::vector<Cluster*> dead_;
   /// Live clusters by merge-compatibility key (Submit's candidate set).
-  /// Hashed, not ordered: Submit sits on the hot path and only ever does
-  /// point lookups, so a string compare per tree level is pure waste.
-  std::unordered_map<ClusterKey, std::vector<Cluster*>, ClusterKeyHash>
-      merge_index_;
-  /// Live original query -> owning cluster (Cancel's lookup).
-  std::unordered_map<QueryId, Cluster*> by_qid_;
+  MergeIndex merge_index_;
+  /// Buckets left empty since the last reap, which erases those still
+  /// empty.
+  std::vector<IndexEntry*> emptied_;
+  std::uint64_t next_seq_ = 0;
   std::size_t live_clusters_ = 0;
   std::size_t live_originals_ = 0;
   /// Non-null while the named cluster's provider is inside Start(); a

@@ -169,7 +169,7 @@ bool FailoverCoordinator::SwitchBackToPreferred(QueryRecord& record) {
   const query::SourceSel preferred = record.plan.preferred;
   // Tear down the stopgap mechanism(s) and switch back.
   for (const query::SourceSel kind : record.assigned) {
-    hooks_.cancel(qid, kind);
+    hooks_.cancel(record, kind);
   }
   const auto old = record.assigned;
   record.assigned.clear();

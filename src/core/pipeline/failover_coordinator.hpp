@@ -56,7 +56,7 @@ class FailoverCoordinator {
     /// assignment on success.
     std::function<Status(QueryRecord&, query::SourceSel)> assign;
     /// Cancels one original query on the facade of `kind`.
-    std::function<void(QueryId, query::SourceSel)> cancel;
+    std::function<void(QueryRecord&, query::SourceSel)> cancel;
   };
 
   FailoverCoordinator(sim::Simulation& sim, FailoverConfig config,

@@ -101,6 +101,10 @@ struct QueryRecord {
   ProvisioningPlan plan;
   /// Facade kinds currently provisioning this query.
   std::set<query::SourceSel> assigned;
+  /// The facade cluster serving this query, per SourceSel mechanism
+  /// (indexed by its enum value): what Facade::Submit returned, and what
+  /// Facade::Cancel takes back. A ref outlived by its cluster misses.
+  ClusterRef cluster[4] = {};
   /// Mechanisms that failed for this query (excluded from re-selection).
   std::set<query::SourceSel> failed;
   SimTime submitted{};

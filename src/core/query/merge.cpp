@@ -24,22 +24,14 @@ bool FromCompatible(const FromClause& a, const FromClause& b) {
   return true;
 }
 
-}  // namespace
-
-bool Mergeable(const CxtQuery& a, const CxtQuery& b) {
-  // On-demand merges with on-demand, periodic with periodic; an
-  // event-based query only merges with an identical-EVENT one.
-  return a.select_type == b.select_type && a.event == b.event &&
-         a.mode() == b.mode() && FromCompatible(a.from, b.from);
+Status NotInOneCluster(const CxtQuery& a, const CxtQuery& b) {
+  return FailedPrecondition("queries '" + a.id + "' and '" + b.id +
+                            "' are not in the same cluster");
 }
 
-Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b) {
-  if (!Mergeable(a, b)) {
-    return FailedPrecondition("queries '" + a.id + "' and '" + b.id +
-                              "' are not in the same cluster");
-  }
-  CxtQuery m = a;  // keeps a's id
-
+/// The merge rules of the header, applied to `m` in place; `m` and `b`
+/// are Mergeable. Every field `m` does not widen stays `m`'s own.
+void FoldInto(CxtQuery& m, const CxtQuery& b) {
   // FROM: widest scope per source.
   for (std::size_t i = 0; i < m.from.sources.size(); ++i) {
     auto& scope = m.from.sources[i].scope;
@@ -54,40 +46,60 @@ Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b) {
   }
 
   // WHERE: identical -> keep; else drop and rely on post-extraction.
-  if (a.where != b.where) m.where.reset();
+  if (m.where != b.where) m.where.reset();
 
   // FRESHNESS: loosest requirement (max), per the paper's example
   // (10 sec + 20 sec -> 20 sec).
-  if (a.freshness.has_value() && b.freshness.has_value()) {
-    m.freshness = std::max(*a.freshness, *b.freshness);
+  if (m.freshness.has_value() && b.freshness.has_value()) {
+    m.freshness = std::max(*m.freshness, *b.freshness);
   } else {
     m.freshness.reset();  // one side is unconstrained
   }
 
   // DURATION: longest. Sample-count durations take the max count; a mix
   // of time and samples keeps the time form with the max time.
-  if (a.duration.time.has_value() && b.duration.time.has_value()) {
-    m.duration.time = std::max(*a.duration.time, *b.duration.time);
+  if (m.duration.time.has_value() && b.duration.time.has_value()) {
+    m.duration.time = std::max(*m.duration.time, *b.duration.time);
     m.duration.samples.reset();
-  } else if (a.duration.samples.has_value() &&
+  } else if (m.duration.samples.has_value() &&
              b.duration.samples.has_value()) {
-    m.duration.samples = std::max(*a.duration.samples, *b.duration.samples);
+    m.duration.samples = std::max(*m.duration.samples, *b.duration.samples);
     m.duration.time.reset();
   } else {
     // Mixed: be conservative, keep whichever time exists (a time-bounded
     // superset also covers a sample-bounded query in practice because the
     // provider keeps counting samples per original query).
-    m.duration.time =
-        a.duration.time.has_value() ? a.duration.time : b.duration.time;
+    if (!m.duration.time.has_value()) m.duration.time = b.duration.time;
     m.duration.samples.reset();
   }
 
   // EVERY: fastest rate (min), per the example (15 sec + 30 sec -> 15 sec).
-  if (a.every.has_value() && b.every.has_value()) {
-    m.every = std::min(*a.every, *b.every);
+  if (m.every.has_value() && b.every.has_value()) {
+    m.every = std::min(*m.every, *b.every);
   }
-  // EVENT: identical by the gate; already in m (copied from a).
+  // EVENT: identical by the gate; already m's.
+}
+
+}  // namespace
+
+bool Mergeable(const CxtQuery& a, const CxtQuery& b) {
+  // On-demand merges with on-demand, periodic with periodic; an
+  // event-based query only merges with an identical-EVENT one.
+  return a.select_type == b.select_type && a.event == b.event &&
+         a.mode() == b.mode() && FromCompatible(a.from, b.from);
+}
+
+Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b) {
+  if (!Mergeable(a, b)) return NotInOneCluster(a, b);
+  CxtQuery m = a;  // keeps a's id
+  FoldInto(m, b);
   return m;
+}
+
+Status MergeInto(CxtQuery& acc, const CxtQuery& b) {
+  if (!Mergeable(acc, b)) return NotInOneCluster(acc, b);
+  FoldInto(acc, b);
+  return Status::Ok();
 }
 
 bool PostExtract(const CxtQuery& q, const CxtItem& item, SimTime now) {
@@ -107,11 +119,15 @@ Result<CxtQuery> MergeAll(std::span<const CxtQuery> queries) {
   if (queries.empty()) return InvalidArgument("no queries to merge");
   CxtQuery acc = queries.front();
   for (std::size_t i = 1; i < queries.size(); ++i) {
-    auto merged = Merge(acc, queries[i]);
-    if (!merged.ok()) return merged.status();
-    acc = *std::move(merged);
+    if (Status s = MergeInto(acc, queries[i]); !s.ok()) return s;
   }
   return acc;
+}
+
+bool SameMergeBounds(const CxtQuery& a, const CxtQuery& b) {
+  return a.from == b.from && a.where == b.where &&
+         a.freshness == b.freshness && a.duration == b.duration &&
+         a.every == b.every;
 }
 
 }  // namespace contory::query

@@ -41,12 +41,25 @@ namespace contory::query {
 /// q3 = merge(q1, q2). Fails when !Mergeable. The result keeps q1's id.
 [[nodiscard]] Result<CxtQuery> Merge(const CxtQuery& a, const CxtQuery& b);
 
+/// acc = merge(acc, b), folded in place without copying acc. Fails, and
+/// leaves acc unchanged, when !Mergeable.
+[[nodiscard]] Status MergeInto(CxtQuery& acc, const CxtQuery& b);
+
 /// Post-extraction: does `item`, produced by a merged query, match the
 /// *original* query `q` (WHERE + FRESHNESS at time `now`)?
 [[nodiscard]] bool PostExtract(const CxtQuery& q, const CxtItem& item,
                                SimTime now);
 
-/// Merges a whole cluster into one query (left fold; keeps the first id).
+/// Merges a whole cluster into one query (left fold in place; keeps the
+/// first id).
 [[nodiscard]] Result<CxtQuery> MergeAll(std::span<const CxtQuery> queries);
+
+/// True when two queries of one cluster carry equal FROM, WHERE,
+/// FRESHNESS, DURATION and EVERY clauses. Each of those folds as a max,
+/// min, or "kept only if all agree", so dropping one of the two from a
+/// cluster leaves MergeAll of the cluster unchanged, except for what the
+/// fold takes from the front query alone: its id, its priority, and
+/// whether each ad hoc source has a scope at all.
+[[nodiscard]] bool SameMergeBounds(const CxtQuery& a, const CxtQuery& b);
 
 }  // namespace contory::query

@@ -124,4 +124,10 @@ namespace contory::core {
 using QueryId = std::uint64_t;
 inline constexpr QueryId kInvalidQueryId = 0;
 
+/// Names one cluster of one Facade, packed like a QueryId: the facade's
+/// slot in the low 32 bits, that slot's generation in the high 32. A
+/// query's record holds one per mechanism; 0 means "none".
+using ClusterRef = std::uint64_t;
+inline constexpr ClusterRef kInvalidClusterRef = 0;
+
 }  // namespace contory::core

@@ -11,16 +11,13 @@ BTReference::BTReference(sim::Simulation& sim,
   controller_->SetDataHandler(
       [this](net::BtLinkId link, net::NodeId from,
              const std::vector<std::byte>& data) {
-        // Copy the map: a listener may add/remove listeners.
-        const auto listeners = data_listeners_;
-        for (const auto& [id, fn] : listeners) fn(link, from, data);
+        data_listeners_.Dispatch(link, from, data);
       });
   controller_->SetDisconnectHandler(
       [this](net::BtLinkId link, net::NodeId peer) {
         NotifyFailure("BT link " + std::to_string(link) + " to node " +
                       std::to_string(peer) + " dropped");
-        const auto listeners = disconnect_listeners_;
-        for (const auto& [id, fn] : listeners) fn(link, peer);
+        disconnect_listeners_.Dispatch(link, peer);
       });
 }
 
@@ -56,23 +53,23 @@ void BTReference::Discover(SimDuration max_age, DiscoverCallback done) {
 
 BTReference::ListenerId BTReference::AddDataListener(DataListener listener) {
   const ListenerId id = next_listener_++;
-  data_listeners_[id] = std::move(listener);
+  data_listeners_.Add(id, std::move(listener));
   return id;
 }
 
 void BTReference::RemoveDataListener(ListenerId id) {
-  data_listeners_.erase(id);
+  data_listeners_.Remove(id);
 }
 
 BTReference::ListenerId BTReference::AddDisconnectListener(
     DisconnectListener listener) {
   const ListenerId id = next_listener_++;
-  disconnect_listeners_[id] = std::move(listener);
+  disconnect_listeners_.Add(id, std::move(listener));
   return id;
 }
 
 void BTReference::RemoveDisconnectListener(ListenerId id) {
-  disconnect_listeners_.erase(id);
+  disconnect_listeners_.Remove(id);
 }
 
 }  // namespace contory::core

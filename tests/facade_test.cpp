@@ -55,14 +55,21 @@ struct FacadeHarness {
           ++delivery_calls;
           for (const QueryId qid : matched) deliveries[qid].push_back(item);
         });
-    facade->SetFinished(
-        [this](QueryId qid, const Status& s) { finished[qid] = s; });
+    facade->SetFinished([this](QueryId qid, const Status& s) {
+      finished[qid] = s;
+      finish_order.push_back(qid);
+    });
   }
 
-  /// Submits `q` under the next QueryId (readable as last_qid).
+  /// Submits `q` under the next QueryId (readable as last_qid) and keeps
+  /// the cluster handle Cancel needs.
   Status Submit(query::CxtQuery q) {
-    return facade->Submit(++last_qid, std::move(q));
+    const Result<ClusterRef> ref = facade->Submit(++last_qid, std::move(q));
+    if (ref.ok()) refs[last_qid] = *ref;
+    return ref.status();
   }
+
+  void Cancel(QueryId qid) { facade->Cancel(qid, refs[qid]); }
 
   CxtItem Item(const std::string& type, double value,
                double accuracy = 0.2) {
@@ -79,9 +86,11 @@ struct FacadeHarness {
   std::vector<ScriptedProvider*> providers;
   std::unique_ptr<Facade> facade;
   QueryId last_qid = kInvalidQueryId;
+  std::map<QueryId, ClusterRef> refs;
   int delivery_calls = 0;
   std::map<QueryId, std::vector<CxtItem>> deliveries;
   std::map<QueryId, Status> finished;
+  std::vector<QueryId> finish_order;
 };
 
 TEST(FacadeTest, FirstQueryCreatesProvider) {
@@ -152,7 +161,7 @@ TEST(FacadeTest, CancelLastOriginalStopsProvider) {
   auto q = NewQuery(h.sim, "SELECT temperature DURATION 1 hour EVERY 10 sec");
   ASSERT_TRUE(h.Submit(std::move(q)).ok());
   const QueryId id = h.last_qid;
-  h.facade->Cancel(id);
+  h.Cancel(id);
   EXPECT_EQ(h.facade->active_provider_count(), 0u);
   h.sim.RunFor(1s);  // reap
   EXPECT_TRUE(h.providers.empty());  // destroyed
@@ -168,7 +177,7 @@ TEST(FacadeTest, CancelOneOfTwoNarrowsMergedQuery) {
   ASSERT_EQ(h.providers.size(), 1u);
   EXPECT_EQ(h.providers[0]->query().every, SimDuration{5s});
 
-  h.facade->Cancel(fast_id);
+  h.Cancel(fast_id);
   EXPECT_EQ(h.facade->active_provider_count(), 1u);
   // Re-merged to the remaining original's rate.
   EXPECT_EQ(h.providers[0]->query().every, SimDuration{60s});
@@ -200,6 +209,48 @@ TEST(FacadeTest, StopAllSuspendsEverything) {
   EXPECT_EQ(h.finished[a_id].code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(h.finished[b_id].code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(h.facade->active_provider_count(), 0u);
+}
+
+TEST(FacadeTest, StopAllReportsInCreationOrderAfterSlotReuse) {
+  FacadeHarness h;
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT temperature DURATION 1hour"))
+                  .ok());
+  const QueryId a = h.last_qid;
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT wind DURATION 1hour")).ok());
+  const QueryId b = h.last_qid;
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT light DURATION 1hour")).ok());
+  const QueryId c = h.last_qid;
+  h.Cancel(b);
+  h.sim.RunFor(1s);  // reap: B's slot is free
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT noise DURATION 1hour")).ok());
+  const QueryId d = h.last_qid;
+  ASSERT_EQ(h.providers.size(), 3u);
+
+  h.facade->StopAll(ResourceExhausted("reducePower"));
+  EXPECT_EQ(h.finish_order, (std::vector<QueryId>{a, c, d}));
+  EXPECT_FALSE(h.finished.contains(b));
+}
+
+TEST(FacadeTest, StaleClusterRefMisses) {
+  // D's cluster takes B's freed slot under a new generation: B's ref no
+  // longer names it, not even for D's own query id.
+  FacadeHarness h;
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT wind DURATION 1hour")).ok());
+  const QueryId b = h.last_qid;
+  const ClusterRef b_ref = h.refs[b];
+  h.Cancel(b);
+  h.sim.RunFor(1s);
+  ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT noise DURATION 1hour")).ok());
+  const QueryId d = h.last_qid;
+  ASSERT_NE(h.refs[d], b_ref);
+  EXPECT_EQ(h.refs[d] & 0xffffffffu, b_ref & 0xffffffffu);  // same slot
+
+  h.facade->Cancel(b, b_ref);
+  h.facade->Cancel(d, b_ref);
+  h.facade->Cancel(d, kInvalidClusterRef);
+  EXPECT_EQ(h.facade->active_original_count(), 1u);
+  h.Cancel(d);
+  EXPECT_EQ(h.facade->active_original_count(), 0u);
 }
 
 TEST(FacadeTest, ProvidersCreatedCounterTracksMergeSavings) {

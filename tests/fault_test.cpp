@@ -457,6 +457,152 @@ TEST(SensorFaultTest, NanBurstPoisonsSamplesOnlyInsideWindow) {
   EXPECT_GT(client.items.size(), 15u);
 }
 
+// --- BTReference listener multiplexing --------------------------------------
+
+/// A BTReference over b's radio; frames come from a over one link.
+class BtListenerTest : public ::testing::Test {
+ protected:
+  BtListenerTest()
+      : sim_(42),
+        bus_(medium_),
+        node_a_(medium_.Register("a", {0, 0})),
+        node_b_(medium_.Register("b", {5, 0})),
+        phone_a_(sim_, phone::Nokia6630(), "a"),
+        phone_b_(sim_, phone::Nokia6630(), "b"),
+        bt_a_(sim_, bus_, phone_a_, node_a_),
+        bt_b_(sim_, bus_, phone_b_, node_b_),
+        ref_(sim_, &bt_b_) {
+    bt_a_.SetEnabled(true);
+    bt_b_.SetEnabled(true);
+    Connect();
+  }
+
+  void Connect() {
+    link_ = 0;
+    bt_a_.Connect(node_b_, [this](Result<net::BtLinkId> link) {
+      ASSERT_TRUE(link.ok());
+      link_ = *link;
+    });
+    sim_.RunFor(1s);
+    ASSERT_NE(link_, 0u);
+  }
+
+  /// One frame from a; returns the listeners b's reference called.
+  std::vector<std::string> Frame() {
+    calls_.clear();
+    bt_a_.Send(link_, std::vector<std::byte>(8));
+    sim_.RunFor(5s);
+    return calls_;
+  }
+
+  /// Drops the link from a's side; returns the listeners b's reference
+  /// called, then reconnects.
+  std::vector<std::string> Drop() {
+    calls_.clear();
+    bt_a_.SetEnabled(false);
+    sim_.RunFor(1s);
+    bt_a_.SetEnabled(true);
+    auto called = calls_;
+    Connect();
+    return called;
+  }
+
+  core::BTReference::ListenerId AddData(const std::string& tag) {
+    return ref_.AddDataListener(
+        [this, tag](net::BtLinkId, net::NodeId, const std::vector<std::byte>&) {
+          calls_.push_back(tag);
+        });
+  }
+
+  sim::Simulation sim_;
+  net::Medium medium_;
+  net::BluetoothBus bus_;
+  net::NodeId node_a_;
+  net::NodeId node_b_;
+  phone::SmartPhone phone_a_;
+  phone::SmartPhone phone_b_;
+  net::BluetoothController bt_a_;
+  net::BluetoothController bt_b_;
+  core::BTReference ref_;
+  net::BtLinkId link_ = 0;
+  std::vector<std::string> calls_;
+};
+
+using Calls = std::vector<std::string>;
+
+TEST_F(BtListenerTest, DispatchFollowsRegistrationOrderAcrossAddsAndRemoves) {
+  const auto l1 = AddData("l1");
+  const auto l2 = AddData("l2");
+  AddData("l3");
+  ref_.RemoveDataListener(l2);
+  AddData("l4");
+  ref_.RemoveDataListener(l1);
+  AddData("l5");
+  EXPECT_EQ(Frame(), (Calls{"l3", "l4", "l5"}));
+
+  // Removing an unknown, an already removed or the 0 id is a no-op.
+  ref_.RemoveDataListener(l2);
+  ref_.RemoveDataListener(l1);
+  ref_.RemoveDataListener(0);
+  ref_.RemoveDataListener(999);
+  EXPECT_EQ(Frame(), (Calls{"l3", "l4", "l5"}));
+
+  // Many removals compact the list; order still holds.
+  std::vector<core::BTReference::ListenerId> churn;
+  for (int i = 0; i < 20; ++i) churn.push_back(AddData("x"));
+  for (const auto id : churn) ref_.RemoveDataListener(id);
+  AddData("l6");
+  EXPECT_EQ(Frame(), (Calls{"l3", "l4", "l5", "l6"}));
+}
+
+TEST_F(BtListenerTest, ListenerAddedDuringDispatchHearsTheNextFrame) {
+  bool added = false;
+  ref_.AddDataListener(
+      [&](net::BtLinkId, net::NodeId, const std::vector<std::byte>&) {
+        calls_.push_back("adder");
+        if (!added) {
+          added = true;
+          AddData("late");
+        }
+      });
+  AddData("after");
+  EXPECT_EQ(Frame(), (Calls{"adder", "after"}));
+  EXPECT_EQ(Frame(), (Calls{"adder", "after", "late"}));
+}
+
+TEST_F(BtListenerTest, ListenerRemovedDuringDispatchStillHearsThatFrame) {
+  core::BTReference::ListenerId victim = 0;
+  ref_.AddDataListener(
+      [&](net::BtLinkId, net::NodeId, const std::vector<std::byte>&) {
+        calls_.push_back("remover");
+        ref_.RemoveDataListener(victim);
+      });
+  victim = AddData("victim");
+  AddData("after");
+  EXPECT_EQ(Frame(), (Calls{"remover", "victim", "after"}));
+  EXPECT_EQ(Frame(), (Calls{"remover", "after"}));
+}
+
+TEST_F(BtListenerTest, DisconnectListenersFollowTheSameRules) {
+  const auto add = [this](const std::string& tag) {
+    return ref_.AddDisconnectListener(
+        [this, tag](net::BtLinkId, net::NodeId) { calls_.push_back(tag); });
+  };
+  const auto d1 = add("d1");
+  add("d2");
+  core::BTReference::ListenerId d3 = 0;
+  ref_.AddDisconnectListener([&](net::BtLinkId, net::NodeId) {
+    calls_.push_back("remover");
+    ref_.RemoveDisconnectListener(d3);
+  });
+  d3 = add("d3");
+  ref_.RemoveDisconnectListener(d1);
+  ref_.RemoveDisconnectListener(d1);
+  ref_.RemoveDisconnectListener(0);
+  EXPECT_EQ(Drop(), (Calls{"d2", "remover", "d3"}));
+  EXPECT_EQ(Drop(), (Calls{"d2", "remover"}));
+}
+
 // --- Graceful degradation --------------------------------------------------
 // The degrade-and-recover scenarios live in tests/scenarios/cases
 // (fault_to_degraded_recovery, on_demand_stale_answer); this fixture keeps

@@ -306,11 +306,57 @@ void ExpectSubsumes(const query::CxtQuery& m, const query::CxtQuery& q) {
   if (m.where.has_value()) EXPECT_EQ(m.where, q.where) << q.id;
 }
 
-class CancelRemergeTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// Often one of three fixed clause sets, so a cancelled original repeats
+/// another's bounds exactly (the facade's no-fold path); more often each
+/// clause from two or three values, so two queries also differ in just
+/// one clause; now and then a random query. Now and then the FROM has no
+/// scope; the priority is any.
+query::CxtQuery GenerateDuplicateClusterQuery(Rng& rng, const std::string& id) {
+  static const char* const kClauses[] = {
+      " FROM adHocNetwork(3,2) WHERE accuracy<=0.2 FRESHNESS 10 sec"
+      " DURATION 1 hour EVERY 10 sec",
+      " FROM adHocNetwork(all,1) FRESHNESS 30 sec DURATION 2 hours"
+      " EVERY 5 sec",
+      " FROM adHocNetwork(5,3) WHERE accuracy<=0.5 DURATION 20 samples"
+      " EVERY 30 sec",
+  };
+  const auto pick = [&rng](std::initializer_list<const char*> options) {
+    return std::string(options.begin()[rng.UniformInt(
+        0, static_cast<std::int64_t>(options.size()) - 1)]);
+  };
+  query::CxtQuery q;
+  const std::int64_t kind = rng.UniformInt(0, 9);
+  if (kind < 9) {
+    const std::string text =
+        kind < 2 ? std::string("SELECT temperature") +
+                       kClauses[rng.UniformInt(0, 2)]
+                 : "SELECT temperature FROM adHocNetwork" +
+                       pick({"(3,2)", "(all,1)"}) +
+                       pick({"", " WHERE accuracy<=0.2",
+                             " WHERE accuracy<=0.2"}) +
+                       pick({"", " FRESHNESS 10 sec"}) + " DURATION" +
+                       pick({" 1 hour", " 2 hours", " 20 samples"}) +
+                       " EVERY" + pick({" 5 sec", " 10 sec"});
+    auto parsed = query::ParseQuery(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    q = *std::move(parsed);
+  } else {
+    q = GenerateClusterQuery(rng, id);
+  }
+  if (rng.Bernoulli(0.1)) q.from.sources[0].scope.reset();
+  q.priority = static_cast<query::QueryPriority>(rng.UniformInt(0, 2));
+  q.id = id;
+  return q;
+}
 
-TEST_P(CancelRemergeTest, ProviderSubsumesEveryRemainingOriginal) {
-  sim::Simulation sim{GetParam()};
-  Rng rng{GetParam()};
+/// Seeded submit/cancel steps on one facade. After each step the
+/// provider's query must equal query::MergeAll of the live originals in
+/// submission order, and subsume each of them. `duplicates` draws from
+/// GenerateDuplicateClusterQuery and cancels the front original half the
+/// time.
+void CheckCancelRemerge(std::uint64_t seed, bool duplicates) {
+  sim::Simulation sim{seed};
+  Rng rng{seed};
   std::vector<ClusterProbeProvider*> providers;
   core::Facade facade(
       sim, query::SourceSel::kAdHocNetwork,
@@ -319,19 +365,44 @@ TEST_P(CancelRemergeTest, ProviderSubsumesEveryRemainingOriginal) {
         return std::make_unique<ClusterProbeProvider>(
             sim, std::move(q), std::move(callbacks), providers);
       });
-  std::map<core::QueryId, query::CxtQuery> live;
+  struct Live {
+    query::CxtQuery query;
+    core::ClusterRef ref;
+  };
+  // Keyed by QueryId, which grows with submission: map order is
+  // submission order.
+  std::map<core::QueryId, Live> live;
   core::QueryId next = 1;
-  for (int step = 0; step < 200; ++step) {
-    if (live.empty() || (live.size() < 12 && rng.Bernoulli(0.55))) {
-      query::CxtQuery q =
-          GenerateClusterQuery(rng, "q" + std::to_string(next));
-      ASSERT_TRUE(facade.Submit(next, q).ok());
-      live.emplace(next++, std::move(q));
+  int same_bounds_cancels = 0;
+  int same_bounds_front_cancels = 0;
+  // Fewer live originals make a leaving one more often the only holder
+  // of a bound.
+  const int steps = duplicates ? 1000 : 200;
+  const std::size_t max_live = duplicates ? 6 : 12;
+  for (int step = 0; step < steps; ++step) {
+    if (live.empty() || (live.size() < max_live && rng.Bernoulli(0.55))) {
+      const std::string id = "q" + std::to_string(next);
+      query::CxtQuery q = duplicates ? GenerateDuplicateClusterQuery(rng, id)
+                                     : GenerateClusterQuery(rng, id);
+      const auto ref = facade.Submit(next, q);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      live.emplace(next++, Live{std::move(q), *ref});
     } else {
       auto victim = live.begin();
-      std::advance(victim, rng.UniformInt(
-                               0, static_cast<std::int64_t>(live.size()) - 1));
-      facade.Cancel(victim->first);
+      if (!duplicates || rng.Bernoulli(0.5)) {
+        std::advance(victim,
+                     rng.UniformInt(
+                         0, static_cast<std::int64_t>(live.size()) - 1));
+      }
+      for (const auto& [qid, other] : live) {
+        if (qid != victim->first &&
+            query::SameMergeBounds(victim->second.query, other.query)) {
+          ++same_bounds_cancels;
+          if (victim == live.begin()) ++same_bounds_front_cancels;
+          break;
+        }
+      }
+      facade.Cancel(victim->first, victim->second.ref);
       live.erase(victim);
     }
     sim.RunUntil(sim.Now());  // reap a stopped provider
@@ -342,15 +413,43 @@ TEST_P(CancelRemergeTest, ProviderSubsumesEveryRemainingOriginal) {
     }
     ASSERT_EQ(providers.size(), 1u) << "step " << step;
     const query::CxtQuery& merged = providers.front()->query();
+    std::vector<query::CxtQuery> originals;
     for (const auto& [qid, original] : live) {
-      ExpectSubsumes(merged, original);
+      if (!duplicates) ExpectSubsumes(merged, original.query);
+      originals.push_back(original.query);
     }
-    if (HasFailure()) FAIL() << "seed " << GetParam() << " step " << step;
+    const auto oracle = query::MergeAll(originals);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(merged, *oracle) << "merged " << merged.ToString()
+                               << "\noracle " << oracle->ToString();
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "seed " << seed << " step " << step;
+    }
   }
+  if (duplicates) {
+    EXPECT_GT(same_bounds_cancels, 20) << "seed " << seed;
+    EXPECT_GT(same_bounds_front_cancels, 0) << "seed " << seed;
+  }
+}
+
+class CancelRemergeTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CancelRemergeTest, ProviderSubsumesEveryRemainingOriginal) {
+  CheckCancelRemerge(GetParam(), /*duplicates=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CancelRemergeTest,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99991u));
+
+class CancelRemergeDuplicateTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CancelRemergeDuplicateTest, MergedQueryEqualsMergeAllOfRemaining) {
+  CheckCancelRemerge(GetParam(), /*duplicates=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CancelRemergeDuplicateTest,
+                         ::testing::Values(3u, 11u, 2024u, 31337u, 777777u));
 
 // --- Predicate algebra -------------------------------------------------------
 
