@@ -111,8 +111,7 @@ void MeasureNeighborLatency(testbed::CityScenario& city, SizeResult& out) {
 }
 
 SizeResult RunSize(std::size_t nodes, std::size_t rounds, int num_hops,
-                   std::uint64_t seed, std::int64_t route_cache_ttl_ms,
-                   bool record) {
+                   std::uint64_t seed, bool record) {
   SizeResult out;
   out.nodes = nodes;
   out.rounds = rounds;
@@ -125,8 +124,6 @@ SizeResult RunSize(std::size_t nodes, std::size_t rounds, int num_hops,
   options.area_m = 70.0 * std::sqrt(static_cast<double>(nodes));
   options.provider_fraction = 0.25;
   options.seed = seed;
-  options.route_cache_ttl =
-      std::chrono::milliseconds{route_cache_ttl_ms};
 
   const auto build_start = Clock::now();
   testbed::CityScenario city(options);
@@ -163,8 +160,8 @@ SizeResult RunSize(std::size_t nodes, std::size_t rounds, int num_hops,
                         outcome = o;
                       });
     city.sim().RunFor(timeout + 5s);  // mobility keeps ticking throughout
-    // One flight-recorder frame per finder round: the hop / airtime /
-    // route-cache curves line up with the rounds that produced them.
+    // One flight-recorder frame per finder round: the hop and airtime
+    // curves line up with the rounds that produced them.
     if (record) {
       COBS(obs::Observability::recorder().Sample(city.sim().Now()));
     }
@@ -216,7 +213,7 @@ std::string SizeLabel(std::size_t nodes) {
 
 int Run(const std::vector<std::size_t>& sizes, std::size_t rounds,
         int num_hops, bool gate, const std::string& out_path,
-        const std::string& trace_path, std::int64_t route_cache_ttl_ms) {
+        const std::string& trace_path) {
   if (!trace_path.empty()) {
     if (!COBS_ON()) {
       std::fprintf(stderr,
@@ -234,7 +231,6 @@ int Run(const std::vector<std::size_t>& sizes, std::size_t rounds,
   for (const std::size_t nodes : sizes) {
     std::printf("building %zu-phone city...\n", nodes);
     results.push_back(RunSize(nodes, rounds, num_hops, /*seed=*/20260808,
-                              route_cache_ttl_ms,
                               /*record=*/!trace_path.empty()));
     const SizeResult& r = results.back();
     std::printf(
@@ -346,15 +342,12 @@ int main(int argc, char** argv) {
   int num_hops = 10;
   std::string out_path;
   std::string trace_path;
-  std::int64_t route_cache_ttl_ms = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       trace_path = arg + 12;
-    } else if (std::strncmp(arg, "--route-cache-ttl-ms=", 21) == 0) {
-      route_cache_ttl_ms = std::stoll(arg + 21);
     } else if (std::strncmp(arg, "--nodes=", 8) == 0) {
       std::string list = arg + 8;
       for (std::size_t pos = 0; pos < list.size();) {
@@ -376,7 +369,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: city_scale [--smoke] [--nodes=a,b,c] "
                    "[--rounds=N] [--hops=N] [--out=FILE] "
-                   "[--trace-out=FILE] [--route-cache-ttl-ms=N]\n");
+                   "[--trace-out=FILE]\n");
       return 2;
     }
   }
@@ -389,5 +382,5 @@ int main(int argc, char** argv) {
   // >= 10x gate (1-core CI noise) unless the caller swept a 10k+ size
   // explicitly in a full run.
   return Run(sizes, rounds, num_hops, /*gate=*/!smoke, out_path,
-             trace_path, route_cache_ttl_ms);
+             trace_path);
 }

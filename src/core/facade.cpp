@@ -33,10 +33,6 @@ obs::Counter& MergedCounter(query::SourceSel kind) {
   return *slot;
 }
 
-/// A ClusterRef is (generation << 32) | slot, like a QueryId.
-constexpr ClusterRef kNextGeneration = ClusterRef{1} << 32;
-std::size_t SlotOf(ClusterRef ref) { return ref & 0xffffffffu; }
-
 /// Whether each source of `a` and `b` (one cluster, so the same sources)
 /// has an ad hoc scope: the fold takes that from its front query.
 bool SameScopePresence(const query::CxtQuery& a, const query::CxtQuery& b) {
@@ -73,28 +69,11 @@ Facade::ClusterKey Facade::KeyFor(const query::CxtQuery& q) {
   return {q.select_type, static_cast<int>(q.mode())};
 }
 
-Facade::Cluster* Facade::Resolve(ClusterRef ref) {
-  if (ref == kInvalidClusterRef || SlotOf(ref) >= clusters_.size()) {
-    return nullptr;
-  }
-  Cluster& cluster = clusters_[SlotOf(ref)];
-  return cluster.ref == ref ? &cluster : nullptr;
-}
-
 Facade::Cluster& Facade::NewCluster() {
-  // The newest freed slot under its next generation, or a new slot.
-  ClusterRef ref;
-  if (free_.empty()) {
-    ref = kNextGeneration | clusters_.size();
-    clusters_.emplace_back();
-  } else {
-    ref = free_.back() + kNextGeneration;
-    free_.pop_back();
-  }
-  Cluster& cluster = clusters_[SlotOf(ref)];
+  const ClusterRef ref = clusters_.Emplace();
+  Cluster& cluster = *clusters_.Find(ref);
   cluster.ref = ref;
   cluster.seq = next_seq_++;
-  cluster.dead = false;
   return cluster;
 }
 
@@ -103,20 +82,16 @@ void Facade::FreeSlot(Cluster& cluster) {
     retries_reaped_ += cluster.provider->retries_attempted();
     cluster.provider.reset();
   }
-  cluster.originals.clear();
-  cluster.qids.clear();
-  // A slot whose generation is exhausted is retired, so no ref repeats.
-  if ((cluster.ref >> 32) != 0xffffffffu) free_.push_back(cluster.ref);
-  cluster.ref = kInvalidClusterRef;
+  clusters_.Erase(cluster.ref);
 }
 
 std::vector<Facade::Cluster*> Facade::ByCreation(std::uint64_t from_seq) {
   std::vector<Cluster*> out;
-  for (Cluster& cluster : clusters_) {
+  clusters_.ForEach([&out, from_seq](Cluster& cluster) {
     if (cluster.provider != nullptr && cluster.seq >= from_seq) {
       out.push_back(&cluster);
     }
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const Cluster* a, const Cluster* b) { return a->seq < b->seq; });
   return out;
@@ -310,7 +285,7 @@ void Facade::EraseAt(Cluster& cluster, std::size_t pos) {
 }
 
 void Facade::Cancel(QueryId qid, ClusterRef ref) {
-  Cluster* cluster = Resolve(ref);
+  Cluster* cluster = clusters_.Find(ref);
   if (cluster != nullptr && !cluster->indexed) cluster = nullptr;
   const std::size_t pos = cluster != nullptr ? Position(*cluster, qid) : 0;
   if (cluster == nullptr || pos == cluster->qids.size()) {
@@ -389,11 +364,11 @@ void Facade::StopAll(const Status& status) {
 
 std::uint64_t Facade::retries_observed() const {
   std::uint64_t n = retries_reaped_;
-  for (const Cluster& cluster : clusters_) {
+  clusters_.ForEach([&n](const Cluster& cluster) {
     if (cluster.provider != nullptr) {
       n += cluster.provider->retries_attempted();
     }
-  }
+  });
   return n;
 }
 

@@ -20,12 +20,11 @@
 // tells the provider its deadline (CoverDeadline), so a remote
 // registration made for the first original can be extended to it.
 //
-// Clusters live in a slot table with a LIFO free list. A ClusterRef
-// packs the slot and the slot's generation, as a QueryId does: Submit
-// returns it, the query's record keeps it per mechanism, and Cancel goes
-// straight to the cluster with it; a stale ref misses on its
-// generation. A dead cluster's slot goes on a dead list, and the reap,
-// a zero-delay event, frees only those slots (destroying their
+// Clusters live in a SlotTable (common/slot_table.hpp), and a
+// ClusterRef is a cluster's table handle: Submit returns it, the query's
+// record keeps it per mechanism, and Cancel goes straight to the cluster
+// with it; a stale ref misses. A dead cluster goes on a dead list, and
+// the reap, a zero-delay event, erases only those (destroying their
 // providers in creation order), so its cost follows the clusters that
 // died, not the clusters alive. Slots are reused, so each cluster also
 // carries a creation sequence number, and StopAll reports in that
@@ -51,7 +50,6 @@
 // fold runs after all).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -60,6 +58,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/slot_table.hpp"
 #include "core/providers/provider.hpp"
 #include "core/query/merge.hpp"
 #include "sim/simulation.hpp"
@@ -157,9 +156,9 @@ class Facade {
     std::vector<query::CxtQuery> originals;
     /// The originals' QueryIds, index-aligned with `originals`.
     std::vector<QueryId> qids;
-    /// Null only while the slot is free.
+    /// Null only when the provider factory failed, or while reaped.
     std::unique_ptr<CxtProvider> provider;
-    /// This slot's current handle; kInvalidClusterRef while free.
+    /// This cluster's handle in clusters_.
     ClusterRef ref = kInvalidClusterRef;
     /// Creation order, across slot reuse (StopAll and the reap use it).
     std::uint64_t seq = 0;
@@ -181,12 +180,9 @@ class Facade {
 
   [[nodiscard]] static ClusterKey KeyFor(const query::CxtQuery& q);
 
-  /// The live-or-dead cluster `ref` names, or null for a stale ref.
-  [[nodiscard]] Cluster* Resolve(ClusterRef ref);
-  /// Takes a free slot (or a new one) under its next generation.
+  /// A fresh cluster with its ref and creation sequence number set.
   Cluster& NewCluster();
-  /// Destroys the cluster's provider and returns its slot to the free
-  /// list.
+  /// Destroys the cluster's provider, then the cluster.
   void FreeSlot(Cluster& cluster);
   /// Index of `qid` among the cluster's originals; qids.size() when
   /// absent.
@@ -216,12 +212,9 @@ class Facade {
   bool merging_;
   Delivery delivery_;
   Finished finished_;
-  /// Indexed by a ClusterRef's slot; a deque, so clusters never move. A
-  /// free slot keeps its Cluster object (and its vectors' capacity) for
-  /// the next cluster. free_ holds the last ref each free slot issued.
-  std::deque<Cluster> clusters_;
-  std::vector<ClusterRef> free_;
-  /// Dead clusters whose slots the next reap frees.
+  /// Live and dead clusters by ClusterRef; clusters never move.
+  SlotTable<Cluster> clusters_;
+  /// Dead clusters the next reap erases.
   std::vector<Cluster*> dead_;
   /// Live clusters by merge-compatibility key (Submit's candidate set).
   MergeIndex merge_index_;

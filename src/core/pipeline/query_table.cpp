@@ -10,10 +10,6 @@ namespace contory::core {
 namespace {
 constexpr const char* kModule = "querytable";
 
-/// A QueryId is (generation << 32) | slot (see the header).
-constexpr QueryId kNextGeneration = QueryId{1} << 32;
-std::size_t SlotOf(QueryId qid) { return qid & 0xffffffffu; }
-
 /// Cached registry handles (stable across Reset(); see MetricsRegistry).
 obs::Gauge& LiveGauge() {
   static obs::Gauge& g =
@@ -51,16 +47,16 @@ QueryTable::QueryTable(sim::Simulation& sim,
 QueryTable::~QueryTable() {
   COBS({
     const SimTime now = sim_.Now();
-    for (const auto& record : slots_) {
-      if (record != nullptr) CloseSpans(*record, now, "torn-down", "torn-down");
-    }
+    records_.ForEach([now](QueryRecord& record) {
+      CloseSpans(record.obs, record.state, now, "torn-down", "torn-down");
+    });
   });
 }
 
-void QueryTable::CloseSpans(QueryRecord& record, SimTime now,
-                            const char* how, const char* root_status) {
+void QueryTable::CloseSpans(QueryRecord::ObsSpans& spans, QueryState from,
+                            SimTime now, const char* how,
+                            const char* root_status) {
   auto& tracer = obs::Observability::tracer();
-  QueryRecord::ObsSpans& spans = record.obs;
   for (std::uint64_t& sid : spans.provision) {
     if (sid != 0) tracer.EndStage(sid, now, how);
     sid = 0;
@@ -78,7 +74,7 @@ void QueryTable::CloseSpans(QueryRecord& record, SimTime now,
     spans.root = 0;
     LiveGauge().Add(-1.0);
   }
-  if (record.state == QueryState::kDegraded) {
+  if (from == QueryState::kDegraded) {
     obs::Observability::metrics().GetGauge("queries_degraded").Add(-1.0);
   }
 }
@@ -91,19 +87,10 @@ Result<QueryId> QueryTable::Admit(query::CxtQuery query, Client& client) {
   if (!inserted) {
     return AlreadyExists("query '" + query.id + "' already active");
   }
-  // The newest freed slot under its next generation, or a new slot.
-  QueryId qid;
-  if (free_.empty()) {
-    qid = kNextGeneration | slots_.size();
-    slots_.emplace_back();
-  } else {
-    qid = free_.back() + kNextGeneration;
-    free_.pop_back();
-  }
+  const QueryId qid = records_.Emplace();
   id_it->second = qid;
   ++total_admitted_;
-  QueryRecord& record =
-      *(slots_[SlotOf(qid)] = std::make_unique<QueryRecord>());
+  QueryRecord& record = *records_.Find(qid);
   record.client = &client;
   record.qid = qid;
   record.submitted = sim_.Now();
@@ -117,13 +104,11 @@ Result<QueryId> QueryTable::Admit(query::CxtQuery query, Client& client) {
 }
 
 QueryRecord* QueryTable::FindById(QueryId qid) {
-  if (SlotOf(qid) >= slots_.size()) return nullptr;
-  QueryRecord* record = slots_[SlotOf(qid)].get();
-  return record != nullptr && record->qid == qid ? record : nullptr;
+  return records_.Find(qid);
 }
 
 const QueryRecord* QueryTable::FindById(QueryId qid) const {
-  return const_cast<QueryTable*>(this)->FindById(qid);
+  return records_.Find(qid);
 }
 
 QueryRecord* QueryTable::Find(const std::string& id) {
@@ -179,25 +164,26 @@ bool QueryTable::Transition(QueryRecord& record, QueryState to) {
 }
 
 void QueryTable::FinishById(QueryId qid) {
-  if (FindById(qid) == nullptr) return;
-  // Unlink before closing spans: from here on the id misses, and a
-  // resubmission under the same id string gets a fresh record. A slot
-  // whose generation is exhausted is retired, so no id ever repeats.
-  const std::unique_ptr<QueryRecord> owned = std::move(slots_[SlotOf(qid)]);
-  if ((qid >> 32) != 0xffffffffu) free_.push_back(qid);
-  QueryRecord& record = *owned;
-  ids_.erase(record.query.id);
-  const QueryState from = record.state;
+  QueryRecord* record = records_.Find(qid);
+  if (record == nullptr) return;
+  const QueryState from = record->state;
+  QueryRecord::ObsSpans spans = record->obs;
+  std::string id = std::move(record->query.id);
+  ids_.erase(id);
+  // Erase before closing spans: from here on the qid misses, and a
+  // resubmission under the same id string gets a fresh record. Erasing
+  // stops the record's timers and drops its fusion window.
+  records_.Erase(qid);
   const SimTime now = sim_.Now();
   COBS({
     // Single close point for the whole span tree: any stage span still
     // open at the terminal transition is force-closed here, then the
     // root closes exactly once with the state the query finished from.
-    CloseSpans(record, now, "closed-at-finish", QueryStateName(from));
+    CloseSpans(spans, from, now, "closed-at-finish", QueryStateName(from));
     CompletedCounter(from).Inc();
   });
   ++total_completed_;
-  completions_.push_back(Completion{std::move(record.query.id), from, now});
+  completions_.push_back(Completion{std::move(id), from, now});
   if (completion_cap_ != 0) {
     while (completions_.size() > completion_cap_) {
       completions_.pop_front();

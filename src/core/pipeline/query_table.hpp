@@ -25,13 +25,12 @@
 // matter how cancel, failover, degraded delivery and policy enforcement
 // interleave.
 //
-// Structure: records are heap-allocated in a slot vector with a LIFO
-// free list, so memory follows the peak of live queries. A QueryId packs
-// the slot (low 32 bits) and the slot's generation (high 32 bits, from
-// 1): unique, never reused, never 0. Inside the pipeline and the facades
-// a query is named only by its QueryId; the id strings are resolved
-// once, at the public API, through the table's one map. The factory
-// leans on two properties:
+// Structure: records live in a SlotTable (common/slot_table.hpp), so
+// memory follows the peak of live queries and a QueryId is the record's
+// table handle: unique, never reused, never 0. Inside the pipeline and
+// the facades a query is named only by its QueryId; the id strings are
+// resolved once, at the public API, through the table's one map. The
+// factory leans on two properties:
 //   - records never move, so a facade Submit that admits a query
 //     reentrantly cannot move the record its caller is holding;
 //   - a QueryId held across a reentrant cancel (or captured by a timer
@@ -56,6 +55,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/slot_table.hpp"
 #include "common/status.hpp"
 #include "core/client.hpp"
 #include "core/providers/aggregator.hpp"
@@ -242,17 +242,16 @@ class QueryTable {
 
   [[nodiscard]] static bool ValidEdge(QueryState from,
                                       QueryState to) noexcept;
-  /// Closes every span of a record that is leaving the table.
-  void CloseSpans(QueryRecord& record, SimTime now, const char* how,
-                  const char* root_status);
+  /// Closes the spans of a record leaving the table from state `from`.
+  static void CloseSpans(QueryRecord::ObsSpans& spans, QueryState from,
+                         SimTime now, const char* how,
+                         const char* root_status);
 
   sim::Simulation& sim_;
   /// Public id string -> handle, for the string-keyed boundary API.
   std::unordered_map<std::string, QueryId> ids_;
-  /// Indexed by a QueryId's slot; null while free. free_ holds the last
-  /// id each free slot issued.
-  std::vector<std::unique_ptr<QueryRecord>> slots_;
-  std::vector<QueryId> free_;
+  /// Every live record, by QueryId.
+  SlotTable<QueryRecord> records_;
   std::uint64_t total_admitted_ = 0;
   std::uint64_t total_completed_ = 0;
   std::uint64_t invalid_transitions_ = 0;

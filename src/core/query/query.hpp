@@ -116,16 +116,14 @@ class QueryBuilder {
 
 namespace contory::core {
 
-/// Internal query handle, issued by the QueryTable at admission: unique
-/// and never reused, but not sequential (the table's slot in the low 32
-/// bits, that slot's generation in the high 32). 0 means "invalid". Id
-/// strings (CxtQuery::id) stay at the public API; the pipeline passes
-/// these.
+/// Internal query handle, issued by the QueryTable at admission: the
+/// record's SlotTable handle (common/slot_table.hpp), unique and never
+/// reused, but not sequential. 0 means "invalid". Id strings
+/// (CxtQuery::id) stay at the public API; the pipeline passes these.
 using QueryId = std::uint64_t;
 inline constexpr QueryId kInvalidQueryId = 0;
 
-/// Names one cluster of one Facade, packed like a QueryId: the facade's
-/// slot in the low 32 bits, that slot's generation in the high 32. A
+/// Names one cluster of one Facade: its SlotTable handle there. A
 /// query's record holds one per mechanism; 0 means "none".
 using ClusterRef = std::uint64_t;
 inline constexpr ClusterRef kInvalidClusterRef = 0;

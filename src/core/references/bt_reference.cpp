@@ -11,13 +11,13 @@ BTReference::BTReference(sim::Simulation& sim,
   controller_->SetDataHandler(
       [this](net::BtLinkId link, net::NodeId from,
              const std::vector<std::byte>& data) {
-        data_listeners_.Dispatch(link, from, data);
+        Dispatch(data_listeners_, link, from, data);
       });
   controller_->SetDisconnectHandler(
       [this](net::BtLinkId link, net::NodeId peer) {
         NotifyFailure("BT link " + std::to_string(link) + " to node " +
                       std::to_string(peer) + " dropped");
-        disconnect_listeners_.Dispatch(link, peer);
+        Dispatch(disconnect_listeners_, link, peer);
       });
 }
 
@@ -52,24 +52,21 @@ void BTReference::Discover(SimDuration max_age, DiscoverCallback done) {
 }
 
 BTReference::ListenerId BTReference::AddDataListener(DataListener listener) {
-  const ListenerId id = next_listener_++;
-  data_listeners_.Add(id, std::move(listener));
-  return id;
+  return data_listeners_.Insert({next_listener_seq_++, std::move(listener)});
 }
 
 void BTReference::RemoveDataListener(ListenerId id) {
-  data_listeners_.Remove(id);
+  data_listeners_.Erase(id);
 }
 
 BTReference::ListenerId BTReference::AddDisconnectListener(
     DisconnectListener listener) {
-  const ListenerId id = next_listener_++;
-  disconnect_listeners_.Add(id, std::move(listener));
-  return id;
+  return disconnect_listeners_.Insert(
+      {next_listener_seq_++, std::move(listener)});
 }
 
 void BTReference::RemoveDisconnectListener(ListenerId id) {
-  disconnect_listeners_.Remove(id);
+  disconnect_listeners_.Erase(id);
 }
 
 }  // namespace contory::core

@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/slot_table.hpp"
 #include "core/references/reference.hpp"
 #include "net/bluetooth.hpp"
 #include "sim/simulation.hpp"
@@ -60,96 +61,38 @@ class BTReference final : public Reference {
   /// A frame or link drop is dispatched to the listeners present when
   /// dispatch starts, in registration order: one added by a listener
   /// hears the next event, one removed by a listener still hears this
-  /// one. Removing an unknown, already removed or 0 id is a no-op.
+  /// one. A ListenerId is a SlotTable handle (common/slot_table.hpp), so
+  /// removing an unknown, already removed or 0 id is a no-op.
   ListenerId AddDataListener(DataListener listener);
   void RemoveDataListener(ListenerId id);
   ListenerId AddDisconnectListener(DisconnectListener listener);
   void RemoveDisconnectListener(ListenerId id);
 
  private:
-  /// Listeners sorted by id: ids are monotonic, so an append keeps them
-  /// sorted and registration order is id order. The ids sit in their own
-  /// vector, so Remove's binary search reads 8 bytes per probe. A removed
-  /// listener leaves a tombstone (an empty fn); tombstones are compacted
-  /// away once they make up half the list.
+  /// A listener and its registration number (slots are reused, so slot
+  /// order is not registration order).
   template <typename Fn>
-  class Listeners {
-   public:
-    void Add(ListenerId id, Fn fn) {
-      ids_.push_back(id);
-      fns_.push_back(std::move(fn));
-    }
-
-    void Remove(ListenerId id) {
-      const std::size_t i = Find(id);
-      if (i == ids_.size() || !fns_[i]) return;
-      fns_[i] = nullptr;
-      if (2 * ++removed_ >= ids_.size()) Compact();
-    }
-
-    /// Calls a copy of the present listeners, so a listener may add or
-    /// remove listeners.
-    template <typename... Args>
-    void Dispatch(const Args&... args) const {
-      std::vector<Fn> present;
-      present.reserve(fns_.size() - removed_);
-      for (const Fn& fn : fns_) {
-        if (fn) present.push_back(fn);
-      }
-      for (const Fn& fn : present) fn(args...);
-    }
-
-   private:
-    /// Index of `id`, or ids_.size(). Ids are issued in order and removed
-    /// at random, so they spread evenly over the list: a few probes
-    /// interpolated between the range's ends land next to `id`, where a
-    /// binary search over what is left finishes.
-    [[nodiscard]] std::size_t Find(ListenerId id) const {
-      std::size_t lo = 0;
-      std::size_t hi = ids_.size();
-      for (int probes = 0; probes < 4 && hi - lo > 8; ++probes) {
-        const ListenerId first = ids_[lo];
-        const ListenerId last = ids_[hi - 1];
-        if (id < first || id > last) return ids_.size();
-        const std::size_t mid =
-            lo + static_cast<std::size_t>(
-                     static_cast<double>(id - first) /
-                     static_cast<double>(last - first) *
-                     static_cast<double>(hi - 1 - lo));
-        if (ids_[mid] == id) return mid;
-        if (ids_[mid] < id) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      const auto begin = ids_.begin();
-      const auto it = std::lower_bound(begin + static_cast<std::ptrdiff_t>(lo),
-                                       begin + static_cast<std::ptrdiff_t>(hi),
-                                       id);
-      return it != ids_.end() && *it == id
-                 ? static_cast<std::size_t>(it - begin)
-                 : ids_.size();
-    }
-
-    void Compact() {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < fns_.size(); ++i) {
-        if (!fns_[i]) continue;
-        ids_[kept] = ids_[i];
-        if (kept != i) fns_[kept] = std::move(fns_[i]);
-        ++kept;
-      }
-      ids_.resize(kept);
-      fns_.resize(kept);
-      removed_ = 0;
-    }
-
-    std::vector<ListenerId> ids_;
-    /// Index-aligned with ids_.
-    std::vector<Fn> fns_;
-    std::size_t removed_ = 0;
+  struct Listener {
+    std::uint64_t seq;
+    Fn fn;
   };
+  template <typename Fn>
+  using Listeners = SlotTable<Listener<Fn>>;
+
+  /// Calls a copy of the present listeners in registration order, so a
+  /// listener may add or remove listeners.
+  template <typename Fn, typename... Args>
+  static void Dispatch(const Listeners<Fn>& listeners, const Args&... args) {
+    std::vector<Listener<Fn>> present;
+    present.reserve(listeners.size());
+    listeners.ForEach(
+        [&present](const Listener<Fn>& l) { present.push_back(l); });
+    std::sort(present.begin(), present.end(),
+              [](const Listener<Fn>& a, const Listener<Fn>& b) {
+                return a.seq < b.seq;
+              });
+    for (const Listener<Fn>& l : present) l.fn(args...);
+  }
 
   struct DiscoveryCache {
     std::vector<net::BtDeviceInfo> devices;
@@ -162,7 +105,7 @@ class BTReference final : public Reference {
   std::vector<DiscoverCallback> pending_discoveries_;
   Listeners<DataListener> data_listeners_;
   Listeners<DisconnectListener> disconnect_listeners_;
-  ListenerId next_listener_ = 1;
+  std::uint64_t next_listener_seq_ = 0;
 };
 
 }  // namespace contory::core

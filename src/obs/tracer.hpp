@@ -24,13 +24,11 @@
 // and the root's full lifetime.
 //
 // Cost discipline: spans are identified by plain uint64 handles the
-// instrumented objects keep (QueryRecord.obs), and open spans live in one
-// slot table: a vector of spans plus a LIFO free list of closed slots. A
-// handle packs the slot (low 32 bits) and that slot's generation (high 32
-// bits, from 1), so finding an open span is a bounds check plus a handle
-// compare, opening one reuses the newest freed slot (no hashing, no
-// per-span allocation), and memory follows the peak of *concurrently*
-// open spans, not spans ever started.
+// instrumented objects keep (QueryRecord.obs): an open span's handle in
+// one SlotTable (common/slot_table.hpp), so finding it is a bounds check
+// plus a generation compare, opening one reuses the newest freed slot (no
+// hashing), and memory follows the peak of *concurrently* open spans, not
+// spans ever started.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slot_table.hpp"
 #include "common/time.hpp"
 
 namespace contory::obs {
@@ -126,7 +125,7 @@ class QueryTracer {
 
   // --- Introspection (tests, exporters, bench/table12_report) ----------
   [[nodiscard]] std::size_t open_count() const noexcept {
-    return open_count_;
+    return open_.size();
   }
   /// Finished spans in completion order, bounded by capacity (oldest
   /// dropped first; drops counted in spans_dropped()).
@@ -137,8 +136,10 @@ class QueryTracer {
   [[nodiscard]] std::vector<Span> FinishedFor(
       const std::string& query_id) const;
   /// The open span behind `span_id`, or nullptr. The pointer is valid
-  /// until the next Begin* call (opening a span may grow the table).
-  [[nodiscard]] const Span* FindOpen(std::uint64_t span_id) const;
+  /// until that span closes.
+  [[nodiscard]] const Span* FindOpen(std::uint64_t span_id) const {
+    return open_.Find(span_id);
+  }
   [[nodiscard]] std::uint64_t spans_started() const noexcept {
     return started_;
   }
@@ -153,7 +154,7 @@ class QueryTracer {
   /// Slots in the open-span table: the peak of concurrently open spans
   /// since construction or Reset().
   [[nodiscard]] std::size_t slot_count() const noexcept {
-    return slots_.size();
+    return open_.slot_count();
   }
 
   void SetCapacity(std::size_t finished_cap);
@@ -161,21 +162,14 @@ class QueryTracer {
   void Reset();
 
  private:
-  /// A fresh open span in the newest freed slot (or a new slot), with
-  /// its handle set. May grow slots_, moving every open span.
-  Span& EmplaceOpen();
-  /// Non-const FindOpen.
-  [[nodiscard]] Span* FindOpenSlot(std::uint64_t span_id);
+  /// A fresh open span, with its handle set.
+  Span& Open();
   const Span* Close(std::uint64_t span_id, SimTime now, std::string status,
                     bool is_root);
   void PushFinished(Span&& span);
 
-  /// Indexed by a handle's slot. A closed slot keeps the last handle it
-  /// issued with open == false, so a handle is real iff its generation is
-  /// at most its slot's. free_ holds the last handle of each free slot.
-  std::vector<Span> slots_;
-  std::vector<std::uint64_t> free_;
-  std::size_t open_count_ = 0;
+  /// Open spans by handle.
+  SlotTable<Span> open_;
   std::deque<Span> finished_;
   std::uint64_t started_ = 0;
   std::uint64_t dropped_ = 0;

@@ -12,8 +12,8 @@ Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 TimerId Simulation::ScheduleAt(SimTime t, Callback cb, std::string label) {
   if (!cb) throw std::invalid_argument("ScheduleAt: null callback");
   if (t < now_) t = now_;  // the past is unreachable; fire "now"
-  const TimerId id = next_timer_++;
-  queue_.push(Event{t, next_seq_++, id, std::move(cb), std::move(label)});
+  const TimerId id = events_.Emplace(Event{std::move(cb), std::move(label)});
+  queue_.push(HeapEntry{t, next_seq_++, id});
   return id;
 }
 
@@ -23,27 +23,24 @@ TimerId Simulation::ScheduleAfter(SimDuration delay, Callback cb,
   return ScheduleAt(now_ + delay, std::move(cb), std::move(label));
 }
 
-void Simulation::Cancel(TimerId id) {
-  if (id == kInvalidTimer || id >= next_timer_) return;
-  cancelled_.insert(id);
-}
+void Simulation::Cancel(TimerId id) { events_.Erase(id); }
 
 bool Simulation::Step() {
   while (!queue_.empty()) {
-    // priority_queue::top() is const; move out via const_cast, standard
-    // practice since pop() destroys the element anyway.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const HeapEntry head = queue_.top();
     queue_.pop();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;  // tombstone
-    }
-    now_ = ev.at;
+    Event* ev = events_.Find(head.id);
+    if (ev == nullptr) continue;  // tombstone
+    now_ = head.at;
     ++dispatched_;
     CLOG_TRACE("sim", "dispatch #%llu %s",
                static_cast<unsigned long long>(dispatched_),
-               ev.label.c_str());
-    ev.cb();
+               ev->label.c_str());
+    // Fired: the id misses from here, so cancelling it is a no-op, and
+    // the callback may reschedule into the freed slot.
+    const Callback cb = std::move(ev->cb);
+    events_.Erase(head.id);
+    cb();
     return true;
   }
   return false;
@@ -61,10 +58,9 @@ void Simulation::Run(std::size_t max_events) {
 
 void Simulation::RunUntil(SimTime t) {
   while (!queue_.empty()) {
-    const Event& head = queue_.top();
-    if (cancelled_.contains(head.id)) {
-      cancelled_.erase(head.id);
-      queue_.pop();
+    const HeapEntry& head = queue_.top();
+    if (events_.Find(head.id) == nullptr) {
+      queue_.pop();  // tombstone
       continue;
     }
     if (head.at > t) break;

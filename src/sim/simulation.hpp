@@ -9,6 +9,12 @@
 // Ordering guarantee: events fire in (time, insertion-order) order, i.e.
 // two events scheduled for the same instant fire in the order they were
 // scheduled. This FIFO tiebreak is what makes protocol handshakes stable.
+//
+// A pending event's callback and label live in a SlotTable
+// (common/slot_table.hpp), and its TimerId is the table handle; the time
+// heap holds only (time, seq, id). Cancel erases the entry, freeing the
+// callback at once; the heap entry left behind is a tombstone, skipped
+// when it reaches the head because its id misses.
 #pragma once
 
 #include <cstdint>
@@ -16,16 +22,17 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/id.hpp"
 #include "common/rng.hpp"
+#include "common/slot_table.hpp"
 #include "common/time.hpp"
 
 namespace contory::sim {
 
 /// Handle for a scheduled event; used to cancel it before it fires.
+/// Unique, never 0, but not sequential.
 using TimerId = std::uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
 
@@ -71,9 +78,10 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_dispatched() const noexcept {
     return dispatched_;
   }
-  /// Number of events currently pending (including cancelled tombstones).
+  /// Number of events scheduled that have neither fired nor been
+  /// cancelled.
   [[nodiscard]] std::size_t pending() const noexcept {
-    return queue_.size() - cancelled_.size();
+    return events_.size();
   }
 
   /// Simulation-wide deterministic RNG; Fork() children per subsystem.
@@ -83,24 +91,26 @@ class Simulation {
 
  private:
   struct Event {
-    SimTime at;
-    std::uint64_t seq;  // insertion order: FIFO tiebreak at equal times
-    TimerId id;
     Callback cb;
     std::string label;
   };
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+  struct HeapEntry {
+    SimTime at;
+    std::uint64_t seq;  // insertion order: FIFO tiebreak at equal times
+    TimerId id;
+  };
+  struct EntryAfter {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
 
   SimTime now_ = kSimEpoch;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
-  std::unordered_set<TimerId> cancelled_;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, EntryAfter> queue_;
+  /// Pending events by TimerId.
+  SlotTable<Event> events_;
   std::uint64_t next_seq_ = 1;
-  TimerId next_timer_ = 1;
   std::uint64_t dispatched_ = 0;
   Rng rng_;
   IdGenerator ids_;

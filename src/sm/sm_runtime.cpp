@@ -9,23 +9,7 @@
 namespace contory::sm {
 namespace {
 constexpr const char* kModule = "sm";
-
-obs::Counter& RouteCacheHits() {
-  static obs::Counter* c = &obs::Observability::metrics().GetCounter(
-      "sm_route_cache_hits_total");
-  return *c;
-}
-obs::Counter& RouteCacheMisses() {
-  static obs::Counter* c = &obs::Observability::metrics().GetCounter(
-      "sm_route_cache_misses_total");
-  return *c;
-}
-obs::Counter& RouteCacheEvictions() {
-  static obs::Counter* c = &obs::Observability::metrics().GetCounter(
-      "sm_route_cache_evictions_total");
-  return *c;
-}
-}
+}  // namespace
 
 void SmBus::Attach(net::NodeId id, SmRuntime* rt) {
   if (id >= runtimes_.size()) {
@@ -277,24 +261,6 @@ net::NodeId SmRuntime::Bfs(const std::unordered_set<net::NodeId>& exclude,
 Result<net::NodeId> SmRuntime::NextHopTowardTag(
     const std::string& tag,
     const std::unordered_set<net::NodeId>& exclude) const {
-  // Route cache (opt-in): only exclude-free lookups are cacheable — the
-  // homeward path resolves the same home tag at every intermediate node
-  // of every reply, which is where a city-scale BFS per hop hurts.
-  const bool cacheable =
-      config_.route_cache_ttl > SimDuration::zero() && exclude.empty();
-  if (cacheable) {
-    if (const auto it = route_cache_.find(tag); it != route_cache_.end()) {
-      const SmRuntime* hop_rt = bus_.Find(it->second.next);
-      if (sim_.Now() - it->second.at <= config_.route_cache_ttl &&
-          hop_rt != nullptr && hop_rt->participating() &&
-          wifi_.IsNeighbor(it->second.next)) {
-        COBS(RouteCacheHits().Inc());
-        return it->second.next;
-      }
-      route_cache_.erase(it);  // stale, or the hop moved away
-    }
-    COBS(RouteCacheMisses().Inc());
-  }
   // The nearest node exposing the tag is the first one discovered.
   const net::NodeId target = Bfs(exclude, 0, [&](net::NodeId n) {
     return bus_.runtimes_[n]->tags_.Has(tag);
@@ -305,14 +271,6 @@ Result<net::NodeId> SmRuntime::NextHopTowardTag(
   // Walk back to the first hop from this node.
   net::NodeId hop = target;
   while (bus_.visits_[hop].parent != node()) hop = bus_.visits_[hop].parent;
-  if (cacheable) {
-    if (route_cache_.size() >= config_.route_cache_capacity &&
-        !route_cache_.contains(tag)) {
-      route_cache_.clear();
-      COBS(RouteCacheEvictions().Inc());
-    }
-    route_cache_[tag] = RouteEntry{hop, sim_.Now()};
-  }
   return hop;
 }
 

@@ -112,17 +112,6 @@ struct SmRuntimeConfig {
   std::size_t code_cache_capacity = 32;
   /// Tag exposed by nodes willing to route Contory SMs.
   std::string participation_tag = "contory";
-  /// Next-hop route cache for content-based routing, applied only to
-  /// exclude-free lookups (the homeward path of a finder: the same
-  /// "contory.node.N" tag is resolved at every intermediate node of
-  /// every reply). 0 = disabled — the default, so routing behavior is
-  /// bit-identical to the uncached BFS unless a scenario opts in. A hit
-  /// requires the entry to be younger than the TTL *and* the cached hop
-  /// to still be a participating WiFi neighbor (mobility safety net).
-  SimDuration route_cache_ttl{};
-  /// Cached tags per node; on overflow the cache is flushed (counted in
-  /// sm_route_cache_evictions_total).
-  std::size_t route_cache_capacity = 16;
 };
 
 class SmRuntime {
@@ -249,13 +238,6 @@ class SmRuntime {
   std::unordered_map<std::string, std::list<std::string>::iterator>
       code_cache_index_;
   std::unordered_map<std::string, ReplyHandler> reply_handlers_;
-  /// Next-hop cache for exclude-free NextHopTowardTag (mutable: caching
-  /// inside a logically-const lookup). Empty unless route_cache_ttl > 0.
-  struct RouteEntry {
-    net::NodeId next = net::kInvalidNode;
-    SimTime at{};
-  };
-  mutable std::unordered_map<std::string, RouteEntry> route_cache_;
   std::size_t resident_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;

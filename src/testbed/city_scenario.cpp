@@ -51,10 +51,8 @@ CityScenario::CityScenario(CityOptions options)
     wifis_.push_back(std::make_unique<net::WifiController>(
         sim_, wifi_bus_, *phones_.back(), node, wifi_config));
     wifis_.back()->SetEnabled(true);
-    sm::SmRuntimeConfig rt_config;
-    rt_config.route_cache_ttl = options_.route_cache_ttl;
     runtimes_.push_back(std::make_unique<sm::SmRuntime>(
-        sim_, sm_bus_, *wifis_.back(), std::move(rt_config)));
+        sim_, sm_bus_, *wifis_.back(), sm::SmRuntimeConfig{}));
     sm::SmRuntime& rt = *runtimes_.back();
     rt.SetParticipating(true);
     core::RegisterFinderBrick(rt);

@@ -53,10 +53,6 @@ struct CityOptions {
   /// RandomWaypoint speeds; CommuterFlow uses its own vehicular speed.
   double speed_min_mps = 0.5;
   double speed_max_mps = 2.0;
-  /// Next-hop route cache TTL for every phone's SM runtime (0 = off, the
-  /// default — identical routing to the uncached BFS). See
-  /// SmRuntimeConfig::route_cache_ttl.
-  SimDuration route_cache_ttl{};
 };
 
 class CityScenario {

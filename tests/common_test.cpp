@@ -1,12 +1,18 @@
-// Unit tests for the common substrate: time, rng, status, bytes, stats, id.
+// Unit tests for the common substrate: time, rng, status, bytes, stats, id,
+// slot table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/id.hpp"
 #include "common/rng.hpp"
+#include "common/slot_table.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
@@ -325,6 +331,201 @@ TEST(IdTest, SequentialPerPrefix) {
   EXPECT_EQ(ids.NextId("item"), "item-1");
   EXPECT_EQ(ids.NextCounter("q"), 3u);
 }
+
+// --- SlotTable -------------------------------------------------------------
+
+using Handle = SlotTable<int>::Handle;
+
+TEST(SlotTableTest, HandlesAreNeverZeroAndNeverRepeat) {
+  SlotTable<int> table;
+  std::set<Handle> seen;
+  std::vector<Handle> live;
+  for (int round = 0; round < 200; ++round) {
+    const Handle h = table.Insert(round);
+    EXPECT_NE(h, 0u);
+    EXPECT_TRUE(seen.insert(h).second) << "handle repeated: " << h;
+    live.push_back(h);
+    if (round % 3 != 0) {  // churn: free most of what was just taken
+      EXPECT_TRUE(table.Erase(live.back()));
+      live.pop_back();
+    }
+  }
+  EXPECT_EQ(table.size(), live.size());
+}
+
+TEST(SlotTableTest, StaleHandleMissesAfterEraseAndAfterSlotReuse) {
+  SlotTable<std::string> table;
+  const Handle a = table.Insert("a");
+  ASSERT_NE(table.Find(a), nullptr);
+  EXPECT_EQ(*table.Find(a), "a");
+  EXPECT_TRUE(table.Erase(a));
+  EXPECT_EQ(table.Find(a), nullptr);
+  EXPECT_FALSE(table.Erase(a));  // double erase is a no-op
+
+  const Handle b = table.Insert("b");
+  EXPECT_EQ(SlotTable<std::string>::SlotOf(b),
+            SlotTable<std::string>::SlotOf(a));  // same slot
+  EXPECT_NE(b, a);
+  EXPECT_EQ(table.Find(a), nullptr);
+  EXPECT_FALSE(table.Erase(a));
+  ASSERT_NE(table.Find(b), nullptr);
+  EXPECT_EQ(*table.Find(b), "b");
+
+  // 0 and garbage handles miss.
+  EXPECT_EQ(table.Find(0), nullptr);
+  EXPECT_EQ(table.Find(Handle{1} << 40 | 7), nullptr);
+  EXPECT_FALSE(table.Erase(0));
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(SlotTableTest, SlotsAreReusedLifo) {
+  SlotTable<int> table;
+  std::vector<Handle> h;
+  for (int i = 0; i < 4; ++i) h.push_back(table.Insert(i));
+  table.Erase(h[1]);
+  table.Erase(h[3]);
+  table.Erase(h[0]);
+  // Newest freed first: slot 0, then 3, then 1, then a new slot 4.
+  EXPECT_EQ(SlotTable<int>::SlotOf(table.Insert(10)), 0u);
+  EXPECT_EQ(SlotTable<int>::SlotOf(table.Insert(11)), 3u);
+  EXPECT_EQ(SlotTable<int>::SlotOf(table.Insert(12)), 1u);
+  EXPECT_EQ(SlotTable<int>::SlotOf(table.Insert(13)), 4u);
+  EXPECT_EQ(table.slot_count(), 5u);
+  EXPECT_EQ(table.size(), 5u);
+}
+
+TEST(SlotTableTest, IssuedHoldsOnlyForHandlesTheSlotGaveOut) {
+  SlotTable<int> table;
+  const Handle a = table.Insert(1);
+  EXPECT_TRUE(table.Issued(a));
+  table.Erase(a);
+  EXPECT_TRUE(table.Issued(a));  // erased, but once given out
+  const Handle b = table.Insert(2);
+  EXPECT_TRUE(table.Issued(b));
+  EXPECT_TRUE(table.Issued(a));
+
+  EXPECT_FALSE(table.Issued(0));
+  // The slot's next generation has not been given out yet.
+  const Handle next = b + (b - a);
+  EXPECT_EQ(SlotTable<int>::SlotOf(next), SlotTable<int>::SlotOf(b));
+  EXPECT_FALSE(table.Issued(next));
+  // A slot the table never had.
+  EXPECT_FALSE(table.Issued((b & ~Handle{0xffff}) | 9));
+}
+
+TEST(SlotTableTest, AddressesStayStableAsTheTableGrows) {
+  SlotTable<std::string> table;
+  const Handle first = table.Insert("first");
+  const std::string* address = table.Find(first);
+  std::vector<Handle> more;
+  for (int i = 0; i < 10'000; ++i) {
+    more.push_back(table.Insert(std::to_string(i)));
+  }
+  EXPECT_EQ(table.Find(first), address);
+  EXPECT_EQ(*address, "first");
+  for (std::size_t i = 0; i < more.size(); i += 2) table.Erase(more[i]);
+  for (int i = 0; i < 5'000; ++i) table.Insert("again");
+  EXPECT_EQ(table.Find(first), address);
+}
+
+TEST(SlotTableTest, ForEachVisitsExactlyTheLiveEntriesInSlotOrder) {
+  SlotTable<int> table;
+  std::vector<Handle> h;
+  for (int i = 0; i < 6; ++i) h.push_back(table.Insert(i));
+  table.Erase(h[1]);
+  table.Erase(h[4]);
+  std::vector<int> seen;
+  table.ForEach([&seen](int& v) { seen.push_back(v); });
+  EXPECT_EQ(seen, (std::vector<int>{0, 2, 3, 5}));
+
+  // Erasing the visited entry from inside the walk is allowed.
+  seen.clear();
+  table.ForEach([&](int& v) {
+    seen.push_back(v);
+    if (v == 2) table.Erase(h[2]);
+  });
+  EXPECT_EQ(seen, (std::vector<int>{0, 2, 3, 5}));
+  EXPECT_EQ(table.size(), 3u);
+
+  const SlotTable<int>& view = table;
+  int sum = 0;
+  view.ForEach([&sum](const int& v) { sum += v; });
+  EXPECT_EQ(sum, 0 + 3 + 5);
+}
+
+/// Records, in its destructor, whether its own handle still resolved.
+struct Probe {
+  SlotTable<Probe>* table = nullptr;
+  Handle self = 0;
+  bool* found_in_destructor = nullptr;
+  ~Probe() {
+    if (found_in_destructor != nullptr) {
+      *found_in_destructor = table->Find(self) != nullptr;
+    }
+  }
+};
+
+TEST(SlotTableTest, HandleMissesInsideTheValuesDestructor) {
+  SlotTable<Probe> table;
+  bool found = true;
+  const Handle h = table.Emplace();
+  *table.Find(h) = Probe{&table, h, &found};
+  EXPECT_TRUE(table.Erase(h));
+  EXPECT_FALSE(found);
+  EXPECT_EQ(table.size(), 0u);
+}
+
+class SlotTableOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SlotTableOracleTest, RandomSequenceMatchesAMapOracle) {
+  Rng rng(GetParam());
+  SlotTable<std::uint64_t> table;
+  std::map<Handle, std::uint64_t> oracle;
+  std::vector<Handle> erased;
+  std::uint64_t next_value = 0;
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (int step = 0; step < 5'000; ++step) {
+    const std::int64_t op = rng.UniformInt(0, 9);
+    if (op < 4 || oracle.empty()) {
+      const std::uint64_t value = next_value++;
+      const Handle h = table.Insert(value);
+      ASSERT_TRUE(oracle.emplace(h, value).second) << "repeated handle";
+    } else if (op < 7) {
+      auto it = oracle.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(pick(oracle.size())));
+      ASSERT_TRUE(table.Erase(it->first));
+      erased.push_back(it->first);
+      oracle.erase(it);
+    } else if (op < 9) {
+      auto it = oracle.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(pick(oracle.size())));
+      const std::uint64_t* found = table.Find(it->first);
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(*found, it->second);
+    } else if (!erased.empty()) {
+      const Handle stale = erased[pick(erased.size())];
+      EXPECT_EQ(table.Find(stale), nullptr);
+      EXPECT_FALSE(table.Erase(stale));
+      EXPECT_TRUE(table.Issued(stale));
+    }
+    ASSERT_EQ(table.size(), oracle.size());
+  }
+  std::vector<std::uint64_t> live;
+  table.ForEach([&live](std::uint64_t& v) { live.push_back(v); });
+  std::sort(live.begin(), live.end());
+  std::vector<std::uint64_t> expected;
+  for (const auto& [h, v] : oracle) expected.push_back(v);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(live, expected);
+  // Memory follows the peak of live entries, not entries ever inserted.
+  EXPECT_LT(table.slot_count(), next_value);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SlotTableOracleTest,
+                         ::testing::Values(1u, 17u, 404u, 8080u, 65537u));
 
 }  // namespace
 }  // namespace contory

@@ -243,7 +243,8 @@ TEST(FacadeTest, StaleClusterRefMisses) {
   ASSERT_TRUE(h.Submit(NewQuery(h.sim, "SELECT noise DURATION 1hour")).ok());
   const QueryId d = h.last_qid;
   ASSERT_NE(h.refs[d], b_ref);
-  EXPECT_EQ(h.refs[d] & 0xffffffffu, b_ref & 0xffffffffu);  // same slot
+  EXPECT_EQ(SlotTable<int>::SlotOf(h.refs[d]),
+            SlotTable<int>::SlotOf(b_ref));  // same slot
 
   h.facade->Cancel(b, b_ref);
   h.facade->Cancel(d, b_ref);

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -147,6 +148,27 @@ TEST(SimulationTest, PendingCountExcludesCancelled) {
   EXPECT_EQ(sim.pending(), 2u);
   sim.Cancel(a);
   EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(SimulationTest, CancelAfterFireKeepsPendingExact) {
+  Simulation sim;
+  const TimerId fired = sim.ScheduleAfter(1ms, [] {});
+  sim.Run();
+  sim.Cancel(fired);  // already fired: nothing to cancel
+  sim.ScheduleAfter(1ms, [] {});
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulationTest, CancelFreesTheCallbackAtOnce) {
+  Simulation sim;
+  auto token = std::make_shared<int>(0);
+  const TimerId id = sim.ScheduleAfter(1h, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  sim.Cancel(id);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(PeriodicTaskTest, FiresEveryPeriod) {

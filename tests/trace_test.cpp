@@ -50,7 +50,7 @@ class TraceTest : public ::testing::Test {
   }
   void TearDown() override { obs::Observability::ResetForTest(); }
 
-  void Build(sm::SmRuntimeConfig config = {}) {
+  void Build() {
     for (int i = 0; i < kNodes; ++i) {
       phones_.push_back(std::make_unique<phone::SmartPhone>(
           sim_, phone::Nokia9500(), "trace-" + std::to_string(i)));
@@ -60,7 +60,7 @@ class TraceTest : public ::testing::Test {
           sim_, wifi_bus_, *phones_.back(), nodes_.back()));
       wifis_.back()->SetEnabled(true);
       runtimes_.push_back(std::make_unique<sm::SmRuntime>(
-          sim_, sm_bus_, *wifis_.back(), config));
+          sim_, sm_bus_, *wifis_.back(), sm::SmRuntimeConfig{}));
       runtimes_.back()->SetParticipating(true);
       core::RegisterFinderBrick(*runtimes_.back());
       runtimes_.back()->tags().Upsert(core::HomeTagName(nodes_.back()), "1");
@@ -107,12 +107,6 @@ class TraceTest : public ::testing::Test {
         sm.id, [&reply](sm::SmartMessage r) { reply = std::move(r); });
     EXPECT_TRUE(runtimes_[0]->Inject(std::move(sm)).ok());
     return root;
-  }
-
-  static std::uint64_t CounterValue(const std::string& name) {
-    const obs::Counter* c =
-        obs::Observability::metrics().FindCounter(name);
-    return c == nullptr ? 0 : c->value();
   }
 
   sim::Simulation sim_{7};
@@ -166,9 +160,6 @@ TEST_F(TraceTest, HopChainMatchesReplyHopCount) {
   EXPECT_EQ(tracer.open_count(), 0u);
   EXPECT_EQ(tracer.double_closes(), 0u);
   EXPECT_EQ(sm_bus_.pending_traces(), 0u);
-  // Route caching is opt-in; the default config never touches it.
-  EXPECT_EQ(CounterValue("sm_route_cache_hits_total"), 0u);
-  EXPECT_EQ(CounterValue("sm_route_cache_misses_total"), 0u);
 }
 
 TEST_F(TraceTest, UnreachableNextHopNotesRootAndOpensNoHopSpan) {
@@ -220,43 +211,6 @@ TEST_F(TraceTest, LostFrameClosesHopSpanWithLossStatus) {
   }
   EXPECT_TRUE(saw_lost_hop);
   ASSERT_NE(tracer.EndQuery(root, sim_.Now(), "timeout"), nullptr);
-}
-
-TEST_F(TraceTest, RouteCacheCountsHitsMissesAndEvictions) {
-  sm::SmRuntimeConfig config;
-  config.route_cache_ttl = 5s;
-  config.route_cache_capacity = 1;
-  Build(config);
-  runtimes_[3]->tags().Upsert("svc.a", "1");
-  runtimes_[2]->tags().Upsert("svc.b", "1");
-
-  // Cold lookup: miss, then the cached next hop serves the repeat.
-  auto hop = runtimes_[0]->NextHopTowardTag("svc.a");
-  ASSERT_TRUE(hop.ok());
-  EXPECT_EQ(*hop, nodes_[1]);
-  EXPECT_EQ(CounterValue("sm_route_cache_misses_total"), 1u);
-  ASSERT_TRUE(runtimes_[0]->NextHopTowardTag("svc.a").ok());
-  EXPECT_EQ(CounterValue("sm_route_cache_hits_total"), 1u);
-
-  // Capacity 1: inserting a second tag flushes the cache (one eviction).
-  ASSERT_TRUE(runtimes_[0]->NextHopTowardTag("svc.b").ok());
-  EXPECT_EQ(CounterValue("sm_route_cache_evictions_total"), 1u);
-  EXPECT_EQ(CounterValue("sm_route_cache_misses_total"), 2u);
-  ASSERT_TRUE(runtimes_[0]->NextHopTowardTag("svc.b").ok());
-  EXPECT_EQ(CounterValue("sm_route_cache_hits_total"), 2u);
-
-  // TTL expiry: the entry goes stale and the lookup falls back to BFS.
-  sim_.RunFor(6s);
-  ASSERT_TRUE(runtimes_[0]->NextHopTowardTag("svc.b").ok());
-  EXPECT_EQ(CounterValue("sm_route_cache_hits_total"), 2u);
-  EXPECT_EQ(CounterValue("sm_route_cache_misses_total"), 3u);
-
-  // Excluded-node lookups (a finder's outward path) bypass the cache
-  // entirely — neither a hit nor a miss is counted.
-  ASSERT_TRUE(
-      runtimes_[0]->NextHopTowardTag("svc.b", {nodes_[3]}).ok());
-  EXPECT_EQ(CounterValue("sm_route_cache_hits_total"), 2u);
-  EXPECT_EQ(CounterValue("sm_route_cache_misses_total"), 3u);
 }
 
 // Plain TEST: a local tracer needs no topology and no COBS gate, so this
