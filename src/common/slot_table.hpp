@@ -151,12 +151,14 @@ class SlotTable {
     Slot(const Slot&) = delete;
     Slot& operator=(const Slot&) = delete;
 
-    union {
-      T value;
-    };
+    // The header leads: Find reads it, and then usually the value's
+    // first fields, in the same cache line.
     /// Of the last handle this slot issued; 0 before the first.
     std::uint32_t generation = 0;
     bool live = false;
+    union {
+      T value;
+    };
   };
 
   /// About 8 KB of slots per chunk, a power of two.

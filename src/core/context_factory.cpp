@@ -272,6 +272,7 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
       span = obs::Observability::tracer().BeginStage(
           record.obs.root, "provision", query::SourceSelName(kind),
           services_.sim->Now());
+      record.obs.provision_items[i] = 0;
       opened = span != 0;
     }
   });
@@ -310,9 +311,10 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
   if (newly_assigned) live->assigned.erase(kind);
   if (opened) {
     COBS({
-      obs::Observability::tracer().EndStage(live->obs.provision[i],
-                                            services_.sim->Now(),
-                                            "not-assigned");
+      auto& tracer = obs::Observability::tracer();
+      tracer.AddItems(live->obs.provision[i], live->obs.provision_items[i]);
+      tracer.EndStage(live->obs.provision[i], services_.sim->Now(),
+                      "not-assigned");
       live->obs.provision[i] = 0;
     });
   }

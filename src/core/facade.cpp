@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <variant>
 
 #include "common/logging.hpp"
 #include "obs/observability.hpp"
@@ -107,8 +108,9 @@ Status Facade::StartCluster(Cluster& cluster) {
     OnProviderFinished(*cluster_ptr, status);
   };
   // A singleton's merged query is its original.
-  cluster.provider = provider_factory_(
-      cluster.qids.front(), cluster.originals.front(), std::move(callbacks));
+  cluster.provider = provider_factory_(cluster.members.front().qid,
+                                       cluster.originals.front(),
+                                       std::move(callbacks));
   if (cluster.provider == nullptr) {
     return Internal("provider factory returned null");
   }
@@ -145,8 +147,8 @@ Result<ClusterRef> Facade::Submit(QueryId qid, query::CxtQuery q) {
       ++live_originals_;
       // A submitted DURATION is what remains of the query's window.
       const std::optional<SimDuration> window = q.duration.time;
+      cluster->members.push_back(Member{qid, Compile(q)});
       cluster->originals.push_back(std::move(q));
-      cluster->qids.push_back(qid);
       cluster->provider->UpdateQuery(*std::move(merged));
       if (window) cluster->provider->CoverDeadline(sim_.Now() + *window);
       return cluster->ref;
@@ -155,8 +157,8 @@ Result<ClusterRef> Facade::Submit(QueryId qid, query::CxtQuery q) {
 
   Cluster& cluster = NewCluster();
   const ClusterRef ref = cluster.ref;
+  cluster.members.push_back(Member{qid, Compile(q)});
   cluster.originals.push_back(std::move(q));
-  cluster.qids.push_back(qid);
   const Status s = StartCluster(cluster);
   if (!s.ok()) {
     FreeSlot(cluster);
@@ -210,19 +212,74 @@ void Facade::NoteIfEmptied(IndexEntry& entry) {
   emptied_.push_back(&entry);
 }
 
+Facade::Compiled Facade::Compile(const query::CxtQuery& q) {
+  using Kind = Compiled::Kind;
+  if (q.freshness.has_value()) return {};
+  if (!q.where.has_value()) return {Kind::kAlways};
+  const query::Predicate& where = *q.where;
+  if (where.kind != query::Predicate::Kind::kComparison) return {};
+  const query::Comparison& cmp = where.comparison;
+  const double* literal = std::get_if<double>(&cmp.literal.storage());
+  if (cmp.aggregate != query::AggregateFn::kNone || literal == nullptr ||
+      (cmp.field != "value" && cmp.field != q.select_type)) {
+    return {};
+  }
+  switch (cmp.op) {
+    case query::CompareOp::kLt:
+    case query::CompareOp::kGt:
+    case query::CompareOp::kLe:
+    case query::CompareOp::kGe:
+      return {Kind::kThreshold, cmp.op, *literal};
+    default:
+      return {};
+  }
+}
+
+bool Facade::Passes(const Compiled& where, double value) {
+  // CxtValue::Compare's three-way rule: an unordered pair (NaN) is 0.
+  switch (where.op) {
+    case query::CompareOp::kLt: return value < where.threshold;
+    case query::CompareOp::kGt: return value > where.threshold;
+    case query::CompareOp::kLe: return !(value > where.threshold);
+    case query::CompareOp::kGe: return !(value < where.threshold);
+    default: return false;  // never compiled
+  }
+}
+
 void Facade::OnProviderDelivery(Cluster& cluster, const CxtItem& item) {
-  if (cluster.dead || !delivery_) return;
+  if (cluster.dead || !delivery_ || cluster.originals.empty()) return;
   // Post-extraction: each original query gets exactly the data matching
-  // its own clauses. Matching qids are snapshotted first so a client that
-  // cancels queries from inside its delivery callback cannot invalidate
-  // the iteration.
-  std::vector<QueryId> matched;
-  for (std::size_t i = 0; i < cluster.originals.size(); ++i) {
-    if (query::PostExtract(cluster.originals[i], item, sim_.Now())) {
-      matched.push_back(cluster.qids[i]);
+  // its own clauses. Every original SELECTs the cluster's type and drops
+  // an expired item, so those two checks run once.
+  const SimTime now = sim_.Now();
+  if (item.type != cluster.originals.front().select_type ||
+      item.IsExpired(now)) {
+    return;
+  }
+  const double* number = std::get_if<double>(&item.value.storage());
+  // Matching qids are collected first, so a client that cancels queries
+  // from inside its delivery callback cannot invalidate the scan. The
+  // buffer is borrowed: a nested delivery finds matched_ empty.
+  std::vector<QueryId> matched = std::move(matched_);
+  matched.clear();
+  for (std::size_t i = 0; i < cluster.members.size(); ++i) {
+    const Member& member = cluster.members[i];
+    bool match = false;
+    switch (member.where.kind) {
+      case Compiled::Kind::kAlways:
+        match = true;
+        break;
+      case Compiled::Kind::kThreshold:
+        match = number != nullptr && Passes(member.where, *number);
+        break;
+      case Compiled::Kind::kGeneric:
+        match = query::PostExtract(cluster.originals[i], item, now);
+        break;
     }
+    if (match) matched.push_back(member.qid);
   }
   if (!matched.empty()) delivery_(matched, item);
+  matched_ = std::move(matched);
 }
 
 void Facade::OnProviderFinished(Cluster& cluster, const Status& status) {
@@ -235,16 +292,19 @@ void Facade::OnProviderFinished(Cluster& cluster, const Status& status) {
     // logic run reentrantly against a half-updated query record; move
     // the notification to a fresh event instead.
     sim_.ScheduleAfter(SimDuration::zero(),
-                       [this, life = life_, qids = cluster.qids, status]() {
+                       [this, life = life_, members = cluster.members,
+                        status]() {
                          if (!*life || !finished_) return;
-                         for (const QueryId qid : qids) finished_(qid, status);
+                         for (const Member& m : members) {
+                           finished_(m.qid, status);
+                         }
                        },
                        "facade.finish");
     ScheduleReap();
     return;
   }
   if (finished_) {
-    for (const QueryId qid : cluster.qids) finished_(qid, status);
+    for (const Member& m : cluster.members) finished_(m.qid, status);
   }
   ScheduleReap();
 }
@@ -274,32 +334,33 @@ void Facade::ScheduleReap() {
 
 std::size_t Facade::Position(const Cluster& cluster, QueryId qid) {
   return static_cast<std::size_t>(
-      std::find(cluster.qids.begin(), cluster.qids.end(), qid) -
-      cluster.qids.begin());
+      std::find_if(cluster.members.begin(), cluster.members.end(),
+                   [qid](const Member& m) { return m.qid == qid; }) -
+      cluster.members.begin());
 }
 
 void Facade::EraseAt(Cluster& cluster, std::size_t pos) {
   const auto offset = static_cast<std::ptrdiff_t>(pos);
   cluster.originals.erase(cluster.originals.begin() + offset);
-  cluster.qids.erase(cluster.qids.begin() + offset);
+  cluster.members.erase(cluster.members.begin() + offset);
 }
 
 void Facade::Cancel(QueryId qid, ClusterRef ref) {
   Cluster* cluster = clusters_.Find(ref);
   if (cluster != nullptr && !cluster->indexed) cluster = nullptr;
   const std::size_t pos = cluster != nullptr ? Position(*cluster, qid) : 0;
-  if (cluster == nullptr || pos == cluster->qids.size()) {
+  if (cluster == nullptr || pos == cluster->members.size()) {
     // Not indexed yet: the query's cluster may be inside Start(), whose
     // synchronous first delivery led to this cancel before Submit
     // returned its ref. Drop the original; Submit stops the provider
     // once Start() returns.
     if (starting_ != nullptr) {
       const std::size_t at = Position(*starting_, qid);
-      if (at < starting_->qids.size()) EraseAt(*starting_, at);
+      if (at < starting_->members.size()) EraseAt(*starting_, at);
     }
     return;
   }
-  if (cluster->qids.size() == 1) {
+  if (cluster->members.size() == 1) {
     // The original goes with the slot, at the reap.
     cluster->provider->Stop();
     MarkDead(*cluster);
@@ -355,7 +416,7 @@ void Facade::StopAll(const Status& status) {
       cluster->provider->Stop();
       MarkDead(*cluster);
       if (finished_) {
-        for (const QueryId qid : cluster->qids) finished_(qid, status);
+        for (const Member& m : cluster->members) finished_(m.qid, status);
       }
     }
   }

@@ -48,8 +48,20 @@
 // merged query takes the new front's id and priority, as MergeAll does
 // (and when the two differ in whether an ad hoc scope is present, the
 // fold runs after all).
+//
+// Post-extraction is compiled at Submit: each member of a cluster pairs
+// an original's QueryId with the shape of its WHERE (Compiled). A
+// delivery checks once what every original shares (the item's type
+// against the cluster's SELECT type, and its expiry), then scans the
+// members in submission order: an "always" member matches, a threshold
+// member compares the item's number with its literal, and only a
+// generic member runs query::PostExtract. The matched ids go into a
+// buffer the facade keeps; a delivery borrows it for the scan and gives
+// it back after the hand-over, so a delivery nested inside a client
+// callback takes a fresh one instead of overwriting the outer's.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -152,10 +164,35 @@ class Facade {
   using MergeIndex = std::unordered_map<ClusterKey, Bucket, ClusterKeyHash>;
   using IndexEntry = MergeIndex::value_type;
 
+  /// How post-extraction tests one original, decided at Submit (see the
+  /// header for the checks every member shares).
+  struct Compiled {
+    enum class Kind : std::uint8_t {
+      /// No WHERE and no FRESHNESS: every item that reaches the scan.
+      kAlways,
+      /// One non-aggregate <, >, <= or >= on `value` (or the SELECT
+      /// type) with a numeric literal, and no FRESHNESS: a numeric item
+      /// compares with `threshold` as CxtValue::Compare would (NaN
+      /// compares equal); any other item does not match.
+      kThreshold,
+      /// Anything else: query::PostExtract.
+      kGeneric,
+    };
+    Kind kind = Kind::kGeneric;
+    query::CompareOp op = query::CompareOp::kLt;
+    double threshold = 0.0;
+  };
+  /// One original of a cluster, index-aligned with Cluster::originals.
+  struct Member {
+    QueryId qid;
+    Compiled where;
+  };
+
   struct Cluster {
     std::vector<query::CxtQuery> originals;
-    /// The originals' QueryIds, index-aligned with `originals`.
-    std::vector<QueryId> qids;
+    /// The originals' QueryIds and compiled WHEREs, index-aligned with
+    /// `originals`.
+    std::vector<Member> members;
     /// Null only when the provider factory failed, or while reaped.
     std::unique_ptr<CxtProvider> provider;
     /// This cluster's handle in clusters_.
@@ -179,12 +216,15 @@ class Facade {
   static constexpr std::size_t kMaxMergeCandidates = 64;
 
   [[nodiscard]] static ClusterKey KeyFor(const query::CxtQuery& q);
+  [[nodiscard]] static Compiled Compile(const query::CxtQuery& q);
+  /// Whether a numeric item value passes a kThreshold member.
+  [[nodiscard]] static bool Passes(const Compiled& where, double value);
 
   /// A fresh cluster with its ref and creation sequence number set.
   Cluster& NewCluster();
   /// Destroys the cluster's provider, then the cluster.
   void FreeSlot(Cluster& cluster);
-  /// Index of `qid` among the cluster's originals; qids.size() when
+  /// Index of `qid` among the cluster's originals; members.size() when
   /// absent.
   [[nodiscard]] static std::size_t Position(const Cluster& cluster,
                                             QueryId qid);
@@ -221,6 +261,8 @@ class Facade {
   /// Buckets left empty since the last reap, which erases those still
   /// empty.
   std::vector<IndexEntry*> emptied_;
+  /// The match buffer OnProviderDelivery borrows (see the header).
+  std::vector<QueryId> matched_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_clusters_ = 0;
   std::size_t live_originals_ = 0;

@@ -22,20 +22,19 @@ obs::Counter& DeliveredCounter(query::SourceSel kind) {
 }
 
 /// Delivery bookkeeping fired just before an item is handed to the
-/// client queue: per-mechanism counters, span item counts, and the
-/// query's time-to-first-item (the paper's getCxtItem latency, measured
-/// from submission to the first context item).
+/// client queue: the per-mechanism counter, the record's span item
+/// counters (written into the spans when they close), and the query's
+/// time-to-first-item (the paper's getCxtItem latency, measured from
+/// submission to the first context item).
 void NoteDelivered(QueryRecord& record, query::SourceSel mechanism,
-                   std::uint64_t items_before, SimTime now) {
-  auto& metrics = obs::Observability::metrics();
-  const char* mech = query::SourceSelName(mechanism);
+                   std::uint32_t items_before, SimTime now) {
   DeliveredCounter(mechanism).Inc();
-  auto& tracer = obs::Observability::tracer();
-  tracer.AddItems(record.obs.root);
-  tracer.AddItems(record.obs.provision[static_cast<std::size_t>(mechanism)]);
+  ++record.obs.root_items;
+  ++record.obs.provision_items[static_cast<std::size_t>(mechanism)];
   if (items_before == 0) {
-    metrics
-        .GetHistogram("first_delivery_latency_ms", {{"mechanism", mech}})
+    obs::Observability::metrics()
+        .GetHistogram("first_delivery_latency_ms",
+                      {{"mechanism", query::SourceSelName(mechanism)}})
         .Observe(ToMillis(now - record.submitted));
   }
 }
@@ -49,7 +48,7 @@ void DeliveryRouter::OnFacadeDelivery(std::span<const QueryId> matched,
   for (const QueryId qid : matched) {
     QueryRecord* record = table_.FindById(qid);
     if (record == nullptr || record->client == nullptr) continue;
-    const std::uint64_t items_before = record->items_delivered;
+    const std::uint32_t items_before = record->items_delivered;
     if (!table_.RecordDelivery(*record, item.id)) continue;
     std::optional<CxtItem> fused;
     if (record->fusion != nullptr) {
@@ -76,9 +75,8 @@ void DeliveryRouter::DeliverStale(QueryRecord& record, CxtItem item) {
     obs::Observability::metrics()
         .GetCounter("degraded_deliveries_total")
         .Inc();
-    auto& tracer = obs::Observability::tracer();
-    tracer.AddItems(record.obs.root);
-    tracer.AddItems(record.obs.degraded);
+    ++record.obs.root_items;
+    ++record.obs.degraded_items;
   });
   Route(record, item);
 }

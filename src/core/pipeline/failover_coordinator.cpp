@@ -50,12 +50,13 @@ void FailoverCoordinator::OnFacadeFinished(query::SourceSel kind,
   record->assigned.erase(kind);
   COBS({
     // The mechanism's provision window ends here, successful or not.
-    std::uint64_t& span =
-        record->obs.provision[static_cast<std::size_t>(kind)];
+    const auto i = static_cast<std::size_t>(kind);
+    std::uint64_t& span = record->obs.provision[i];
     if (span != 0) {
-      obs::Observability::tracer().EndStage(
-          span, sim_.Now(),
-          status.ok() ? "ok" : "failed: " + status.ToString());
+      auto& tracer = obs::Observability::tracer();
+      tracer.AddItems(span, record->obs.provision_items[i]);
+      tracer.EndStage(span, sim_.Now(),
+                      status.ok() ? "ok" : "failed: " + status.ToString());
       span = 0;
     }
     if (!status.ok()) {
@@ -263,6 +264,7 @@ bool FailoverCoordinator::EnterDegradedMode(QueryRecord& record,
     if (record.obs.degraded == 0) {
       record.obs.degraded =
           tracer.BeginStage(record.obs.root, "degraded", nullptr, sim_.Now());
+      record.obs.degraded_items = 0;
     }
     obs::Observability::metrics()
         .GetCounter("queries_degraded_total")
@@ -325,9 +327,10 @@ void FailoverCoordinator::ProbeDegradedRecovery(QueryId qid) {
   table_.Transition(*record, QueryState::kActive);
   COBS({
     if (record->obs.degraded != 0) {
-      obs::Observability::tracer().EndStage(
-          record->obs.degraded, sim_.Now(),
-          std::string("recovered:") + query::SourceSelName(*kind));
+      auto& tracer = obs::Observability::tracer();
+      tracer.AddItems(record->obs.degraded, record->obs.degraded_items);
+      tracer.EndStage(record->obs.degraded, sim_.Now(),
+                      std::string("recovered:") + query::SourceSelName(*kind));
       record->obs.degraded = 0;
     }
     DegradedGauge().Add(-1.0);

@@ -1,6 +1,7 @@
 #include "core/pipeline/query_table.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -57,8 +58,12 @@ void QueryTable::CloseSpans(QueryRecord::ObsSpans& spans, QueryState from,
                             SimTime now, const char* how,
                             const char* root_status) {
   auto& tracer = obs::Observability::tracer();
-  for (std::uint64_t& sid : spans.provision) {
-    if (sid != 0) tracer.EndStage(sid, now, how);
+  for (std::size_t i = 0; i < std::size(spans.provision); ++i) {
+    std::uint64_t& sid = spans.provision[i];
+    if (sid != 0) {
+      tracer.AddItems(sid, spans.provision_items[i]);
+      tracer.EndStage(sid, now, how);
+    }
     sid = 0;
   }
   if (spans.failover != 0) {
@@ -66,10 +71,12 @@ void QueryTable::CloseSpans(QueryRecord::ObsSpans& spans, QueryState from,
     spans.failover = 0;
   }
   if (spans.degraded != 0) {
+    tracer.AddItems(spans.degraded, spans.degraded_items);
     tracer.EndStage(spans.degraded, now, how);
     spans.degraded = 0;
   }
   if (spans.root != 0) {
+    tracer.AddItems(spans.root, spans.root_items);
     tracer.EndQuery(spans.root, now, root_status);
     spans.root = 0;
     LiveGauge().Add(-1.0);

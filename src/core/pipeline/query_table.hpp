@@ -93,22 +93,19 @@ struct ProvisioningPlan {
 };
 
 struct QueryRecord {
-  query::CxtQuery query;
+  // The fields the router reads for every item it routes come first,
+  // up to and including the span item counters: with the SlotTable's
+  // slot header, they fill the record's first two cache lines.
+
   Client* client = nullptr;
   /// Handle for query.id; set at admission, stable for life.
   QueryId qid = kInvalidQueryId;
   QueryState state = QueryState::kAdmitted;
-  ProvisioningPlan plan;
-  /// Facade kinds currently provisioning this query.
-  std::set<query::SourceSel> assigned;
-  /// The facade cluster serving this query, per SourceSel mechanism
-  /// (indexed by its enum value): what Facade::Submit returned, and what
-  /// Facade::Cancel takes back. A ref outlived by its cluster misses.
-  ClusterRef cluster[4] = {};
-  /// Mechanisms that failed for this query (excluded from re-selection).
-  std::set<query::SourceSel> failed;
-  SimTime submitted{};
-  std::uint64_t items_delivered = 0;
+  /// Items that passed the dedup window (RecordDelivery) plus stale
+  /// deliveries.
+  std::uint32_t items_delivered = 0;
+  /// Fusion window (EnableFusion); null delivers items unfused.
+  std::unique_ptr<CxtAggregator> fusion;
   /// Ids of the newest QueryTable::kSeenCap items delivered (`order` is
   /// a ring once full). Only plans that start on several mechanisms get
   /// one: failover is break-before-make, so no other query is ever
@@ -119,30 +116,53 @@ struct QueryRecord {
     std::size_t oldest = 0;
   };
   std::unique_ptr<DedupWindow> dedup;
-
-  /// The time DURATION's end, armed at admission for submitted +
-  /// DURATION and never moved: merging, failover and degraded mode all
-  /// leave it alone. Empty for sample-count DURATIONs.
-  std::optional<sim::Timer> expiry;
-  /// Fusion window (EnableFusion); null delivers items unfused.
-  std::unique_ptr<CxtAggregator> fusion;
-  /// Failover timers: the switch-back (or degraded-recovery) probe and
-  /// the stale-delivery task while degraded. Their callbacks hold only
-  /// this record's qid.
-  std::unique_ptr<sim::PeriodicTask> recovery_probe;
-  std::unique_ptr<sim::PeriodicTask> degraded_task;
+  ProvisioningPlan plan;
 
   /// Tracer span handles (0 = no span). Plain uint64 fields — the hot
   /// path must never do a string-keyed lookup to find its span. One
   /// provision slot per SourceSel mechanism (indexed by its enum value),
   /// opened at facade assignment and closed when that facade finishes.
+  ///
+  /// Item counts: the router bumps the counters here, one per span that
+  /// counts items, and never calls the tracer per item. Each site that
+  /// closes the root, a provision or the degraded span first writes its
+  /// counter into the span with one AddItems; opening a span resets its
+  /// counter. The counters are 32-bit to keep the record small.
   struct ObsSpans {
+    /// Items handed to the client (after dedup and fusion), stale ones
+    /// included.
+    std::uint32_t root_items = 0;
+    /// Items each mechanism delivered while its provision span was open.
+    std::uint32_t provision_items[4] = {0, 0, 0, 0};
+    /// Stale items delivered while the degraded span was open.
+    std::uint32_t degraded_items = 0;
     std::uint64_t root = 0;
     std::uint64_t provision[4] = {0, 0, 0, 0};
     std::uint64_t failover = 0;
     std::uint64_t degraded = 0;
   };
   ObsSpans obs;
+
+  query::CxtQuery query;
+  /// Facade kinds currently provisioning this query.
+  std::set<query::SourceSel> assigned;
+  /// The facade cluster serving this query, per SourceSel mechanism
+  /// (indexed by its enum value): what Facade::Submit returned, and what
+  /// Facade::Cancel takes back. A ref outlived by its cluster misses.
+  ClusterRef cluster[4] = {};
+  /// Mechanisms that failed for this query (excluded from re-selection).
+  std::set<query::SourceSel> failed;
+  SimTime submitted{};
+
+  /// The time DURATION's end, armed at admission for submitted +
+  /// DURATION and never moved: merging, failover and degraded mode all
+  /// leave it alone. Empty for sample-count DURATIONs.
+  std::optional<sim::Timer> expiry;
+  /// Failover timers: the switch-back (or degraded-recovery) probe and
+  /// the stale-delivery task while degraded. Their callbacks hold only
+  /// this record's qid.
+  std::unique_ptr<sim::PeriodicTask> recovery_probe;
+  std::unique_ptr<sim::PeriodicTask> degraded_task;
 
   [[nodiscard]] bool degraded() const noexcept {
     return state == QueryState::kDegraded;

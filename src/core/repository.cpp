@@ -1,18 +1,29 @@
 #include "core/repository.hpp"
 
+#include <algorithm>
+
 namespace contory::core {
 
 CxtRepository::CxtRepository(sim::Simulation& sim, CxtRepositoryConfig config)
     : sim_(sim), config_(config) {}
 
-void CxtRepository::Store(CxtItem item) {
-  auto& ring = rings_[item.type];
-  ring.push_back(std::move(item));
-  ++count_;
-  while (ring.size() > config_.max_items_per_type) {
-    ring.pop_front();
-    --count_;
+void CxtRepository::Ring::Unroll() {
+  std::rotate(items.begin(),
+              items.begin() + static_cast<std::ptrdiff_t>(oldest),
+              items.end());
+  oldest = 0;
+}
+
+void CxtRepository::Store(const CxtItem& item) {
+  if (config_.max_items_per_type == 0) return;
+  Ring& ring = rings_[item.type];
+  if (ring.items.size() < config_.max_items_per_type) {
+    ring.items.push_back(item);
+    ++count_;
+    return;
   }
+  ring.items[ring.oldest] = item;
+  ring.oldest = (ring.oldest + 1) % ring.items.size();
 }
 
 Result<CxtItem> CxtRepository::Latest(const std::string& type) const {
@@ -20,8 +31,9 @@ Result<CxtItem> CxtRepository::Latest(const std::string& type) const {
   if (it == rings_.end()) {
     return NotFound("no stored items of type '" + type + "'");
   }
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (!rit->IsExpired(sim_.Now())) return *rit;
+  const Ring& ring = it->second;
+  for (std::size_t k = 0; k < ring.items.size(); ++k) {
+    if (!ring.Newest(k).IsExpired(sim_.Now())) return ring.Newest(k);
   }
   return NotFound("all stored items of type '" + type + "' expired");
 }
@@ -31,9 +43,11 @@ std::vector<CxtItem> CxtRepository::Recent(const std::string& type,
   std::vector<CxtItem> out;
   const auto it = rings_.find(type);
   if (it == rings_.end()) return out;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (rit->IsExpired(sim_.Now())) continue;
-    out.push_back(*rit);
+  const Ring& ring = it->second;
+  for (std::size_t k = 0; k < ring.items.size(); ++k) {
+    const CxtItem& item = ring.Newest(k);
+    if (item.IsExpired(sim_.Now())) continue;
+    out.push_back(item);
     if (max_n != 0 && out.size() >= max_n) break;
   }
   return out;
@@ -42,26 +56,24 @@ std::vector<CxtItem> CxtRepository::Recent(const std::string& type,
 std::size_t CxtRepository::PurgeExpired() {
   std::size_t removed = 0;
   for (auto& [type, ring] : rings_) {
-    for (auto it = ring.begin(); it != ring.end();) {
-      if (it->IsExpired(sim_.Now())) {
-        it = ring.erase(it);
-        ++removed;
-        --count_;
-      } else {
-        ++it;
-      }
-    }
+    ring.Unroll();
+    removed += std::erase_if(ring.items, [this](const CxtItem& item) {
+      return item.IsExpired(sim_.Now());
+    });
   }
+  count_ -= removed;
   return removed;
 }
 
 void CxtRepository::Shrink(std::size_t per_type) {
   config_.max_items_per_type = per_type;
   for (auto& [type, ring] : rings_) {
-    while (ring.size() > per_type) {
-      ring.pop_front();
-      --count_;
-    }
+    if (ring.items.size() <= per_type) continue;
+    ring.Unroll();
+    const std::size_t drop = ring.items.size() - per_type;
+    ring.items.erase(ring.items.begin(),
+                     ring.items.begin() + static_cast<std::ptrdiff_t>(drop));
+    count_ -= drop;
   }
 }
 

@@ -6,9 +6,12 @@
 // of context infrastructures." This is the local side — small per-type
 // rings sized for a 9 MB phone; remote storage goes through the
 // ContextFactory's storeCxtItem path.
+//
+// A full ring overwrites its oldest slot by copy-assignment, which
+// reuses the slot's string buffers: once every ring is full, storing
+// allocates nothing (the router stores once per provider item).
 #pragma once
 
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,8 +31,9 @@ class CxtRepository {
   explicit CxtRepository(sim::Simulation& sim,
                          CxtRepositoryConfig config = {});
 
-  /// Stores an item locally (evicting the oldest of its type when full).
-  void Store(CxtItem item);
+  /// Stores a copy of an item locally (evicting the oldest of its type
+  /// when full).
+  void Store(const CxtItem& item);
 
   /// Newest stored item of `type` that has not expired.
   [[nodiscard]] Result<CxtItem> Latest(const std::string& type) const;
@@ -53,9 +57,23 @@ class CxtRepository {
   }
 
  private:
+  /// One type's items. Filled in arrival order up to the capacity; once
+  /// full, `oldest` is the slot the next item overwrites.
+  struct Ring {
+    std::vector<CxtItem> items;
+    std::size_t oldest = 0;
+
+    /// The k-th newest item (0 = newest).
+    [[nodiscard]] const CxtItem& Newest(std::size_t k) const {
+      return items[(oldest + items.size() - 1 - k) % items.size()];
+    }
+    /// Puts the items back in arrival order, oldest first.
+    void Unroll();
+  };
+
   sim::Simulation& sim_;
   CxtRepositoryConfig config_;
-  std::unordered_map<std::string, std::deque<CxtItem>> rings_;
+  std::unordered_map<std::string, Ring> rings_;
   std::size_t count_ = 0;
 };
 

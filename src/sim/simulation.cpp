@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +14,8 @@ TimerId Simulation::ScheduleAt(SimTime t, Callback cb, std::string label) {
   if (!cb) throw std::invalid_argument("ScheduleAt: null callback");
   if (t < now_) t = now_;  // the past is unreachable; fire "now"
   const TimerId id = events_.Emplace(Event{std::move(cb), std::move(label)});
-  queue_.push(HeapEntry{t, next_seq_++, id});
+  heap_.push_back(HeapEntry{t, next_seq_++, id});
+  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
   return id;
 }
 
@@ -23,14 +25,34 @@ TimerId Simulation::ScheduleAfter(SimDuration delay, Callback cb,
   return ScheduleAt(now_ + delay, std::move(cb), std::move(label));
 }
 
-void Simulation::Cancel(TimerId id) { events_.Erase(id); }
+void Simulation::Cancel(TimerId id) {
+  if (events_.Find(id) == nullptr) return;
+  // Counted before the erase: destroying the callback may cancel (and
+  // rebuild) in turn.
+  ++tombstones_;
+  events_.Erase(id);
+  if (tombstones_ <= std::max(events_.size(), kTombstoneFloor)) return;
+  std::erase_if(heap_, [this](const HeapEntry& e) {
+    return events_.Find(e.id) == nullptr;
+  });
+  std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  tombstones_ = 0;
+}
+
+void Simulation::PopHead() {
+  std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  heap_.pop_back();
+}
 
 bool Simulation::Step() {
-  while (!queue_.empty()) {
-    const HeapEntry head = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    const HeapEntry head = heap_.front();
+    PopHead();
     Event* ev = events_.Find(head.id);
-    if (ev == nullptr) continue;  // tombstone
+    if (ev == nullptr) {
+      --tombstones_;
+      continue;
+    }
     now_ = head.at;
     ++dispatched_;
     CLOG_TRACE("sim", "dispatch #%llu %s",
@@ -57,10 +79,11 @@ void Simulation::Run(std::size_t max_events) {
 }
 
 void Simulation::RunUntil(SimTime t) {
-  while (!queue_.empty()) {
-    const HeapEntry& head = queue_.top();
+  while (!heap_.empty()) {
+    const HeapEntry& head = heap_.front();
     if (events_.Find(head.id) == nullptr) {
-      queue_.pop();  // tombstone
+      PopHead();  // tombstone
+      --tombstones_;
       continue;
     }
     if (head.at > t) break;

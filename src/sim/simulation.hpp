@@ -14,13 +14,17 @@
 // (common/slot_table.hpp), and its TimerId is the table handle; the time
 // heap holds only (time, seq, id). Cancel erases the entry, freeing the
 // callback at once; the heap entry left behind is a tombstone, skipped
-// when it reaches the head because its id misses.
+// when it reaches the head because its id misses. A tombstone far in the
+// future may never reach the head (a frozen clock never gets there), so
+// once tombstones outnumber pending events, above a small floor, Cancel
+// rebuilds the heap without them. (time, seq) is a total order, so the
+// rebuild cannot change the dispatch order, and the heap stays within
+// twice the pending events plus the floor.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -83,6 +87,14 @@ class Simulation {
   [[nodiscard]] std::size_t pending() const noexcept {
     return events_.size();
   }
+  /// Entries in the time heap: pending events plus tombstones
+  /// (diagnostics; at most 2 * pending() + kTombstoneFloor).
+  [[nodiscard]] std::size_t heap_size() const noexcept {
+    return heap_.size();
+  }
+
+  /// Tombstones the heap may hold beyond the pending-event count.
+  static constexpr std::size_t kTombstoneFloor = 64;
 
   /// Simulation-wide deterministic RNG; Fork() children per subsystem.
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
@@ -106,8 +118,14 @@ class Simulation {
     }
   };
 
+  /// Pops the head of the time heap.
+  void PopHead();
+
   SimTime now_ = kSimEpoch;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, EntryAfter> queue_;
+  /// Min-heap on (at, seq) under EntryAfter; the head is heap_.front().
+  std::vector<HeapEntry> heap_;
+  /// Heap entries whose event was cancelled.
+  std::size_t tombstones_ = 0;
   /// Pending events by TimerId.
   SlotTable<Event> events_;
   std::uint64_t next_seq_ = 1;

@@ -12,7 +12,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +53,11 @@ constexpr int kOps = 4096;
 constexpr double kSubmitBound = 16.59;
 constexpr double kCancelObsOffBound = 0.16;
 constexpr double kCancelObsOnBound = 3.16;
-constexpr double kTimerBound = 0.01;
+constexpr double kTimerBound = 0.002;
 constexpr double kStageSpanBound = 0.51;
+/// One provider item fanned out to every original of a warm cluster,
+/// through the facade and the router to the clients.
+constexpr double kFanOutBound = 0.0;
 
 bool SkipUnderSanitizers() {
 #if defined(CONTORY_SANITIZED)
@@ -142,6 +148,101 @@ class Churn {
   std::uint64_t unique_ = 0;
 };
 
+/// Counts its items without storing them.
+class CountingClient final : public core::Client {
+ public:
+  void ReceiveCxtItem(const CxtItem&) override { ++items; }
+  void InformError(const std::string&) override {}
+  bool MakeDecision(const std::string&) override { return true; }
+
+  std::uint64_t items = 0;
+};
+
+/// Transportless provider: the fixture calls the facade's deliver
+/// callback itself.
+class HandFedProvider final : public core::CxtProvider {
+ public:
+  using core::CxtProvider::CxtProvider;
+  query::SourceSel kind() const noexcept override {
+    return query::SourceSel::kIntSensor;
+  }
+  const char* transport() const noexcept override { return "hand-fed"; }
+
+ protected:
+  void DoStart() override {}
+  void DoStop() override {}
+};
+
+/// One facade cluster of kOriginals intSensor queries, every one of
+/// which matches the fixture's item: a third without a WHERE, a third
+/// with a threshold on value, a third with a WHERE post-extraction
+/// evaluates in full. The facade delivers into a DeliveryRouter over a
+/// QueryTable, as in the ContextFactory.
+class FanOut {
+ public:
+  static constexpr std::size_t kOriginals = 240;
+
+  FanOut()
+      : repository_(sim_),
+        router_(sim_, table_, repository_),
+        facade_(sim_, query::SourceSel::kIntSensor,
+                [this](core::QueryId, query::CxtQuery q,
+                       core::CxtProvider::Callbacks callbacks) {
+                  deliver_ = callbacks.deliver;
+                  return std::make_unique<HandFedProvider>(
+                      sim_, std::move(q), std::move(callbacks));
+                }) {
+    facade_.SetDelivery([this](std::span<const core::QueryId> matched,
+                               const CxtItem& item) {
+      router_.OnFacadeDelivery(matched, item, query::SourceSel::kIntSensor);
+    });
+    static const char* const kWheres[] = {
+        "", " WHERE value > -40", " WHERE value > -40 AND accuracy <= 1"};
+    for (std::size_t i = 0; i < kOriginals; ++i) {
+      auto q = query::CxtQuery::Parse(
+          std::string("SELECT temperature FROM intSensor") + kWheres[i % 3] +
+          " DURATION 1 hour EVERY 5 sec");
+      EXPECT_TRUE(q.ok());
+      q->id = "q" + std::to_string(i);
+      const auto qid = table_.Admit(*q, clients_[i % kClients]);
+      EXPECT_TRUE(qid.ok());
+      core::QueryRecord& record = *table_.FindById(*qid);
+      record.plan.initial = {query::SourceSel::kIntSensor};
+      record.assigned = {query::SourceSel::kIntSensor};
+      EXPECT_TRUE(facade_.Submit(*qid, *std::move(q)).ok());
+    }
+    EXPECT_EQ(facade_.active_provider_count(), 1u);
+    item_.id = "t-1";
+    item_.type = vocab::kTemperature;
+    item_.value = 20.0;
+    item_.metadata.accuracy = 0.5;
+  }
+
+  /// One provider item through the facade's post-extraction.
+  void Deliver() {
+    item_.timestamp = sim_.Now();
+    deliver_(item_);
+  }
+
+  [[nodiscard]] std::uint64_t items() const {
+    std::uint64_t n = 0;
+    for (const CountingClient& c : clients_) n += c.items;
+    return n;
+  }
+
+ private:
+  static constexpr std::size_t kClients = 8;
+
+  CountingClient clients_[kClients];
+  sim::Simulation sim_;
+  core::QueryTable table_{sim_};
+  core::CxtRepository repository_;
+  core::DeliveryRouter router_;
+  std::function<void(const CxtItem&)> deliver_;
+  core::Facade facade_;
+  CxtItem item_;
+};
+
 class CostTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -203,6 +304,31 @@ TEST_F(CostTest, CancelObsOn) {
   if (!COBS_ON()) GTEST_SKIP() << "observability compiled out";
   ExpectMeanAtMost("cancel, obs on", Churned(/*count_submit=*/false),
                    kCancelObsOnBound);
+}
+
+/// Allocations per provider item fanned out by a warm FanOut.
+std::size_t FannedOut() {
+  FanOut fan_out;
+  // Warm: fill the repository ring, register the metric handles and grow
+  // the match buffer.
+  for (int i = 0; i < 64; ++i) fan_out.Deliver();
+  std::size_t allocations = 0;
+  for (int i = 0; i < kOps; ++i) {
+    Counted counted(allocations);
+    fan_out.Deliver();
+  }
+  EXPECT_EQ(fan_out.items(), (kOps + 64) * FanOut::kOriginals);
+  return allocations;
+}
+
+TEST_F(CostTest, ItemFanOutObsOff) {
+  obs::Observability::Enable(false);
+  ExpectMeanAtMost("item fan-out, obs off", FannedOut(), kFanOutBound);
+}
+
+TEST_F(CostTest, ItemFanOutObsOn) {
+  if (!COBS_ON()) GTEST_SKIP() << "observability compiled out";
+  ExpectMeanAtMost("item fan-out, obs on", FannedOut(), kFanOutBound);
 }
 
 TEST_F(CostTest, ScheduleAfterThenCancel) {

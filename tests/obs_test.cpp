@@ -13,6 +13,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -991,6 +992,349 @@ TEST_F(ObsTest, ResetForTestLeavesNoRetainedSpansOrFrames) {
   tr.AddNote(root, "late");
   EXPECT_EQ(tr.EndQuery(root, kSimEpoch + 2s, "late"), nullptr);
   EXPECT_EQ(tr.double_closes(), 0u);
+}
+
+// --- Span item counts ------------------------------------------------------
+// The router counts items in the query's record, and each span gets its
+// count when it closes. These scenarios check every closed span's count
+// against what the client received (the root counts every item handed
+// over, each provision or degraded span the items delivered while it was
+// open) and pin the whole list: the same lists came out when the router
+// still added each item to its open spans as it went.
+
+/// One closed span of a query, as the count checks compare it.
+struct SpanCount {
+  std::string name;
+  std::string mechanism;
+  std::string status;
+  std::uint64_t items = 0;
+
+  friend bool operator==(const SpanCount&, const SpanCount&) = default;
+};
+
+void PrintTo(const SpanCount& s, std::ostream* os) {
+  *os << "{" << s.name << ", " << s.mechanism << ", \"" << s.status << "\", "
+      << s.items << "}";
+}
+
+class SpanItemCountTest : public ObsTest {
+ protected:
+  /// The query's closed spans, in closing order.
+  static std::vector<SpanCount> Counts(const std::string& id) {
+    std::vector<SpanCount> out;
+    for (const obs::Span& s : tracer().FinishedFor(id)) {
+      out.push_back(SpanCount{s.name, s.mechanism, s.status, s.items});
+    }
+    return out;
+  }
+
+  /// Items received per source kind; stale ones under "degraded".
+  static std::map<std::string, std::uint64_t> ReceivedBySource(
+      const core::CollectingClient& client) {
+    std::map<std::string, std::uint64_t> out;
+    for (const CxtItem& item : client.items) {
+      ++out[item.metadata.staleness_seconds.has_value()
+                ? std::string("degraded")
+                : std::string(SourceKindName(item.source.kind))];
+    }
+    return out;
+  }
+
+  /// The root counts every item the client received; the stage spans
+  /// split the same items among themselves.
+  static void ExpectRootAndStagesAgree(const std::vector<SpanCount>& counts,
+                                       const core::CollectingClient& client) {
+    std::uint64_t stages = 0;
+    std::size_t roots = 0;
+    for (const SpanCount& s : counts) {
+      if (s.name == "query") {
+        ++roots;
+        EXPECT_EQ(s.items, client.items.size());
+      } else {
+        stages += s.items;
+      }
+    }
+    EXPECT_EQ(roots, 1u);
+    EXPECT_EQ(stages, client.items.size());
+    EXPECT_EQ(tracer().open_count(), 0u);
+    EXPECT_EQ(tracer().double_closes(), 0u);
+  }
+
+  /// Sum of the items of the spans named `name` for `mechanism`.
+  static std::uint64_t Items(const std::vector<SpanCount>& counts,
+                             const std::string& name,
+                             const std::string& mechanism) {
+    std::uint64_t n = 0;
+    for (const SpanCount& s : counts) {
+      if (s.name == name && s.mechanism == mechanism) n += s.items;
+    }
+    return n;
+  }
+};
+
+CxtItem SharedTemperature(testbed::World& world, const std::string& id,
+                          double value) {
+  CxtItem item;
+  item.id = id;
+  item.type = vocab::kTemperature;
+  item.value = value;
+  item.timestamp = world.Now();
+  return item;
+}
+
+TEST_F(SpanItemCountTest, MultiSourceQueryCountsEachItemOnce) {
+  // The same reading reaches the query over BT from a neighbor and from
+  // the infrastructure: the second copy is dropped by the cross-mechanism
+  // dedup and counted nowhere.
+  testbed::World world{207};
+  testbed::DeviceOptions opts;
+  opts.name = "requester";
+  opts.infra_address = "infra.dynamos.fi";
+  auto& device = world.AddDevice(opts);
+  auto& server = world.AddContextServer("infra.dynamos.fi");
+  const CxtItem shared = SharedTemperature(world, "shared-1", 14.0);
+  server.StoreDirect({shared, "neighbor", std::nullopt});
+  server.StoreDirect(
+      {SharedTemperature(world, "infra-only", 21.0), "boat-2", std::nullopt});
+  testbed::DeviceOptions pub_opts;
+  pub_opts.name = "neighbor";
+  pub_opts.position = {5, 0};
+  auto& neighbor = world.AddDevice(pub_opts);
+  core::CollectingClient pub_client;
+  ASSERT_TRUE(neighbor.contory().RegisterCxtServer(pub_client).ok());
+  ASSERT_TRUE(neighbor.contory().PublishCxtItem(shared, true).ok());
+
+  core::CollectingClient client;
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature FROM adHocNetwork, extInfra "
+                    "DURATION 2 min EVERY 20 sec");
+  const std::string id = q.id;
+  ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
+  world.RunFor(3min);
+
+  std::size_t shared_copies = 0;
+  for (const CxtItem& item : client.items) {
+    if (item.id == "shared-1") ++shared_copies;
+  }
+  EXPECT_EQ(shared_copies, 1u);
+  ASSERT_GE(client.items.size(), 2u);
+  if (!HooksLive()) {
+    EXPECT_EQ(tracer().spans_started(), 0u);
+    return;
+  }
+  const auto counts = Counts(id);
+  ExpectRootAndStagesAgree(counts, client);
+  auto received = ReceivedBySource(client);
+  EXPECT_EQ(Items(counts, "provision", "adHocNetwork"),
+            received["adHocNetwork"]);
+  EXPECT_EQ(Items(counts, "provision", "extInfra"), received["extInfra"]);
+  EXPECT_EQ(counts, (std::vector<SpanCount>{
+                        {"provision", "extInfra", "ok", 1},
+                        {"provision", "adHocNetwork", "ok", 1},
+                        {"query", "", "ACTIVE", 2},
+                    }));
+}
+
+TEST_F(SpanItemCountTest, FailoverSplitsItemsBetweenProvisionSpans) {
+  // The internal temperature sensor fails; the query moves to the
+  // infrastructure, and each mechanism's span counts its own items.
+  testbed::World world{511};
+  testbed::DeviceOptions opts;
+  opts.name = "phone-A";
+  opts.with_bt = false;
+  opts.infra_address = "infra.fi";
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  auto& server = world.AddContextServer("infra.fi");
+  server.StoreDirect(
+      {SharedTemperature(world, "remote-1", 19.0), "remote", std::nullopt});
+  world.RunFor(5s);
+
+  core::CollectingClient client;
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature DURATION 4 min EVERY 10 sec");
+  const std::string id = q.id;
+  ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
+  ASSERT_TRUE(world.injector()
+                  .ExecuteText("at=60s sensor.fail temperature@phone-A\n")
+                  .ok());
+  world.RunFor(5min);
+
+  auto received = ReceivedBySource(client);
+  ASSERT_GT(received["intSensor"], 0u);
+  ASSERT_GT(received["extInfra"], 0u);
+  if (!HooksLive()) {
+    EXPECT_EQ(tracer().spans_started(), 0u);
+    return;
+  }
+  const auto counts = Counts(id);
+  ExpectRootAndStagesAgree(counts, client);
+  EXPECT_EQ(Items(counts, "provision", "intSensor"), received["intSensor"]);
+  EXPECT_EQ(Items(counts, "provision", "extInfra"), received["extInfra"]);
+  const std::string sensor_failed =
+      "failed: UNAVAILABLE: sensor 'env:temperature@phone-A' failed";
+  std::vector<SpanCount> expected = {
+      {"provision", "intSensor", sensor_failed, 6},
+      {"failover", "intSensor", "switched:extInfra", 0}};
+  // The switch-back probe finds the sensor present, and it fails again.
+  for (int i = 0; i < 5; ++i) {
+    expected.push_back({"provision", "intSensor", sensor_failed, 0});
+    expected.push_back({"failover", "intSensor", "switched:extInfra", 0});
+  }
+  expected.push_back({"provision", "extInfra", "ok", 12});
+  expected.push_back({"query", "", "ACTIVE", 18});
+  EXPECT_EQ(counts, expected);
+}
+
+TEST_F(SpanItemCountTest, DegradedEpisodeCountsStaleItems) {
+  // GPS provisioning, then every mechanism lost: stale repository items
+  // land on the degraded span until the radios return.
+  testbed::World world{321};
+  testbed::DeviceOptions opts;
+  opts.name = "phone-A";
+  core::ContextFactoryConfig cfg;
+  cfg.recovery_probe_period = 15s;
+  opts.factory_config = cfg;
+  auto& device = world.AddDevice(opts);
+  world.AddGps("gps-1", {3, 0});
+
+  core::CollectingClient client;
+  auto q = NewQuery(world.sim(), "SELECT location DURATION 8 min EVERY 5 sec");
+  const std::string id = q.id;
+  ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
+  world.RunFor(60s);
+  ASSERT_TRUE(world.injector()
+                  .ExecuteText("at=60s gps.off gps-1 for=180s\n"
+                               "at=80s bt.fail phone-A for=160s\n")
+                  .ok());
+  world.RunFor(8min);
+
+  auto received = ReceivedBySource(client);
+  ASSERT_GT(received["degraded"], 0u);
+  if (!HooksLive()) {
+    EXPECT_EQ(tracer().spans_started(), 0u);
+    return;
+  }
+  const auto counts = Counts(id);
+  ExpectRootAndStagesAgree(counts, client);
+  EXPECT_EQ(Items(counts, "degraded", ""), received["degraded"]);
+  EXPECT_EQ(
+      counts,
+      (std::vector<SpanCount>{
+          {"provision", "intSensor",
+           "failed: UNAVAILABLE: BT-GPS 'gps-1' disconnected", 9},
+          {"failover", "intSensor", "switched:adHocNetwork", 0},
+          {"provision", "adHocNetwork",
+           "failed: NOT_FOUND: no BT peers publish 'location'", 0},
+          {"failover", "adHocNetwork", "degraded", 0},
+          {"degraded", "", "recovered:intSensor", 3},
+          {"provision", "intSensor",
+           "failed: UNAVAILABLE: bluetooth radio switched off during inquiry",
+           0},
+          {"failover", "intSensor", "degraded", 0},
+          {"degraded", "", "recovered:intSensor", 33},
+          {"provision", "intSensor", "ok", 42},
+          {"query", "", "ACTIVE", 87},
+      }));
+}
+
+TEST_F(SpanItemCountTest, NotAssignedSpanClosesEmpty) {
+  // The query's provider fails at the very instant its window ends
+  // (the failure event was scheduled first): failover hands the next
+  // mechanism a zero DURATION, which the facade refuses, so its
+  // provision span closes "not-assigned"; the query degrades and
+  // finishes at its deadline.
+  testbed::World world{733};
+  testbed::DeviceOptions opts;
+  opts.name = "phone-A";
+  opts.infra_address = "infra.fi";
+  opts.internal_sensors = {vocab::kTemperature};
+  auto& device = world.AddDevice(opts);
+  world.AddContextServer("infra.fi");
+  core::ContextFactory& factory = device.contory();
+
+  core::CollectingClient client;
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature FROM intSensor DURATION 1 min "
+                    "EVERY 10 sec");
+  const std::string id = q.id;
+  world.sim().ScheduleAfter(1min, [&factory] {
+    factory.facade(query::SourceSel::kIntSensor)
+        .StopAll(Unavailable("sensor lost"));
+  });
+  ASSERT_TRUE(factory.ProcessCxtQuery(std::move(q), client).ok());
+  world.RunFor(2min);
+
+  EXPECT_EQ(factory.queries().active_count(), 0u);
+  auto received = ReceivedBySource(client);
+  ASSERT_GT(received["intSensor"], 0u);
+  if (!HooksLive()) {
+    EXPECT_EQ(tracer().spans_started(), 0u);
+    return;
+  }
+  const auto counts = Counts(id);
+  ExpectRootAndStagesAgree(counts, client);
+  bool not_assigned = false;
+  for (const SpanCount& s : counts) {
+    if (s.status == "not-assigned") {
+      not_assigned = true;
+      EXPECT_EQ(s.items, 0u);
+    }
+  }
+  EXPECT_TRUE(not_assigned);
+  EXPECT_EQ(counts,
+            (std::vector<SpanCount>{
+                {"provision", "intSensor", "failed: UNAVAILABLE: sensor lost",
+                 6},
+                {"provision", "adHocNetwork", "not-assigned", 0},
+                {"provision", "extInfra", "not-assigned", 0},
+                {"failover", "intSensor", "degraded", 0},
+                {"degraded", "", "closed-at-finish", 1},
+                {"query", "", "DEGRADED", 7},
+            }));
+}
+
+TEST_F(SpanItemCountTest, FusedQueryCountsOnlyFusedProducts) {
+  // A fused extInfra query polls an unchanged reading: the router counts
+  // each poll as a delivery, but the fusion window absorbs every repeat,
+  // so the spans count only what reached the client.
+  testbed::World world{902};
+  testbed::DeviceOptions opts;
+  opts.name = "requester";
+  opts.with_bt = false;
+  opts.infra_address = "infra.fi";
+  auto& device = world.AddDevice(opts);
+  auto& server = world.AddContextServer("infra.fi");
+  server.StoreDirect(
+      {SharedTemperature(world, "remote-1", 19.0), "remote", std::nullopt});
+
+  core::CollectingClient client;
+  auto q = NewQuery(world.sim(),
+                    "SELECT temperature FROM extInfra DURATION 3 min "
+                    "EVERY 20 sec");
+  const std::string id = q.id;
+  ASSERT_TRUE(device.contory().ProcessCxtQuery(std::move(q), client).ok());
+  ASSERT_TRUE(device.contory().EnableFusion(id).ok());
+  world.RunFor(2min);
+  // The repeats passed the router's dedup (one mechanism re-delivering
+  // is a new round) and were absorbed by the fusion window.
+  const core::QueryRecord* record = device.contory().queries().Find(id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_GT(record->items_delivered, client.items.size());
+  world.RunFor(2min);
+
+  ASSERT_FALSE(client.items.empty());
+  if (!HooksLive()) {
+    EXPECT_EQ(tracer().spans_started(), 0u);
+    return;
+  }
+  const auto counts = Counts(id);
+  ExpectRootAndStagesAgree(counts, client);
+  EXPECT_EQ(Items(counts, "provision", "extInfra"), client.items.size());
+  EXPECT_EQ(counts, (std::vector<SpanCount>{
+                        {"provision", "extInfra", "ok", 1},
+                        {"query", "", "ACTIVE", 1},
+                    }));
 }
 
 }  // namespace

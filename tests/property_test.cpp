@@ -1,14 +1,19 @@
 // Property-style parameterized sweeps over the core invariants:
 // serialization round-trips, parser idempotence, merge subsumption (pairs
-// and seeded cancel re-merges on a Facade), predicate algebra, simulation
-// determinism, energy-ledger math, SM routing against a naive BFS oracle,
-// and wire truncation.
+// and seeded cancel re-merges on a Facade), the Facade's compiled
+// post-extraction against query::PostExtract, predicate algebra,
+// simulation determinism, energy-ledger math, SM routing against a naive
+// BFS oracle, and wire truncation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -450,6 +455,184 @@ TEST_P(CancelRemergeDuplicateTest, MergedQueryEqualsMergeAllOfRemaining) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CancelRemergeDuplicateTest,
                          ::testing::Values(3u, 11u, 2024u, 31337u, 777777u));
+
+// --- Compiled post-extraction against query::PostExtract ---------------------
+// Seeded originals join one facade cluster (and sometimes leave it), and
+// seeded items go straight into the cluster's delivery callback. The
+// QueryIds the facade hands over, in order, must equal a plain loop over
+// query::PostExtract on the live originals in submission order.
+
+/// A literal from a few thresholds (so items hit them exactly), NaN,
+/// an infinity, a string or a bool.
+CxtValue GenerateLiteral(Rng& rng) {
+  static const double kThresholds[] = {-1.0, 0.0, 0.5, 1.0, 2.0};
+  switch (rng.UniformInt(0, 9)) {
+    case 0: return std::nan("");
+    case 1: return std::numeric_limits<double>::infinity();
+    case 2: return rng.Bernoulli(0.5) ? CxtValue{"trusted"} : CxtValue{"1"};
+    case 3: return rng.Bernoulli(0.5);
+    default: return kThresholds[rng.UniformInt(0, 4)];
+  }
+}
+
+/// One comparison over `value`, the SELECT type, `type`, metadata fields,
+/// another context type or an unknown name, under any operator.
+query::Comparison GenerateWhereComparison(Rng& rng) {
+  static const char* const kFields[] = {
+      "value", "temperature", "value", "temperature", "type",
+      "accuracy", "trust", "privacy", "light", "bogus"};
+  query::Comparison c;
+  c.field = kFields[rng.UniformInt(0, 9)];
+  c.op = static_cast<query::CompareOp>(rng.UniformInt(0, 5));
+  c.literal = GenerateLiteral(rng);
+  return c;
+}
+
+query::Predicate GenerateWhere(Rng& rng, int depth) {
+  if (depth == 0 || rng.Bernoulli(0.5)) {
+    return query::Predicate::Leaf(GenerateWhereComparison(rng));
+  }
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      return query::Predicate::And(
+          {GenerateWhere(rng, depth - 1), GenerateWhere(rng, depth - 1)});
+    case 1:
+      return query::Predicate::Or(
+          {GenerateWhere(rng, depth - 1), GenerateWhere(rng, depth - 1)});
+    default:
+      return query::Predicate::Not(GenerateWhere(rng, depth - 1));
+  }
+}
+
+/// A periodic intSensor temperature query (all of them merge): a third
+/// a plain threshold on value or temperature, the rest without a WHERE
+/// or with a generated one; a quarter with a FRESHNESS.
+query::CxtQuery GeneratePostExtractOriginal(Rng& rng) {
+  auto q = query::ParseQuery(
+      "SELECT temperature FROM intSensor DURATION 1 hour EVERY 5 sec");
+  EXPECT_TRUE(q.ok());
+  const std::int64_t shape = rng.UniformInt(0, 5);
+  if (shape < 2) {
+    query::Comparison c;
+    c.field = rng.Bernoulli(0.5) ? "value" : "temperature";
+    c.op = static_cast<query::CompareOp>(rng.UniformInt(2, 5));
+    c.literal = GenerateLiteral(rng);
+    q->where = query::Predicate::Leaf(std::move(c));
+  } else if (shape < 5) {
+    q->where = GenerateWhere(rng, 2);
+  }
+  if (rng.Bernoulli(0.25)) {
+    q->freshness = std::chrono::seconds{rng.UniformInt(1, 30)};
+  }
+  return *std::move(q);
+}
+
+/// An item of the SELECT type or not, with a numeric value (thresholds,
+/// NaN, infinities), a string, a bool or a point; expired and stale now
+/// and then; metadata sometimes set.
+CxtItem GeneratePostExtractItem(Rng& rng, SimTime now) {
+  static const double kValues[] = {-1.0, 0.0, 0.5, 1.0, 2.0, 1.5};
+  CxtItem item;
+  item.id = "item";
+  item.type = rng.Bernoulli(0.9) ? vocab::kTemperature : vocab::kLight;
+  switch (rng.UniformInt(0, 11)) {
+    case 0: item.value = std::nan(""); break;
+    case 1: item.value = std::numeric_limits<double>::infinity(); break;
+    case 2: item.value = -std::numeric_limits<double>::infinity(); break;
+    case 3: item.value = rng.Bernoulli(0.5) ? "walking" : "1"; break;
+    case 4: item.value = rng.Bernoulli(0.5); break;
+    case 5: item.value = GeoPoint{60.0, 24.0}; break;
+    default: item.value = kValues[rng.UniformInt(0, 5)]; break;
+  }
+  item.timestamp = now - std::chrono::seconds{rng.UniformInt(0, 40)};
+  if (rng.Bernoulli(0.3)) {
+    item.lifetime = std::chrono::seconds{rng.UniformInt(1, 60)};
+  }
+  if (rng.Bernoulli(0.5)) item.metadata.accuracy = rng.Uniform(0.0, 2.0);
+  item.metadata.trust = static_cast<TrustLevel>(rng.UniformInt(0, 2));
+  item.metadata.privacy = static_cast<PrivacyLevel>(rng.UniformInt(0, 2));
+  return item;
+}
+
+class CompiledPostExtractTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CompiledPostExtractTest, MatchesPlainPostExtractLoop) {
+  const std::uint64_t seed = GetParam();
+  sim::Simulation sim{seed};
+  Rng rng{seed};
+  std::vector<ClusterProbeProvider*> providers;
+  std::function<void(const CxtItem&)> deliver;
+  core::Facade facade(
+      sim, query::SourceSel::kIntSensor,
+      [&](core::QueryId, query::CxtQuery q,
+          core::CxtProvider::Callbacks callbacks) {
+        deliver = callbacks.deliver;
+        return std::make_unique<ClusterProbeProvider>(
+            sim, std::move(q), std::move(callbacks), providers);
+      });
+  std::vector<core::QueryId> matched;
+  int deliveries = 0;
+  facade.SetDelivery(
+      [&](std::span<const core::QueryId> ids, const CxtItem&) {
+        ++deliveries;
+        matched.assign(ids.begin(), ids.end());
+      });
+  struct Live {
+    query::CxtQuery query;
+    core::ClusterRef ref;
+  };
+  // Keyed by QueryId, which grows with submission: map order is
+  // submission order.
+  std::map<core::QueryId, Live> live;
+  core::QueryId next = 1;
+  sim.RunFor(1min);
+  std::size_t items = 0;
+  std::size_t nonempty = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::int64_t dice = rng.UniformInt(0, 19);
+    if (live.empty() || (dice == 0 && live.size() < 40)) {
+      query::CxtQuery q = GeneratePostExtractOriginal(rng);
+      q.id = "q" + std::to_string(next);
+      const auto ref = facade.Submit(next, q);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      live.emplace(next++, Live{std::move(q), *ref});
+      continue;
+    }
+    if (dice == 1 && live.size() > 1) {
+      auto victim = live.begin();
+      std::advance(victim, rng.UniformInt(
+                               0, static_cast<std::int64_t>(live.size()) - 1));
+      facade.Cancel(victim->first, victim->second.ref);
+      live.erase(victim);
+      continue;
+    }
+    sim.RunFor(std::chrono::milliseconds{rng.UniformInt(0, 3000)});
+    const CxtItem item = GeneratePostExtractItem(rng, sim.Now());
+    std::vector<core::QueryId> expected;
+    for (const auto& [qid, original] : live) {
+      if (query::PostExtract(original.query, item, sim.Now())) {
+        expected.push_back(qid);
+      }
+    }
+    matched.clear();
+    const int before = deliveries;
+    ASSERT_TRUE(deliver);
+    deliver(item);
+    ASSERT_EQ(deliveries - before, expected.empty() ? 0 : 1);
+    ASSERT_EQ(matched, expected)
+        << "seed " << seed << " step " << step << " item "
+        << item.ToString();
+    ++items;
+    if (!expected.empty()) ++nonempty;
+  }
+  EXPECT_GT(items, 3000u);
+  EXPECT_GT(nonempty, items / 4);
+  EXPECT_LT(nonempty, items);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledPostExtractTest,
+                         ::testing::Values(5u, 17u, 404u, 8191u, 65537u));
 
 // --- Predicate algebra -------------------------------------------------------
 

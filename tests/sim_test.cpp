@@ -1,10 +1,13 @@
 // Unit tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace contory::sim {
@@ -169,6 +172,127 @@ TEST(SimulationTest, CancelFreesTheCallbackAtOnce) {
   sim.Cancel(id);
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulationTest, FrozenClockCancelsKeepTheHeapBounded) {
+  // A cancelled event far in the future never reaches the head while the
+  // clock stands still; the heap must still not grow with every cancel.
+  Simulation sim;
+  std::vector<TimerId> live;
+  for (int i = 0; i < 100; ++i) live.push_back(sim.ScheduleAfter(2h, [] {}));
+  for (int i = 0; i < 100'000; ++i) {
+    sim.Cancel(sim.ScheduleAfter(1h, [] {}));
+    // Churn the live set too: cancel one, schedule its replacement.
+    if (i % 7 == 0) {
+      const std::size_t victim = static_cast<std::size_t>(i) % live.size();
+      sim.Cancel(live[victim]);
+      live[victim] = sim.ScheduleAfter(2h, [] {});
+    }
+    ASSERT_LE(sim.heap_size(),
+              2 * sim.pending() + Simulation::kTombstoneFloor)
+        << "after " << i << " cancels";
+  }
+  EXPECT_EQ(sim.pending(), live.size());
+  int fired = 0;
+  for (const TimerId id : live) {
+    sim.Cancel(id);
+    sim.ScheduleAfter(1ms, [&fired] { ++fired; });
+  }
+  sim.Run();
+  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(sim.heap_size(), 0u);
+}
+
+TEST(SimulationTest, CancelFromACancelledCallbacksDestructor) {
+  // Destroying a cancelled callback cancels another event; that inner
+  // cancel may rebuild the heap in the middle of the outer one.
+  struct CancelOnDestroy {
+    Simulation* sim;
+    TimerId other;
+    ~CancelOnDestroy() { sim->Cancel(other); }
+  };
+  Simulation sim;
+  int fired = 0;
+  std::vector<TimerId> outer;
+  for (int i = 0; i < 300; ++i) {
+    const TimerId inner = sim.ScheduleAfter(2h, [&fired] { ++fired; });
+    auto guard = std::make_shared<CancelOnDestroy>(&sim, inner);
+    outer.push_back(sim.ScheduleAfter(1h, [guard, &fired] { ++fired; }));
+  }
+  sim.ScheduleAfter(3h, [&fired] { ++fired; });
+  for (const TimerId id : outer) {
+    sim.Cancel(id);
+    ASSERT_LE(sim.heap_size(),
+              2 * sim.pending() + Simulation::kTombstoneFloor);
+  }
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.heap_size(), 0u);
+}
+
+TEST(SimulationTest, RandomScheduleCancelStepMatchesReference) {
+  // The reference is a multimap keyed by time: equal keys keep their
+  // insertion order, which is the simulation's FIFO tiebreak. A third of
+  // the events lie an hour out, past every step, so their cancels pile
+  // up as tombstones and the heap is rebuilt along the way.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Simulation sim;
+    Rng rng{seed};
+    std::multimap<SimTime, int> reference;
+    std::vector<std::multimap<SimTime, int>::iterator> where;
+    std::vector<TimerId> ids;
+    std::vector<int> fired;
+    std::vector<int> expected;
+    const auto step_reference = [&] {
+      if (reference.empty()) return;
+      const auto head = reference.begin();
+      expected.push_back(head->second);
+      where[static_cast<std::size_t>(head->second)] = reference.end();
+      reference.erase(head);
+    };
+    bool rebuilt = false;
+    for (int op = 0; op < 20'000; ++op) {
+      const std::int64_t dice = rng.UniformInt(0, 19);
+      if (dice < 8) {
+        const int tag = static_cast<int>(ids.size());
+        // Few distinct times, so ties are common.
+        SimDuration delay = std::chrono::milliseconds{rng.UniformInt(0, 20)};
+        if (rng.Bernoulli(0.3)) delay += 1h;
+        ids.push_back(sim.ScheduleAfter(delay, [&fired, tag] {
+          fired.push_back(tag);
+        }));
+        where.push_back(reference.emplace(sim.Now() + delay, tag));
+      } else if (dice < 15) {
+        if (ids.empty()) continue;
+        // Mostly a recent event, often still pending; sometimes any.
+        const auto n = static_cast<std::int64_t>(ids.size());
+        const std::int64_t back =
+            rng.Bernoulli(0.8)
+                ? rng.UniformInt(0, std::min<std::int64_t>(n - 1, 63))
+                : rng.UniformInt(0, n - 1);
+        const auto tag = static_cast<std::size_t>(n - 1 - back);
+        const std::size_t before = sim.heap_size();
+        sim.Cancel(ids[tag]);  // a no-op when fired or cancelled already
+        rebuilt = rebuilt || sim.heap_size() < before;
+        if (where[tag] != reference.end()) {
+          reference.erase(where[tag]);
+          where[tag] = reference.end();
+        }
+      } else {
+        sim.Step();
+        step_reference();
+      }
+      ASSERT_EQ(sim.pending(), reference.size()) << "seed " << seed;
+      ASSERT_LE(sim.heap_size(),
+                2 * sim.pending() + Simulation::kTombstoneFloor);
+    }
+    sim.Run();
+    while (!reference.empty()) step_reference();
+    EXPECT_EQ(fired, expected) << "seed " << seed;
+    EXPECT_GT(fired.size(), 1000u);
+    EXPECT_TRUE(rebuilt) << "seed " << seed;
+  }
 }
 
 TEST(PeriodicTaskTest, FiresEveryPeriod) {
