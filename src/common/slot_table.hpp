@@ -2,8 +2,9 @@
 //
 // Every handle store in the middleware — the QueryTable's records, the
 // tracer's open spans, a Facade's clusters, the Simulation's pending
-// events and BTReference's listeners — is one of these, and this is the
-// only code that knows the handle layout:
+// events, BTReference's listeners and its pending discovery callbacks —
+// is one of these, and this is the only code that knows the handle
+// layout:
 //   - a handle is a std::uint64_t: the slot in the low 32 bits, the
 //     slot's generation in the high 32 bits, from 1, so 0 is never
 //     issued and can mean "none";
@@ -97,16 +98,17 @@ class SlotTable {
   /// when `h` misses. `h` misses from the start of the value's
   /// destructor, which may itself use the table.
   bool Erase(Handle h) {
-    T* value = Find(h);
-    if (value == nullptr) return false;
-    Slot& slot = At(SlotOf(h));
-    slot.live = false;
-    --live_;
-    value->~T();
-    if (slot.generation != kLastGeneration) {
-      free_.push_back(static_cast<std::uint32_t>(SlotOf(h)));
-    }
+    if (Find(h) == nullptr) return false;
+    Free(SlotOf(h));
     return true;
+  }
+
+  /// Erases every live value, in slot order; no handle issued so far
+  /// finds anything afterwards.
+  void Clear() {
+    for (std::size_t i = 0; i < slot_count_; ++i) {
+      if (At(i).live) Free(i);
+    }
   }
 
   /// True when `h`'s slot once gave it out, live or erased since.
@@ -168,6 +170,17 @@ class SlotTable {
 
   [[nodiscard]] Slot& At(std::size_t index) const noexcept {
     return chunks_[index >> kChunkShift][index & (kChunkSlots - 1)];
+  }
+
+  /// Destroys the live value in slot `index` and frees the slot.
+  void Free(std::size_t index) {
+    Slot& slot = At(index);
+    slot.live = false;
+    --live_;
+    slot.value.~T();
+    if (slot.generation != kLastGeneration) {
+      free_.push_back(static_cast<std::uint32_t>(index));
+    }
   }
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -165,14 +165,14 @@ void ContextFactory::BuildFacades() {
     facade->SetFinished([this, kind](QueryId qid, const Status& status) {
       coordinator_.OnFacadeFinished(kind, qid, status);
     });
-    facades_.emplace(kind, std::move(facade));
+    facades_[static_cast<std::size_t>(kind)] = std::move(facade);
   }
 }
 
-std::set<query::SourceSel> ContextFactory::CurrentMechanisms(
+query::MechanismSet ContextFactory::CurrentMechanisms(
     const std::string& query_id) const {
   const QueryRecord* record = table_.Find(query_id);
-  return record != nullptr ? record->assigned : std::set<query::SourceSel>{};
+  return record != nullptr ? record->assigned : query::MechanismSet{};
 }
 
 Result<std::string> ContextFactory::ProcessCxtQuery(query::CxtQuery query,
@@ -196,7 +196,7 @@ Result<std::string> ContextFactory::ProcessCxtQuery(query::CxtQuery query,
     return DegradeAtAdmission(qid, decision);
   }
 
-  // Stage 2: planning (FROM clause -> facade set + failover order).
+  // Stage 2: planning (FROM clause -> facade set + preferred mechanism).
   auto plan = planner_.Plan(record->query);
   if (!plan.ok()) {
     table_.FinishById(qid);
@@ -213,9 +213,8 @@ Result<std::string> ContextFactory::ProcessCxtQuery(query::CxtQuery query,
   // Stage 3: facade assignment. A facade Submit may deliver
   // synchronously and the client may finish the query from inside that
   // delivery (reentrant cancel), invalidating `record` — iterate over a
-  // snapshot of the plan and re-resolve the record after every call.
-  const std::vector<query::SourceSel> initial(record->plan.initial.begin(),
-                                              record->plan.initial.end());
+  // copy of the plan's set and re-resolve the record after every call.
+  const query::MechanismSet initial = record->plan.initial;
   Status last;
   std::size_t assigned = 0;
   for (const query::SourceSel kind : initial) {
@@ -279,7 +278,7 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
   const QueryId qid = record.qid;
   // Listed before Submit: a cancel from inside a synchronous first
   // delivery must reach this facade too.
-  const bool newly_assigned = record.assigned.insert(kind).second;
+  const bool newly_assigned = record.assigned.insert(kind);
   // The record's expiry ends the query, but the wire query still carries
   // DURATION to the context server, which counts it from "now": a
   // failover re-assignment must hand the facade only the remaining
@@ -298,7 +297,7 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
   // must not reach a cluster this query served before.
   record.cluster[i] = kInvalidClusterRef;
   const Result<ClusterRef> ref =
-      facades_.at(kind)->Submit(qid, std::move(to_submit));
+      facade(kind).Submit(qid, std::move(to_submit));
   // Submit can deliver synchronously, and the client may cancel (or
   // otherwise finish) the query from inside that delivery — which
   // erases the record. Re-resolve before touching it again.
@@ -323,8 +322,8 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
 
 void ContextFactory::CancelOnFacade(const QueryRecord& record,
                                     query::SourceSel kind) {
-  facades_.at(kind)->Cancel(record.qid,
-                            record.cluster[static_cast<std::size_t>(kind)]);
+  facade(kind).Cancel(record.qid,
+                      record.cluster[static_cast<std::size_t>(kind)]);
 }
 
 void ContextFactory::Expire(QueryId qid) {
@@ -335,12 +334,12 @@ void ContextFactory::Expire(QueryId qid) {
     return;
   }
   // Leave each facade as a finished provider would, so the provision
-  // spans close "ok"; the last one finishes the record. Snapshots,
-  // because OnFacadeFinished edits the set and erases the record.
-  const std::set<query::SourceSel> kinds = record->assigned;
+  // spans close "ok"; the last one finishes the record. Copies, because
+  // OnFacadeFinished edits the set and erases the record.
+  const query::MechanismSet kinds = record->assigned;
   const auto refs = std::to_array(record->cluster);
   for (const query::SourceSel kind : kinds) {
-    facades_.at(kind)->Cancel(qid, refs[static_cast<std::size_t>(kind)]);
+    facade(kind).Cancel(qid, refs[static_cast<std::size_t>(kind)]);
     coordinator_.OnFacadeFinished(kind, qid, Status::Ok());
   }
 }
@@ -369,8 +368,8 @@ bool ContextFactory::IsDegraded(const std::string& query_id) const {
 
 std::uint64_t ContextFactory::total_retries() const {
   std::uint64_t n = 0;
-  for (const auto& [kind, facade] : facades_) {
-    n += facade->retries_observed();
+  for (const auto& facade : facades_) {
+    if (facade != nullptr) n += facade->retries_observed();
   }
   return n;
 }

@@ -18,9 +18,9 @@
 // the publish/store paths, and control-policy enforcement.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/retry.hpp"
@@ -148,20 +148,25 @@ class ContextFactory {
   [[nodiscard]] CellularReference& cellular_reference() noexcept {
     return cell_ref_;
   }
+  /// Throws std::out_of_range for a kind without a facade (kAuto).
   [[nodiscard]] Facade& facade(query::SourceSel kind) {
-    return *facades_.at(kind);
+    const auto i = static_cast<std::size_t>(kind);
+    if (i >= facades_.size() || facades_[i] == nullptr) {
+      throw std::out_of_range("ContextFactory: no facade for this kind");
+    }
+    return *facades_[i];
   }
   [[nodiscard]] std::size_t active_provider_count() const {
     std::size_t n = 0;
-    for (const auto& [kind, facade] : facades_) {
-      n += facade->active_provider_count();
+    for (const auto& facade : facades_) {
+      if (facade != nullptr) n += facade->active_provider_count();
     }
     return n;
   }
 
   /// The mechanism currently provisioning `query_id` (diagnostics; the
   /// Fig. 5 bench reads this to timestamp the switches).
-  [[nodiscard]] std::set<query::SourceSel> CurrentMechanisms(
+  [[nodiscard]] query::MechanismSet CurrentMechanisms(
       const std::string& query_id) const;
 
   /// Log of provisioning switches: (time, query id, from, to).
@@ -213,7 +218,7 @@ class ContextFactory {
   CxtRepository repository_;
   std::unique_ptr<CxtPublisher> publisher_;
   RulesEngine rules_;
-  std::map<query::SourceSel, std::unique_ptr<Facade>> facades_;
+  FacadeArray facades_;
   PolicyEnforcer policy_;
 
   // Pipeline stages (construction order matters: the planner reads the

@@ -61,6 +61,7 @@
 // callback takes a fresh one instead of overwriting the outer's.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -275,5 +276,9 @@ class Facade {
   std::uint64_t retries_reaped_ = 0;
   std::shared_ptr<bool> life_ = std::make_shared<bool>(true);
 };
+
+/// A device's facades, indexed by SourceSel like QueryRecord::cluster;
+/// the kAuto slot stays null.
+using FacadeArray = std::array<std::unique_ptr<Facade>, 4>;
 
 }  // namespace contory::core

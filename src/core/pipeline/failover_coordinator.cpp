@@ -93,9 +93,8 @@ void FailoverCoordinator::TryFailover(QueryRecord& record,
   // task can be moved from a LocalLocationProvider ... to an
   // AdHocLocationProvider". Mechanisms that already failed — or still
   // serve the query — are not candidates.
-  std::set<query::SourceSel> excluded = record.failed;
-  excluded.insert(record.assigned.begin(), record.assigned.end());
-  const auto replacement = planner_.SelectMechanism(record.query, excluded);
+  const auto replacement = planner_.SelectMechanism(
+      record.query, record.failed | record.assigned);
   if (!replacement.ok()) {
     // Last resort before erroring out: serve whatever the repository
     // still holds, annotated with its age.
@@ -172,7 +171,7 @@ bool FailoverCoordinator::SwitchBackToPreferred(QueryRecord& record) {
   for (const query::SourceSel kind : record.assigned) {
     hooks_.cancel(record, kind);
   }
-  const auto old = record.assigned;
+  const query::MechanismSet old = record.assigned;
   record.assigned.clear();
   record.failed.erase(preferred);
   if (!hooks_.assign(record, preferred).ok()) return false;
@@ -232,12 +231,12 @@ void FailoverCoordinator::ProbeRecovery(QueryId qid) {
     return;
   }
   // Generic probe: switch back as soon as CanServe holds again.
-  std::set<query::SourceSel> exclude_all_but_preferred;
-  for (const query::SourceSel kind : planner_.preference_order()) {
-    if (kind != preferred) exclude_all_but_preferred.insert(kind);
-  }
+  query::MechanismSet all_but_preferred{query::SourceSel::kIntSensor,
+                                        query::SourceSel::kExtInfra,
+                                        query::SourceSel::kAdHocNetwork};
+  all_but_preferred.erase(preferred);
   const auto available =
-      planner_.SelectMechanism(record->query, exclude_all_but_preferred);
+      planner_.SelectMechanism(record->query, all_but_preferred);
   if (!available.ok()) return;
   SwitchBackToPreferred(*record);
 }

@@ -209,17 +209,17 @@ bool QueryTable::RecordDelivery(QueryRecord& record,
   if (record.plan.initial.size() > 1) {  // see QueryRecord::DedupWindow
     if (record.dedup == nullptr) {
       record.dedup = std::make_unique<QueryRecord::DedupWindow>();
+      record.dedup->ring.reserve(kSeenCap);
     }
     QueryRecord::DedupWindow& window = *record.dedup;
-    if (!window.seen_items.insert(item_id).second) {
+    std::vector<std::string>& ring = window.ring;
+    if (std::find(ring.begin(), ring.end(), item_id) != ring.end()) {
       if (record.assigned.size() > 1) return false;  // across mechanisms
-    } else if (window.order.size() < kSeenCap) {
-      window.order.push_back(item_id);
+    } else if (ring.size() < kSeenCap) {
+      ring.push_back(item_id);
     } else {
-      // FIFO window, O(1) eviction: the new id overwrites the oldest.
-      std::string& oldest = window.order[window.oldest];
-      window.seen_items.erase(oldest);
-      oldest = item_id;
+      // FIFO window: the new id overwrites the oldest in place.
+      ring[window.oldest] = item_id;
       window.oldest = (window.oldest + 1) % kSeenCap;
     }
   }

@@ -49,10 +49,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/slot_table.hpp"
@@ -76,26 +74,20 @@ enum class QueryState : std::uint8_t {
 [[nodiscard]] const char* QueryStateName(QueryState state) noexcept;
 
 /// Data-driven provisioning strategy for one query, produced by the
-/// StrategyPlanner at admission: which facades start immediately, and the
-/// preference order failover walks when a mechanism dies.
+/// StrategyPlanner at admission: which facades start immediately, and
+/// which one failover switches back to.
 struct ProvisioningPlan {
   /// Facade kinds assigned at submission (one for transparent queries,
   /// every listed source for explicit FROM clauses).
-  std::vector<query::SourceSel> initial;
-  /// Preference order consulted on failover and recovery; availability is
-  /// re-checked against this order at switch time.
-  std::vector<query::SourceSel> failover_order;
+  query::MechanismSet initial;
   /// The mechanism the planner preferred originally (switch-back target).
   query::SourceSel preferred = query::SourceSel::kAuto;
-  /// True when the query's FROM clause was empty and the planner chose
-  /// the mechanism transparently.
-  bool transparent = false;
 };
 
 struct QueryRecord {
   // The fields the router reads for every item it routes come first,
   // up to and including the span item counters: with the SlotTable's
-  // slot header, they fill the record's first two cache lines.
+  // slot header, they fit in the record's first two cache lines.
 
   Client* client = nullptr;
   /// Handle for query.id; set at admission, stable for life.
@@ -106,13 +98,13 @@ struct QueryRecord {
   std::uint32_t items_delivered = 0;
   /// Fusion window (EnableFusion); null delivers items unfused.
   std::unique_ptr<CxtAggregator> fusion;
-  /// Ids of the newest QueryTable::kSeenCap items delivered (`order` is
-  /// a ring once full). Only plans that start on several mechanisms get
-  /// one: failover is break-before-make, so no other query is ever
-  /// served by two facades at once.
+  /// Ids of the newest QueryTable::kSeenCap items delivered, in a ring
+  /// that is overwritten in place once full. Only plans that start on
+  /// several mechanisms get one: failover is break-before-make, so no
+  /// other query is ever served by two facades at once.
   struct DedupWindow {
-    std::unordered_set<std::string> seen_items;
-    std::vector<std::string> order;
+    std::vector<std::string> ring;
+    /// The slot the next id overwrites once the ring is full.
     std::size_t oldest = 0;
   };
   std::unique_ptr<DedupWindow> dedup;
@@ -145,13 +137,13 @@ struct QueryRecord {
 
   query::CxtQuery query;
   /// Facade kinds currently provisioning this query.
-  std::set<query::SourceSel> assigned;
+  query::MechanismSet assigned;
   /// The facade cluster serving this query, per SourceSel mechanism
   /// (indexed by its enum value): what Facade::Submit returned, and what
   /// Facade::Cancel takes back. A ref outlived by its cluster misses.
   ClusterRef cluster[4] = {};
   /// Mechanisms that failed for this query (excluded from re-selection).
-  std::set<query::SourceSel> failed;
+  query::MechanismSet failed;
   SimTime submitted{};
 
   /// The time DURATION's end, armed at admission for submitted +

@@ -9,10 +9,7 @@
 namespace contory::core {
 
 StrategyPlanner::StrategyPlanner(PlannerEnv env)
-    : env_(env),
-      preference_order_{query::SourceSel::kIntSensor,
-                        query::SourceSel::kAdHocNetwork,
-                        query::SourceSel::kExtInfra} {
+    : env_(env) {
   if (env_.internal == nullptr || env_.bt == nullptr ||
       env_.wifi == nullptr || env_.cell == nullptr ||
       env_.default_infra_address == nullptr ||
@@ -41,9 +38,8 @@ bool StrategyPlanner::CanServe(query::SourceSel kind,
 }
 
 Result<query::SourceSel> StrategyPlanner::SelectMechanism(
-    const query::CxtQuery& q,
-    const std::set<query::SourceSel>& excluded) const {
-  for (const query::SourceSel kind : preference_order_) {
+    const query::CxtQuery& q, query::MechanismSet excluded) const {
+  for (const query::SourceSel kind : kPreferenceOrder) {
     if (excluded.contains(kind)) continue;
     if (CanServe(kind, q)) return kind;
   }
@@ -54,26 +50,22 @@ Result<query::SourceSel> StrategyPlanner::SelectMechanism(
 Result<ProvisioningPlan> StrategyPlanner::Plan(
     const query::CxtQuery& q) const {
   ProvisioningPlan plan;
-  plan.failover_order = preference_order_;
   if (q.from.IsAuto()) {
-    plan.transparent = true;
     const auto kind = SelectMechanism(q, {});
     if (!kind.ok()) return kind.status();
-    plan.initial.push_back(*kind);
+    plan.initial.insert(*kind);
     plan.preferred = *kind;
     return plan;
   }
   // Explicit FROM clause: every listed source gets a facade; an auto
   // source inside a FROM list means "the infrastructure decides", which
   // resolves to extInfra as in the prototype.
-  std::set<query::SourceSel> kinds;
   for (const auto& src : q.from.sources) {
-    kinds.insert(src.kind == query::SourceSel::kAuto
-                     ? query::SourceSel::kExtInfra
-                     : src.kind);
+    plan.initial.insert(src.kind == query::SourceSel::kAuto
+                            ? query::SourceSel::kExtInfra
+                            : src.kind);
   }
-  plan.initial.assign(kinds.begin(), kinds.end());
-  plan.preferred = *kinds.begin();
+  plan.preferred = *plan.initial.begin();
   return plan;
 }
 

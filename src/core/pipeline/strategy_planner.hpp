@@ -1,18 +1,19 @@
 // StrategyPlanner (pipeline stage 2 of 4).
 //
 // Turns a query's FROM clause — or its absence — into a data-driven
-// ProvisioningPlan: which facades start now, and the preference order
-// failover walks later. This is the paper's transparent source selection
-// ("in resource-rich environments, powerful context infrastructures can
+// ProvisioningPlan: which facades start now, and which one failover
+// switches back to; failover re-plans against the planner's preference
+// order. This is the paper's transparent source selection ("in
+// resource-rich environments, powerful context infrastructures can
 // provide applications with required context data ... Conversely, in
 // resource-impoverished environments, devices can rely either on their
 // own sensors ... or on neighboring devices") expressed as data instead
 // of ad hoc branches in the factory.
 #pragma once
 
+#include <array>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "core/pipeline/query_table.hpp"
@@ -44,29 +45,26 @@ class StrategyPlanner {
 
   /// Builds the provisioning plan for a freshly admitted query: the
   /// initial facade set (one transparently chosen mechanism, or every
-  /// source the FROM clause lists) plus the failover preference order.
+  /// source the FROM clause lists) and its preferred mechanism.
   [[nodiscard]] Result<ProvisioningPlan> Plan(const query::CxtQuery& q) const;
 
   /// One mechanism that can serve `q` right now, walking the preference
   /// order and skipping `excluded` kinds. Shared by admission-time
   /// transparent selection, failover re-planning, and recovery probes.
   [[nodiscard]] Result<query::SourceSel> SelectMechanism(
-      const query::CxtQuery& q,
-      const std::set<query::SourceSel>& excluded) const;
-
-  /// Preference order: own sensors (cheapest), then the ad hoc network,
-  /// then the infrastructure (the 14 J hammer).
-  [[nodiscard]] const std::vector<query::SourceSel>& preference_order()
-      const noexcept {
-    return preference_order_;
-  }
+      const query::CxtQuery& q, query::MechanismSet excluded) const;
 
  private:
+  /// Preference order: own sensors (cheapest), then the ad hoc network,
+  /// then the infrastructure (the 14 J hammer).
+  static constexpr std::array<query::SourceSel, 3> kPreferenceOrder = {
+      query::SourceSel::kIntSensor, query::SourceSel::kAdHocNetwork,
+      query::SourceSel::kExtInfra};
+
   [[nodiscard]] bool CanServe(query::SourceSel kind,
                               const query::CxtQuery& q) const;
 
   PlannerEnv env_;
-  std::vector<query::SourceSel> preference_order_;
 };
 
 }  // namespace contory::core

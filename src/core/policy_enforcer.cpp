@@ -28,8 +28,8 @@ void PolicyEnforcer::EnforceReducePower() {
   // termination of high energy-consuming queries (e.g., those using the
   // 2G/3GReference)".
   CLOG_INFO(kModule, "reducePower active: suspending extInfra queries");
-  facades_.at(query::SourceSel::kExtInfra)
-      ->StopAll(ResourceExhausted("reducePower policy suspended the query"));
+  facades_[static_cast<std::size_t>(query::SourceSel::kExtInfra)]->StopAll(
+      ResourceExhausted("reducePower policy suspended the query"));
 }
 
 void PolicyEnforcer::EnforceReduceMemory() {
@@ -43,8 +43,8 @@ void PolicyEnforcer::EnforceReduceLoad() {
   // Keep at most reduce_load_provider_cap providers: suspend the rest,
   // preferring to keep the cheap mechanisms.
   std::size_t active = 0;
-  for (const auto& [kind, facade] : facades_) {
-    active += facade->active_provider_count();
+  for (const auto& facade : facades_) {
+    if (facade != nullptr) active += facade->active_provider_count();
   }
   if (active <= config_.reduce_load_provider_cap) return;
   CLOG_INFO(kModule, "reduceLoad active: %zu providers > cap %zu", active,
@@ -53,7 +53,7 @@ void PolicyEnforcer::EnforceReduceLoad() {
        {query::SourceSel::kExtInfra, query::SourceSel::kAdHocNetwork,
         query::SourceSel::kIntSensor}) {
     if (active <= config_.reduce_load_provider_cap) break;
-    Facade& f = *facades_.at(kind);
+    Facade& f = *facades_[static_cast<std::size_t>(kind)];
     const std::size_t here = f.active_provider_count();
     if (here == 0) continue;
     f.StopAll(ResourceExhausted("reduceLoad policy suspended the query"));

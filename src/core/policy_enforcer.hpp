@@ -8,8 +8,6 @@
 // planner demotes extInfra, the facades get StopAll'd).
 #pragma once
 
-#include <map>
-#include <memory>
 #include <set>
 
 #include "core/facade.hpp"
@@ -26,10 +24,8 @@ class PolicyEnforcer {
     std::size_t reduce_load_provider_cap = 2;
   };
 
-  using FacadeMap = std::map<query::SourceSel, std::unique_ptr<Facade>>;
-
   PolicyEnforcer(RulesEngine& rules, ResourcesMonitor& monitor,
-                 CxtRepository& repository, FacadeMap& facades,
+                 CxtRepository& repository, FacadeArray& facades,
                  Config config)
       : rules_(rules),
         monitor_(monitor),
@@ -54,7 +50,7 @@ class PolicyEnforcer {
   RulesEngine& rules_;
   ResourcesMonitor& monitor_;
   CxtRepository& repository_;
-  FacadeMap& facades_;
+  FacadeArray& facades_;
   Config config_;
   std::set<RuleAction> active_actions_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/publisher.hpp"
@@ -261,6 +262,7 @@ void AdHocCxtProvider::DoStop() {
     bt_.RemoveDisconnectListener(bt_disc_listener_);
     bt_disc_listener_ = 0;
   }
+  bt_.CancelDiscovery(std::exchange(bt_discovery_, 0));
   if (bt_.controller() != nullptr) {
     for (const auto& [device, link] : bt_links_) {
       bt_.controller()->Disconnect(link);
@@ -308,27 +310,25 @@ void AdHocCxtProvider::BtStart() {
 }
 
 void AdHocCxtProvider::BtDiscover() {
-  bt_.Discover(kDiscoveryMaxAge,
-               [this, life = life_](
-                   Result<std::vector<net::BtDeviceInfo>> devices) {
-                 if (!*life || !running()) return;
-                 if (!devices.ok()) {
-                   // A failed inquiry is usually a radio flap or an
-                   // interference burst: back off and re-run discovery
-                   // before abandoning the mechanism.
-                   if (RetryTransient(devices.status(),
-                                      [this] { BtDiscover(); })) {
-                     return;
-                   }
-                   Fail(devices.status());
-                   return;
-                 }
-                 RetrySucceeded();
-                 const query::AdHocScope scope = Scope();
-                 const int budget =
-                     scope.all_nodes() ? -1 : scope.num_nodes;
-                 BtDiscoverProviders(*std::move(devices), 0, budget);
-               });
+  bt_discovery_ = bt_.Discover(
+      kDiscoveryMaxAge,
+      [this, life = life_](Result<std::vector<net::BtDeviceInfo>> devices) {
+        if (!*life || !running()) return;
+        if (!devices.ok()) {
+          // A failed inquiry is usually a radio flap or an interference
+          // burst: back off and re-run discovery before abandoning the
+          // mechanism.
+          if (RetryTransient(devices.status(), [this] { BtDiscover(); })) {
+            return;
+          }
+          Fail(devices.status());
+          return;
+        }
+        RetrySucceeded();
+        const query::AdHocScope scope = Scope();
+        const int budget = scope.all_nodes() ? -1 : scope.num_nodes;
+        BtDiscoverProviders(*std::move(devices), 0, budget);
+      });
 }
 
 void AdHocCxtProvider::BtDiscoverProviders(

@@ -127,6 +127,7 @@ class AdHocCxtProvider final : public CxtProvider {
   std::map<net::NodeId, net::BtLinkId> bt_links_;  // provider device links
   BTReference::ListenerId bt_data_listener_ = 0;
   BTReference::ListenerId bt_disc_listener_ = 0;
+  BTReference::DiscoveryId bt_discovery_ = 0;
   std::set<net::BtLinkId> awaiting_poll_;
   // WiFi state
   std::string active_finder_id_;

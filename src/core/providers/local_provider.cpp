@@ -1,6 +1,7 @@
 #include "core/providers/local_provider.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/model/vocabulary.hpp"
@@ -70,6 +71,7 @@ void LocalCxtProvider::DoStop() {
     bt_.RemoveDisconnectListener(disconnect_listener_);
     disconnect_listener_ = 0;
   }
+  bt_.CancelDiscovery(std::exchange(discovery_, 0));
   if (gps_link_ != 0 && bt_.controller() != nullptr) {
     bt_.controller()->Disconnect(gps_link_);
     gps_link_ = 0;
@@ -107,20 +109,20 @@ void LocalCxtProvider::SampleSensorOnce() {
 // --- BT-GPS mode -------------------------------------------------------------
 
 void LocalCxtProvider::StartGpsMode() {
-  bt_.Discover(kDiscoveryMaxAge, [this, life = life_](
-                                     Result<std::vector<net::BtDeviceInfo>>
-                                         devices) {
-    if (!*life || !running()) return;
-    if (!devices.ok()) {
-      Fail(devices.status());
-      return;
-    }
-    if (devices->empty()) {
-      Fail(Unavailable("no BT devices in range for GPS search"));
-      return;
-    }
-    SearchGpsService(*std::move(devices), 0);
-  });
+  discovery_ = bt_.Discover(
+      kDiscoveryMaxAge,
+      [this, life = life_](Result<std::vector<net::BtDeviceInfo>> devices) {
+        if (!*life || !running()) return;
+        if (!devices.ok()) {
+          Fail(devices.status());
+          return;
+        }
+        if (devices->empty()) {
+          Fail(Unavailable("no BT devices in range for GPS search"));
+          return;
+        }
+        SearchGpsService(*std::move(devices), 0);
+      });
 }
 
 void LocalCxtProvider::SearchGpsService(

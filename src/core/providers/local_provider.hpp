@@ -71,6 +71,7 @@ class LocalCxtProvider final : public CxtProvider {
   std::unique_ptr<sim::PeriodicTask> poller_;
   BTReference::ListenerId data_listener_ = 0;
   BTReference::ListenerId disconnect_listener_ = 0;
+  BTReference::DiscoveryId discovery_ = 0;
   net::BtLinkId gps_link_ = 0;
   std::string gps_device_name_;
   std::optional<sensors::GpsFix> latest_fix_;

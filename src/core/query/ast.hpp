@@ -11,6 +11,10 @@
 // and rewrites clauses.
 #pragma once
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -76,6 +80,77 @@ enum class SourceSel : std::uint8_t {
   kAdHocNetwork,
 };
 [[nodiscard]] const char* SourceSelName(SourceSel s) noexcept;
+
+/// A subset of the three concrete mechanisms (intSensor, extInfra,
+/// adHocNetwork) in one byte: the facades serving one query, the ones it
+/// starts on, the ones that failed it. kAuto is never a member. Range-for
+/// visits the members in enum order over a snapshot of the bits, so a
+/// loop body may insert or erase members, or destroy the set.
+class MechanismSet {
+ public:
+  /// The members not visited yet.
+  class iterator {
+   public:
+    [[nodiscard]] constexpr SourceSel operator*() const noexcept {
+      return static_cast<SourceSel>(std::countr_zero(bits_));
+    }
+    constexpr iterator& operator++() noexcept {
+      bits_ &= static_cast<std::uint8_t>(bits_ - 1);  // drop the lowest
+      return *this;
+    }
+    friend constexpr bool operator==(iterator, iterator) noexcept = default;
+
+   private:
+    friend class MechanismSet;
+    constexpr explicit iterator(std::uint8_t bits) noexcept : bits_(bits) {}
+    std::uint8_t bits_;
+  };
+
+  constexpr MechanismSet() noexcept = default;
+  constexpr MechanismSet(std::initializer_list<SourceSel> kinds) noexcept {
+    for (const SourceSel kind : kinds) insert(kind);
+  }
+
+  [[nodiscard]] constexpr bool contains(SourceSel kind) const noexcept {
+    return (bits_ & Bit(kind)) != 0;
+  }
+  /// True when `kind` was not a member yet.
+  constexpr bool insert(SourceSel kind) noexcept {
+    const std::uint8_t before = bits_;
+    bits_ |= Bit(kind);
+    return bits_ != before;
+  }
+  constexpr void erase(SourceSel kind) noexcept {
+    bits_ &= static_cast<std::uint8_t>(~Bit(kind));
+  }
+  constexpr void clear() noexcept { bits_ = 0; }
+  [[nodiscard]] constexpr std::size_t size() const noexcept {
+    return static_cast<std::size_t>(std::popcount(bits_));
+  }
+  [[nodiscard]] constexpr bool empty() const noexcept { return bits_ == 0; }
+
+  [[nodiscard]] constexpr iterator begin() const noexcept {
+    return iterator(bits_);
+  }
+  [[nodiscard]] constexpr iterator end() const noexcept { return iterator(0); }
+
+  friend constexpr MechanismSet operator|(MechanismSet a,
+                                          MechanismSet b) noexcept {
+    a.bits_ |= b.bits_;
+    return a;
+  }
+  friend constexpr bool operator==(MechanismSet, MechanismSet) noexcept =
+      default;
+
+ private:
+  /// Bit i stands for the SourceSel of value i; kAuto (0) has none.
+  [[nodiscard]] static constexpr std::uint8_t Bit(SourceSel kind) noexcept {
+    return static_cast<std::uint8_t>((1u << static_cast<unsigned>(kind)) &
+                                     0b1110u);
+  }
+
+  std::uint8_t bits_ = 0;
+};
 
 /// adHocNetwork(numNodes, numHops): "all nodes that can be discovered
 /// (numNodes=all) or the first k nodes found within a distance lower than

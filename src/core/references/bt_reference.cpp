@@ -25,30 +25,37 @@ bool BTReference::HasFreshDiscovery(SimDuration max_age) const {
   return cache_.has_value() && sim_.Now() - cache_->at <= max_age;
 }
 
-void BTReference::Discover(SimDuration max_age, DiscoverCallback done) {
-  if (!done) return;
+BTReference::DiscoveryId BTReference::Discover(SimDuration max_age,
+                                               DiscoverCallback done) {
+  if (!done) return 0;
   if (controller_ == nullptr) {
     done(Unavailable("device has no bluetooth module"));
-    return;
+    return 0;
   }
   if (HasFreshDiscovery(max_age)) {
     done(cache_->devices);
-    return;
+    return 0;
   }
-  pending_discoveries_.push_back(std::move(done));
-  if (pending_discoveries_.size() > 1) return;  // inquiry already running
+  const DiscoveryId id =
+      pending_discoveries_.Insert({next_listener_seq_++, std::move(done)});
+  if (inquiring_) return id;  // join the running inquiry
+  inquiring_ = true;
 
   controller_->StartInquiry(
       [this](Result<std::vector<net::BtDeviceInfo>> result) {
-        auto waiting = std::move(pending_discoveries_);
-        pending_discoveries_.clear();
+        // The waiting callbacks leave the table before anything runs, so
+        // a Discover from here on starts the next inquiry.
+        const auto waiting = InOrder(pending_discoveries_);
+        pending_discoveries_.Clear();
+        inquiring_ = false;
         if (result.ok()) {
           cache_ = DiscoveryCache{*result, sim_.Now()};
         } else {
           NotifyFailure("BT inquiry failed: " + result.status().ToString());
         }
-        for (auto& cb : waiting) cb(result);
+        for (const auto& cb : waiting) cb.fn(result);
       });
+  return id;
 }
 
 BTReference::ListenerId BTReference::AddDataListener(DataListener listener) {

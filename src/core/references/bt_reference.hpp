@@ -40,10 +40,21 @@ class BTReference final : public Reference {
   // --- Discovery with cache ---------------------------------------------
   using DiscoverCallback =
       std::function<void(Result<std::vector<net::BtDeviceInfo>>)>;
+  /// A pending Discover callback; a SlotTable handle, 0 for none.
+  using DiscoveryId = std::uint64_t;
   /// Reports devices in range. Served from cache when the last inquiry is
   /// younger than `max_age`; otherwise runs an inquiry (13 s). Concurrent
-  /// calls share one inquiry.
-  void Discover(SimDuration max_age, DiscoverCallback done);
+  /// calls share one inquiry, and its callbacks run in call order.
+  /// Returns the handle of the pending callback, or 0 when `done` has
+  /// already run.
+  DiscoveryId Discover(SimDuration max_age, DiscoverCallback done);
+  /// Drops a pending callback, so it never runs; the inquiry runs on.
+  /// An unknown, already run or 0 id is a no-op.
+  void CancelDiscovery(DiscoveryId id) { pending_discoveries_.Erase(id); }
+  /// Callbacks waiting for the running inquiry.
+  [[nodiscard]] std::size_t pending_discoveries() const noexcept {
+    return pending_discoveries_.size();
+  }
   /// Drops the cache (e.g. after a failure, to force re-discovery).
   void InvalidateDiscoveryCache() { cache_.reset(); }
   [[nodiscard]] bool HasFreshDiscovery(SimDuration max_age) const;
@@ -79,10 +90,9 @@ class BTReference final : public Reference {
   template <typename Fn>
   using Listeners = SlotTable<Listener<Fn>>;
 
-  /// Calls a copy of the present listeners in registration order, so a
-  /// listener may add or remove listeners.
-  template <typename Fn, typename... Args>
-  static void Dispatch(const Listeners<Fn>& listeners, const Args&... args) {
+  /// A copy of the present listeners, in registration order.
+  template <typename Fn>
+  static std::vector<Listener<Fn>> InOrder(const Listeners<Fn>& listeners) {
     std::vector<Listener<Fn>> present;
     present.reserve(listeners.size());
     listeners.ForEach(
@@ -91,7 +101,14 @@ class BTReference final : public Reference {
               [](const Listener<Fn>& a, const Listener<Fn>& b) {
                 return a.seq < b.seq;
               });
-    for (const Listener<Fn>& l : present) l.fn(args...);
+    return present;
+  }
+
+  /// Calls a copy of the present listeners in registration order, so a
+  /// listener may add or remove listeners.
+  template <typename Fn, typename... Args>
+  static void Dispatch(const Listeners<Fn>& listeners, const Args&... args) {
+    for (const Listener<Fn>& l : InOrder(listeners)) l.fn(args...);
   }
 
   struct DiscoveryCache {
@@ -102,7 +119,10 @@ class BTReference final : public Reference {
   sim::Simulation& sim_;
   net::BluetoothController* controller_;
   std::optional<DiscoveryCache> cache_;
-  std::vector<DiscoverCallback> pending_discoveries_;
+  Listeners<DiscoverCallback> pending_discoveries_;
+  /// An inquiry is running; a Discover joins it even when every earlier
+  /// caller has cancelled.
+  bool inquiring_ = false;
   Listeners<DataListener> data_listeners_;
   Listeners<DisconnectListener> disconnect_listeners_;
   std::uint64_t next_listener_seq_ = 0;

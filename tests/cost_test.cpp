@@ -50,7 +50,7 @@ constexpr int kOps = 4096;
 
 /// Per-operation upper bounds (mean allocations), each the count when
 /// it was set.
-constexpr double kSubmitBound = 16.59;
+constexpr double kSubmitBound = 9.59;
 constexpr double kCancelObsOffBound = 0.16;
 constexpr double kCancelObsOnBound = 3.16;
 constexpr double kTimerBound = 0.002;
@@ -177,12 +177,13 @@ class HandFedProvider final : public core::CxtProvider {
 /// which matches the fixture's item: a third without a WHERE, a third
 /// with a threshold on value, a third with a WHERE post-extraction
 /// evaluates in full. The facade delivers into a DeliveryRouter over a
-/// QueryTable, as in the ContextFactory.
+/// QueryTable, as in the ContextFactory. Every record's plan starts on,
+/// and is served by, `plan`.
 class FanOut {
  public:
   static constexpr std::size_t kOriginals = 240;
 
-  FanOut()
+  explicit FanOut(query::MechanismSet plan)
       : repository_(sim_),
         router_(sim_, table_, repository_),
         facade_(sim_, query::SourceSel::kIntSensor,
@@ -207,8 +208,8 @@ class FanOut {
       const auto qid = table_.Admit(*q, clients_[i % kClients]);
       EXPECT_TRUE(qid.ok());
       core::QueryRecord& record = *table_.FindById(*qid);
-      record.plan.initial = {query::SourceSel::kIntSensor};
-      record.assigned = {query::SourceSel::kIntSensor};
+      record.plan.initial = plan;
+      record.assigned = plan;
       EXPECT_TRUE(facade_.Submit(*qid, *std::move(q)).ok());
     }
     EXPECT_EQ(facade_.active_provider_count(), 1u);
@@ -217,6 +218,8 @@ class FanOut {
     item_.value = 20.0;
     item_.metadata.accuracy = 0.5;
   }
+
+  void SetItemId(std::string id) { item_.id = std::move(id); }
 
   /// One provider item through the facade's post-extraction.
   void Deliver() {
@@ -306,14 +309,23 @@ TEST_F(CostTest, CancelObsOn) {
                    kCancelObsOnBound);
 }
 
-/// Allocations per provider item fanned out by a warm FanOut.
-std::size_t FannedOut() {
-  FanOut fan_out;
-  // Warm: fill the repository ring, register the metric handles and grow
-  // the match buffer.
-  for (int i = 0; i < 64; ++i) fan_out.Deliver();
+/// Allocations per provider item fanned out by a warm FanOut whose
+/// records start on `plan`. With several mechanisms, every item carries
+/// an id of its own, as a provider's items do; the dedup window would
+/// drop a repeated one.
+std::size_t FannedOut(query::MechanismSet plan = {
+                          query::SourceSel::kIntSensor}) {
+  FanOut fan_out(plan);
+  const bool distinct_ids = plan.size() > 1;
+  // Warm: fill the repository ring, register the metric handles, grow
+  // the match buffer and allocate the dedup windows.
+  for (int i = 0; i < 64; ++i) {
+    if (distinct_ids) fan_out.SetItemId("w-" + std::to_string(i));
+    fan_out.Deliver();
+  }
   std::size_t allocations = 0;
   for (int i = 0; i < kOps; ++i) {
+    if (distinct_ids) fan_out.SetItemId("t-" + std::to_string(i));
     Counted counted(allocations);
     fan_out.Deliver();
   }
@@ -329,6 +341,14 @@ TEST_F(CostTest, ItemFanOutObsOff) {
 TEST_F(CostTest, ItemFanOutObsOn) {
   if (!COBS_ON()) GTEST_SKIP() << "observability compiled out";
   ExpectMeanAtMost("item fan-out, obs on", FannedOut(), kFanOutBound);
+}
+
+TEST_F(CostTest, TwoSourceItemFanOut) {
+  // Each record keeps a dedup window, and every item is new to it.
+  ExpectMeanAtMost("two-source item fan-out",
+                   FannedOut({query::SourceSel::kIntSensor,
+                              query::SourceSel::kExtInfra}),
+                   kFanOutBound);
 }
 
 TEST_F(CostTest, ScheduleAfterThenCancel) {

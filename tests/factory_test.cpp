@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -508,6 +509,80 @@ TEST(FactoryTest, MergedInfraPeerOutlivesTheFirstDuration) {
   world.RunFor(11min);  // minute 26: the peer ended at minute 25
   EXPECT_EQ(factory.queries().Find(*b), nullptr);
   EXPECT_EQ(server.active_query_count(), 0u);
+}
+
+TEST(FactoryTest, FacadeOfAutoThrows) {
+  testbed::World world{112};
+  auto& device = world.AddDevice({});
+  EXPECT_THROW((void)device.contory().facade(query::SourceSel::kAuto),
+               std::out_of_range);
+  EXPECT_NO_THROW(
+      (void)device.contory().facade(query::SourceSel::kAdHocNetwork));
+}
+
+TEST(FactoryTest, CancelledAdHocQueriesLeaveNoDiscoveryCallback) {
+  // In a frozen clock the BT inquiry never completes, so every adHoc
+  // provider waits on it. A stopped provider's callback must leave with
+  // it: the waiting callbacks are exactly the live BT providers'.
+  testbed::World world{113};
+  testbed::DeviceOptions opts;
+  opts.with_cellular = false;
+  auto& device = world.AddDevice(opts);
+  ContextFactory& factory = device.contory();
+  const BTReference& bt = factory.bt_reference();
+  const Facade& adhoc = factory.facade(query::SourceSel::kAdHocNetwork);
+  CollectingClient client;
+  std::vector<std::string> live;
+  for (int i = 0; i < 1'000; ++i) {
+    const auto id = factory.ProcessCxtQuery(
+        NewQuery(world.sim(), "SELECT type" + std::to_string(i) +
+                                  " FROM adHocNetwork(1,1) DURATION 1 hour "
+                                  "EVERY 60 sec"),
+        client);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    live.push_back(*id);
+    if (i % 3 != 0) {
+      // Cancel an older query, so the inquiry outlives its first caller.
+      factory.CancelCxtQuery(live.front());
+      live.erase(live.begin());
+    }
+    ASSERT_EQ(bt.pending_discoveries(), adhoc.active_provider_count());
+  }
+  EXPECT_GT(bt.pending_discoveries(), 0u);
+  for (const std::string& id : live) factory.CancelCxtQuery(id);
+  world.sim().RunUntil(world.sim().Now());  // the facades' reaps
+  EXPECT_EQ(adhoc.active_provider_count(), 0u);
+  EXPECT_EQ(bt.pending_discoveries(), 0u);
+  EXPECT_TRUE(device.bt()->inquiry_in_progress());
+}
+
+TEST(FactoryTest, DiscoverJoinsAnInquiryWhoseCallersAllCancelled) {
+  testbed::World world{114};
+  auto& device = world.AddDevice({});
+  BTReference& bt = device.contory().bt_reference();
+  int cancelled_calls = 0;
+  int joined_calls = 0;
+  const BTReference::DiscoveryId first = bt.Discover(
+      SimDuration::zero(),
+      [&](Result<std::vector<net::BtDeviceInfo>>) { ++cancelled_calls; });
+  ASSERT_NE(first, 0u);
+  bt.CancelDiscovery(first);
+  bt.CancelDiscovery(first);  // a second cancel is a no-op
+  EXPECT_EQ(bt.pending_discoveries(), 0u);
+  EXPECT_TRUE(device.bt()->inquiry_in_progress());
+
+  // A second inquiry would fail at once ("already in progress").
+  bt.Discover(SimDuration::zero(),
+              [&](Result<std::vector<net::BtDeviceInfo>> devices) {
+                EXPECT_TRUE(devices.ok()) << devices.status().ToString();
+                ++joined_calls;
+              });
+  EXPECT_EQ(joined_calls, 0);
+  EXPECT_EQ(bt.pending_discoveries(), 1u);
+  world.RunFor(30s);
+  EXPECT_EQ(cancelled_calls, 0);
+  EXPECT_EQ(joined_calls, 1);
+  EXPECT_EQ(bt.pending_discoveries(), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // timeline itself is the failover_switch.scn case.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 
 #include "core/contory.hpp"
@@ -84,7 +83,7 @@ class MechanismAuditClient : public CollectingClient {
     CollectingClient::ReceiveCxtItem(item);
     const QueryRecord* record = table->Find(query_id);
     if (record == nullptr) return;
-    mechanisms.insert(record->assigned.begin(), record->assigned.end());
+    mechanisms = mechanisms | record->assigned;
     if (record->assigned.size() > 1 && record->plan.initial.size() <= 1) {
       ++violations;
     }
@@ -92,7 +91,7 @@ class MechanismAuditClient : public CollectingClient {
 
   const QueryTable* table = nullptr;
   std::string query_id;
-  std::set<query::SourceSel> mechanisms;
+  query::MechanismSet mechanisms;
   int violations = 0;
 };
 
@@ -116,8 +115,8 @@ TEST_F(FailoverTest, SwitchesAreBreakBeforeMake) {
 
   ASSERT_EQ(factory.switch_log().size(), 2u);  // there and back
   EXPECT_EQ(client.mechanisms,
-            (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
-                                        query::SourceSel::kAdHocNetwork}));
+            (query::MechanismSet{query::SourceSel::kIntSensor,
+                                 query::SourceSel::kAdHocNetwork}));
   EXPECT_EQ(client.violations, 0);
   const QueryRecord* record = factory.queries().Find(q.id);
   ASSERT_NE(record, nullptr);
@@ -182,7 +181,7 @@ TEST_F(FailoverTest, RecoveryCallbackOutlivingItsQueryActsOnNothing) {
   ASSERT_EQ(factory.switch_log().size(), 1u);
   const SimTime failover_at = factory.switch_log()[0].at;
   ASSERT_EQ(factory.CurrentMechanisms(*id),
-            std::set<query::SourceSel>{query::SourceSel::kAdHocNetwork});
+            query::MechanismSet{query::SourceSel::kAdHocNetwork});
 
   // Probes tick every 20 s after the failover. The GPS comes back after
   // the second probe's discovery has finished, so the third one finds it.
@@ -213,8 +212,8 @@ TEST_F(FailoverTest, RecoveryCallbackOutlivingItsQueryActsOnNothing) {
   EXPECT_EQ(factory.switch_log()[1].from, query::SourceSel::kExtInfra);
   EXPECT_EQ(factory.switch_log()[1].to, query::SourceSel::kIntSensor);
   EXPECT_EQ(factory.CurrentMechanisms(*id),
-            (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
-                                        query::SourceSel::kAdHocNetwork}));
+            (query::MechanismSet{query::SourceSel::kIntSensor,
+                                 query::SourceSel::kAdHocNetwork}));
 }
 
 }  // namespace

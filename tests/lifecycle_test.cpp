@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -157,8 +156,8 @@ TEST(LifecycleInvariantTest, StaleIdMissesAfterCancelAndResubmitInDelivery) {
   ASSERT_NE(live, nullptr);
   EXPECT_NE(live->qid, client.cancelled_qid);
   EXPECT_EQ(live->assigned,
-            (std::set<query::SourceSel>{query::SourceSel::kIntSensor,
-                                        query::SourceSel::kExtInfra}));
+            (query::MechanismSet{query::SourceSel::kIntSensor,
+                                 query::SourceSel::kExtInfra}));
   EXPECT_EQ(factory.facade(query::SourceSel::kExtInfra)
                 .active_original_count(),
             1u);

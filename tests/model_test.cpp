@@ -1,10 +1,16 @@
-// Unit tests for the context model: values, metadata, items, vocabulary.
+// Unit tests for the context model: values, metadata, items, vocabulary,
+// and the MechanismSet of a query's provisioning mechanisms.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/model/cxt_item.hpp"
 #include "core/model/cxt_value.hpp"
 #include "core/model/metadata.hpp"
 #include "core/model/vocabulary.hpp"
+#include "core/query/ast.hpp"
 
 namespace contory {
 namespace {
@@ -281,6 +287,106 @@ TEST(SourceKindTest, Names) {
   EXPECT_STREQ(SourceKindName(SourceKind::kAdHocNetwork), "adHocNetwork");
   EXPECT_EQ(SourceId({SourceKind::kExtInfra, "infra.fi"}).ToString(),
             "extInfra infra.fi");
+}
+
+// --- MechanismSet -----------------------------------------------------------
+
+using query::MechanismSet;
+using query::SourceSel;
+
+constexpr SourceSel kMechanisms[] = {SourceSel::kIntSensor,
+                                     SourceSel::kExtInfra,
+                                     SourceSel::kAdHocNetwork};
+
+std::vector<SourceSel> Members(MechanismSet set) {
+  std::vector<SourceSel> members;
+  for (const SourceSel kind : set) members.push_back(kind);
+  return members;
+}
+
+/// The set and its std::set oracle agree on members, iteration order,
+/// size and membership.
+void ExpectSame(MechanismSet set, const std::set<SourceSel>& oracle) {
+  EXPECT_EQ(Members(set),
+            std::vector<SourceSel>(oracle.begin(), oracle.end()));
+  EXPECT_EQ(set.size(), oracle.size());
+  EXPECT_EQ(set.empty(), oracle.empty());
+  for (const SourceSel kind : kMechanisms) {
+    EXPECT_EQ(set.contains(kind), oracle.contains(kind));
+  }
+  EXPECT_FALSE(set.contains(SourceSel::kAuto));
+}
+
+TEST(MechanismSetTest, MatchesStdSetOracle) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    MechanismSet set;
+    std::set<SourceSel> oracle;
+    for (int step = 0; step < 400; ++step) {
+      const SourceSel kind = kMechanisms[rng.UniformInt(0, 2)];
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          EXPECT_EQ(set.insert(kind), oracle.insert(kind).second);
+          break;
+        case 1:
+          set.erase(kind);
+          oracle.erase(kind);
+          break;
+        case 2:
+          if (rng.UniformInt(0, 7) == 0) {
+            set.clear();
+            oracle.clear();
+          }
+          break;
+        default: {
+          // Union with a random subset, built from its initializer list.
+          const SourceSel other = kMechanisms[rng.UniformInt(0, 2)];
+          set = set | MechanismSet{kind, other};
+          oracle.insert({kind, other});
+          break;
+        }
+      }
+      ExpectSame(set, oracle);
+      MechanismSet rebuilt;
+      for (const SourceSel member : oracle) rebuilt.insert(member);
+      EXPECT_TRUE(set == rebuilt);
+      EXPECT_EQ(set == MechanismSet{}, oracle.empty());
+    }
+  }
+}
+
+TEST(MechanismSetTest, AutoIsNeverAMember) {
+  MechanismSet set{SourceSel::kAuto};
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.insert(SourceSel::kAuto));
+  EXPECT_EQ(set.size(), 0u);
+}
+
+TEST(MechanismSetTest, IterationWalksASnapshot) {
+  // Erasing members inside the loop skips none of them; inserting one
+  // is not visited.
+  MechanismSet set{SourceSel::kAdHocNetwork, SourceSel::kIntSensor,
+                   SourceSel::kExtInfra};
+  std::vector<SourceSel> visited;
+  for (const SourceSel kind : set) {
+    visited.push_back(kind);
+    set.erase(kind);
+    set.erase(SourceSel::kAdHocNetwork);
+  }
+  EXPECT_EQ(visited, (std::vector<SourceSel>{SourceSel::kIntSensor,
+                                             SourceSel::kExtInfra,
+                                             SourceSel::kAdHocNetwork}));
+  EXPECT_TRUE(set.empty());
+
+  MechanismSet grown{SourceSel::kIntSensor};
+  visited.clear();
+  for (const SourceSel kind : grown) {
+    visited.push_back(kind);
+    grown.insert(SourceSel::kAdHocNetwork);
+  }
+  EXPECT_EQ(visited, std::vector<SourceSel>{SourceSel::kIntSensor});
+  EXPECT_EQ(grown.size(), 2u);
 }
 
 }  // namespace

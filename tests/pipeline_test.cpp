@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -171,13 +170,13 @@ class DeliveryRouterTest : public QueryTableTest {
   /// Admits a query as if the planner chose `initial` and the facades in
   /// `assigned` serve it now.
   core::QueryRecord& AdmitPlanned(const std::string& id,
-                                  std::vector<query::SourceSel> initial,
-                                  std::set<query::SourceSel> assigned) {
+                                  query::MechanismSet initial,
+                                  query::MechanismSet assigned) {
     const auto qid = table_.Admit(MakeQuery(id), client_);
     EXPECT_TRUE(qid.ok());
     core::QueryRecord& record = *table_.FindById(*qid);
-    record.plan.initial = std::move(initial);
-    record.assigned = std::move(assigned);
+    record.plan.initial = initial;
+    record.assigned = assigned;
     return record;
   }
 
@@ -222,6 +221,27 @@ TEST_F(DeliveryRouterTest, CrossMechanismDuplicateIsDeliveredOnce) {
   Deliver(record, "y", SourceSel::kIntSensor);
   EXPECT_EQ(ReceivedIds(), (std::vector<std::string>{"x", "y", "y"}));
   EXPECT_EQ(record.items_delivered, 3u);
+}
+
+TEST_F(DeliveryRouterTest, DedupWindowEvictsOldestId) {
+  // The window remembers the newest 128 ids: after 130 distinct ones,
+  // the two oldest are forgotten and deliverable again.
+  using query::SourceSel;
+  core::QueryRecord& record = AdmitPlanned(
+      "q-two", {SourceSel::kIntSensor, SourceSel::kExtInfra},
+      {SourceSel::kIntSensor, SourceSel::kExtInfra});
+  constexpr int kDistinct = 130;
+  for (int i = 0; i < kDistinct; ++i) {
+    Deliver(record, "i" + std::to_string(i),
+            i % 2 == 0 ? SourceSel::kIntSensor : SourceSel::kExtInfra);
+  }
+  ASSERT_EQ(client_.items.size(), static_cast<std::size_t>(kDistinct));
+
+  Deliver(record, "i0", SourceSel::kExtInfra);    // evicted: delivered
+  Deliver(record, "i129", SourceSel::kIntSensor);  // newest: dropped
+  ASSERT_EQ(client_.items.size(), static_cast<std::size_t>(kDistinct + 1));
+  EXPECT_EQ(client_.items.back().id, "i0");
+  EXPECT_EQ(record.items_delivered, static_cast<std::uint32_t>(kDistinct + 1));
 }
 
 TEST_F(DeliveryRouterTest, SingleSourceRedeliveryIsCounted) {

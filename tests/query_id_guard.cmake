@@ -2,10 +2,8 @@
 # declares a std::map / std::unordered_map (or set) keyed by std::string.
 # Query id strings stay at the public API: inside the pipeline and the
 # facades a query is named by its QueryId, and its state lives in its
-# QueryRecord. Two string-keyed containers are allowed:
-#   - QueryTable::ids_, the id-string -> QueryId map at the API boundary;
-#   - QueryRecord::seen_items, the item-id dedup window (wire ids); it
-#     exists only for plans that start on more than one mechanism.
+# QueryRecord. One string-keyed container is allowed: QueryTable::ids_,
+# the id-string -> QueryId map at the API boundary.
 # It also fails when SRC_DIR/core/facade.* declares a map or set keyed by
 # QueryId: a facade reaches a query's cluster through the ClusterRef its
 # record holds, so per-query state never needs a second index there.
@@ -25,7 +23,7 @@ foreach(f IN LISTS files)
   file(STRINGS "${f}" lines
        REGEX "std::(unordered_)?(multi)?(map|set)<[ \t]*(const[ \t]+)?std::string[ \t]*[,>]")
   foreach(line IN LISTS lines)
-    if(line MATCHES "[ \t](ids_|seen_items);")
+    if(line MATCHES "[ \t]ids_;")
       continue()
     endif()
     file(RELATIVE_PATH rel "${SRC_DIR}" "${f}")
