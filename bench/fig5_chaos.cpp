@@ -45,7 +45,7 @@ CellResult RunCell(double loss_rate, int outage_sec, std::uint64_t seed) {
   phone_opts.name = "phone-A";
   phone_opts.with_cellular = false;
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 20s;
+  cfg.failover.recovery_probe_period = 20s;
   phone_opts.factory_config = cfg;
   auto& device = world.AddDevice(phone_opts);
 
@@ -144,7 +144,7 @@ CellResult RunExtInfraCell(double connectfail_rate, int outage_sec,
   phone_opts.with_bt = false;
   phone_opts.infra_address = "infra.dynamos.fi";
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 20s;
+  cfg.failover.recovery_probe_period = 20s;
   cfg.retry.max_attempts = 6;
   cfg.retry.attempt_timeout = 6s;
   cfg.retry.initial_backoff = 500ms;

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   phone_opts.name = "phone-A";
   phone_opts.with_cellular = false;
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 30s;
+  cfg.failover.recovery_probe_period = 30s;
   phone_opts.factory_config = cfg;
   auto& device = world.AddDevice(phone_opts);
 

@@ -54,7 +54,7 @@ int main() {
   opts.name = "phone-A";
   opts.with_cellular = false;
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 30s;
+  cfg.failover.recovery_probe_period = 30s;
   opts.factory_config = cfg;
   auto& device = world.AddDevice(opts);
   auto& gps = world.AddGps("gps-1", {3, 0});

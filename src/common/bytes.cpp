@@ -26,7 +26,6 @@ T ReadBigEndian(std::span<const std::byte> data, std::size_t pos) {
 }  // namespace
 
 void ByteWriter::WriteU8(std::uint8_t v) { AppendBigEndian(buf_, v); }
-void ByteWriter::WriteU16(std::uint16_t v) { AppendBigEndian(buf_, v); }
 void ByteWriter::WriteU32(std::uint32_t v) { AppendBigEndian(buf_, v); }
 void ByteWriter::WriteU64(std::uint64_t v) { AppendBigEndian(buf_, v); }
 
@@ -99,13 +98,6 @@ Status ByteReader::Require(std::size_t n) const {
 Result<std::uint8_t> ByteReader::ReadU8() {
   if (auto s = Require(1); !s.ok()) return s;
   return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-Result<std::uint16_t> ByteReader::ReadU16() {
-  if (auto s = Require(2); !s.ok()) return s;
-  auto v = ReadBigEndian<std::uint16_t>(data_, pos_);
-  pos_ += 2;
-  return v;
 }
 
 Result<std::uint32_t> ByteReader::ReadU32() {

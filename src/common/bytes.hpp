@@ -25,7 +25,6 @@ class ByteWriter {
   ByteWriter() = default;
 
   void WriteU8(std::uint8_t v);
-  void WriteU16(std::uint16_t v);
   void WriteU32(std::uint32_t v);
   void WriteU64(std::uint64_t v);
   void WriteI64(std::int64_t v);
@@ -63,7 +62,6 @@ class ByteReader {
       : data_(data) {}
 
   [[nodiscard]] Result<std::uint8_t> ReadU8();
-  [[nodiscard]] Result<std::uint16_t> ReadU16();
   [[nodiscard]] Result<std::uint32_t> ReadU32();
   [[nodiscard]] Result<std::uint64_t> ReadU64();
   [[nodiscard]] Result<std::int64_t> ReadI64();

@@ -1,19 +1,16 @@
 #include "common/logging.hpp"
 
 #include <cstdio>
+#include <string>
 
 namespace contory {
 namespace {
 
 LogLevel g_level = LogLevel::kWarn;
-Log::Sink g_sink;
 std::function<SimTime()> g_time_source;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kTrace: return "TRACE";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
     case LogLevel::kWarn: return "WARN ";
     case LogLevel::kError: return "ERROR";
     case LogLevel::kOff: return "OFF  ";
@@ -25,8 +22,6 @@ const char* LevelName(LogLevel level) {
 
 void Log::SetLevel(LogLevel level) noexcept { g_level = level; }
 LogLevel Log::level() noexcept { return g_level; }
-
-void Log::SetSink(Sink sink) { g_sink = std::move(sink); }
 
 void Log::SetTimeSource(std::function<SimTime()> now) {
   g_time_source = std::move(now);
@@ -50,11 +45,7 @@ void Log::Emit(LogLevel level, const char* module, const char* fmt, ...) {
   line += "] ";
   line += msg;
 
-  if (g_sink) {
-    g_sink(level, line);
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 }  // namespace contory

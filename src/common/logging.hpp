@@ -1,34 +1,27 @@
-// Leveled, sim-time-aware logging.
+// Leveled, sim-time-aware logging to stderr.
 //
-// Kept deliberately tiny: a global level, a pluggable sink (tests capture
-// log lines; benches silence them), and printf-style formatting. Log calls
-// below the active level cost one branch.
+// Kept deliberately tiny: a global level (kWarn by default; benches raise
+// it to silence warnings) and printf-style formatting. Log calls below the
+// active level cost one branch.
 #pragma once
 
 #include <cstdarg>
 #include <functional>
-#include <string>
 
 #include "common/time.hpp"
 
 namespace contory {
 
-enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
+enum class LogLevel { kWarn, kError, kOff };
 
 /// Process-wide logging configuration.
 class Log {
  public:
-  using Sink = std::function<void(LogLevel, const std::string& line)>;
-
   static void SetLevel(LogLevel level) noexcept;
   [[nodiscard]] static LogLevel level() noexcept;
 
-  /// Replaces the sink (default writes to stderr). Pass nullptr to restore
-  /// the default.
-  static void SetSink(Sink sink);
-
-  /// Sets the clock used to prefix log lines with simulated time. The
-  /// Simulation installs itself here; nullptr removes the prefix.
+  /// Sets the clock used to prefix log lines with simulated time.
+  /// obs::Clock::Install sets it; nullptr removes the prefix.
   static void SetTimeSource(std::function<SimTime()> now);
 
   /// printf-style emission; prefer the CLOG_* macros below.
@@ -40,24 +33,6 @@ class Log {
   }
 };
 
-#define CLOG_TRACE(module, ...)                                       \
-  do {                                                                \
-    if (::contory::Log::Enabled(::contory::LogLevel::kTrace))         \
-      ::contory::Log::Emit(::contory::LogLevel::kTrace, module,       \
-                           __VA_ARGS__);                              \
-  } while (0)
-#define CLOG_DEBUG(module, ...)                                       \
-  do {                                                                \
-    if (::contory::Log::Enabled(::contory::LogLevel::kDebug))         \
-      ::contory::Log::Emit(::contory::LogLevel::kDebug, module,       \
-                           __VA_ARGS__);                              \
-  } while (0)
-#define CLOG_INFO(module, ...)                                        \
-  do {                                                                \
-    if (::contory::Log::Enabled(::contory::LogLevel::kInfo))          \
-      ::contory::Log::Emit(::contory::LogLevel::kInfo, module,        \
-                           __VA_ARGS__);                              \
-  } while (0)
 #define CLOG_WARN(module, ...)                                        \
   do {                                                                \
     if (::contory::Log::Enabled(::contory::LogLevel::kWarn))          \

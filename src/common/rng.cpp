@@ -54,12 +54,6 @@ double Rng::Normal(double mean, double stddev) noexcept {
   return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::Exponential(double mean) noexcept {
-  double u = NextDouble();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
 double Rng::LogNormal(double mu, double sigma) noexcept {
   return std::exp(Normal(mu, sigma));
 }

@@ -59,9 +59,6 @@ class Rng {
   /// Normal (Gaussian) deviate via Box–Muller.
   double Normal(double mean, double stddev) noexcept;
 
-  /// Exponential deviate with the given mean (= 1/rate).
-  double Exponential(double mean) noexcept;
-
   /// Log-normal deviate parameterized by the *underlying* normal's mu and
   /// sigma. Used for heavy-tailed UMTS connection latencies.
   double LogNormal(double mu, double sigma) noexcept;

@@ -133,6 +133,7 @@ class [[nodiscard]] Result {
 
   [[nodiscard]] const T& operator*() const& { return value(); }
   [[nodiscard]] T& operator*() & { return value(); }
+  [[nodiscard]] T&& operator*() && { return std::move(*this).value(); }
   [[nodiscard]] const T* operator->() const { return &value(); }
   [[nodiscard]] T* operator->() { return &value(); }
 

@@ -2,17 +2,15 @@
 
 #include <array>
 
-#include "common/logging.hpp"
 #include "core/providers/infra_provider.hpp"
 #include "core/providers/local_provider.hpp"
 #include "infra/context_server.hpp"
-#include "infra/event_broker.hpp"
+#include "infra/event_envelope.hpp"
 #include "obs/observability.hpp"
 #include "sensors/gps.hpp"
 
 namespace contory::core {
 namespace {
-constexpr const char* kModule = "factory";
 /// Period of the control-policy evaluation loop.
 constexpr SimDuration kPolicyPeriod = std::chrono::seconds{5};
 
@@ -34,8 +32,7 @@ ContextFactory::ContextFactory(DeviceServices services,
       monitor_(*services_.sim, *services_.phone, config_.resources),
       access_(config_.access),
       repository_(*services_.sim, config_.repository),
-      policy_(rules_, monitor_, repository_, facades_,
-              {.reduce_load_provider_cap = config_.reduce_load_provider_cap}),
+      policy_(rules_, monitor_, repository_, facades_),
       table_(*services_.sim, config_.completion_log_capacity),
       planner_(PlannerEnv{&internal_ref_, &bt_ref_, &wifi_ref_, &cell_ref_,
                           &services_.default_infra_address,
@@ -44,10 +41,8 @@ ContextFactory::ContextFactory(DeviceServices services,
       admission_(*services_.sim, access_, table_, &governor_),
       router_(*services_.sim, table_, repository_),
       coordinator_(
-          *services_.sim,
-          FailoverConfig{config_.recovery_probe_period,
-                         config_.enable_degraded_mode},
-          table_, planner_, repository_, router_, internal_ref_, bt_ref_,
+          *services_.sim, config_.failover, table_, planner_, repository_,
+          router_, internal_ref_, bt_ref_,
           FailoverCoordinator::Hooks{
               [this](QueryRecord& record, query::SourceSel kind) {
                 return AssignToFacade(record, kind);
@@ -232,8 +227,6 @@ Result<std::string> ContextFactory::ProcessCxtQuery(query::CxtQuery query,
     return last;
   }
   table_.Transition(*record, QueryState::kActive);
-  CLOG_INFO(kModule, "query %s (%s) assigned to %zu facade(s)", id.c_str(),
-            record->query.select_type.c_str(), assigned);
   return id;
 }
 

@@ -51,11 +51,10 @@ struct ContextFactoryConfig {
   CxtRepositoryConfig repository;
   AccessControllerConfig access;
   ResourcesMonitorConfig resources;
-  /// Recovery-probe interval after a failover (Fig. 5: how soon the
-  /// factory notices the GPS is back).
-  SimDuration recovery_probe_period = std::chrono::seconds{30};
-  /// reduceLoad caps the total provider count at this value.
-  std::size_t reduce_load_provider_cap = 2;
+  /// Recovery-probe period after a failover, and whether a query with no
+  /// live mechanism left degrades to stale repository data instead of
+  /// erroring (probing for recovery in the background).
+  FailoverConfig failover;
   /// On-demand SM-FINDER rounds lost to mobility are relaunched this many
   /// times before the query fails.
   int adhoc_finder_retries = 1;
@@ -66,10 +65,6 @@ struct ContextFactoryConfig {
   /// (coverage gaps, broker outages, radio flaps) before escalating to
   /// failover. Set max_attempts = 1 to disable retries.
   RetryPolicyConfig retry;
-  /// When failover has nowhere left to go, answer from the local
-  /// repository with explicit staleness metadata instead of erroring,
-  /// probing for recovery in the background.
-  bool enable_degraded_mode = true;
   /// Completion-log bound (0 = unbounded; lifecycle-audit tests opt in).
   std::size_t completion_log_capacity = 4096;
   /// Overload protection in front of admission: per-client token

@@ -4,13 +4,10 @@
 #include <optional>
 #include <variant>
 
-#include "common/logging.hpp"
 #include "obs/observability.hpp"
 
 namespace contory::core {
 namespace {
-constexpr const char* kModule = "facade";
-
 /// Cached per-mechanism registry handles — Submit is the hot path, and
 /// handles are stable across Reset() (see MetricsRegistry).
 obs::Counter& ProvidersCreatedCounter(query::SourceSel kind) {
@@ -140,9 +137,6 @@ Result<ClusterRef> Facade::Submit(QueryId qid, query::CxtQuery q) {
       if (++examined > kMaxMergeCandidates) break;
       auto merged = query::Merge(cluster->provider->query(), q);
       if (!merged.ok()) continue;
-      CLOG_DEBUG(kModule, "%s: merged %s into %s",
-                 query::SourceSelName(kind_), q.id.c_str(),
-                 cluster->provider->query().id.c_str());
       COBS(MergedCounter(kind_).Inc());
       ++live_originals_;
       // A submitted DURATION is what remains of the query's window.

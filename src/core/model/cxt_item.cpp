@@ -51,9 +51,8 @@ void CxtItem::Encode(ByteWriter& w) const {
   // Pad to the prototype's per-type envelope so wire sizes are faithful.
   // A length prefix before the padding lets Deserialize skip it.
   const std::size_t body = w.size() - start;
-  const auto info = CxtVocabulary::Default().Find(type);
-  const std::size_t envelope =
-      info.has_value() ? info->envelope_bytes : 0;
+  const CxtTypeInfo* info = CxtVocabulary::Default().Find(type);
+  const std::size_t envelope = info != nullptr ? info->envelope_bytes : 0;
   const std::size_t padded =
       envelope > body + 4 ? envelope - body - 4 : 0;
   w.WriteU32(static_cast<std::uint32_t>(padded));

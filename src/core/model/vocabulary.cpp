@@ -31,23 +31,15 @@ const CxtVocabulary& CxtVocabulary::Default() {
   return vocabulary;
 }
 
-std::optional<CxtTypeInfo> CxtVocabulary::Find(const std::string& type) const {
+const CxtTypeInfo* CxtVocabulary::Find(const std::string& type) const {
   const auto it = std::find_if(
       types_.begin(), types_.end(),
       [&](const CxtTypeInfo& info) { return info.name == type; });
-  if (it == types_.end()) return std::nullopt;
-  return *it;
+  return it == types_.end() ? nullptr : &*it;
 }
 
 bool CxtVocabulary::Knows(const std::string& type) const {
-  return Find(type).has_value();
-}
-
-std::vector<std::string> CxtVocabulary::TypeNames() const {
-  std::vector<std::string> names;
-  names.reserve(types_.size());
-  for (const auto& t : types_) names.push_back(t.name);
-  return names;
+  return Find(type) != nullptr;
 }
 
 void CxtVocabulary::RegisterType(CxtTypeInfo info) {

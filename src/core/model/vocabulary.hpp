@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,10 +77,10 @@ class CxtVocabulary {
   /// The process-wide vocabulary with the paper's types preloaded.
   [[nodiscard]] static const CxtVocabulary& Default();
 
-  [[nodiscard]] std::optional<CxtTypeInfo> Find(
-      const std::string& type) const;
+  /// The type's entry, or nullptr when unknown. Valid until the next
+  /// RegisterType on this vocabulary (Default() never changes).
+  [[nodiscard]] const CxtTypeInfo* Find(const std::string& type) const;
   [[nodiscard]] bool Knows(const std::string& type) const;
-  [[nodiscard]] std::vector<std::string> TypeNames() const;
 
   /// Registers (or replaces) a type — "new sources of context information
   /// ... will need to be easily accommodated".

@@ -1,14 +1,11 @@
 #include "core/pipeline/failover_coordinator.hpp"
 
-#include "common/logging.hpp"
 #include "core/model/vocabulary.hpp"
 #include "obs/observability.hpp"
 #include "sensors/gps.hpp"
 
 namespace contory::core {
 namespace {
-constexpr const char* kModule = "failover";
-
 obs::Gauge& DegradedGauge() {
   static obs::Gauge& g =
       obs::Observability::metrics().GetGauge("queries_degraded");
@@ -72,8 +69,6 @@ void FailoverCoordinator::OnFacadeFinished(query::SourceSel kind,
     if (record->assigned.empty()) table_.FinishById(qid);
     return;
   }
-  CLOG_INFO(kModule, "query %s failed on %s: %s", record->query.id.c_str(),
-            query::SourceSelName(kind), status.ToString().c_str());
   record->failed.insert(kind);
   table_.Transition(*record, QueryState::kFailingOver);
   COBS({
@@ -144,9 +139,6 @@ void FailoverCoordinator::TryFailover(QueryRecord& record,
   });
   switch_log_.push_back(SwitchEvent{sim_.Now(), record.query.id,
                                     failed_kind, *replacement});
-  CLOG_INFO(kModule, "query %s switched %s -> %s", record.query.id.c_str(),
-            query::SourceSelName(failed_kind),
-            query::SourceSelName(*replacement));
   if (record.client != nullptr) {
     record.client->InformError(
         std::string("provisioning switched from ") +
@@ -217,9 +209,6 @@ void FailoverCoordinator::ProbeRecovery(QueryId qid) {
                 const query::SourceSel preferred = record->plan.preferred;
                 if (record->assigned.contains(preferred)) return;
                 if (SwitchBackToPreferred(*record)) {
-                  CLOG_INFO(kModule, "query %s switched back to %s",
-                            record->query.id.c_str(),
-                            query::SourceSelName(preferred));
                   if (record->client != nullptr) {
                     record->client->InformError(
                         std::string("provisioning restored to ") +
@@ -270,8 +259,6 @@ bool FailoverCoordinator::EnterDegradedMode(QueryRecord& record,
         .Inc();
     DegradedGauge().Add(1.0);
   });
-  CLOG_INFO(kModule, "query %s degraded (%s): serving stale repository data",
-            id.c_str(), cause.ToString().c_str());
   record.client->InformError("query " + id +
                              " degraded to stale repository data (" +
                              cause.ToString() +
@@ -342,8 +329,6 @@ void FailoverCoordinator::ProbeDegradedRecovery(QueryId qid) {
   // `from` approximates: degraded mode has no SourceSel of its own.
   switch_log_.push_back(SwitchEvent{sim_.Now(), record->query.id,
                                     record->plan.preferred, *kind});
-  CLOG_INFO(kModule, "query %s recovered from degraded mode to %s",
-            record->query.id.c_str(), query::SourceSelName(*kind));
   record->client->InformError(std::string("provisioning restored to ") +
                               query::SourceSelName(*kind) +
                               " after degraded mode");

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/logging.hpp"
 #include "obs/observability.hpp"
 
 namespace contory::core {
 namespace {
-constexpr const char* kModule = "overload";
-
 /// "retry after 0.250s" — the typed status hint; ParseRetryAfterSeconds
 /// is its inverse.
 std::string RetryAfterHint(double seconds) {
@@ -136,8 +133,6 @@ OverloadGovernor::Decision OverloadGovernor::Decide(
             .Inc();
         if (b.gauge != nullptr) b.gauge->Set(b.tokens);
       });
-      CLOG_DEBUG(kModule, "rate-limited a %s-class submission",
-                 query::QueryPriorityName(d.cls));
       return d;
     }
     b.tokens -= 1.0;

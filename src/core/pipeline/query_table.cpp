@@ -114,10 +114,6 @@ QueryRecord* QueryTable::FindById(QueryId qid) {
   return records_.Find(qid);
 }
 
-const QueryRecord* QueryTable::FindById(QueryId qid) const {
-  return records_.Find(qid);
-}
-
 QueryRecord* QueryTable::Find(const std::string& id) {
   const auto it = ids_.find(id);
   return it == ids_.end() ? nullptr : FindById(it->second);

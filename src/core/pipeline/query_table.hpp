@@ -199,7 +199,6 @@ class QueryTable {
   [[nodiscard]] QueryRecord* Find(const std::string& id);
   [[nodiscard]] const QueryRecord* Find(const std::string& id) const;
   [[nodiscard]] QueryRecord* FindById(QueryId qid);
-  [[nodiscard]] const QueryRecord* FindById(QueryId qid) const;
 
   /// Moves `record` along a legal (non-terminal) edge of the state
   /// machine. Illegal edges are refused (returns false) and counted —

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 
-#include "common/logging.hpp"
-
 namespace contory::core {
 namespace {
-constexpr const char* kModule = "policy";
-}
+/// reduceLoad caps the total provider count at this value.
+constexpr std::size_t kReduceLoadProviderCap = 2;
+}  // namespace
 
 void PolicyEnforcer::Evaluate() {
   const auto actions = rules_.Evaluate(monitor_.AsLookup());
@@ -27,7 +26,6 @@ void PolicyEnforcer::EnforceReducePower() {
   // "the activation of the reducePower action can cause the suspension or
   // termination of high energy-consuming queries (e.g., those using the
   // 2G/3GReference)".
-  CLOG_INFO(kModule, "reducePower active: suspending extInfra queries");
   facades_[static_cast<std::size_t>(query::SourceSel::kExtInfra)]->StopAll(
       ResourceExhausted("reducePower policy suspended the query"));
 }
@@ -35,24 +33,21 @@ void PolicyEnforcer::EnforceReducePower() {
 void PolicyEnforcer::EnforceReduceMemory() {
   const std::size_t target =
       std::max<std::size_t>(1, repository_.capacity_per_type() / 2);
-  CLOG_INFO(kModule, "reduceMemory active: repository rings -> %zu", target);
   repository_.Shrink(target);
 }
 
 void PolicyEnforcer::EnforceReduceLoad() {
-  // Keep at most reduce_load_provider_cap providers: suspend the rest,
+  // Keep at most kReduceLoadProviderCap providers: suspend the rest,
   // preferring to keep the cheap mechanisms.
   std::size_t active = 0;
   for (const auto& facade : facades_) {
     if (facade != nullptr) active += facade->active_provider_count();
   }
-  if (active <= config_.reduce_load_provider_cap) return;
-  CLOG_INFO(kModule, "reduceLoad active: %zu providers > cap %zu", active,
-            config_.reduce_load_provider_cap);
+  if (active <= kReduceLoadProviderCap) return;
   for (const query::SourceSel kind :
        {query::SourceSel::kExtInfra, query::SourceSel::kAdHocNetwork,
         query::SourceSel::kIntSensor}) {
-    if (active <= config_.reduce_load_provider_cap) break;
+    if (active <= kReduceLoadProviderCap) break;
     Facade& f = *facades_[static_cast<std::size_t>(kind)];
     const std::size_t here = f.active_provider_count();
     if (here == 0) continue;

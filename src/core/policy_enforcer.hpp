@@ -19,19 +19,12 @@ namespace contory::core {
 
 class PolicyEnforcer {
  public:
-  struct Config {
-    /// reduceLoad caps the total provider count at this value.
-    std::size_t reduce_load_provider_cap = 2;
-  };
-
   PolicyEnforcer(RulesEngine& rules, ResourcesMonitor& monitor,
-                 CxtRepository& repository, FacadeArray& facades,
-                 Config config)
+                 CxtRepository& repository, FacadeArray& facades)
       : rules_(rules),
         monitor_(monitor),
         repository_(repository),
-        facades_(facades),
-        config_(config) {}
+        facades_(facades) {}
 
   /// Re-evaluates the rules and enforces newly activated actions.
   void Evaluate();
@@ -51,7 +44,6 @@ class PolicyEnforcer {
   ResourcesMonitor& monitor_;
   CxtRepository& repository_;
   FacadeArray& facades_;
-  Config config_;
   std::set<RuleAction> active_actions_;
 };
 

@@ -483,11 +483,7 @@ void AdHocCxtProvider::WifiRoundReply(sm::SmartMessage reply) {
     // "if hopCnt>numHops the receiver discards the result because the
     // CxtPublisher that provided such a result is out of the range of
     // interest."
-    if (scope.num_hops > 0 && collected.hop > scope.num_hops) {
-      CLOG_DEBUG(kModule, "discarding result from hop %d (> %d)",
-                 collected.hop, scope.num_hops);
-      continue;
-    }
+    if (scope.num_hops > 0 && collected.hop > scope.num_hops) continue;
     Offer(std::move(collected.item));
   }
   if (query().mode() == query::InteractionMode::kOnDemand && running()) {
@@ -502,14 +498,11 @@ void AdHocCxtProvider::WifiRoundTimeout(const std::string& finder_id) {
     wifi_.sm()->UnregisterReplyHandler(active_finder_id_);
   }
   active_finder_id_.clear();
-  CLOG_DEBUG(kModule, "finder %s timed out", finder_id.c_str());
   if (query().mode() == query::InteractionMode::kOnDemand) {
     if (retries_left_ > 0) {
       // Reliability extension: a lost SM (mobility, admission rejection)
       // costs one timeout, not the whole query.
       --retries_left_;
-      CLOG_INFO(kModule, "relaunching finder round (%d retr%s left)",
-                retries_left_, retries_left_ == 1 ? "y" : "ies");
       WifiLaunchRound();
       return;
     }

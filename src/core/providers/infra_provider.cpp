@@ -1,7 +1,7 @@
 #include "core/providers/infra_provider.hpp"
 
 #include "common/logging.hpp"
-#include "infra/event_broker.hpp"
+#include "infra/event_envelope.hpp"
 
 namespace contory::core {
 namespace {
@@ -146,8 +146,6 @@ void InfraCxtProvider::RegisterLongRunning() {
           return;
         }
         registered_ = true;
-        CLOG_DEBUG(kModule, "query %s registered at %s", query_id_.c_str(),
-                   infra_address_.c_str());
       },
       AttemptTimeout());
 }

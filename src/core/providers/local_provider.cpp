@@ -3,12 +3,10 @@
 #include <cstring>
 #include <utility>
 
-#include "common/logging.hpp"
 #include "core/model/vocabulary.hpp"
 
 namespace contory::core {
 namespace {
-constexpr const char* kModule = "local";
 /// Discovery results younger than this are reused instead of paying the
 /// 13 s inquiry again.
 constexpr SimDuration kDiscoveryMaxAge = std::chrono::seconds{60};
@@ -134,7 +132,6 @@ void LocalCxtProvider::SearchGpsService(
   const auto device = devices[index];
   const std::string address = "bt:" + device.name;
   if (!access_.Admit(address, client_)) {
-    CLOG_INFO(kModule, "access controller blocked %s", address.c_str());
     SearchGpsService(std::move(devices), index + 1);
     return;
   }
@@ -174,8 +171,6 @@ void LocalCxtProvider::ConnectGps(net::NodeId device,
           return;
         }
         gps_link_ = *link;
-        CLOG_INFO(kModule, "connected to BT-GPS '%s'",
-                  gps_device_name_.c_str());
         if (query().mode() == query::InteractionMode::kPeriodic) {
           poller_ = std::make_unique<sim::PeriodicTask>(
               sim(), *query().every, [this] { DeliverFix(); });
@@ -187,11 +182,7 @@ void LocalCxtProvider::OnNmea(const std::vector<std::byte>& data) {
   std::string burst(data.size(), '\0');
   std::memcpy(burst.data(), data.data(), data.size());
   auto fix = sensors::ParseNmeaBurst(burst);
-  if (!fix.ok()) {
-    CLOG_DEBUG(kModule, "bad NMEA burst: %s",
-               fix.status().ToString().c_str());
-    return;
-  }
+  if (!fix.ok()) return;
   latest_fix_ = *fix;
   latest_fix_at_ = sim().Now();
   switch (query().mode()) {

@@ -46,9 +46,6 @@ bool CxtProvider::RetryTransient(const Status& cause,
   const auto backoff = retry_state_->NextBackoff(sim_.Now());
   if (!backoff.ok()) return false;  // budget or deadline spent: escalate
   ++retries_;
-  CLOG_DEBUG("provider", "%s %s retry #%llu in %s after: %s", transport(),
-             query_.id.c_str(), static_cast<unsigned long long>(retries_),
-             FormatDuration(*backoff).c_str(), cause.ToString().c_str());
   sim_.Cancel(retry_timer_);
   retry_timer_ = sim_.ScheduleAfter(
       *backoff,

@@ -1,6 +1,5 @@
 #include "core/publisher.hpp"
 
-#include "common/logging.hpp"
 #include "obs/clock.hpp"
 #include "obs/observability.hpp"
 

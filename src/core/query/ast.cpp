@@ -39,15 +39,6 @@ const char* SourceSelName(SourceSel s) noexcept {
   return "?";
 }
 
-const char* InteractionModeName(InteractionMode m) noexcept {
-  switch (m) {
-    case InteractionMode::kOnDemand: return "on-demand";
-    case InteractionMode::kPeriodic: return "periodic";
-    case InteractionMode::kEventBased: return "event-based";
-  }
-  return "?";
-}
-
 std::string Comparison::ToString() const {
   std::string out;
   if (aggregate != AggregateFn::kNone) {

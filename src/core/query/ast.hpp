@@ -222,6 +222,5 @@ enum class InteractionMode : std::uint8_t {
   kPeriodic,   // EVERY <time>
   kEventBased, // EVENT <predicate>
 };
-[[nodiscard]] const char* InteractionModeName(InteractionMode m) noexcept;
 
 }  // namespace contory::query

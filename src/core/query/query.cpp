@@ -312,11 +312,6 @@ SourceSpec& QueryBuilder::LastSource() {
   return q_.from.sources.back();
 }
 
-QueryBuilder& QueryBuilder::FromAuto() {
-  q_.from.sources.clear();
-  return *this;
-}
-
 QueryBuilder& QueryBuilder::FromIntSensor(std::string address) {
   SourceSpec s;
   s.kind = SourceSel::kIntSensor;
@@ -343,11 +338,6 @@ QueryBuilder& QueryBuilder::FromAdHoc(int num_nodes, int num_hops) {
 
 QueryBuilder& QueryBuilder::TargetRegion(GeoPoint center, double radius_m) {
   LastSource().region = RegionDest{center, radius_m};
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::TargetEntity(std::string entity_id) {
-  LastSource().entity = EntityDest{std::move(entity_id)};
   return *this;
 }
 
@@ -384,12 +374,6 @@ QueryBuilder& QueryBuilder::Freshness(SimDuration d) {
 QueryBuilder& QueryBuilder::For(SimDuration lifetime) {
   q_.duration.time = lifetime;
   q_.duration.samples.reset();
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::ForSamples(int samples) {
-  q_.duration.samples = samples;
-  q_.duration.time.reset();
   return *this;
 }
 

@@ -79,7 +79,6 @@ class QueryBuilder {
  public:
   explicit QueryBuilder(std::string select_type);
 
-  QueryBuilder& FromAuto();
   QueryBuilder& FromIntSensor(std::string address = {});
   QueryBuilder& FromExtInfra(std::string address = {});
   QueryBuilder& FromAdHoc(int num_nodes = AdHocScope::kAllNodes,
@@ -87,7 +86,6 @@ class QueryBuilder {
   /// Adds a destination to the most recently added source (or to a fresh
   /// auto source when none was added yet).
   QueryBuilder& TargetRegion(GeoPoint center, double radius_m);
-  QueryBuilder& TargetEntity(std::string entity_id);
 
   /// ANDs another comparison into the WHERE clause.
   QueryBuilder& Where(Comparison c);
@@ -96,7 +94,6 @@ class QueryBuilder {
 
   QueryBuilder& Freshness(SimDuration d);
   QueryBuilder& For(SimDuration lifetime);   // DURATION <time>
-  QueryBuilder& ForSamples(int samples);     // DURATION <n> samples
   QueryBuilder& Every(SimDuration period);
   QueryBuilder& Event(Predicate p);
   QueryBuilder& EventAggregate(AggregateFn fn, std::string type,

@@ -12,7 +12,7 @@
 #include <unordered_map>
 
 #include "core/references/reference.hpp"
-#include "infra/event_broker.hpp"
+#include "infra/event_envelope.hpp"
 #include "net/cellular.hpp"
 
 namespace contory::core {

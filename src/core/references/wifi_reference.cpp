@@ -33,10 +33,4 @@ Result<int> WiFiReference::DistanceToType(const std::string& type) const {
   return sm_->HopDistanceToTag(CxtTagName(type));
 }
 
-std::vector<std::pair<net::NodeId, int>> WiFiReference::NodesWithType(
-    const std::string& type, int max_hops) const {
-  if (sm_ == nullptr || wifi_ == nullptr || !wifi_->enabled()) return {};
-  return sm_->NodesWithTag(CxtTagName(type), max_hops);
-}
-
 }  // namespace contory::core

@@ -50,10 +50,6 @@ class WiFiReference final : public Reference {
   /// WeatherWatcher's "dense enough / close enough" decision.
   [[nodiscard]] Result<int> DistanceToType(const std::string& type) const;
 
-  /// Nodes exposing `type` within `max_hops` (0 = unbounded).
-  [[nodiscard]] std::vector<std::pair<net::NodeId, int>> NodesWithType(
-      const std::string& type, int max_hops) const;
-
  private:
   net::WifiController* wifi_;
   sm::SmRuntime* sm_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hpp"
-
 namespace contory::core {
 
 ResourcesMonitor::ResourcesMonitor(sim::Simulation& sim,
@@ -17,7 +15,6 @@ void ResourcesMonitor::Attach(Reference& reference) {
   const std::string module = reference.name();
   reference.SetFailureHandler([this, module](const std::string& reason) {
     ++failures_;
-    CLOG_INFO("monitor", "%s failure: %s", module.c_str(), reason.c_str());
     if (failure_handler_) failure_handler_(module, reason);
   });
 }

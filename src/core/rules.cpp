@@ -6,25 +6,6 @@
 
 namespace contory::core {
 
-const char* RuleOpName(RuleOp op) noexcept {
-  switch (op) {
-    case RuleOp::kEqual: return "equal";
-    case RuleOp::kNotEqual: return "notEqual";
-    case RuleOp::kMoreThan: return "moreThan";
-    case RuleOp::kLessThan: return "lessThan";
-  }
-  return "?";
-}
-
-const char* RuleActionName(RuleAction a) noexcept {
-  switch (a) {
-    case RuleAction::kReducePower: return "reducePower";
-    case RuleAction::kReduceMemory: return "reduceMemory";
-    case RuleAction::kReduceLoad: return "reduceLoad";
-  }
-  return "?";
-}
-
 Result<RuleOp> ParseRuleOp(const std::string& word) {
   if (word == "equal") return RuleOp::kEqual;
   if (word == "notEqual") return RuleOp::kNotEqual;

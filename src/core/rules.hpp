@@ -28,8 +28,6 @@ enum class RuleAction : std::uint8_t {
   kReduceLoad,
 };
 
-[[nodiscard]] const char* RuleOpName(RuleOp op) noexcept;
-[[nodiscard]] const char* RuleActionName(RuleAction a) noexcept;
 /// Parses "equal"/"notEqual"/"moreThan"/"lessThan" (CxtRulesVocabulary).
 [[nodiscard]] Result<RuleOp> ParseRuleOp(const std::string& word);
 [[nodiscard]] Result<RuleAction> ParseRuleAction(const std::string& word);

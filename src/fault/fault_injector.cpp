@@ -2,13 +2,9 @@
 
 #include <cstdio>
 
-#include "common/logging.hpp"
 #include "obs/observability.hpp"
 
 namespace contory::fault {
-namespace {
-constexpr const char* kModule = "fault";
-}
 
 void FaultInjector::RegisterBluetooth(const std::string& name,
                                       net::BluetoothController& bt) {
@@ -198,7 +194,6 @@ void FaultInjector::Log(const FaultAction& action, bool enter) {
     std::snprintf(buf, sizeof buf, " param=%g", action.param);
     line += buf;
   }
-  CLOG_INFO(kModule, "%s", line.c_str());
   log_.push_back(std::move(line));
 }
 

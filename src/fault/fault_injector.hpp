@@ -47,7 +47,7 @@ class FaultInjector {
   void RegisterSensor(const std::string& name,
                       sensors::EnvironmentSensor& sensor);
   void RegisterGps(const std::string& name, sensors::GpsDevice& gps);
-  /// Brokers, context servers — anything with an on/off outage switch.
+  /// Context servers — anything with an on/off outage switch.
   void RegisterOutageSwitch(const std::string& name,
                             std::function<void(bool down)> toggle);
   void RegisterNode(const std::string& name, net::Medium& medium,

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "common/logging.hpp"
 #include "core/query/predicate.hpp"
-#include "infra/event_broker.hpp"
+#include "infra/event_envelope.hpp"
 
 namespace contory::infra {
 
@@ -27,8 +26,6 @@ std::vector<std::byte> EncodeStoreRequest(
 }
 
 namespace {
-
-constexpr const char* kModule = "cxtserver";
 
 std::string RepoKey(const std::string& entity, const std::string& type) {
   return entity + "\x1f" + type;
@@ -157,11 +154,7 @@ void ContextServer::PushResults(Registration& reg) {
   w.WriteU32(static_cast<std::uint32_t>(items.size()));
   for (const auto& item : items) item.Encode(w);
   const auto frame = WrapEvent("cxt." + reg.query.id, std::move(w).Take());
-  const Status s = network_.PushToClient(reg.client, frame);
-  if (!s.ok()) {
-    CLOG_DEBUG(kModule, "push for %s failed: %s", reg.query.id.c_str(),
-               s.ToString().c_str());
-  }
+  (void)network_.PushToClient(reg.client, frame);
   reg.samples_sent += static_cast<int>(items.size());
 }
 
@@ -205,7 +198,6 @@ void ContextServer::HandleRequest(net::NodeId from,
   if (outage_) {
     // Dropping `respond` leaves the client's exchange to time out.
     ++dropped_requests_;
-    CLOG_DEBUG(kModule, "outage: dropping request from node %u", from);
     return;
   }
   ByteReader r{request};

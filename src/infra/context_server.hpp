@@ -7,7 +7,7 @@
 // related to certain context entities" (Sec. 2). The DYNAMOS remote
 // repository the paper's tests query over UMTS is this component.
 //
-// Protocol (all frames event-notification sized, see event_broker.hpp):
+// Protocol (all frames event-notification sized, see event_envelope.hpp):
 //   kStore          entity, [location], CxtItem    -> ack
 //   kQuery          CxtQuery                       -> ack + items
 //   kRegisterQuery  CxtQuery                       -> ack; pushes follow

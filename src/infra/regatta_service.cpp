@@ -2,13 +2,9 @@
 
 #include <algorithm>
 
-#include "common/logging.hpp"
-#include "infra/event_broker.hpp"
+#include "infra/event_envelope.hpp"
 
 namespace contory::infra {
-namespace {
-constexpr const char* kModule = "regatta";
-}
 
 void RegattaStanding::Encode(ByteWriter& w) const {
   w.WriteString(boat);
@@ -95,11 +91,7 @@ void RegattaService::Report(const std::string& boat, GeoPoint position,
     state.last_passage = sim_.Now();
     advanced = true;
   }
-  if (advanced) {
-    CLOG_INFO(kModule, "%s passed checkpoint %zu/%zu", boat.c_str(),
-              state.next_checkpoint, checkpoints_.size());
-    PushStandings();
-  }
+  if (advanced) PushStandings();
 }
 
 std::vector<RegattaStanding> RegattaService::Standings() const {

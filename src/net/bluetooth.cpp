@@ -3,12 +3,10 @@
 #include <cmath>
 #include <utility>
 
-#include "common/logging.hpp"
 #include "obs/observability.hpp"
 
 namespace contory::net {
 namespace {
-constexpr const char* kModule = "bt";
 // Energy-ledger component names for this radio.
 constexpr const char* kScan = "bt.scan";
 constexpr const char* kInquiry = "bt.inquiry";
@@ -90,8 +88,6 @@ void BluetoothController::StartInquiry(InquiryCallback done) {
       found.push_back(
           BtDeviceInfo{id, bus_.medium().GetName(id).value_or("?")});
     }
-    CLOG_DEBUG(kModule, "node %u inquiry found %zu devices", node_,
-               found.size());
     done(std::move(found));
   }, "bt.inquiry.done");
 }
@@ -183,9 +179,6 @@ void BluetoothController::Connect(NodeId remote, ConnectCallback done) {
     peer->links_.emplace(remote_link, Link{node_, local, true});
     UpdateLinkPower();
     peer->UpdateLinkPower();
-    CLOG_DEBUG(kModule, "link %u:%llu <-> %u:%llu established", node_,
-               static_cast<unsigned long long>(local), remote,
-               static_cast<unsigned long long>(remote_link));
     done(local);
   }, "bt.page");
 }
@@ -347,8 +340,6 @@ void BluetoothController::OnPeerLinkDropped(BtLinkId local_link) {
   const NodeId peer = it->second.peer;
   links_.erase(it);
   UpdateLinkPower();
-  CLOG_DEBUG(kModule, "node %u link %llu to %u dropped", node_,
-             static_cast<unsigned long long>(local_link), peer);
   if (disconnect_handler_) disconnect_handler_(local_link, peer);
 }
 

@@ -2,27 +2,14 @@
 
 #include <utility>
 
-#include "common/logging.hpp"
 #include "obs/observability.hpp"
 
 namespace contory::net {
 namespace {
-constexpr const char* kModule = "cell";
 constexpr const char* kRrc = "cell.rrc";
 /// FACH -> DCH promotion is much cheaper than a cold connect.
 constexpr SimDuration kFachPromotion = std::chrono::milliseconds{420};
 }  // namespace
-
-const char* RrcStateName(RrcState s) noexcept {
-  switch (s) {
-    case RrcState::kIdle: return "IDLE";
-    case RrcState::kConnecting: return "CONNECTING";
-    case RrcState::kDch: return "DCH";
-    case RrcState::kDchTail: return "DCH_TAIL";
-    case RrcState::kFach: return "FACH";
-  }
-  return "?";
-}
 
 Status CellularNetwork::RegisterServer(const std::string& address,
                                        ServerHandler handler) {
@@ -36,10 +23,6 @@ Status CellularNetwork::RegisterServer(const std::string& address,
 
 void CellularNetwork::UnregisterServer(const std::string& address) {
   servers_.erase(address);
-}
-
-bool CellularNetwork::HasServer(const std::string& address) const noexcept {
-  return servers_.contains(address);
 }
 
 CellularNetwork::ServerHandler* CellularNetwork::FindServer(
@@ -107,7 +90,6 @@ void CellularModem::EnterState(RrcState s) {
   // While a dedicated/shared channel is up, the phone is not doing idle
   // paging wakeups on the side.
   phone_.SetPagingSuppressed(s != RrcState::kIdle);
-  CLOG_DEBUG(kModule, "node %u RRC -> %s", node_, RrcStateName(s));
 }
 
 void CellularModem::CancelDecay() {

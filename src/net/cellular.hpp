@@ -49,7 +49,6 @@ class CellularNetwork {
 
   Status RegisterServer(const std::string& address, ServerHandler handler);
   void UnregisterServer(const std::string& address);
-  [[nodiscard]] bool HasServer(const std::string& address) const noexcept;
 
   /// Pushes an asynchronous notification to a client modem (event-based
   /// interface). Fails if the client is unknown or its radio is off.
@@ -68,8 +67,6 @@ class CellularNetwork {
 
 /// Radio-resource-control states of the modem.
 enum class RrcState { kIdle, kConnecting, kDch, kDchTail, kFach };
-
-[[nodiscard]] const char* RrcStateName(RrcState s) noexcept;
 
 class CellularModem {
  public:

@@ -50,12 +50,6 @@ void WifiController::SetFailed(bool failed) {
   if (failed) phone_.energy().SetComponentPower(kConnected, 0.0);
 }
 
-std::vector<NodeId> WifiController::Neighbors() const {
-  std::vector<NodeId> out;
-  NeighborsInto(out);
-  return out;
-}
-
 void WifiController::NeighborsInto(std::vector<NodeId>& out) const {
   if (!enabled()) return;
   bus_.medium().NodesWithinInto(node_, config_.range_m, out,

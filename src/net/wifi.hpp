@@ -86,9 +86,8 @@ class WifiController {
     return extra_latency_;
   }
 
-  /// Enabled WiFi nodes currently in radio range, nearest first.
-  [[nodiscard]] std::vector<NodeId> Neighbors() const;
-  /// Neighbors() appended to `out`: no allocation once `out` is warm.
+  /// Appends the enabled WiFi nodes currently in radio range to `out`,
+  /// nearest first: no allocation once `out` is warm.
   void NeighborsInto(std::vector<NodeId>& out) const;
   [[nodiscard]] bool IsNeighbor(NodeId other) const;
 

@@ -96,13 +96,6 @@ const std::vector<double>& DefaultLatencyBoundsMs() {
   return kBounds;
 }
 
-const std::vector<double>& DefaultEnergyBoundsJ() {
-  static const std::vector<double> kBounds{
-      0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-      0.5,   1.0,    2.5,   5.0,  10.0,  25.0, 50.0};
-  return kBounds;
-}
-
 const std::vector<double>& DefaultHopBounds() {
   static const std::vector<double> kBounds{1.0,  2.0,  3.0,  4.0,  5.0,
                                            6.0,  7.0,  8.0,  10.0, 12.0,

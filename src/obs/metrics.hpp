@@ -89,9 +89,6 @@ class Histogram {
 /// roughly logarithmic — covers createCxtItem (0.078 ms) through BT
 /// device discovery (~13 s).
 [[nodiscard]] const std::vector<double>& DefaultLatencyBoundsMs();
-/// Default bounds for per-operation energy in Joules: 1 mJ to 50 J
-/// (Table 2 spans 0.099 J to 14.076 J).
-[[nodiscard]] const std::vector<double>& DefaultEnergyBoundsJ();
 /// Default bounds for small hop counts (sm_finder_hops): exact up to 16,
 /// then coarse to 64.
 [[nodiscard]] const std::vector<double>& DefaultHopBounds();

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace contory::phone {
 
 SmartPhone::SmartPhone(sim::Simulation& sim, PhoneProfile profile,

@@ -408,11 +408,11 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
         } else if (key == "degraded") {
           auto b = ParseOnOff(line_no, key, value);
           if (!b.ok()) return b.status();
-          d.factory.enable_degraded_mode = *b;
+          d.factory.failover.enable_degraded_mode = *b;
         } else if (key == "probe") {
           auto dur = ParseDur(line_no, value);
           if (!dur.ok()) return dur.status();
-          d.factory.recovery_probe_period = *dur;
+          d.factory.failover.recovery_probe_period = *dur;
         } else if (key == "retries") {
           auto n = ParseNumber(line_no, value);
           if (!n.ok()) return n.status();

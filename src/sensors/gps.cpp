@@ -169,7 +169,6 @@ void GpsDevice::PowerOn() {
   });
   ticker_ = std::make_unique<sim::PeriodicTask>(
       sim_, config_.fix_interval, [this] { Tick(); });
-  CLOG_INFO(kModule, "%s powered on", name_.c_str());
 }
 
 void GpsDevice::PowerOff() {
@@ -177,7 +176,6 @@ void GpsDevice::PowerOff() {
   powered_ = false;
   ticker_.reset();
   bt_->SetFailed(true);  // vanish from the air (Fig. 5)
-  CLOG_INFO(kModule, "%s powered off", name_.c_str());
 }
 
 void GpsDevice::Tick() {

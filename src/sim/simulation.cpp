@@ -4,25 +4,23 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/logging.hpp"
-
 namespace contory::sim {
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
-TimerId Simulation::ScheduleAt(SimTime t, Callback cb, std::string label) {
+TimerId Simulation::ScheduleAt(SimTime t, Callback cb, std::string_view) {
   if (!cb) throw std::invalid_argument("ScheduleAt: null callback");
   if (t < now_) t = now_;  // the past is unreachable; fire "now"
-  const TimerId id = events_.Emplace(Event{std::move(cb), std::move(label)});
+  const TimerId id = events_.Emplace(std::move(cb));
   heap_.push_back(HeapEntry{t, next_seq_++, id});
   std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
   return id;
 }
 
 TimerId Simulation::ScheduleAfter(SimDuration delay, Callback cb,
-                                  std::string label) {
+                                  std::string_view) {
   if (delay < SimDuration::zero()) delay = SimDuration::zero();
-  return ScheduleAt(now_ + delay, std::move(cb), std::move(label));
+  return ScheduleAt(now_ + delay, std::move(cb));
 }
 
 void Simulation::Cancel(TimerId id) {
@@ -48,19 +46,16 @@ bool Simulation::Step() {
   while (!heap_.empty()) {
     const HeapEntry head = heap_.front();
     PopHead();
-    Event* ev = events_.Find(head.id);
+    Callback* ev = events_.Find(head.id);
     if (ev == nullptr) {
       --tombstones_;
       continue;
     }
     now_ = head.at;
     ++dispatched_;
-    CLOG_TRACE("sim", "dispatch #%llu %s",
-               static_cast<unsigned long long>(dispatched_),
-               ev->label.c_str());
     // Fired: the id misses from here, so cancelling it is a no-op, and
     // the callback may reschedule into the freed slot.
-    const Callback cb = std::move(ev->cb);
+    const Callback cb = std::move(*ev);
     events_.Erase(head.id);
     cb();
     return true;
@@ -138,7 +133,7 @@ void PeriodicTask::Arm(SimDuration delay) {
 }
 
 Timer::Timer(Simulation& sim, SimTime at, std::function<void()> on_fire,
-             std::string label)
+             std::string_view)
     : sim_(sim), on_fire_(std::move(on_fire)) {
   if (!on_fire_) throw std::invalid_argument("Timer: null callback");
   pending_ = sim_.ScheduleAt(at, [this] {
@@ -146,7 +141,7 @@ Timer::Timer(Simulation& sim, SimTime at, std::function<void()> on_fire,
     // Run a moved-out copy: the callback may destroy this Timer.
     const auto fire = std::move(on_fire_);
     fire();
-  }, std::move(label));
+  });
 }
 
 }  // namespace contory::sim

@@ -10,7 +10,7 @@
 // two events scheduled for the same instant fire in the order they were
 // scheduled. This FIFO tiebreak is what makes protocol handshakes stable.
 //
-// A pending event's callback and label live in a SlotTable
+// A pending event's callback lives in a SlotTable
 // (common/slot_table.hpp), and its TimerId is the table handle; the time
 // heap holds only (time, seq, id). Cancel erases the entry, freeing the
 // callback at once; the heap entry left behind is a tombstone, skipped
@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/id.hpp"
@@ -55,12 +55,12 @@ class Simulation {
   [[nodiscard]] SimTime Now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute time `t` (>= Now(), else clamped to Now()).
-  /// `label` is for debugging/tracing only.
-  TimerId ScheduleAt(SimTime t, Callback cb, std::string label = {});
+  /// The label names the event at its call site; it is not stored.
+  TimerId ScheduleAt(SimTime t, Callback cb, std::string_view label = {});
 
   /// Schedules `cb` after a relative delay (negative clamps to zero).
   TimerId ScheduleAfter(SimDuration delay, Callback cb,
-                        std::string label = {});
+                        std::string_view label = {});
 
   /// Cancels a pending event. Cancelling an already-fired or invalid id is
   /// a harmless no-op (common when a timeout races its own completion).
@@ -102,10 +102,6 @@ class Simulation {
   [[nodiscard]] IdGenerator& ids() noexcept { return ids_; }
 
  private:
-  struct Event {
-    Callback cb;
-    std::string label;
-  };
   struct HeapEntry {
     SimTime at;
     std::uint64_t seq;  // insertion order: FIFO tiebreak at equal times
@@ -127,7 +123,7 @@ class Simulation {
   /// Heap entries whose event was cancelled.
   std::size_t tombstones_ = 0;
   /// Pending events by TimerId.
-  SlotTable<Event> events_;
+  SlotTable<Callback> events_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;
   Rng rng_;
@@ -177,7 +173,7 @@ class PeriodicTask {
 class Timer {
  public:
   Timer(Simulation& sim, SimTime at, std::function<void()> on_fire,
-        std::string label = {});
+        std::string_view label = {});
   ~Timer() { sim_.Cancel(pending_); }
 
   Timer(const Timer&) = delete;

@@ -9,6 +9,8 @@
 namespace contory::sm {
 namespace {
 constexpr const char* kModule = "sm";
+/// Tag exposed by nodes willing to route Contory SMs.
+const std::string kParticipationTag = "contory";
 }  // namespace
 
 void SmBus::Attach(net::NodeId id, SmRuntime* rt) {
@@ -37,14 +39,14 @@ SmRuntime::~SmRuntime() { bus_.Detach(node()); }
 
 void SmRuntime::SetParticipating(bool participating) {
   if (participating) {
-    tags_.Upsert(config_.participation_tag, "1");
+    tags_.Upsert(kParticipationTag, "1");
   } else {
-    (void)tags_.Delete(config_.participation_tag);
+    (void)tags_.Delete(kParticipationTag);
   }
 }
 
 bool SmRuntime::participating() const {
-  return tags_.Has(config_.participation_tag);
+  return tags_.Has(kParticipationTag);
 }
 
 void SmRuntime::RegisterCodeBrick(const std::string& brick,
@@ -84,8 +86,6 @@ void SmRuntime::TouchCodeCache(const std::string& brick) {
 Status SmRuntime::Inject(SmartMessage sm) {
   if (resident_ >= config_.max_resident) {
     ++rejected_;
-    CLOG_DEBUG(kModule, "node %u admission manager rejected SM %s", node(),
-               sm.id.c_str());
     return ResourceExhausted("admission manager: node busy");
   }
   ++admitted_;
@@ -147,8 +147,6 @@ void SmRuntime::CloseHopOnLoss(const std::string& sm_id,
 void SmRuntime::Migrate(SmartMessage sm, net::NodeId next) {
   SmRuntime* peer = bus_.Find(next);
   if (peer == nullptr || !wifi_.IsNeighbor(next)) {
-    CLOG_DEBUG(kModule, "node %u cannot migrate SM %s to %u; SM dies",
-               node(), sm.id.c_str(), next);
     COBS(if (sm.trace_parent != 0) {
       obs::Observability::tracer().AddNote(
           sm.trace_parent, "sm-dead:unreachable@" + std::to_string(node()));
@@ -182,12 +180,8 @@ void SmRuntime::Migrate(SmartMessage sm, net::NodeId next) {
   auto wire = sm.Serialize(code_bytes, cached);
   sim_.ScheduleAfter(ser, [this, next, id = sm.id,
                            wire = std::move(wire)]() mutable {
-    wifi_.SendFrame(next, std::move(wire), [this, next, id](Status s) {
-      if (!s.ok()) {
-        CLOG_DEBUG(kModule, "node %u migration frame to %u lost: %s",
-                   node(), next, s.ToString().c_str());
-        COBS(CloseHopOnLoss(id, s));
-      }
+    wifi_.SendFrame(next, std::move(wire), [this, id](Status s) {
+      if (!s.ok()) COBS(CloseHopOnLoss(id, s));
     });
   }, "sm.serialize");
 }
@@ -207,8 +201,6 @@ void SmRuntime::Receive(net::NodeId from, const std::vector<std::byte>& wire) {
   });
   if (resident_ >= config_.max_resident) {
     ++rejected_;  // admission rejection = silent SM death
-    CLOG_DEBUG(kModule, "node %u admission manager rejected SM %s", node(),
-               sm->id.c_str());
     COBS(if (sm->trace_hop != 0) {
       obs::Observability::tracer().EndStage(sm->trace_hop, sim_.Now(),
                                             "rejected:admission");

@@ -110,8 +110,6 @@ struct SmRuntimeConfig {
   std::size_t max_resident = 16;
   /// Code cache capacity in bricks (LRU).
   std::size_t code_cache_capacity = 32;
-  /// Tag exposed by nodes willing to route Contory SMs.
-  std::string participation_tag = "contory";
 };
 
 class SmRuntime {

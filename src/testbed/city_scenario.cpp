@@ -96,11 +96,6 @@ CityScenario::CityScenario(CityOptions options)
     }
     mobility_->Start();
   }
-  CLOG_INFO(kModule,
-            "city built: %zu phones (%zu providers) over %.0f m side, "
-            "%zu grid cells",
-            phone_count(), provider_count_, side_m_,
-            medium_.occupied_cells());
 }
 
 CityScenario::~CityScenario() { obs::Clock::Uninstall(clock_token_); }

@@ -49,15 +49,6 @@ infra::ContextServer& World::AddContextServer(
   return *servers_.back();
 }
 
-infra::EventBroker& World::AddEventBroker(const std::string& address) {
-  brokers_.push_back(
-      std::make_unique<infra::EventBroker>(sim_, cellular_, address));
-  infra::EventBroker* broker = brokers_.back().get();
-  injector_.RegisterOutageSwitch(
-      address, [broker](bool down) { broker->SetOutage(down); });
-  return *brokers_.back();
-}
-
 infra::RegattaService& World::AddRegattaService(
     const std::string& address, std::vector<GeoPoint> checkpoints,
     double radius_m) {

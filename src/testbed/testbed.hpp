@@ -15,7 +15,6 @@
 #include "core/contory.hpp"
 #include "fault/fault_injector.hpp"
 #include "infra/context_server.hpp"
-#include "infra/event_broker.hpp"
 #include "infra/regatta_service.hpp"
 #include "sensors/environment.hpp"
 #include "sensors/gps.hpp"
@@ -31,10 +30,10 @@ struct DeviceOptions {
   bool with_cellular = true;
   bool with_contory = true;
   /// Internal environment sensors to register (e.g. {vocab::kTemperature}).
-  std::vector<std::string> internal_sensors;
+  std::vector<std::string> internal_sensors{};
   /// Default extInfra address for this device's queries.
-  std::string infra_address;
-  core::ContextFactoryConfig factory_config;
+  std::string infra_address{};
+  core::ContextFactoryConfig factory_config{};
 };
 
 class World;
@@ -120,7 +119,6 @@ class World {
   /// Infrastructure services (hosted in the fixed network).
   infra::ContextServer& AddContextServer(
       const std::string& address, infra::ContextServerConfig config = {});
-  infra::EventBroker& AddEventBroker(const std::string& address);
   infra::RegattaService& AddRegattaService(
       const std::string& address, std::vector<GeoPoint> checkpoints,
       double radius_m = 150.0);
@@ -141,7 +139,6 @@ class World {
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<std::unique_ptr<sensors::GpsDevice>> gps_devices_;
   std::vector<std::unique_ptr<infra::ContextServer>> servers_;
-  std::vector<std::unique_ptr<infra::EventBroker>> brokers_;
   std::vector<std::unique_ptr<infra::RegattaService>> regattas_;
   /// obs::Clock installation owned by this World (0 = superseded).
   std::uint64_t clock_token_ = 0;

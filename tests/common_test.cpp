@@ -93,13 +93,6 @@ TEST(RngTest, NormalHasRoughlyRightMoments) {
   EXPECT_NEAR(s.stddev(), 2.0, 0.05);
 }
 
-TEST(RngTest, ExponentialHasRightMean) {
-  Rng rng{13};
-  RunningStats s;
-  for (int i = 0; i < 50'000; ++i) s.Add(rng.Exponential(3.0));
-  EXPECT_NEAR(s.mean(), 3.0, 0.1);
-}
-
 TEST(RngTest, LogNormalIsPositiveAndHeavyTailed) {
   Rng rng{17};
   RunningStats s;
@@ -182,7 +175,6 @@ TEST(ResultTest, HoldsError) {
 TEST(BytesTest, PrimitivesRoundTrip) {
   ByteWriter w;
   w.WriteU8(0xab);
-  w.WriteU16(0x1234);
   w.WriteU32(0xdeadbeef);
   w.WriteU64(0x0123456789abcdefULL);
   w.WriteI64(-42);
@@ -192,7 +184,6 @@ TEST(BytesTest, PrimitivesRoundTrip) {
 
   ByteReader r{w.bytes()};
   EXPECT_EQ(r.ReadU8().value(), 0xab);
-  EXPECT_EQ(r.ReadU16().value(), 0x1234);
   EXPECT_EQ(r.ReadU32().value(), 0xdeadbeefu);
   EXPECT_EQ(r.ReadU64().value(), 0x0123456789abcdefULL);
   EXPECT_EQ(r.ReadI64().value(), -42);
@@ -204,15 +195,18 @@ TEST(BytesTest, PrimitivesRoundTrip) {
 
 TEST(BytesTest, BigEndianOnTheWire) {
   ByteWriter w;
-  w.WriteU16(0x0102);
-  ASSERT_EQ(w.size(), 2u);
+  w.WriteU32(0x01020304);
+  ASSERT_EQ(w.size(), 4u);
   EXPECT_EQ(w.bytes()[0], std::byte{0x01});
   EXPECT_EQ(w.bytes()[1], std::byte{0x02});
+  EXPECT_EQ(w.bytes()[2], std::byte{0x03});
+  EXPECT_EQ(w.bytes()[3], std::byte{0x04});
 }
 
 TEST(BytesTest, TruncatedReadsFailCleanly) {
   ByteWriter w;
-  w.WriteU16(7);
+  w.WriteU8(0);
+  w.WriteU8(7);
   ByteReader r{w.bytes()};
   EXPECT_FALSE(r.ReadU32().ok());
   EXPECT_EQ(r.ReadU32().status().code(), StatusCode::kInvalidArgument);

@@ -15,14 +15,20 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/contory.hpp"
+#include "net/medium.hpp"
+#include "net/wifi.hpp"
 #include "obs/observability.hpp"
+#include "phone/phone_profiles.hpp"
+#include "phone/smart_phone.hpp"
 #include "sim/simulation.hpp"
+#include "sm/sm_runtime.hpp"
 #include "testbed/testbed.hpp"
 
 // Out of line, so the compiler does not pair an inlined free() with a
@@ -50,7 +56,8 @@ constexpr int kOps = 4096;
 
 /// Per-operation upper bounds (mean allocations), each the count when
 /// it was set.
-constexpr double kSubmitBound = 9.59;
+constexpr double kParseBound = 6.0;
+constexpr double kSubmitBound = 9.35;
 constexpr double kCancelObsOffBound = 0.16;
 constexpr double kCancelObsOnBound = 3.16;
 constexpr double kTimerBound = 0.002;
@@ -58,6 +65,9 @@ constexpr double kStageSpanBound = 0.51;
 /// One provider item fanned out to every original of a warm cluster,
 /// through the facade and the router to the clients.
 constexpr double kFanOutBound = 0.0;
+/// One SM routing hop (NextHopTowardTag plus HopDistanceToTag) once the
+/// bus's BFS scratch is warm.
+constexpr double kSmHopBound = 0.0;
 
 bool SkipUnderSanitizers() {
 #if defined(CONTORY_SANITIZED)
@@ -89,13 +99,38 @@ void ExpectMeanAtMost(const char* op, std::size_t allocations, double bound) {
   EXPECT_LE(mean, bound) << op;
 }
 
-/// One phone with kLive periodic adHocNetwork queries, clock frozen: 3
-/// in 4 SELECT a type of their own (own cluster, own provider), 1 in 4
-/// one of kShared types (merged), as in the query_churn workload.
+/// Periodic adHocNetwork query texts, as in the query_churn workload: 3
+/// in 4 SELECT a type of their own, 1 in 4 one of kShared types.
+class QueryTexts {
+ public:
+  static constexpr std::int64_t kShared = 64;
+
+  std::string Next() {
+    const std::string type =
+        rng_.UniformInt(0, 3) == 0
+            ? "shared" + std::to_string(rng_.UniformInt(0, kShared - 1))
+            : "unique" + std::to_string(unique_++);
+    return "SELECT " + type +
+           " FROM adHocNetwork(1,1) DURATION 1 hour EVERY 60 sec";
+  }
+
+  /// A victim index in [0, n).
+  std::size_t Pick(std::size_t n) {
+    return static_cast<std::size_t>(
+        rng_.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  }
+
+ private:
+  Rng rng_{11};
+  std::uint64_t unique_ = 0;
+};
+
+/// One phone with kLive queries from QueryTexts, clock frozen: the
+/// unique types get a cluster and a provider of their own, the shared
+/// ones merge.
 class Churn {
  public:
   static constexpr std::size_t kLive = 2'000;
-  static constexpr std::int64_t kShared = 64;
 
   Churn() : world_(7) {
     testbed::DeviceOptions opts;
@@ -110,13 +145,7 @@ class Churn {
 
   /// A parsed query with its id, built outside any counted scope.
   query::CxtQuery Next() {
-    const std::string type =
-        rng_.UniformInt(0, 3) == 0
-            ? "shared" + std::to_string(rng_.UniformInt(0, kShared - 1))
-            : "unique" + std::to_string(unique_++);
-    auto q = query::CxtQuery::Parse(
-        "SELECT " + type + " FROM adHocNetwork(1,1) DURATION 1 hour "
-        "EVERY 60 sec");
+    auto q = query::CxtQuery::Parse(texts_.Next());
     EXPECT_TRUE(q.ok());
     q->id = world_.sim().ids().NextId("q");
     return *std::move(q);
@@ -128,10 +157,7 @@ class Churn {
     return id.ok() ? *std::move(id) : std::string();
   }
 
-  std::size_t PickVictim() {
-    return static_cast<std::size_t>(
-        rng_.UniformInt(0, static_cast<std::int64_t>(live_.size()) - 1));
-  }
+  std::size_t PickVictim() { return texts_.Pick(live_.size()); }
   std::string& live(std::size_t i) { return live_[i]; }
 
   /// Fires the zero-delay events (the facades' reaps) without advancing
@@ -144,8 +170,7 @@ class Churn {
   testbed::World world_;
   testbed::Device* device_ = nullptr;
   std::vector<std::string> live_;
-  Rng rng_{11};
-  std::uint64_t unique_ = 0;
+  QueryTexts texts_;
 };
 
 /// Counts its items without storing them.
@@ -292,6 +317,17 @@ class CostTest : public ::testing::Test {
   }
 };
 
+TEST_F(CostTest, ParseChurnQuery) {
+  QueryTexts texts;
+  std::size_t allocations = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const std::string text = texts.Next();
+    Counted counted(allocations);
+    EXPECT_TRUE(query::CxtQuery::Parse(text).ok());
+  }
+  ExpectMeanAtMost("parse churn query", allocations, kParseBound);
+}
+
 TEST_F(CostTest, AdHocSubmit) {
   ExpectMeanAtMost("adHoc submit", Churned(/*count_submit=*/true),
                    kSubmitBound);
@@ -360,6 +396,62 @@ TEST_F(CostTest, ScheduleAfterThenCancel) {
     sim.Cancel(sim.ScheduleAfter(1s, [] {}, "cost"));
   }
   ExpectMeanAtMost("ScheduleAfter + Cancel", allocations, kTimerBound);
+}
+
+/// Four WiFi phones in a line, 80 m apart (100 m range), every one in
+/// the SM overlay; the far end exposes the tag routed toward.
+class SmLine {
+ public:
+  static constexpr int kNodes = 4;
+  static constexpr const char* kTag = "cxt.t";
+
+  SmLine() {
+    for (int i = 0; i < kNodes; ++i) {
+      const std::string name = "comm-" + std::to_string(i);
+      phones_.push_back(std::make_unique<phone::SmartPhone>(
+          sim_, phone::Nokia9500(), name));
+      nodes_.push_back(medium_.Register(name, {i * 80.0, 0}));
+      wifis_.push_back(std::make_unique<net::WifiController>(
+          sim_, wifi_bus_, *phones_.back(), nodes_.back()));
+      wifis_.back()->SetEnabled(true);
+      runtimes_.push_back(std::make_unique<sm::SmRuntime>(
+          sim_, sm_bus_, *wifis_.back()));
+      runtimes_.back()->SetParticipating(true);
+    }
+    runtimes_.back()->tags().Upsert(kTag, "x");
+  }
+
+  sm::SmRuntime& runtime(int i) { return *runtimes_[i]; }
+  net::NodeId node(int i) const { return nodes_[i]; }
+
+ private:
+  sim::Simulation sim_{21};
+  net::Medium medium_;
+  net::WifiBus wifi_bus_{medium_};
+  sm::SmBus sm_bus_;
+  std::vector<std::unique_ptr<phone::SmartPhone>> phones_;
+  std::vector<net::NodeId> nodes_;
+  std::vector<std::unique_ptr<net::WifiController>> wifis_;
+  std::vector<std::unique_ptr<sm::SmRuntime>> runtimes_;
+};
+
+TEST_F(CostTest, SmHopWarmBuffers) {
+  SmLine line;
+  const std::string tag = SmLine::kTag;
+  (void)line.runtime(0).NextHopTowardTag(tag);  // warms the bus scratch
+  std::size_t allocations = 0;
+  for (int i = 0; i < kOps; ++i) {
+    std::optional<Result<net::NodeId>> hop;
+    std::optional<Result<int>> distance;
+    {
+      Counted counted(allocations);
+      hop.emplace(line.runtime(0).NextHopTowardTag(tag));
+      distance.emplace(line.runtime(1).HopDistanceToTag(tag));
+    }
+    ASSERT_EQ(hop->value(), line.node(1));
+    ASSERT_EQ(distance->value(), 2);
+  }
+  ExpectMeanAtMost("SM hop, warm buffers", allocations, kSmHopBound);
 }
 
 TEST_F(CostTest, StageSpanOpenAndClose) {

@@ -24,7 +24,7 @@ class FailoverTest : public ::testing::Test {
     phone_opts.name = "phone-A";
     phone_opts.position = {0, 0};
     core::ContextFactoryConfig cfg;
-    cfg.recovery_probe_period = 20s;
+    cfg.failover.recovery_probe_period = 20s;
     phone_opts.factory_config = cfg;
     device_ = &world_.AddDevice(phone_opts);
 

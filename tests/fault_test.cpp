@@ -614,7 +614,7 @@ class DegradedModeTest : public ::testing::Test {
     testbed::DeviceOptions opts;
     opts.name = "phone-A";
     core::ContextFactoryConfig cfg;
-    cfg.recovery_probe_period = 15s;
+    cfg.failover.recovery_probe_period = 15s;
     opts.factory_config = cfg;
     world_.AddDevice(opts);
     world_.AddGps("gps-1", {3, 0});
@@ -625,7 +625,7 @@ class DegradedModeTest : public ::testing::Test {
 
 TEST_F(DegradedModeTest, DisabledDegradedModeFailsHard) {
   core::ContextFactoryConfig cfg;
-  cfg.enable_degraded_mode = false;
+  cfg.failover.enable_degraded_mode = false;
   testbed::DeviceOptions opts;
   opts.name = "phone-C";
   opts.position = {100, 100};  // out of BT range of the fixture devices
@@ -652,7 +652,7 @@ std::string RunChaosScenario(std::uint64_t seed) {
   testbed::DeviceOptions phone_opts;
   phone_opts.name = "phone-A";
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 20s;
+  cfg.failover.recovery_probe_period = 20s;
   phone_opts.factory_config = cfg;
   auto& device = world.AddDevice(phone_opts);
   world.AddGps("gps-1", {3, 0});

@@ -8,7 +8,7 @@
 #include "core/model/vocabulary.hpp"
 #include "core/query/parser.hpp"
 #include "infra/context_server.hpp"
-#include "infra/event_broker.hpp"
+#include "infra/event_envelope.hpp"
 #include "infra/regatta_service.hpp"
 #include "net/cellular.hpp"
 #include "net/medium.hpp"
@@ -71,61 +71,6 @@ class InfraFixture : public ::testing::Test {
   net::NodeId node_a_{}, node_b_{};
   std::unique_ptr<net::CellularModem> modem_a_, modem_b_;
 };
-
-class EventBrokerTest : public InfraFixture {
- protected:
-  EventBrokerTest() : broker_(sim_, network_, "fuego.hiit.fi") {}
-  EventBroker broker_;
-};
-
-TEST_F(EventBrokerTest, PublishReachesSubscriber) {
-  EventClient client_a{*modem_a_, "fuego.hiit.fi"};
-  EventClient client_b{*modem_b_, "fuego.hiit.fi"};
-  std::string received;
-  client_b.Subscribe("weather", [&](const Event& e) {
-    received.assign(reinterpret_cast<const char*>(e.payload.data()),
-                    e.payload.size());
-  });
-  sim_.RunFor(30s);
-  EXPECT_EQ(broker_.SubscriberCount("weather"), 1u);
-  client_a.Publish("weather", Bytes("wind 6kt"));
-  sim_.RunFor(30s);
-  EXPECT_EQ(received, "wind 6kt");
-  EXPECT_EQ(broker_.events_published(), 1u);
-}
-
-TEST_F(EventBrokerTest, NoEchoToPublisher) {
-  EventClient client_a{*modem_a_, "fuego.hiit.fi"};
-  int self_events = 0;
-  client_a.Subscribe("t", [&](const Event&) { ++self_events; });
-  sim_.RunFor(30s);
-  client_a.Publish("t", Bytes("x"));
-  sim_.RunFor(30s);
-  EXPECT_EQ(self_events, 0);
-}
-
-TEST_F(EventBrokerTest, UnsubscribeStopsDelivery) {
-  EventClient client_a{*modem_a_, "fuego.hiit.fi"};
-  EventClient client_b{*modem_b_, "fuego.hiit.fi"};
-  int events = 0;
-  client_b.Subscribe("t", [&](const Event&) { ++events; });
-  sim_.RunFor(30s);
-  client_b.Unsubscribe("t");
-  sim_.RunFor(30s);
-  client_a.Publish("t", Bytes("x"));
-  sim_.RunFor(30s);
-  EXPECT_EQ(events, 0);
-  EXPECT_EQ(broker_.SubscriberCount("t"), 0u);
-}
-
-TEST_F(EventBrokerTest, PublishAcksFailureWhenRadioOff) {
-  EventClient client_a{*modem_a_, "fuego.hiit.fi"};
-  modem_a_->SetRadioOn(false);
-  Status status;
-  client_a.Publish("t", Bytes("x"), [&](Status s) { status = s; });
-  sim_.RunFor(5s);
-  EXPECT_FALSE(status.ok());
-}
 
 CxtItem MakeItem(const std::string& type, double value, SimTime now,
                  const std::string& id) {

@@ -336,7 +336,7 @@ class GpsWorldTest : public ::testing::Test {
     testbed::DeviceOptions opts;
     opts.name = "phone-A";
     core::ContextFactoryConfig cfg;
-    cfg.recovery_probe_period = 15s;
+    cfg.failover.recovery_probe_period = 15s;
     opts.factory_config = cfg;
     device_ = &world_.AddDevice(opts);
     world_.AddGps("gps-1", {3, 0});
@@ -385,7 +385,7 @@ TEST(LifecycleInvariantTest, FinishedQueriesLeaveNothingScheduled) {
   opts.with_cellular = false;
   opts.internal_sensors = {vocab::kTemperature};
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 10min;  // stays degraded once there
+  cfg.failover.recovery_probe_period = 10min;  // stays degraded once there
   opts.factory_config = cfg;
   auto& device = world.AddDevice(opts);
   core::ContextFactory& factory = device.contory();

@@ -116,7 +116,9 @@ TEST_P(GridOracleTest, ChurnedQueriesAreByteIdentical) {
       const auto da = m.grid.DistanceBetween(a, b);
       const auto db = m.oracle.DistanceBetween(a, b);
       ASSERT_EQ(da.ok(), db.ok());
-      if (da.ok()) EXPECT_EQ(*da, *db);
+      if (da.ok()) {
+        EXPECT_EQ(*da, *db);
+      }
     }
   }
 }

@@ -264,12 +264,12 @@ TEST(VocabularyTest, KnowsPaperTypes) {
 
 TEST(VocabularyTest, TypeInfoCarriesKindAndEnvelope) {
   const auto& v = CxtVocabulary::Default();
-  const auto location = v.Find(vocab::kLocation);
-  ASSERT_TRUE(location.has_value());
+  const CxtTypeInfo* location = v.Find(vocab::kLocation);
+  ASSERT_NE(location, nullptr);
   EXPECT_EQ(location->kind, ValueKind::kGeo);
   EXPECT_EQ(location->envelope_bytes, 136u);
-  const auto wind = v.Find(vocab::kWind);
-  ASSERT_TRUE(wind.has_value());
+  const CxtTypeInfo* wind = v.Find(vocab::kWind);
+  ASSERT_NE(wind, nullptr);
   EXPECT_EQ(wind->envelope_bytes, 53u);
 }
 

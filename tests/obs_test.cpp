@@ -764,7 +764,7 @@ TEST_F(ObsTest, DegradedLifecycleProducesNestedStageSpans) {
   testbed::DeviceOptions opts;
   opts.name = "phone-A";
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 15s;
+  cfg.failover.recovery_probe_period = 15s;
   opts.factory_config = cfg;
   auto& device = world.AddDevice(opts);
   world.AddGps("gps-1", {3, 0});
@@ -1193,7 +1193,7 @@ TEST_F(SpanItemCountTest, DegradedEpisodeCountsStaleItems) {
   testbed::DeviceOptions opts;
   opts.name = "phone-A";
   core::ContextFactoryConfig cfg;
-  cfg.recovery_probe_period = 15s;
+  cfg.failover.recovery_probe_period = 15s;
   opts.factory_config = cfg;
   auto& device = world.AddDevice(opts);
   world.AddGps("gps-1", {3, 0});

@@ -323,7 +323,7 @@ TEST_F(PipelineWorldTest, StopAllAcrossShardsIsSingleTerminalPerQuery) {
   // Many queries: StopAll must walk every record through the facade
   // finish path without double-finishing any.
   core::ContextFactoryConfig cfg;
-  cfg.enable_degraded_mode = false;
+  cfg.failover.enable_degraded_mode = false;
   opts.factory_config = cfg;
   auto& device = world.AddDevice(opts);
 

@@ -84,8 +84,8 @@ TEST_P(ItemRoundTripTest, KnownTypesHonorEnvelopeSizes) {
   Rng rng{GetParam()};
   for (int i = 0; i < 50; ++i) {
     const CxtItem item = GenerateItem(rng);
-    const auto info = CxtVocabulary::Default().Find(item.type);
-    if (!info.has_value()) continue;
+    const CxtTypeInfo* info = CxtVocabulary::Default().Find(item.type);
+    if (info == nullptr) continue;
     EXPECT_GE(item.Serialize().size(), info->envelope_bytes);
   }
 }
@@ -192,7 +192,9 @@ TEST_P(MergeSubsumptionTest, MergedQuerySubsumesBoth) {
       }
     }
     // WHERE: merged keeps it only when identical.
-    if (m->where.has_value()) EXPECT_EQ(m->where, original->where);
+    if (m->where.has_value()) {
+      EXPECT_EQ(m->where, original->where);
+    }
   }
 }
 
@@ -308,7 +310,9 @@ void ExpectSubsumes(const query::CxtQuery& m, const query::CxtQuery& q) {
   }
   ASSERT_TRUE(m.every.has_value() && q.every.has_value());
   EXPECT_LE(*m.every, *q.every) << q.id;
-  if (m.where.has_value()) EXPECT_EQ(m.where, q.where) << q.id;
+  if (m.where.has_value()) {
+    EXPECT_EQ(m.where, q.where) << q.id;
+  }
 }
 
 /// Often one of three fixed clause sets, so a cancelled original repeats
@@ -662,7 +666,9 @@ TEST_P(PredicateAlgebraTest, DoubleNegationIsIdentity) {
     const auto direct = query::EvalWhere(p, item);
     const auto doubled = query::EvalWhere(not_not_p, item);
     ASSERT_EQ(direct.ok(), doubled.ok());
-    if (direct.ok()) EXPECT_EQ(*direct, *doubled);
+    if (direct.ok()) {
+      EXPECT_EQ(*direct, *doubled);
+    }
   }
 }
 
@@ -778,7 +784,9 @@ NaiveBfs RunNaiveBfs(const sm::SmBus& bus, net::NodeId source,
     const net::NodeId current = frontier.front();
     frontier.pop();
     if (max_depth > 0 && bfs.depth[current] >= max_depth) continue;
-    for (const net::NodeId nb : bus.Find(current)->wifi().Neighbors()) {
+    std::vector<net::NodeId> neighbors;
+    bus.Find(current)->wifi().NeighborsInto(neighbors);
+    for (const net::NodeId nb : neighbors) {
       if (bfs.depth.contains(nb) || exclude.contains(nb)) continue;
       sm::SmRuntime* rt = bus.Find(nb);
       if (rt == nullptr || !rt->participating()) continue;

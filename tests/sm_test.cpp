@@ -3,9 +3,7 @@
 // and content-based routing over the participation overlay.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "net/medium.hpp"
@@ -16,23 +14,6 @@
 #include "sm/sm_runtime.hpp"
 #include "sm/smart_message.hpp"
 #include "sm/tag_space.hpp"
-
-// Counts every global operator new in this binary, so a test can assert
-// that a warm routing hop allocates nothing. Out of line, so the compiler
-// does not pair an inlined free() with a new-expression.
-namespace {
-std::size_t g_allocations = 0;
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace contory::sm {
 namespace {
@@ -107,8 +88,12 @@ TEST(TagSpaceTest, MatchByPrefixHidesLockedValues) {
   const auto hits = tags.Match("cxt.");
   ASSERT_EQ(hits.size(), 2u);
   for (const auto& t : hits) {
-    if (t.name == "cxt.location") EXPECT_TRUE(t.value.empty());
-    if (t.name == "cxt.temperature") EXPECT_EQ(t.value, "14");
+    if (t.name == "cxt.location") {
+      EXPECT_TRUE(t.value.empty());
+    }
+    if (t.name == "cxt.temperature") {
+      EXPECT_EQ(t.value, "14");
+    }
   }
 }
 
@@ -407,18 +392,6 @@ TEST_F(SmRuntimeTest, RoutingSeesTagSpaceChangesAtTheNextBfs) {
   EXPECT_FALSE(runtimes_[0]->NextHopTowardTag("cxt.t").ok());
   EXPECT_FALSE(runtimes_[0]->HopDistanceToTag("cxt.t").ok());
   EXPECT_TRUE(runtimes_[0]->NodesWithTag("cxt.t").empty());
-}
-
-TEST_F(SmRuntimeTest, WarmRoutingHopAllocatesNothing) {
-  const std::string tag = "cxt.t";
-  runtimes_[3]->tags().Upsert(tag, "x");
-  (void)runtimes_[0]->NextHopTowardTag(tag);  // warms the bus scratch
-  const std::size_t before = g_allocations;
-  const auto hop = runtimes_[0]->NextHopTowardTag(tag);
-  const auto distance = runtimes_[1]->HopDistanceToTag(tag);
-  EXPECT_EQ(g_allocations, before);
-  EXPECT_EQ(hop.value(), nodes_[1]);
-  EXPECT_EQ(distance.value(), 2);
 }
 
 TEST_F(SmRuntimeTest, HopDistanceToTag) {

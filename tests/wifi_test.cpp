@@ -54,13 +54,17 @@ TEST_F(WifiTest, LineTopologyNeighborhoods) {
   EXPECT_FALSE(wifi_a_->IsNeighbor(node_c_));
   EXPECT_TRUE(wifi_b_->IsNeighbor(node_a_));
   EXPECT_TRUE(wifi_b_->IsNeighbor(node_c_));
-  EXPECT_EQ(wifi_b_->Neighbors().size(), 2u);
+  std::vector<NodeId> neighbors;
+  wifi_b_->NeighborsInto(neighbors);
+  EXPECT_EQ(neighbors, (std::vector<NodeId>{node_a_, node_c_}));
 }
 
 TEST_F(WifiTest, DisabledNodeIsNotANeighbor) {
   wifi_b_->SetEnabled(false);
   EXPECT_FALSE(wifi_a_->IsNeighbor(node_b_));
-  EXPECT_TRUE(wifi_a_->Neighbors().empty());
+  std::vector<NodeId> neighbors;
+  wifi_a_->NeighborsInto(neighbors);
+  EXPECT_TRUE(neighbors.empty());
 }
 
 TEST_F(WifiTest, FrameDeliveredToNeighbor) {
