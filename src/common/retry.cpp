@@ -17,9 +17,9 @@ Result<SimDuration> RetryState::NextBackoff(SimTime now) {
                              std::to_string(config_.max_attempts) +
                              " attempts)");
   }
-  // Exponential growth from the initial backoff, capped.
+  // Doubling from the initial backoff, capped.
   double scale = 1.0;
-  for (int i = 1; i < attempts_; ++i) scale *= config_.backoff_multiplier;
+  for (int i = 1; i < attempts_; ++i) scale *= 2.0;
   const auto raw = static_cast<double>(config_.initial_backoff.count()) *
                    scale;
   const auto capped =

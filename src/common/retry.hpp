@@ -24,9 +24,8 @@ namespace contory {
 struct RetryPolicyConfig {
   /// Total attempts including the first (1 = never retry).
   int max_attempts = 4;
-  /// Backoff before the first retry; doubles (times multiplier) after.
+  /// Backoff before the first retry; doubles after each retry.
   SimDuration initial_backoff = std::chrono::milliseconds{500};
-  double backoff_multiplier = 2.0;
   SimDuration max_backoff = std::chrono::seconds{10};
   /// Multiplicative jitter spread on every backoff (0.2 = +-20%).
   double jitter = 0.2;

@@ -253,25 +253,11 @@ Result<std::string> ContextFactory::DegradeAtAdmission(
 Status ContextFactory::AssignToFacade(QueryRecord& record,
                                       query::SourceSel kind) {
   const auto i = static_cast<std::size_t>(kind);
-  bool opened = false;
-  COBS({
-    // One provision window per mechanism the query is ever assigned to;
-    // re-assignment after failover opens a fresh window. It opens before
-    // Submit because providers may deliver their first item (and the
-    // adHoc provider nests its hop spans) from inside it.
-    std::uint64_t& span = record.obs.provision[i];
-    if (span == 0) {
-      span = obs::Observability::tracer().BeginStage(
-          record.obs.root, "provision", query::SourceSelName(kind),
-          services_.sim->Now());
-      record.obs.provision_items[i] = 0;
-      opened = span != 0;
-    }
-  });
   const QueryId qid = record.qid;
-  // Listed before Submit: a cancel from inside a synchronous first
-  // delivery must reach this facade too.
-  const bool newly_assigned = record.assigned.insert(kind);
+  // Listed, and its provision span opened, before Submit: a cancel from
+  // inside a synchronous first delivery must reach this facade too, and
+  // the provider may deliver (or nest its hop spans) from inside Submit.
+  const bool newly_assigned = table_.Assign(record, kind);
   // The record's expiry ends the query, but the wire query still carries
   // DURATION to the context server, which counts it from "now": a
   // failover re-assignment must hand the facade only the remaining
@@ -300,16 +286,7 @@ Status ContextFactory::AssignToFacade(QueryRecord& record,
     live->cluster[i] = *ref;
     return Status::Ok();
   }
-  if (newly_assigned) live->assigned.erase(kind);
-  if (opened) {
-    COBS({
-      auto& tracer = obs::Observability::tracer();
-      tracer.AddItems(live->obs.provision[i], live->obs.provision_items[i]);
-      tracer.EndStage(live->obs.provision[i], services_.sim->Now(),
-                      "not-assigned");
-      live->obs.provision[i] = 0;
-    });
-  }
+  if (newly_assigned) table_.Unassign(*live, kind, "not-assigned");
   return ref.status();
 }
 

@@ -5,14 +5,6 @@
 #include "sensors/gps.hpp"
 
 namespace contory::core {
-namespace {
-obs::Gauge& DegradedGauge() {
-  static obs::Gauge& g =
-      obs::Observability::metrics().GetGauge("queries_degraded");
-  return g;
-}
-
-}  // namespace
 
 FailoverCoordinator::FailoverCoordinator(
     sim::Simulation& sim, FailoverConfig config, QueryTable& table,
@@ -44,40 +36,20 @@ void FailoverCoordinator::OnFacadeFinished(query::SourceSel kind,
                                            const Status& status) {
   QueryRecord* record = table_.FindById(qid);
   if (record == nullptr) return;
-  record->assigned.erase(kind);
-  COBS({
-    // The mechanism's provision window ends here, successful or not.
-    const auto i = static_cast<std::size_t>(kind);
-    std::uint64_t& span = record->obs.provision[i];
-    if (span != 0) {
-      auto& tracer = obs::Observability::tracer();
-      tracer.AddItems(span, record->obs.provision_items[i]);
-      tracer.EndStage(span, sim_.Now(),
-                      status.ok() ? "ok" : "failed: " + status.ToString());
-      span = 0;
-    }
-    if (!status.ok()) {
-      obs::Observability::metrics()
-          .GetCounter("provider_failures_total",
-                      {{"mechanism", query::SourceSelName(kind)}})
-          .Inc();
-    }
-  });
   if (status.ok()) {
     // Duration complete on this mechanism; the query is over when no
     // facade still serves it.
+    table_.Unassign(*record, kind, "ok");
     if (record->assigned.empty()) table_.FinishById(qid);
     return;
   }
+  table_.Unassign(*record, kind, "failed: " + status.ToString());
+  COBS(obs::Observability::metrics()
+           .GetCounter("provider_failures_total",
+                       {{"mechanism", query::SourceSelName(kind)}})
+           .Inc());
   record->failed.insert(kind);
-  table_.Transition(*record, QueryState::kFailingOver);
-  COBS({
-    if (record->obs.failover == 0) {
-      record->obs.failover = obs::Observability::tracer().BeginStage(
-          record->obs.root, "failover", query::SourceSelName(kind),
-          sim_.Now());
-    }
-  });
+  table_.Transition(*record, QueryState::kFailingOver, kind);
   TryFailover(*record, kind, status);
 }
 
@@ -107,13 +79,6 @@ void FailoverCoordinator::TryFailover(QueryRecord& record,
     } else {
       // Another mechanism still serves the query; resume normal life.
       table_.Transition(record, QueryState::kActive);
-      COBS({
-        if (record.obs.failover != 0) {
-          obs::Observability::tracer().EndStage(record.obs.failover,
-                                                sim_.Now(), "resumed");
-          record.obs.failover = 0;
-        }
-      });
     }
     return;
   }
@@ -123,20 +88,12 @@ void FailoverCoordinator::TryFailover(QueryRecord& record,
     TryFailover(record, failed_kind, status);
     return;
   }
-  table_.Transition(record, QueryState::kActive);
-  COBS({
-    obs::Observability::metrics()
-        .GetCounter("failovers_total",
-                    {{"from", query::SourceSelName(failed_kind)},
-                     {"to", query::SourceSelName(*replacement)}})
-        .Inc();
-    if (record.obs.failover != 0) {
-      obs::Observability::tracer().EndStage(
-          record.obs.failover, sim_.Now(),
-          std::string("switched:") + query::SourceSelName(*replacement));
-      record.obs.failover = 0;
-    }
-  });
+  table_.Transition(record, QueryState::kActive, *replacement);
+  COBS(obs::Observability::metrics()
+           .GetCounter("failovers_total",
+                       {{"from", query::SourceSelName(failed_kind)},
+                        {"to", query::SourceSelName(*replacement)}})
+           .Inc());
   switch_log_.push_back(SwitchEvent{sim_.Now(), record.query.id,
                                     failed_kind, *replacement});
   if (record.client != nullptr) {
@@ -160,11 +117,13 @@ bool FailoverCoordinator::SwitchBackToPreferred(QueryRecord& record) {
   const QueryId qid = record.qid;
   const query::SourceSel preferred = record.plan.preferred;
   // Tear down the stopgap mechanism(s) and switch back.
-  for (const query::SourceSel kind : record.assigned) {
-    hooks_.cancel(record, kind);
-  }
   const query::MechanismSet old = record.assigned;
-  record.assigned.clear();
+  const std::string how =
+      std::string("switched-back:") + query::SourceSelName(preferred);
+  for (const query::SourceSel kind : old) {
+    hooks_.cancel(record, kind);
+    table_.Unassign(record, kind, how);
+  }
   record.failed.erase(preferred);
   if (!hooks_.assign(record, preferred).ok()) return false;
   // The client may have cancelled from inside a synchronous delivery.
@@ -243,22 +202,9 @@ bool FailoverCoordinator::EnterDegradedMode(QueryRecord& record,
     return false;  // nothing cached: a stale answer is not possible
   }
   table_.Transition(record, QueryState::kDegraded);
-  COBS({
-    auto& tracer = obs::Observability::tracer();
-    if (record.obs.failover != 0) {
-      tracer.EndStage(record.obs.failover, sim_.Now(), "degraded");
-      record.obs.failover = 0;
-    }
-    if (record.obs.degraded == 0) {
-      record.obs.degraded =
-          tracer.BeginStage(record.obs.root, "degraded", nullptr, sim_.Now());
-      record.obs.degraded_items = 0;
-    }
-    obs::Observability::metrics()
-        .GetCounter("queries_degraded_total")
-        .Inc();
-    DegradedGauge().Add(1.0);
-  });
+  COBS(obs::Observability::metrics()
+           .GetCounter("queries_degraded_total")
+           .Inc());
   record.client->InformError("query " + id +
                              " degraded to stale repository data (" +
                              cause.ToString() +
@@ -310,20 +256,10 @@ void FailoverCoordinator::ProbeDegradedRecovery(QueryId qid) {
   if (!hooks_.assign(*record, *kind).ok()) return;  // next probe retries
   // The client may have cancelled from inside a synchronous delivery.
   if (table_.FindById(qid) == nullptr) return;
-  table_.Transition(*record, QueryState::kActive);
-  COBS({
-    if (record->obs.degraded != 0) {
-      auto& tracer = obs::Observability::tracer();
-      tracer.AddItems(record->obs.degraded, record->obs.degraded_items);
-      tracer.EndStage(record->obs.degraded, sim_.Now(),
-                      std::string("recovered:") + query::SourceSelName(*kind));
-      record->obs.degraded = 0;
-    }
-    DegradedGauge().Add(-1.0);
-    obs::Observability::metrics()
-        .GetCounter("degraded_recoveries_total")
-        .Inc();
-  });
+  table_.Transition(*record, QueryState::kActive, *kind);
+  COBS(obs::Observability::metrics()
+           .GetCounter("degraded_recoveries_total")
+           .Inc());
   record->failed.clear();
   record->degraded_task.reset();
   // `from` approximates: degraded mode has no SourceSel of its own.

@@ -9,6 +9,8 @@
 // cycle), and graceful degradation to stale repository data when nothing
 // is left. All lifecycle effects go through the QueryTable's state
 // machine: ACTIVE -> FAILING_OVER -> ACTIVE | DEGRADED -> ... -> DONE.
+// The table's Unassign and Transition also open and close the spans
+// those changes imply; the coordinator only counts events.
 // The probes and degraded tasks live in the query's record and hold
 // only its QueryId, so finishing the record stops them, and a callback
 // that outlives its query (a BT discovery in flight) finds nothing.
@@ -52,8 +54,8 @@ class FailoverCoordinator {
   /// Facade operations the coordinator drives but the composition root
   /// owns (provider construction policy lives with the factory).
   struct Hooks {
-    /// Submits `record`'s query to the facade of `kind`; records the
-    /// assignment on success.
+    /// Submits `record`'s query to the facade of `kind` (through
+    /// QueryTable::Assign, undone when the facade refuses).
     std::function<Status(QueryRecord&, query::SourceSel)> assign;
     /// Cancels one original query on the facade of `kind`.
     std::function<void(QueryRecord&, query::SourceSel)> cancel;

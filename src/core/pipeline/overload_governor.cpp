@@ -49,10 +49,8 @@ OverloadGovernor::OverloadGovernor(sim::Simulation& sim,
     standard_wm_ = config_.shed_standard_watermark != 0
                        ? config_.shed_standard_watermark
                        : high_wm_ * 2;
-    low_wm_ = config_.shed_low_watermark != 0 ? config_.shed_low_watermark
-                                              : high_wm_ / 2;
     standard_wm_ = std::max(standard_wm_, high_wm_);
-    low_wm_ = std::min(low_wm_, high_wm_);
+    low_wm_ = high_wm_ / 2;
   }
 }
 
@@ -65,9 +63,10 @@ OverloadGovernor::Bucket& OverloadGovernor::BucketFor(const Client& client,
     b.last = now;
     COBS({
       // Clients have no names; label buckets in first-seen order.
+      std::string label = "c";
+      label.append(std::to_string(buckets_.size() - 1));
       b.gauge = &obs::Observability::metrics().GetGauge(
-          "overload_bucket_tokens",
-          {{"client", "c" + std::to_string(buckets_.size() - 1)}});
+          "overload_bucket_tokens", {{"client", label}});
     });
     return b;
   }
@@ -161,7 +160,7 @@ OverloadGovernor::Decision OverloadGovernor::Decide(
       "shedding " + std::string(query::QueryPriorityName(d.cls)) +
       "-class admissions (occupancy " + std::to_string(occupancy) +
       ", shed level " + ShedLevelName(effective) + "); " +
-      RetryAfterHint(ToSeconds(config_.shed_retry_hint)));
+      RetryAfterHint(1.0));
   COBS(CountShed(d.cls));
   if (StaleEligible(query, now)) {
     // Stale-answer-first: the record admits but skips planning and is

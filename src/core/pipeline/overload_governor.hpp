@@ -58,11 +58,9 @@ struct OverloadGovernorConfig {
   /// 0 disables watermark shedding.
   std::size_t shed_high_watermark = 0;
   /// Occupancy at which standard admissions shed too; 0 = 2x high.
+  /// Shedding fully disengages below high / 2 (hysteresis), and a
+  /// watermark-shed refusal tells the client to retry after 1 s.
   std::size_t shed_standard_watermark = 0;
-  /// Hysteresis: shedding fully disengages below this; 0 = high / 2.
-  std::size_t shed_low_watermark = 0;
-  /// Retry-after hint attached to watermark-shed refusals.
-  SimDuration shed_retry_hint = std::chrono::seconds{1};
   /// Serve a stale repository answer (degraded-mode machinery) instead
   /// of refusing, when the cached entry is fresh enough.
   bool stale_fast_path = true;

@@ -1,7 +1,6 @@
 #include "core/pipeline/query_table.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -15,6 +14,12 @@ constexpr const char* kModule = "querytable";
 obs::Gauge& LiveGauge() {
   static obs::Gauge& g =
       obs::Observability::metrics().GetGauge("queries_live");
+  return g;
+}
+
+obs::Gauge& DegradedGauge() {
+  static obs::Gauge& g =
+      obs::Observability::metrics().GetGauge("queries_degraded");
   return g;
 }
 
@@ -46,43 +51,38 @@ QueryTable::QueryTable(sim::Simulation& sim,
     : sim_(sim), completion_cap_(completion_log_capacity) {}
 
 QueryTable::~QueryTable() {
-  COBS({
-    const SimTime now = sim_.Now();
-    records_.ForEach([now](QueryRecord& record) {
-      CloseSpans(record.obs, record.state, now, "torn-down", "torn-down");
-    });
-  });
+  COBS(records_.ForEach([this](QueryRecord& record) {
+    CloseSpans(record, "torn-down", "torn-down");
+  }));
 }
 
-void QueryTable::CloseSpans(QueryRecord::ObsSpans& spans, QueryState from,
-                            SimTime now, const char* how,
+void QueryTable::CloseSpans(QueryRecord& record, const char* how,
                             const char* root_status) {
-  auto& tracer = obs::Observability::tracer();
-  for (std::size_t i = 0; i < std::size(spans.provision); ++i) {
-    std::uint64_t& sid = spans.provision[i];
-    if (sid != 0) {
-      tracer.AddItems(sid, spans.provision_items[i]);
-      tracer.EndStage(sid, now, how);
-    }
-    sid = 0;
+  for (const query::SourceSel kind : record.assigned) {
+    Unassign(record, kind, how);
   }
-  if (spans.failover != 0) {
-    tracer.EndStage(spans.failover, now, how);
-    spans.failover = 0;
-  }
-  if (spans.degraded != 0) {
-    tracer.AddItems(spans.degraded, spans.degraded_items);
-    tracer.EndStage(spans.degraded, now, how);
-    spans.degraded = 0;
-  }
+  EndStateSpan(record, how);
+  QueryRecord::ObsSpans& spans = record.obs;
   if (spans.root != 0) {
+    auto& tracer = obs::Observability::tracer();
     tracer.AddItems(spans.root, spans.root_items);
-    tracer.EndQuery(spans.root, now, root_status);
+    tracer.EndQuery(spans.root, sim_.Now(), root_status);
     spans.root = 0;
     LiveGauge().Add(-1.0);
   }
-  if (from == QueryState::kDegraded) {
-    obs::Observability::metrics().GetGauge("queries_degraded").Add(-1.0);
+}
+
+void QueryTable::EndStateSpan(QueryRecord& record, std::string_view how) {
+  auto& tracer = obs::Observability::tracer();
+  QueryRecord::ObsSpans& spans = record.obs;
+  if (record.state == QueryState::kFailingOver) {
+    tracer.EndStage(spans.failover, sim_.Now(), std::string(how));
+    spans.failover = 0;
+  } else if (record.state == QueryState::kDegraded) {
+    tracer.AddItems(spans.degraded, spans.degraded_items);
+    tracer.EndStage(spans.degraded, sim_.Now(), std::string(how));
+    spans.degraded = 0;
+    DegradedGauge().Add(-1.0);
   }
 }
 
@@ -146,9 +146,11 @@ bool QueryTable::ValidEdge(QueryState from, QueryState to) noexcept {
   return false;
 }
 
-bool QueryTable::Transition(QueryRecord& record, QueryState to) {
-  if (record.state == to) return true;  // idempotent self-edge
-  if (!ValidEdge(record.state, to)) {
+bool QueryTable::Transition(QueryRecord& record, QueryState to,
+                            query::SourceSel via) {
+  const QueryState from = record.state;
+  if (from == to) return true;  // idempotent self-edge
+  if (!ValidEdge(from, to)) {
     if (++invalid_transitions_ == 1) {
       CLOG_WARN(kModule,
                 "first refused state-machine edge observed — a pipeline "
@@ -158,33 +160,77 @@ bool QueryTable::Transition(QueryRecord& record, QueryState to) {
              .GetCounter("query_invalid_transitions_total")
              .Inc());
     CLOG_WARN(kModule, "query %s: refused %s -> %s",
-              record.query.id.c_str(), QueryStateName(record.state),
+              record.query.id.c_str(), QueryStateName(from),
               QueryStateName(to));
     return false;
   }
+  COBS({
+    const char* kind = query::SourceSelName(via);
+    if (from == QueryState::kFailingOver) {
+      EndStateSpan(record, to == QueryState::kDegraded ? "degraded"
+                           : via == query::SourceSel::kAuto
+                               ? "resumed"
+                               : std::string("switched:") + kind);
+    } else if (from == QueryState::kDegraded) {
+      EndStateSpan(record, std::string("recovered:") + kind);
+    }
+    auto& tracer = obs::Observability::tracer();
+    QueryRecord::ObsSpans& spans = record.obs;
+    if (to == QueryState::kFailingOver) {
+      spans.failover =
+          tracer.BeginStage(spans.root, "failover", kind, sim_.Now());
+    } else if (to == QueryState::kDegraded) {
+      spans.degraded =
+          tracer.BeginStage(spans.root, "degraded", nullptr, sim_.Now());
+      spans.degraded_items = 0;
+      DegradedGauge().Add(1.0);
+    }
+  });
   record.state = to;
   return true;
+}
+
+bool QueryTable::Assign(QueryRecord& record, query::SourceSel kind) {
+  if (!record.assigned.insert(kind)) return false;
+  COBS({
+    const auto i = static_cast<std::size_t>(kind);
+    record.obs.provision[i] = obs::Observability::tracer().BeginStage(
+        record.obs.root, "provision", query::SourceSelName(kind), sim_.Now());
+    record.obs.provision_items[i] = 0;
+  });
+  return true;
+}
+
+void QueryTable::Unassign(QueryRecord& record, query::SourceSel kind,
+                          std::string_view how) {
+  record.assigned.erase(kind);
+  COBS({
+    const auto i = static_cast<std::size_t>(kind);
+    auto& tracer = obs::Observability::tracer();
+    tracer.AddItems(record.obs.provision[i], record.obs.provision_items[i]);
+    tracer.EndStage(record.obs.provision[i], sim_.Now(), std::string(how));
+    record.obs.provision[i] = 0;
+  });
 }
 
 void QueryTable::FinishById(QueryId qid) {
   QueryRecord* record = records_.Find(qid);
   if (record == nullptr) return;
   const QueryState from = record->state;
-  QueryRecord::ObsSpans spans = record->obs;
-  std::string id = std::move(record->query.id);
-  ids_.erase(id);
-  // Erase before closing spans: from here on the qid misses, and a
-  // resubmission under the same id string gets a fresh record. Erasing
-  // stops the record's timers and drops its fusion window.
-  records_.Erase(qid);
-  const SimTime now = sim_.Now();
   COBS({
     // Single close point for the whole span tree: any stage span still
     // open at the terminal transition is force-closed here, then the
     // root closes exactly once with the state the query finished from.
-    CloseSpans(spans, from, now, "closed-at-finish", QueryStateName(from));
+    CloseSpans(*record, "closed-at-finish", QueryStateName(from));
     CompletedCounter(from).Inc();
   });
+  std::string id = std::move(record->query.id);
+  ids_.erase(id);
+  // From here on the qid misses, and a resubmission under the same id
+  // string gets a fresh record. Erasing stops the record's timers and
+  // drops its fusion window.
+  records_.Erase(qid);
+  const SimTime now = sim_.Now();
   ++total_completed_;
   completions_.push_back(Completion{std::move(id), from, now});
   if (completion_cap_ != 0) {

@@ -50,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -111,15 +112,16 @@ struct QueryRecord {
   ProvisioningPlan plan;
 
   /// Tracer span handles (0 = no span). Plain uint64 fields — the hot
-  /// path must never do a string-keyed lookup to find its span. One
-  /// provision slot per SourceSel mechanism (indexed by its enum value),
-  /// opened at facade assignment and closed when that facade finishes.
+  /// path must never do a string-keyed lookup to find its span. Only the
+  /// QueryTable opens and closes them: provision[k] (indexed by the
+  /// SourceSel's value) exactly while `assigned` contains k, failover
+  /// and degraded exactly while the state is FAILING_OVER or DEGRADED.
   ///
   /// Item counts: the router bumps the counters here, one per span that
-  /// counts items, and never calls the tracer per item. Each site that
-  /// closes the root, a provision or the degraded span first writes its
-  /// counter into the span with one AddItems; opening a span resets its
-  /// counter. The counters are 32-bit to keep the record small.
+  /// counts items, and never calls the tracer per item. Closing the
+  /// root, a provision or the degraded span first writes its counter
+  /// into the span with one AddItems; opening a span resets its counter.
+  /// The counters are 32-bit to keep the record small.
   struct ObsSpans {
     /// Items handed to the client (after dedup and fusion), stale ones
     /// included.
@@ -136,7 +138,8 @@ struct QueryRecord {
   ObsSpans obs;
 
   query::CxtQuery query;
-  /// Facade kinds currently provisioning this query.
+  /// Facade kinds currently provisioning this query (changed only by
+  /// QueryTable::Assign and Unassign).
   query::MechanismSet assigned;
   /// The facade cluster serving this query, per SourceSel mechanism
   /// (indexed by its enum value): what Facade::Submit returned, and what
@@ -202,8 +205,21 @@ class QueryTable {
 
   /// Moves `record` along a legal (non-terminal) edge of the state
   /// machine. Illegal edges are refused (returns false) and counted —
-  /// a refused transition is a pipeline bug, not a crash.
-  bool Transition(QueryRecord& record, QueryState to);
+  /// a refused transition is a pipeline bug, not a crash. The edge opens
+  /// and closes the failover and degraded spans (and keeps the
+  /// queries_degraded gauge); `via` names the mechanism that failed
+  /// (entering FAILING_OVER) or took over (leaving it or DEGRADED for
+  /// ACTIVE; kAuto when none did). A self-edge touches no span.
+  bool Transition(QueryRecord& record, QueryState to,
+                  query::SourceSel via = query::SourceSel::kAuto);
+
+  /// Adds `kind` to record.assigned and opens its provision span.
+  /// Returns false, changing nothing, when `kind` was assigned already.
+  bool Assign(QueryRecord& record, query::SourceSel kind);
+  /// Removes `kind` from record.assigned and closes its provision span
+  /// with status `how`, its item count written first.
+  void Unassign(QueryRecord& record, query::SourceSel kind,
+                std::string_view how);
 
   /// Terminal transition: logs a Completion exactly once and erases the
   /// record, which stops its timers and drops its fusion window.
@@ -253,10 +269,13 @@ class QueryTable {
 
   [[nodiscard]] static bool ValidEdge(QueryState from,
                                       QueryState to) noexcept;
-  /// Closes the spans of a record leaving the table from state `from`.
-  static void CloseSpans(QueryRecord::ObsSpans& spans, QueryState from,
-                         SimTime now, const char* how,
-                         const char* root_status);
+  /// Closes the span of the state `record` is leaving (FAILING_OVER's
+  /// or DEGRADED's) with status `how`.
+  void EndStateSpan(QueryRecord& record, std::string_view how);
+  /// Closes every span of a record leaving the table with `how`, then
+  /// its root with `root_status`.
+  void CloseSpans(QueryRecord& record, const char* how,
+                  const char* root_status);
 
   sim::Simulation& sim_;
   /// Public id string -> handle, for the string-keyed boundary API.

@@ -209,9 +209,6 @@ void AdHocCxtProvider::DoStart() {
     case AdHocTransport::kForceBt:
       use_wifi_ = false;
       break;
-    case AdHocTransport::kForceWifi:
-      use_wifi_ = true;
-      break;
     case AdHocTransport::kAuto:
       // "BTReference (only for one-hop routing) or the WiFiReference
       // (also for multi-hop routing)": multi-hop scope needs WiFi; for

@@ -64,7 +64,6 @@ void RegisterFinderBrick(sm::SmRuntime& runtime);
 enum class AdHocTransport : std::uint8_t {
   kAuto,      // WiFi when multi-hop is asked for and available, else BT
   kForceBt,   // control policy: reducePower replaces WiFi with BT one-hop
-  kForceWifi,
 };
 
 class AdHocCxtProvider final : public CxtProvider {

@@ -28,15 +28,15 @@ double ResourcesMonitor::BatteryPercent() const {
 
 std::string ResourcesMonitor::BatteryLevel() const {
   const double pct = BatteryPercent();
-  if (pct < config_.battery_low_percent) return "low";
-  if (pct < config_.battery_medium_percent) return "medium";
+  if (pct < 20.0) return "low";
+  if (pct < 50.0) return "medium";
   return "high";
 }
 
 std::string ResourcesMonitor::MemoryLevel() const {
   const std::size_t items = memory_gauge_ ? memory_gauge_() : 0;
-  if (items >= config_.memory_high_items) return "high";
-  if (items >= config_.memory_medium_items) return "medium";
+  if (items >= 128) return "high";  // repository items
+  if (items >= 64) return "medium";
   return "low";
 }
 

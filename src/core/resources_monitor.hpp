@@ -32,11 +32,6 @@ namespace contory::core {
 struct ResourcesMonitorConfig {
   /// Usable battery energy. BL-5C class cell: ~970 mAh x 3.7 V ~ 12.9 kJ.
   double battery_capacity_joules = 12'900.0;
-  double battery_low_percent = 20.0;
-  double battery_medium_percent = 50.0;
-  /// Repository sizes above these are medium / high memory pressure.
-  std::size_t memory_medium_items = 64;
-  std::size_t memory_high_items = 128;
 };
 
 class ResourcesMonitor {

@@ -126,6 +126,7 @@ class Execution {
       case Step::Kind::kRun:
         Note("run " + FormatDuration(step.run));
         st_.world->RunFor(step.run);
+        AuditSpanWindows(step.line);
         return;
       case Step::Kind::kCancel: return DoCancel(step);
       case Step::Kind::kStopAll: return DoStopAll(step);
@@ -491,6 +492,38 @@ class Execution {
       return static_cast<double>(factory.degraded_deliveries());
     }
     return static_cast<double>(factory.active_provider_count());
+  }
+
+  /// Checked after every run step: each live query's span windows follow
+  /// its record (see QueryRecord::ObsSpans).
+  void AuditSpanWindows(int line) {
+    if (!COBS_ON()) return;
+    for (const auto& [name, dev] : st_.devices) {
+      if (!dev->has_contory()) continue;
+      const core::QueryTable& table = dev->contory().queries();
+      for (const std::string& id : table.ActiveIds()) {
+        const core::QueryRecord& r = *table.Find(id);
+        std::string broken;
+        for (const auto kind : {query::SourceSel::kIntSensor,
+                                query::SourceSel::kExtInfra,
+                                query::SourceSel::kAdHocNetwork}) {
+          if ((r.obs.provision[static_cast<std::size_t>(kind)] != 0) !=
+              r.assigned.contains(kind)) {
+            broken += std::string(" provision:") + query::SourceSelName(kind);
+          }
+        }
+        if ((r.obs.failover != 0) !=
+            (r.state == core::QueryState::kFailingOver)) {
+          broken += " failover";
+        }
+        if ((r.obs.degraded != 0) != r.degraded()) broken += " degraded";
+        if (!broken.empty()) {
+          Fail(line, "span windows of " + id + " on " + name + " (" +
+                         core::QueryStateName(r.state) +
+                         ") disagree with its record:" + broken);
+        }
+      }
+    }
   }
 
   /// Invariants every scenario must satisfy, checked without being asked:

@@ -1,30 +1,37 @@
 #include "sensors/gps.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
-#include "common/logging.hpp"
 #include "phone/phone_profiles.hpp"
 #include "sensors/sensor.hpp"
 
 namespace contory::sensors {
 namespace {
 
-constexpr const char* kModule = "gps";
 constexpr std::size_t kNmeaBurstBytes = 340;
 
-/// Formats degrees as NMEA ddmm.mmmm / dddmm.mmmm.
+/// Formats degrees as NMEA ddmm.mmmm / dddmm.mmmm: the bytes printf's
+/// "%02d%07.4f" / "%03d%07.4f" would write. GCC cannot bound "%07.4f" of
+/// a double, so std::to_chars, which rounds the same way (exactly, ties
+/// to even), writes the minutes into a bounded buffer.
 void FormatNmeaCoord(double deg, bool is_lon, char* buf, std::size_t len,
                      char* hemi) {
   const double a = std::abs(deg);
   const int whole = static_cast<int>(a);
-  const double minutes = (a - whole) * 60.0;
+  char minutes[16];
+  const char* end = std::to_chars(minutes, std::end(minutes),
+                                  (a - whole) * 60.0,
+                                  std::chars_format::fixed, 4).ptr;
+  const int n = static_cast<int>(end - minutes);  // "mm.mmmm" or "m.mmmm"
+  std::snprintf(buf, len, "%0*d%s%.*s", is_lon ? 3 : 2, whole,
+                n < 7 ? "0" : "", n, minutes);
   if (is_lon) {
-    std::snprintf(buf, len, "%03d%07.4f", whole, minutes);
     *hemi = deg >= 0 ? 'E' : 'W';
   } else {
-    std::snprintf(buf, len, "%02d%07.4f", whole, minutes);
     *hemi = deg >= 0 ? 'N' : 'S';
   }
 }
@@ -74,7 +81,7 @@ std::string BuildNmeaBurst(const GpsFix& fix) {
   const int mm = static_cast<int>(secs / 60) % 60;
   const double ss = std::fmod(secs, 60.0);
 
-  char lat[16], lon[16];
+  char lat[32], lon[32];
   char lat_h = 'N', lon_h = 'E';
   FormatNmeaCoord(fix.position.lat, false, lat, sizeof lat, &lat_h);
   FormatNmeaCoord(fix.position.lon, true, lon, sizeof lon, &lon_h);
@@ -210,16 +217,6 @@ void GpsDevice::Tick() {
   const std::string burst = BuildNmeaBurst(fix);
   std::vector<std::byte> payload(burst.size());
   std::memcpy(payload.data(), burst.data(), burst.size());
-
-  // Spontaneous drop injection (the field trials' ~1 disconnection/hour).
-  if (config_.spontaneous_drop_rate > 0.0 &&
-      rng_.Bernoulli(config_.spontaneous_drop_rate)) {
-    CLOG_WARN(kModule, "%s spontaneous BT drop", name_.c_str());
-    bt_->SetFailed(true);
-    bt_->SetFailed(false);
-    bt_->SetEnabled(true);
-    return;
-  }
 
   // Stream to every connected central.
   for (const net::BtLinkId link : bt_->AliveLinks()) {

@@ -45,9 +45,6 @@ struct GpsConfig {
   SimDuration fix_interval = std::chrono::seconds{1};
   /// Horizontal fix error applied to each fix (seeded).
   double fix_noise_m = 5.0;
-  /// The paper's field logs showed roughly one spontaneous BT
-  /// disconnection per hour; rate per fix (0 disables).
-  double spontaneous_drop_rate = 0.0;
 };
 
 /// The service name the receiver advertises.

@@ -234,7 +234,7 @@ class FanOut {
       EXPECT_TRUE(qid.ok());
       core::QueryRecord& record = *table_.FindById(*qid);
       record.plan.initial = plan;
-      record.assigned = plan;
+      for (const query::SourceSel kind : plan) table_.Assign(record, kind);
       EXPECT_TRUE(facade_.Submit(*qid, *std::move(q)).ok());
     }
     EXPECT_EQ(facade_.active_provider_count(), 1u);
@@ -331,6 +331,32 @@ TEST_F(CostTest, ParseChurnQuery) {
 TEST_F(CostTest, AdHocSubmit) {
   ExpectMeanAtMost("adHoc submit", Churned(/*count_submit=*/true),
                    kSubmitBound);
+}
+
+TEST_F(CostTest, ChurnSpans) {
+  // Spans started, not allocations: an adHoc submit opens the root and
+  // one provision span, and a cancel closes them without opening any.
+  if (!COBS_ON()) GTEST_SKIP() << "observability compiled out";
+  Churn churn;
+  const obs::QueryTracer& tracer = obs::Observability::tracer();
+  std::uint64_t submit_spans = 0;
+  std::uint64_t cancel_spans = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const std::size_t victim = churn.PickVictim();
+    std::uint64_t before = tracer.spans_started();
+    churn.factory().CancelCxtQuery(churn.live(victim));
+    cancel_spans += tracer.spans_started() - before;
+    query::CxtQuery q = churn.Next();
+    before = tracer.spans_started();
+    churn.live(victim) = churn.Submit(std::move(q));
+    submit_spans += tracer.spans_started() - before;
+    if (i % 64 == 63) churn.Drain();
+  }
+  std::printf("[ cost ] %-28s %6.3f spans/submit, %.3f spans/cancel\n",
+              "churn spans", static_cast<double>(submit_spans) / kOps,
+              static_cast<double>(cancel_spans) / kOps);
+  EXPECT_EQ(submit_spans, 2u * kOps);
+  EXPECT_EQ(cancel_spans, 0u);
 }
 
 TEST_F(CostTest, CancelObsOff) {

@@ -1176,12 +1176,15 @@ TEST_F(SpanItemCountTest, FailoverSplitsItemsBetweenProvisionSpans) {
   std::vector<SpanCount> expected = {
       {"provision", "intSensor", sensor_failed, 6},
       {"failover", "intSensor", "switched:extInfra", 0}};
-  // The switch-back probe finds the sensor present, and it fails again.
+  // The switch-back probe finds the sensor present and closes the
+  // extInfra window; the sensor fails again, and extInfra opens a new
+  // one.
   for (int i = 0; i < 5; ++i) {
+    expected.push_back({"provision", "extInfra", "switched-back:intSensor", 2});
     expected.push_back({"provision", "intSensor", sensor_failed, 0});
     expected.push_back({"failover", "intSensor", "switched:extInfra", 0});
   }
-  expected.push_back({"provision", "extInfra", "ok", 12});
+  expected.push_back({"provision", "extInfra", "ok", 2});
   expected.push_back({"query", "", "ACTIVE", 18});
   EXPECT_EQ(counts, expected);
 }

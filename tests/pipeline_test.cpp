@@ -160,6 +160,63 @@ TEST_F(QueryTableTest, IdsStayUniqueAcrossSlotReuse) {
   EXPECT_EQ(table_.total_completed(), 50u);
 }
 
+TEST_F(QueryTableTest, SpanWindowsFollowTheRecord) {
+  using query::SourceSel;
+  if (!COBS_ON()) GTEST_SKIP() << "observability off";
+  obs::Observability::ResetForTest();
+  auto& tracer = obs::Observability::tracer();
+  const obs::Gauge& degraded_gauge =
+      obs::Observability::metrics().GetGauge("queries_degraded");
+  const auto qid = table_.Admit(MakeQuery("q-spans"), client_);
+  ASSERT_TRUE(qid.ok());
+  core::QueryRecord& record = *table_.FindById(*qid);
+  const auto provision = [&](SourceSel kind) {
+    return record.obs.provision[static_cast<std::size_t>(kind)];
+  };
+
+  EXPECT_TRUE(table_.Assign(record, SourceSel::kIntSensor));
+  EXPECT_FALSE(table_.Assign(record, SourceSel::kIntSensor));
+  ASSERT_NE(provision(SourceSel::kIntSensor), 0u);
+  ASSERT_TRUE(table_.Transition(record, core::QueryState::kActive));
+  EXPECT_EQ(record.obs.failover, 0u);  // ADMITTED -> ACTIVE opens nothing
+
+  table_.Unassign(record, SourceSel::kIntSensor, "failed: gone");
+  EXPECT_FALSE(record.assigned.contains(SourceSel::kIntSensor));
+  EXPECT_EQ(provision(SourceSel::kIntSensor), 0u);
+  ASSERT_TRUE(table_.Transition(record, core::QueryState::kFailingOver,
+                                SourceSel::kIntSensor));
+  ASSERT_NE(record.obs.failover, 0u);
+  const std::uint64_t failover = record.obs.failover;
+  // A self-edge touches no span.
+  ASSERT_TRUE(table_.Transition(record, core::QueryState::kFailingOver));
+  EXPECT_EQ(record.obs.failover, failover);
+
+  ASSERT_TRUE(table_.Transition(record, core::QueryState::kDegraded));
+  EXPECT_EQ(record.obs.failover, 0u);
+  ASSERT_NE(record.obs.degraded, 0u);
+  EXPECT_EQ(degraded_gauge.value(), 1.0);
+  EXPECT_TRUE(table_.Assign(record, SourceSel::kExtInfra));
+  ASSERT_TRUE(table_.Transition(record, core::QueryState::kActive,
+                                SourceSel::kExtInfra));
+  EXPECT_EQ(record.obs.degraded, 0u);
+  EXPECT_EQ(degraded_gauge.value(), 0.0);
+
+  table_.FinishById(*qid);
+  EXPECT_EQ(tracer.open_count(), 0u);
+  std::vector<std::string> closed;
+  for (const obs::Span& span : tracer.FinishedFor("q-spans")) {
+    closed.push_back(span.name + ":" + span.mechanism + " " + span.status);
+  }
+  EXPECT_EQ(closed, (std::vector<std::string>{
+                        "provision:intSensor failed: gone",
+                        "failover:intSensor degraded",
+                        "degraded: recovered:extInfra",
+                        "provision:extInfra closed-at-finish",
+                        "query: ACTIVE",
+                    }));
+  obs::Observability::ResetForTest();
+}
+
 // --- DeliveryRouter ---------------------------------------------------------
 
 class DeliveryRouterTest : public QueryTableTest {
@@ -176,7 +233,7 @@ class DeliveryRouterTest : public QueryTableTest {
     EXPECT_TRUE(qid.ok());
     core::QueryRecord& record = *table_.FindById(*qid);
     record.plan.initial = initial;
-    record.assigned = assigned;
+    for (const query::SourceSel kind : assigned) table_.Assign(record, kind);
     return record;
   }
 
@@ -209,7 +266,7 @@ TEST_F(DeliveryRouterTest, CrossMechanismDuplicateIsDeliveredOnce) {
   // intSensor delivers synchronously inside its own Submit, before
   // extInfra is assigned: the window must already remember the item.
   Deliver(record, "x", SourceSel::kIntSensor);
-  record.assigned.insert(SourceSel::kExtInfra);
+  table_.Assign(record, SourceSel::kExtInfra);
   Deliver(record, "x", SourceSel::kExtInfra);
   Deliver(record, "y", SourceSel::kExtInfra);
   Deliver(record, "y", SourceSel::kIntSensor);
@@ -217,7 +274,7 @@ TEST_F(DeliveryRouterTest, CrossMechanismDuplicateIsDeliveredOnce) {
   EXPECT_EQ(record.items_delivered, 2u);
 
   // Down to one mechanism, an unchanged observation is a new round.
-  record.assigned.erase(SourceSel::kExtInfra);
+  table_.Unassign(record, SourceSel::kExtInfra, "ok");
   Deliver(record, "y", SourceSel::kIntSensor);
   EXPECT_EQ(ReceivedIds(), (std::vector<std::string>{"x", "y", "y"}));
   EXPECT_EQ(record.items_delivered, 3u);

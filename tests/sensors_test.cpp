@@ -171,6 +171,49 @@ TEST(NmeaTest, SouthernWesternHemispheres) {
   EXPECT_NEAR(parsed->position.lon, -151.21, 1e-4);
 }
 
+/// The GGA and RMC sentences of a burst (the GSV filler is constant).
+std::string PositionSentences(double lat, double lon, double knots,
+                              double course, SimDuration at) {
+  GpsFix fix;
+  fix.position = {lat, lon};
+  fix.speed_knots = knots;
+  fix.course_deg = course;
+  fix.time = kSimEpoch + at;
+  const std::string burst = BuildNmeaBurst(fix);
+  return burst.substr(0, burst.find("$GPGSV"));
+}
+
+TEST(NmeaTest, PositionSentencesArePinned) {
+  EXPECT_EQ(PositionSentences(60.1520, 24.9090, 6.5, 123.0, 3725s),
+            "$GPGGA,010205.00,6009.1200,N,02454.5400,E,1,08,1.0,2.0,M,20.0,"
+            "M,,*69\r\n"
+            "$GPRMC,010205.00,A,6009.1200,N,02454.5400,E,006.5,123.0,010706,"
+            ",*3C\r\n");
+  EXPECT_EQ(PositionSentences(-33.85, -151.21, 0, 0, 0s),
+            "$GPGGA,000000.00,3351.0000,S,15112.6000,W,1,08,1.0,2.0,M,20.0,"
+            "M,,*6E\r\n"
+            "$GPRMC,000000.00,A,3351.0000,S,15112.6000,W,000.0,000.0,010706,"
+            ",*38\r\n");
+  // Minutes that round up to 60.0000 print as 60.0000, not as a carry
+  // into the degrees.
+  EXPECT_EQ(PositionSentences(60.99999999, -0.5, 0, 0, 59s),
+            "$GPGGA,000059.00,6060.0000,N,00030.0000,W,1,08,1.0,2.0,M,20.0,"
+            "M,,*78\r\n"
+            "$GPRMC,000059.00,A,6060.0000,N,00030.0000,W,000.0,000.0,010706,"
+            ",*2E\r\n");
+  EXPECT_EQ(PositionSentences(-0.000001, 179.999999999, 12.25, 359.9, 86399s),
+            "$GPGGA,235959.00,0000.0001,S,17960.0000,E,1,08,1.0,2.0,M,20.0,"
+            "M,,*71\r\n"
+            "$GPRMC,235959.00,A,0000.0001,S,17960.0000,E,012.2,359.9,010706,"
+            ",*20\r\n");
+  // 0.03125 minutes is an exact binary tie: it rounds to even, 0.0312.
+  EXPECT_EQ(PositionSentences(0.03125 / 60.0, 7.0 + 0.03125 / 60.0, 0, 0, 1s),
+            "$GPGGA,000001.00,0000.0312,N,00700.0313,E,1,08,1.0,2.0,M,20.0,"
+            "M,,*62\r\n"
+            "$GPRMC,000001.00,A,0000.0312,N,00700.0313,E,000.0,000.0,010706,"
+            ",*34\r\n");
+}
+
 TEST(NmeaTest, CorruptedBurstRejected) {
   GpsFix fix;
   fix.position = {60.15, 24.9};
