@@ -138,6 +138,7 @@ NodeId Medium::Register(std::string name, Position pos) {
   nodes_.push_back(NodeInfo{pos, 0, 0, 0, /*alive=*/true});
   names_.push_back(std::move(name));
   ++live_nodes_;
+  ++topology_epoch_;
   InsertIntoCell(id, nodes_.back());
   PublishGauges();
   return id;
@@ -149,6 +150,7 @@ void Medium::Unregister(NodeId id) {
   nodes_[id].alive = false;
   names_[id] = std::string{};
   --live_nodes_;
+  ++topology_epoch_;
   PublishGauges();
 }
 
@@ -173,6 +175,7 @@ Status Medium::SetPosition(NodeId id, Position pos) {
   if (Find(id) == nullptr) {
     return NotFound("node " + std::to_string(id) + " not registered");
   }
+  ++topology_epoch_;
   NodeInfo& info = nodes_[id];
   info.pos = pos;
   if (CellKeyFor(pos) == info.cell_key) {

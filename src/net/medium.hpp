@@ -112,6 +112,15 @@ class Medium {
     return live_nodes_;
   }
 
+  /// Bumped by Register, Unregister and every SetPosition, the writes a
+  /// range query's result depends on, so a result kept with the epoch it
+  /// was computed at stays exact while the epoch is unchanged
+  /// (WifiController keeps its neighbor list so). NoteRadioRange and
+  /// set_use_grid change query cost only and leave it.
+  [[nodiscard]] std::uint64_t topology_epoch() const noexcept {
+    return topology_epoch_;
+  }
+
   /// All currently registered node ids, ascending.
   [[nodiscard]] std::vector<NodeId> AllNodes() const;
 
@@ -207,6 +216,7 @@ class Medium {
   std::vector<KeySlot> cell_index_;
   std::size_t live_nodes_ = 0;
   std::size_t occupied_cells_ = 0;  // non-empty entries of cells_
+  std::uint64_t topology_epoch_ = 0;
   bool use_grid_ = true;
   bool fixed_cell_size_ = false;
   double cell_size_ = 100.0;

@@ -14,6 +14,7 @@ constexpr const char* kConnected = "wifi.connected";
 void WifiBus::Attach(NodeId id, WifiController* c) {
   if (id >= controllers_.size()) controllers_.resize(id + 1, nullptr);
   controllers_[id] = c;
+  ++epoch_;
 }
 
 WifiController::WifiController(sim::Simulation& sim, WifiBus& bus,
@@ -30,6 +31,7 @@ WifiController::~WifiController() { bus_.Detach(node_); }
 void WifiController::SetEnabled(bool enabled) {
   if (enabled_ == enabled) return;
   enabled_ = enabled;
+  ++bus_.epoch_;
   const double drain = phone_.profile().wifi_connected_power_mw;
   if (enabled) {
     if (phone_.battery().InrushTrips(drain)) {
@@ -47,16 +49,25 @@ void WifiController::SetEnabled(bool enabled) {
 
 void WifiController::SetFailed(bool failed) {
   failed_ = failed;
+  ++bus_.epoch_;
   if (failed) phone_.energy().SetComponentPower(kConnected, 0.0);
 }
 
 void WifiController::NeighborsInto(std::vector<NodeId>& out) const {
   if (!enabled()) return;
-  bus_.medium().NodesWithinInto(node_, config_.range_m, out,
-                                [this](NodeId n) {
-                                  const WifiController* peer = bus_.Find(n);
-                                  return peer != nullptr && peer->enabled();
-                                });
+  const Medium& medium = bus_.medium();
+  if (neighbors_topology_epoch_ != medium.topology_epoch() ||
+      neighbors_bus_epoch_ != bus_.epoch()) {
+    neighbors_.clear();
+    medium.NodesWithinInto(node_, config_.range_m, neighbors_,
+                           [this](NodeId n) {
+                             const WifiController* peer = bus_.Find(n);
+                             return peer != nullptr && peer->enabled();
+                           });
+    neighbors_topology_epoch_ = medium.topology_epoch();
+    neighbors_bus_epoch_ = bus_.epoch();
+  }
+  out.insert(out.end(), neighbors_.begin(), neighbors_.end());
 }
 
 bool WifiController::IsNeighbor(NodeId other) const {

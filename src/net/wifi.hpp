@@ -36,14 +36,21 @@ class WifiBus {
   [[nodiscard]] WifiController* Find(NodeId id) const noexcept {
     return id < controllers_.size() ? controllers_[id] : nullptr;
   }
+  /// Bumped by Attach, Detach and every SetEnabled/SetFailed: equal
+  /// epochs mean the same set of enabled radios.
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
  private:
   friend class WifiController;
   void Attach(NodeId id, WifiController* c);
-  void Detach(NodeId id) { controllers_[id] = nullptr; }
+  void Detach(NodeId id) {
+    controllers_[id] = nullptr;
+    ++epoch_;
+  }
 
   Medium& medium_;
   std::vector<WifiController*> controllers_;  // nullptr = no radio
+  std::uint64_t epoch_ = 0;
 };
 
 struct WifiConfig {
@@ -87,7 +94,11 @@ class WifiController {
   }
 
   /// Appends the enabled WiFi nodes currently in radio range to `out`,
-  /// nearest first: no allocation once `out` is warm.
+  /// nearest first (distance ties by ascending NodeId): no allocation
+  /// once `out` is warm. The list is computed by a Medium range scan and
+  /// kept until the medium's topology epoch or the bus's epoch moves;
+  /// until then no input of the scan has changed, so a kept list is the
+  /// scan's exact result.
   void NeighborsInto(std::vector<NodeId>& out) const;
   [[nodiscard]] bool IsNeighbor(NodeId other) const;
 
@@ -118,6 +129,11 @@ class WifiController {
   double loss_rate_ = 0.0;
   SimDuration extra_latency_ = SimDuration::zero();
   FrameHandler frame_handler_;
+  /// NeighborsInto's kept list and the two epochs it was scanned at.
+  /// Attach bumps the bus epoch, so the zero stamps never match.
+  mutable std::vector<NodeId> neighbors_;
+  mutable std::uint64_t neighbors_topology_epoch_ = 0;
+  mutable std::uint64_t neighbors_bus_epoch_ = 0;
 };
 
 }  // namespace contory::net

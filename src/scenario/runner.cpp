@@ -5,8 +5,10 @@
 #include <memory>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/pipeline/overload_governor.hpp"
+#include "net/wifi.hpp"
 #include "obs/observability.hpp"
 #include "sensors/sensor.hpp"
 #include "testbed/testbed.hpp"
@@ -127,6 +129,7 @@ class Execution {
         Note("run " + FormatDuration(step.run));
         st_.world->RunFor(step.run);
         AuditSpanWindows(step.line);
+        AuditNeighborLists(step.line);
         return;
       case Step::Kind::kCancel: return DoCancel(step);
       case Step::Kind::kStopAll: return DoStopAll(step);
@@ -522,6 +525,32 @@ class Execution {
                          core::QueryStateName(r.state) +
                          ") disagree with its record:" + broken);
         }
+      }
+    }
+  }
+
+  /// Checked after every run step: each radio's kept WiFi neighbor list
+  /// is what a fresh Medium range scan returns, in the same order. The
+  /// previous check left every list warm, so a topology change during
+  /// the run that failed to invalidate one shows here.
+  void AuditNeighborLists(int line) {
+    const net::WifiBus& bus = st_.world->wifi_bus();
+    for (const auto& [name, dev] : st_.devices) {
+      const net::WifiController* wifi = dev->wifi();
+      if (wifi == nullptr) continue;
+      std::vector<net::NodeId> kept;
+      wifi->NeighborsInto(kept);
+      std::vector<net::NodeId> scanned;
+      if (wifi->enabled()) {
+        scanned = st_.world->medium().NodesWithin(
+            wifi->node(), wifi->range_m(), [&bus](net::NodeId n) {
+              const net::WifiController* peer = bus.Find(n);
+              return peer != nullptr && peer->enabled();
+            });
+      }
+      if (kept != scanned) {
+        Fail(line, "WiFi neighbor list of " + name +
+                       " differs from a fresh range scan");
       }
     }
   }

@@ -10,6 +10,7 @@
 // builds skip, since their allocators differ.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -29,6 +30,7 @@
 #include "phone/smart_phone.hpp"
 #include "sim/simulation.hpp"
 #include "sm/sm_runtime.hpp"
+#include "testbed/city_scenario.hpp"
 #include "testbed/testbed.hpp"
 
 // Out of line, so the compiler does not pair an inlined free() with a
@@ -68,6 +70,8 @@ constexpr double kFanOutBound = 0.0;
 /// One SM routing hop (NextHopTowardTag plus HopDistanceToTag) once the
 /// bus's BFS scratch is warm.
 constexpr double kSmHopBound = 0.0;
+/// One SM-FINDER round on a warm still city, launch to settle.
+constexpr double kFinderRoundBound = 781.6;
 
 bool SkipUnderSanitizers() {
 #if defined(CONTORY_SANITIZED)
@@ -91,8 +95,9 @@ class Counted {
   std::size_t start_;
 };
 
-void ExpectMeanAtMost(const char* op, std::size_t allocations, double bound) {
-  const double mean = static_cast<double>(allocations) / kOps;
+void ExpectMeanAtMost(const char* op, std::size_t allocations, double bound,
+                      int ops = kOps) {
+  const double mean = static_cast<double>(allocations) / ops;
   std::printf("[ cost ] %-28s %6.3f allocations/op (bound %.3f)\n", op,
               mean, bound);
   ::testing::Test::RecordProperty(op, std::to_string(mean));
@@ -478,6 +483,80 @@ TEST_F(CostTest, SmHopWarmBuffers) {
     ASSERT_EQ(distance->value(), 2);
   }
   ExpectMeanAtMost("SM hop, warm buffers", allocations, kSmHopBound);
+}
+
+/// A still city of 200 phones built as city_static builds its 10,000:
+/// area 70 * sqrt(N) m, a quarter providers, hop budget 10.
+class StillCity {
+ public:
+  static constexpr int kHopBudget = 10;
+  static constexpr SimDuration kTimeout =
+      std::chrono::milliseconds{1500 * 2 * (kHopBudget + 1)};
+
+  StillCity() : city_(Options()) {}
+
+  /// One finder from `issuer`, run until its timeout has passed.
+  testbed::CityScenario::FinderOutcome Round(std::size_t issuer) {
+    testbed::CityScenario::FinderOutcome outcome;
+    city_.LaunchFinder(issuer, /*num_nodes=*/-1, kHopBudget, kTimeout,
+                       [&outcome](testbed::CityScenario::FinderOutcome o) {
+                         outcome = o;
+                       });
+    city_.sim().RunFor(kTimeout + 1s);
+    return outcome;
+  }
+
+ private:
+  static testbed::CityOptions Options() {
+    testbed::CityOptions options;
+    options.phones = 200;
+    options.area_m = 70.0 * std::sqrt(200.0);
+    options.provider_fraction = 0.25;
+    options.seed = 7;
+    options.mobility = testbed::CityOptions::Mobility::kNone;
+    return options;
+  }
+
+  testbed::CityScenario city_;
+};
+
+TEST_F(CostTest, StillCityFinderRound) {
+  constexpr int kRounds = 64;
+  StillCity city;
+  for (int i = 0; i < 4; ++i) (void)city.Round(0);  // warm
+  std::size_t allocations = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    testbed::CityScenario::FinderOutcome outcome;
+    {
+      Counted counted(allocations);
+      outcome = city.Round(0);
+    }
+    ASSERT_TRUE(outcome.success);
+    ASSERT_GT(outcome.hops, 2);
+  }
+  ExpectMeanAtMost("still-city finder round", allocations, kFinderRoundBound,
+                   kRounds);
+}
+
+TEST_F(CostTest, RepeatedFinderRoundScansNothing) {
+  // Nothing in a still city moves the topology epochs, so a round that
+  // repeats the route of the one before reads every WiFi neighbor list
+  // from its radio's kept copy.
+  if (!COBS_ON()) GTEST_SKIP() << "observability compiled out";
+  const obs::Counter& scans = obs::Observability::metrics().GetCounter(
+      "medium_neighbor_queries_total", {{"backend", "grid"}});
+  StillCity city;
+  std::uint64_t before = scans.value();
+  ASSERT_TRUE(city.Round(0).success);
+  const std::uint64_t first = scans.value() - before;
+  before = scans.value();
+  ASSERT_TRUE(city.Round(0).success);
+  const std::uint64_t repeated = scans.value() - before;
+  std::printf("[ cost ] %-28s %llu range scans, repeated round %llu\n",
+              "still-city first round", static_cast<unsigned long long>(first),
+              static_cast<unsigned long long>(repeated));
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(repeated, 0u);
 }
 
 TEST_F(CostTest, StageSpanOpenAndClose) {

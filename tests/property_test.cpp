@@ -762,16 +762,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
 // --- SM content-based routing vs. a naive BFS oracle ------------------------
 
 /// The routing BFS written the plain way: hash-map depth/parent tables, a
-/// std::queue, and a fresh neighbor vector per expansion. Same visiting
-/// rules as SmRuntime: the source is always expanded, a neighbor joins
-/// when it is unvisited, not excluded, has a runtime and participates.
+/// std::queue, and a fresh neighbor vector per expansion, read by a Medium
+/// range scan rather than through WifiController's kept list. Same
+/// visiting rules as SmRuntime: the source is always expanded, a neighbor
+/// joins when it is unvisited, not excluded, has a runtime and
+/// participates.
 struct NaiveBfs {
   std::vector<net::NodeId> order;
   std::unordered_map<net::NodeId, net::NodeId> parent;
   std::unordered_map<net::NodeId, int> depth;
 };
 
-NaiveBfs RunNaiveBfs(const sm::SmBus& bus, net::NodeId source,
+/// What the oracle reads: the SM overlay and the radios under it.
+struct Overlay {
+  const sm::SmBus& sm;
+  const net::Medium& medium;
+  const net::WifiBus& wifi;
+};
+
+/// The enabled WiFi peers in range of `node`, by a fresh range scan.
+std::vector<net::NodeId> ScannedNeighbors(const Overlay& overlay,
+                                          net::NodeId node) {
+  const net::WifiController* self = overlay.wifi.Find(node);
+  if (self == nullptr || !self->enabled()) return {};
+  return overlay.medium.NodesWithin(node, self->range_m(), [&](net::NodeId n) {
+    const net::WifiController* peer = overlay.wifi.Find(n);
+    return peer != nullptr && peer->enabled();
+  });
+}
+
+NaiveBfs RunNaiveBfs(const Overlay& overlay, net::NodeId source,
                      const std::unordered_set<net::NodeId>& exclude,
                      int max_depth,
                      const std::function<bool(net::NodeId)>& stop) {
@@ -784,11 +804,9 @@ NaiveBfs RunNaiveBfs(const sm::SmBus& bus, net::NodeId source,
     const net::NodeId current = frontier.front();
     frontier.pop();
     if (max_depth > 0 && bfs.depth[current] >= max_depth) continue;
-    std::vector<net::NodeId> neighbors;
-    bus.Find(current)->wifi().NeighborsInto(neighbors);
-    for (const net::NodeId nb : neighbors) {
+    for (const net::NodeId nb : ScannedNeighbors(overlay, current)) {
       if (bfs.depth.contains(nb) || exclude.contains(nb)) continue;
-      sm::SmRuntime* rt = bus.Find(nb);
+      sm::SmRuntime* rt = overlay.sm.Find(nb);
       if (rt == nullptr || !rt->participating()) continue;
       bfs.depth[nb] = bfs.depth[current] + 1;
       bfs.parent[nb] = current;
@@ -800,17 +818,17 @@ NaiveBfs RunNaiveBfs(const sm::SmBus& bus, net::NodeId source,
   return bfs;
 }
 
-bool Exposes(const sm::SmBus& bus, net::NodeId n, const std::string& tag) {
-  sm::SmRuntime* rt = bus.Find(n);
+bool Exposes(const Overlay& overlay, net::NodeId n, const std::string& tag) {
+  sm::SmRuntime* rt = overlay.sm.Find(n);
   return rt != nullptr && rt->tags().Has(tag);
 }
 
 Result<net::NodeId> NaiveNextHop(
-    const sm::SmBus& bus, net::NodeId source, const std::string& tag,
+    const Overlay& overlay, net::NodeId source, const std::string& tag,
     const std::unordered_set<net::NodeId>& exclude) {
-  const NaiveBfs bfs = RunNaiveBfs(bus, source, exclude, 0, {});
+  const NaiveBfs bfs = RunNaiveBfs(overlay, source, exclude, 0, {});
   for (const net::NodeId candidate : bfs.order) {
-    if (candidate == source || !Exposes(bus, candidate, tag)) continue;
+    if (candidate == source || !Exposes(overlay, candidate, tag)) continue;
     net::NodeId hop = candidate;
     while (bfs.parent.at(hop) != source) hop = bfs.parent.at(hop);
     return hop;
@@ -818,12 +836,12 @@ Result<net::NodeId> NaiveNextHop(
   return NotFound("unreachable");
 }
 
-Result<int> NaiveHopDistance(const sm::SmBus& bus, net::NodeId source,
+Result<int> NaiveHopDistance(const Overlay& overlay, net::NodeId source,
                              const std::string& tag) {
-  if (Exposes(bus, source, tag)) return 0;
-  const NaiveBfs bfs = RunNaiveBfs(bus, source, {}, 0, {});
+  if (Exposes(overlay, source, tag)) return 0;
+  const NaiveBfs bfs = RunNaiveBfs(overlay, source, {}, 0, {});
   for (const net::NodeId candidate : bfs.order) {
-    if (candidate != source && Exposes(bus, candidate, tag)) {
+    if (candidate != source && Exposes(overlay, candidate, tag)) {
       return bfs.depth.at(candidate);
     }
   }
@@ -831,44 +849,41 @@ Result<int> NaiveHopDistance(const sm::SmBus& bus, net::NodeId source,
 }
 
 std::vector<std::pair<net::NodeId, int>> NaiveNodesWithTag(
-    const sm::SmBus& bus, net::NodeId source, const std::string& tag,
+    const Overlay& overlay, net::NodeId source, const std::string& tag,
     int max_hops) {
-  const NaiveBfs bfs = RunNaiveBfs(bus, source, {}, max_hops, {});
+  const NaiveBfs bfs = RunNaiveBfs(overlay, source, {}, max_hops, {});
   std::vector<std::pair<net::NodeId, int>> out;
   for (const net::NodeId candidate : bfs.order) {
-    if (candidate != source && Exposes(bus, candidate, tag)) {
+    if (candidate != source && Exposes(overlay, candidate, tag)) {
       out.emplace_back(candidate, bfs.depth.at(candidate));
     }
   }
   return out;
 }
 
-/// A random static topology: phones scattered over 500 m x 500 m (100 m
-/// WiFi range), some not participating, some with the radio off, some
+/// A random topology: phones scattered over 500 m x 500 m (100 m WiFi
+/// range), some not participating, some with the radio off, some
 /// exposing the target tag; plus a runtime-less radio in the middle of
 /// the id range and a WiFi-only node registered after the last runtime.
+/// runtimes_[i] belongs to wifis_[i] and nodes_[i] (nullptr = none).
 class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   static constexpr int kPhones = 48;
   static constexpr const char* kTag = "cxt.temperature";
+  static constexpr double kSide = 500.0;
 
   void Build(Rng& rng) {
     for (int i = 0; i < kPhones; ++i) {
       AddRadio(rng);
-      const bool runtime_less = i == kPhones / 2;
       if (rng.Bernoulli(0.1)) wifis_.back()->SetEnabled(false);
-      if (runtime_less) {
-        runtimes_.push_back(nullptr);
+      if (i == kPhones / 2) {
+        runtimes_.push_back(nullptr);  // runtime-less radio
         continue;
       }
-      runtimes_.push_back(
-          std::make_unique<sm::SmRuntime>(sim_, bus_, *wifis_.back()));
-      sm::SmRuntime& rt = *runtimes_.back();
-      rt.SetParticipating(!rng.Bernoulli(0.15));
-      rt.tags().Upsert(core::HomeTagName(rt.node()), "1");
-      if (rng.Bernoulli(0.2)) rt.tags().Upsert(kTag, "14");
+      AddRuntime(rng);
     }
     AddRadio(rng);  // WiFi only, id beyond every runtime
+    runtimes_.push_back(nullptr);
   }
 
   void AddRadio(Rng& rng) {
@@ -876,11 +891,39 @@ class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
     phones_.push_back(std::make_unique<phone::SmartPhone>(
         sim_, phone::Nokia9500(), name));
     const net::NodeId node = medium_.Register(
-        name, {rng.Uniform(0, 500), rng.Uniform(0, 500)});
+        name, {rng.Uniform(0, kSide), rng.Uniform(0, kSide)});
     nodes_.push_back(node);
     wifis_.push_back(std::make_unique<net::WifiController>(
         sim_, wifi_bus_, *phones_.back(), node));
     wifis_.back()->SetEnabled(true);
+  }
+
+  void AddRuntime(Rng& rng) {
+    runtimes_.push_back(
+        std::make_unique<sm::SmRuntime>(sim_, bus_, *wifis_.back()));
+    sm::SmRuntime& rt = *runtimes_.back();
+    rt.SetParticipating(!rng.Bernoulli(0.15));
+    rt.tags().Upsert(core::HomeTagName(rt.node()), "1");
+    if (rng.Bernoulli(0.2)) rt.tags().Upsert(kTag, "14");
+  }
+
+  /// Moves a fifth of the phones: inside their 100 m grid cell, or to a
+  /// random spot in another cell.
+  void Move(Rng& rng, bool cross_cell) {
+    ASSERT_EQ(medium_.cell_size_m(), 100.0);
+    for (const net::NodeId n : nodes_) {
+      if (!medium_.Exists(n) || !rng.Bernoulli(0.2)) continue;
+      const net::Position from = *medium_.GetPosition(n);
+      const double cx = std::floor(from.x / 100.0);
+      const double cy = std::floor(from.y / 100.0);
+      net::Position to{(cx + rng.Uniform(0, 1)) * 100.0,
+                       (cy + rng.Uniform(0, 1)) * 100.0};
+      while (cross_cell && std::floor(to.x / 100.0) == cx &&
+             std::floor(to.y / 100.0) == cy) {
+        to = {rng.Uniform(0, kSide), rng.Uniform(0, kSide)};
+      }
+      ASSERT_TRUE(medium_.SetPosition(n, to).ok());
+    }
   }
 
   std::unordered_set<net::NodeId> RandomExclude(Rng& rng) {
@@ -905,13 +948,13 @@ class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
         const auto exclude =
             rng.Bernoulli(0.5) ? RandomExclude(rng)
                                : std::unordered_set<net::NodeId>{};
-        const auto want = NaiveNextHop(bus_, src, tag, exclude);
+        const auto want = NaiveNextHop(overlay_, src, tag, exclude);
         const auto got = rt->NextHopTowardTag(tag, exclude);
         ASSERT_EQ(got.ok(), want.ok()) << "node " << src << " tag " << tag;
         if (want.ok()) {
           ASSERT_EQ(*got, *want) << "node " << src << " tag " << tag;
         }
-        const auto want_d = NaiveHopDistance(bus_, src, tag);
+        const auto want_d = NaiveHopDistance(overlay_, src, tag);
         const auto got_d = rt->HopDistanceToTag(tag);
         ASSERT_EQ(got_d.ok(), want_d.ok()) << "node " << src;
         if (want_d.ok()) {
@@ -920,7 +963,7 @@ class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
         }
         for (const int max_hops : {0, 1, 2, 4}) {
           ASSERT_EQ(rt->NodesWithTag(tag, max_hops),
-                    NaiveNodesWithTag(bus_, src, tag, max_hops))
+                    NaiveNodesWithTag(overlay_, src, tag, max_hops))
               << "node " << src << " max_hops " << max_hops;
         }
       }
@@ -932,6 +975,7 @@ class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
   net::Medium medium_;
   net::WifiBus wifi_bus_{medium_};
   sm::SmBus bus_;
+  const Overlay overlay_{bus_, medium_, wifi_bus_};
   std::vector<std::unique_ptr<phone::SmartPhone>> phones_;
   std::vector<net::NodeId> nodes_;
   std::vector<std::unique_ptr<net::WifiController>> wifis_;
@@ -943,7 +987,12 @@ TEST_P(SmRoutingOracleTest, MatchesNaiveBfs) {
   Build(rng);
   CheckAll(rng);
 
-  // Mid-run churn: a runtime is destroyed, participation and radios flip.
+  // Each round below changes the topology one way, then re-checks every
+  // query: the previous round's queries left every neighbor list warm,
+  // so a change that failed to invalidate them would route off a stale
+  // list here.
+
+  // A runtime is destroyed, participation and radios flip.
   runtimes_[3].reset();
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
     if (runtimes_[i] == nullptr) continue;
@@ -955,6 +1004,35 @@ TEST_P(SmRoutingOracleTest, MatchesNaiveBfs) {
     }
   }
   CheckAll(rng);
+
+  Move(rng, /*cross_cell=*/false);
+  CheckAll(rng);
+  Move(rng, /*cross_cell=*/true);
+  CheckAll(rng);
+
+  // A phone with a runtime joins mid-run.
+  AddRadio(rng);
+  AddRuntime(rng);
+  CheckAll(rng);
+
+  // A phone leaves the medium; its runtime and radio stay.
+  medium_.Unregister(nodes_[5]);
+  CheckAll(rng);
+
+  // Radios fail, then recover.
+  std::vector<net::WifiController*> failed;
+  for (const auto& wifi : wifis_) {
+    if (rng.Bernoulli(0.15)) failed.push_back(wifi.get());
+  }
+  for (net::WifiController* wifi : failed) wifi->SetFailed(true);
+  CheckAll(rng);
+  for (net::WifiController* wifi : failed) wifi->SetFailed(false);
+  CheckAll(rng);
+
+  // The runtime-less radio is destroyed; its node stays registered.
+  wifis_[kPhones / 2].reset();
+  CheckAll(rng);
+
   EXPECT_GT(multi_hop_routes_, 0);
 }
 

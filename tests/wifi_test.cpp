@@ -1,7 +1,9 @@
 // Unit tests for the simulated WiFi ad hoc radio.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/medium.hpp"
 #include "net/wifi.hpp"
@@ -146,6 +148,133 @@ TEST_F(WifiTest, FailureCutsDrainAndReachability) {
   EXPECT_FALSE(wifi_a_->IsNeighbor(node_b_));
   EXPECT_DOUBLE_EQ(
       phone_b_.energy().ComponentPowerMilliwatts("wifi.connected"), 0.0);
+}
+
+// --- The kept neighbor list vs. a fresh range scan --------------------------
+
+/// Every radio's NeighborsInto against the Medium range scan it keeps,
+/// computed here without the kept list, in the same order.
+class NeighborListTest : public WifiTest {
+ protected:
+  std::vector<NodeId> Scanned(const WifiController& wifi) const {
+    if (!wifi.enabled()) return {};
+    return medium_.NodesWithin(wifi.node(), wifi.range_m(), [&](NodeId n) {
+      const WifiController* peer = bus_.Find(n);
+      return peer != nullptr && peer->enabled();
+    });
+  }
+
+  std::vector<NodeId> Kept(const WifiController& wifi) const {
+    std::vector<NodeId> out;
+    wifi.NeighborsInto(out);
+    return out;
+  }
+
+  /// Checks every live radio, which also leaves every kept list warm for
+  /// the next mutation to invalidate.
+  void ExpectKeptEqualsScanned() const {
+    for (const auto* wifi : {&wifi_a_, &wifi_b_, &wifi_c_, &wifi_d_}) {
+      if (*wifi == nullptr) continue;
+      EXPECT_EQ(Kept(**wifi), Scanned(**wifi)) << "node " << (*wifi)->node();
+    }
+  }
+
+  void SetUp() override { ExpectKeptEqualsScanned(); }
+
+  phone::SmartPhone phone_d_{sim_, phone::Nokia9500(), "comm-D"};
+  std::unique_ptr<WifiController> wifi_d_;  // added by some cases
+};
+
+TEST_F(NeighborListTest, MoveInsideACell) {
+  // B stays in its 100 m cell but is now nearer C than A.
+  ASSERT_EQ(medium_.cell_size_m(), 100.0);
+  ASSERT_TRUE(medium_.SetPosition(node_b_, {90, 0}).ok());
+  EXPECT_EQ(Kept(*wifi_b_), (std::vector<NodeId>{node_c_, node_a_}));
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, MoveAcrossCells) {
+  ASSERT_TRUE(medium_.SetPosition(node_c_, {40, 0}).ok());
+  EXPECT_EQ(Kept(*wifi_a_), (std::vector<NodeId>{node_c_, node_b_}));
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, RegisterANode) {
+  const std::uint64_t epoch = medium_.topology_epoch();
+  const NodeId d = medium_.Register("comm-D", {40, 0});
+  EXPECT_NE(medium_.topology_epoch(), epoch);
+  ExpectKeptEqualsScanned();  // a node without a radio is no neighbor
+  wifi_d_ = std::make_unique<WifiController>(sim_, bus_, phone_d_, d);
+  ExpectKeptEqualsScanned();  // nor is a radio that is off
+  wifi_d_->SetEnabled(true);
+  EXPECT_EQ(Kept(*wifi_a_), (std::vector<NodeId>{d, node_b_}));
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, UnregisterANode) {
+  medium_.Unregister(node_b_);
+  EXPECT_TRUE(Kept(*wifi_a_).empty());
+  EXPECT_TRUE(Kept(*wifi_b_).empty());  // its radio is still on
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, AttachARadio) {
+  const NodeId d = medium_.Register("comm-D", {120, 0});
+  ExpectKeptEqualsScanned();
+  const std::uint64_t epoch = bus_.epoch();
+  wifi_d_ = std::make_unique<WifiController>(sim_, bus_, phone_d_, d);
+  EXPECT_NE(bus_.epoch(), epoch);
+  wifi_d_->SetEnabled(true);
+  EXPECT_EQ(Kept(*wifi_c_), (std::vector<NodeId>{d, node_b_}));
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, DestroyARadio) {
+  wifi_b_.reset();
+  EXPECT_TRUE(Kept(*wifi_a_).empty());
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, DisableAndReEnableARadio) {
+  wifi_c_->SetEnabled(false);
+  EXPECT_EQ(Kept(*wifi_b_), (std::vector<NodeId>{node_a_}));
+  ExpectKeptEqualsScanned();
+  wifi_c_->SetEnabled(true);
+  EXPECT_EQ(Kept(*wifi_b_), (std::vector<NodeId>{node_a_, node_c_}));
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, FailAndRecoverARadio) {
+  wifi_a_->SetFailed(true);
+  EXPECT_EQ(Kept(*wifi_b_), (std::vector<NodeId>{node_c_}));
+  ExpectKeptEqualsScanned();
+  wifi_a_->SetFailed(false);
+  EXPECT_EQ(Kept(*wifi_b_), (std::vector<NodeId>{node_a_, node_c_}));
+  ExpectKeptEqualsScanned();
+}
+
+TEST_F(NeighborListTest, RegridAndOracleKeepTheEpoch) {
+  // A short radio range re-derives the cell size and rebuilds the grid;
+  // the linear oracle answers the same. Neither changes a result, so
+  // neither moves the epoch.
+  const std::uint64_t epoch = medium_.topology_epoch();
+  medium_.NoteRadioRange(10.0);
+  EXPECT_NE(medium_.cell_size_m(), 100.0);
+  ExpectKeptEqualsScanned();
+  medium_.set_use_grid(false);
+  ExpectKeptEqualsScanned();
+  EXPECT_EQ(medium_.topology_epoch(), epoch);
+}
+
+TEST_F(NeighborListTest, DisabledRadioAppendsNothing) {
+  wifi_b_->SetEnabled(false);
+  std::vector<NodeId> out{kInvalidNode};
+  wifi_b_->NeighborsInto(out);
+  EXPECT_EQ(out, std::vector<NodeId>{kInvalidNode});
+  wifi_b_->SetEnabled(true);
+  wifi_b_->SetFailed(true);
+  wifi_b_->NeighborsInto(out);
+  EXPECT_EQ(out, std::vector<NodeId>{kInvalidNode});
 }
 
 TEST_F(WifiTest, WifiIdleCostDwarfsBtScan) {
