@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace contory {
 namespace {
@@ -11,6 +12,16 @@ void AppendBigEndian(std::vector<std::byte>& buf, T v) {
   for (int shift = static_cast<int>(sizeof(T)) * 8 - 8; shift >= 0;
        shift -= 8) {
     buf.push_back(static_cast<std::byte>((v >> shift) & 0xff));
+  }
+}
+
+template <typename T>
+void StoreBigEndian(std::span<std::byte> data, std::size_t pos, T v) {
+  if (pos > data.size() || data.size() - pos < sizeof(T)) {
+    throw std::out_of_range("big-endian store past the end of the buffer");
+  }
+  for (std::size_t i = sizeof(T); i-- > 0; v >>= 8) {
+    data[pos + i] = static_cast<std::byte>(v & 0xff);
   }
 }
 
@@ -53,38 +64,12 @@ void ByteWriter::WritePadding(std::size_t n) {
   buf_.insert(buf_.end(), n, std::byte{0});
 }
 
-std::string ToHex(std::span<const std::byte> bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::byte b : bytes) {
-    out.push_back(kDigits[static_cast<unsigned>(b) >> 4]);
-    out.push_back(kDigits[static_cast<unsigned>(b) & 0xf]);
-  }
-  return out;
+void PutU32(std::span<std::byte> data, std::size_t pos, std::uint32_t v) {
+  StoreBigEndian(data, pos, v);
 }
 
-Result<std::vector<std::byte>> FromHex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    return InvalidArgument("hex string has odd length");
-  }
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::vector<std::byte> out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return InvalidArgument("non-hex character in string");
-    }
-    out.push_back(static_cast<std::byte>((hi << 4) | lo));
-  }
-  return out;
+void PutI64(std::span<std::byte> data, std::size_t pos, std::int64_t v) {
+  StoreBigEndian(data, pos, std::bit_cast<std::uint64_t>(v));
 }
 
 Status ByteReader::Require(std::size_t n) const {

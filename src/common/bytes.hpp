@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -23,6 +24,9 @@ namespace contory {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Appends after the bytes `buf` already holds.
+  explicit ByteWriter(std::vector<std::byte> buf) noexcept
+      : buf_(std::move(buf)) {}
 
   void WriteU8(std::uint8_t v);
   void WriteU32(std::uint32_t v);
@@ -36,6 +40,8 @@ class ByteWriter {
   void WriteRaw(std::span<const std::byte> bytes);
   /// Raw zero padding, used to model fixed-size protocol envelopes.
   void WritePadding(std::size_t n);
+  /// Allocates room for n bytes in total, when the final size is known.
+  void Reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
@@ -47,11 +53,11 @@ class ByteWriter {
   std::vector<std::byte> buf_;
 };
 
-/// Lowercase hex encoding of a byte buffer (SM tag values are strings;
-/// published context items travel hex-encoded inside tags).
-[[nodiscard]] std::string ToHex(std::span<const std::byte> bytes);
-/// Inverse of ToHex; rejects odd lengths and non-hex characters.
-[[nodiscard]] Result<std::vector<std::byte>> FromHex(std::string_view hex);
+/// Overwrite the big-endian value at `pos` in place, in the encoding of
+/// ByteWriter::WriteU32/WriteI64. Throws std::out_of_range when the value
+/// does not fit: callers patch fields whose bounds they have read.
+void PutU32(std::span<std::byte> data, std::size_t pos, std::uint32_t v);
+void PutI64(std::span<std::byte> data, std::size_t pos, std::int64_t v);
 
 /// Sequential decoder over a byte span. All reads are bounds-checked and
 /// return Status failures instead of reading past the end, because frames

@@ -1,7 +1,5 @@
 #include "core/providers/adhoc_provider.hpp"
 
-#include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -68,93 +66,154 @@ Result<FinderState> FinderState::Decode(const std::vector<std::byte>& data) {
   return state;
 }
 
+Result<FinderHeader> FinderHeader::Read(std::span<const std::byte> data) {
+  ByteReader r{data};
+  FinderHeader header;
+  const auto qlen = r.ReadU32();
+  if (!qlen.ok()) return qlen.status();
+  header.qlen_ = *qlen;
+  if (auto s = r.Skip(header.qlen_); !s.ok()) return s;
+  const auto remaining = r.ReadI64();
+  if (!remaining.ok()) return remaining.status();
+  header.remaining_ = static_cast<int>(*remaining);
+  const auto homeward = r.ReadBool();
+  if (!homeward.ok()) return homeward.status();
+  header.homeward_ = *homeward;
+  const auto count = r.ReadU32();
+  if (!count.ok()) return count.status();
+  header.count_ = *count;
+  return header;
+}
+
+Result<query::CxtQuery> FinderHeader::DecodeQuery(
+    std::span<const std::byte> data) const {
+  return query::CxtQuery::Deserialize(data.subspan(4, qlen_));
+}
+
+Result<bool> FinderHeader::HoldsItem(std::span<const std::byte> data,
+                                     std::string_view id) const {
+  ByteReader r{data.subspan(ResultsAt())};
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    const auto item = CxtItem::Deserialize(r);
+    if (!item.ok()) return item.status();
+    const auto hop = r.ReadI64();
+    if (!hop.ok()) return hop.status();
+    if (item->id == id) return true;
+  }
+  if (!r.AtEnd()) return InvalidArgument("bytes after the last result");
+  return false;
+}
+
+void FinderHeader::SetRemaining(std::span<std::byte> data, int remaining) {
+  PutI64(data, RemainingAt(), remaining);
+  remaining_ = remaining;
+}
+
+void FinderHeader::SetHomeward(std::span<std::byte> data) {
+  data[HomewardAt()] = std::byte{1};  // ByteWriter::WriteBool(true)
+  homeward_ = true;
+}
+
+void FinderHeader::Append(std::vector<std::byte>& data, const CxtItem& item,
+                          int hop) {
+  ByteWriter w{std::move(data)};
+  item.Encode(w);
+  w.WriteI64(hop);
+  data = std::move(w).Take();
+  PutU32(data, CountAt(), ++count_);
+}
+
 namespace {
 
+/// Takes a finder home with its bricks as they are: delivered at the
+/// origin, else one hop toward the origin's home tag. With no route home
+/// the SM dies; the issuer's timeout covers it.
+void GoHome(sm::SmContext& ctx, sm::SmartMessage sm) {
+  if (ctx.node == sm.origin) {
+    ctx.runtime.DeliverReply(std::move(sm));
+    return;
+  }
+  const auto next = ctx.runtime.NextHopTowardTag(HomeTagName(sm.origin));
+  if (next.ok()) ctx.runtime.Migrate(std::move(sm), *next);
+}
+
+/// Collects the public item this node publishes for the query, when it
+/// matches and its id is not among the results yet. "WHERE, FRESHNESS
+/// and EVENTS requirements specified in the query are evaluated" here, at
+/// the provider's node. False when the results do not decode: the finder
+/// dies.
+bool CollectHere(sm::SmContext& ctx, sm::SmartMessage& sm,
+                 FinderHeader& header, const query::CxtQuery& query,
+                 const std::string& cxt_tag) {
+  const std::string* value = ctx.runtime.tags().PublicValue(cxt_tag);
+  if (value == nullptr) return true;
+  auto item = ItemFromTagValue(*value);
+  if (!item.ok() || item->IsExpired(ctx.sim.Now())) return true;
+  if (query.freshness.has_value() &&
+      !item->IsFresh(ctx.sim.Now(), *query.freshness)) {
+    return true;
+  }
+  if (query.where.has_value()) {
+    const auto ok = query::EvalWhere(*query.where, *item);
+    if (!ok.ok() || !*ok) return true;
+  }
+  const auto already = header.HoldsItem(sm.data, item->id);
+  if (!already.ok()) {
+    CLOG_WARN(kModule, "finder %s: bad results, dying: %s", sm.id.c_str(),
+              already.status().ToString().c_str());
+    return false;
+  }
+  if (*already) return true;
+  item->source = {SourceKind::kAdHocNetwork,
+                  "node:" + std::to_string(ctx.node)};
+  header.Append(sm.data, *item, sm.hop_count);
+  if (header.remaining_nodes() > 0) {
+    header.SetRemaining(sm.data, header.remaining_nodes() - 1);
+  }
+  return true;
+}
+
 /// One step of SM-FINDER execution at the current node. Factored out of
-/// the brick lambda for testability.
+/// the brick lambda for testability. It reads the header of the data
+/// bricks and writes only what changes (FinderHeader).
 void FinderStep(sm::SmContext& ctx, sm::SmartMessage sm) {
-  auto state = FinderState::Decode(sm.data);
-  if (!state.ok()) {
+  auto header = FinderHeader::Read(sm.data);
+  if (!header.ok()) {
     CLOG_WARN(kModule, "finder %s: bad state, dying: %s", sm.id.c_str(),
-              state.status().ToString().c_str());
+              header.status().ToString().c_str());
     return;
   }
-  const std::string home_tag = HomeTagName(sm.origin);
-  const std::string cxt_tag = CxtTagName(state->query.select_type);
-
-  const auto go_home = [&](FinderState st) {
-    st.homeward = true;
-    sm.data = st.Encode();
-    if (ctx.node == sm.origin) {
-      ctx.runtime.DeliverReply(std::move(sm));
-      return;
-    }
-    const auto next = ctx.runtime.NextHopTowardTag(home_tag);
-    if (next.ok()) {
-      ctx.runtime.Migrate(std::move(sm), *next);
-    }
-    // No route home: the SM dies; the issuer's timeout covers it.
-  };
-
-  if (state->homeward) {
-    go_home(*std::move(state));
+  if (header->homeward()) {
+    GoHome(ctx, std::move(sm));
     return;
   }
-
-  // Collect at this node (never at the origin itself: adHocNetwork asks
-  // *other* nodes).
-  if (ctx.node != sm.origin && ctx.runtime.tags().Has(cxt_tag)) {
-    const auto tag = ctx.runtime.tags().Read(cxt_tag);  // public items only
-    if (tag.ok()) {
-      const auto bytes = FromHex(tag->value);
-      if (bytes.ok()) {
-        auto item = CxtItem::Deserialize(*bytes);
-        if (item.ok()) {
-          // "WHERE, FRESHNESS and EVENTS requirements specified in the
-          // query are evaluated" at the provider's node.
-          bool matches = !item->IsExpired(ctx.sim.Now());
-          if (matches && state->query.freshness.has_value()) {
-            matches = item->IsFresh(ctx.sim.Now(), *state->query.freshness);
-          }
-          if (matches && state->query.where.has_value()) {
-            const auto ok = query::EvalWhere(*state->query.where, *item);
-            matches = ok.ok() && *ok;
-          }
-          const bool already =
-              std::any_of(state->results.begin(), state->results.end(),
-                          [&](const FinderState::Collected& c) {
-                            return c.item.id == item->id;
-                          });
-          if (matches && !already) {
-            item->source = {SourceKind::kAdHocNetwork,
-                            "node:" + std::to_string(ctx.node)};
-            state->results.push_back(
-                FinderState::Collected{*std::move(item), sm.hop_count});
-            if (state->remaining_nodes > 0) --state->remaining_nodes;
-          }
-        }
-      }
-    }
+  const auto query = header->DecodeQuery(sm.data);
+  if (!query.ok()) {
+    CLOG_WARN(kModule, "finder %s: bad query, dying: %s", sm.id.c_str(),
+              query.status().ToString().c_str());
+    return;
+  }
+  const std::string cxt_tag = CxtTagName(query->select_type);
+  // Never collect at the origin itself: adHocNetwork asks *other* nodes.
+  if (ctx.node != sm.origin &&
+      !CollectHere(ctx, sm, *header, *query, cxt_tag)) {
+    return;
   }
 
   // Budget checks: enough nodes collected, or hop budget exhausted.
-  if (state->remaining_nodes == 0 ||
-      (sm.max_hops > 0 && sm.hop_count >= sm.max_hops)) {
-    go_home(*std::move(state));
-    return;
+  // Otherwise continue outward toward the nearest *unvisited* node with
+  // the tag, or turn home when there is none.
+  if (header->remaining_nodes() != 0 &&
+      (sm.max_hops <= 0 || sm.hop_count < sm.max_hops)) {
+    const auto next =
+        ctx.runtime.NextHopTowardTag(cxt_tag, sm.visited, sm.origin);
+    if (next.ok()) {
+      ctx.runtime.Migrate(std::move(sm), *next);
+      return;
+    }
   }
-
-  // Continue outward toward the nearest *unvisited* node with the tag.
-  std::unordered_set<net::NodeId> exclude{sm.visited.begin(),
-                                          sm.visited.end()};
-  exclude.insert(sm.origin);
-  const auto next = ctx.runtime.NextHopTowardTag(cxt_tag, exclude);
-  if (!next.ok()) {
-    go_home(*std::move(state));
-    return;
-  }
-  sm.data = state->Encode();
-  ctx.runtime.Migrate(std::move(sm), *next);
+  header->SetHomeward(sm.data);
+  GoHome(ctx, std::move(sm));
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/access_controller.hpp"
 #include "core/providers/provider.hpp"
@@ -39,7 +41,11 @@ inline constexpr const char* kFinderBrick = "contory.sm-finder";
 /// cache elides it on later visits).
 inline constexpr std::size_t kFinderCodeBytes = 700;
 
-/// The finder's mobile data bricks.
+/// The finder's mobile data bricks. The wire layout is
+/// `u32 qlen | query | i64 remaining | bool homeward | u32 count |
+/// results…`, each result an encoded CxtItem and its i64 hop. Encode and
+/// Decode handle the whole state; FinderHeader is the only other code
+/// that knows the layout.
 struct FinderState {
   query::CxtQuery query;
   /// Remaining node budget (-1 = all reachable nodes).
@@ -54,6 +60,46 @@ struct FinderState {
   [[nodiscard]] std::vector<std::byte> Encode() const;
   [[nodiscard]] static Result<FinderState> Decode(
       const std::vector<std::byte>& data);
+};
+
+/// The fixed header of encoded FinderState bytes, read and patched where
+/// they lie so a hop touches only the bytes it changes: a homeward hop
+/// forwards the bricks untouched, an outbound hop decodes only the query,
+/// and a collecting hop appends one result. Every accessor takes the
+/// buffer that Read saw.
+class FinderHeader {
+ public:
+  /// Bounds-checks the header; decodes neither the query nor the results.
+  [[nodiscard]] static Result<FinderHeader> Read(
+      std::span<const std::byte> data);
+
+  [[nodiscard]] int remaining_nodes() const noexcept { return remaining_; }
+  [[nodiscard]] bool homeward() const noexcept { return homeward_; }
+  [[nodiscard]] std::uint32_t count() const noexcept { return count_; }
+
+  [[nodiscard]] Result<query::CxtQuery> DecodeQuery(
+      std::span<const std::byte> data) const;
+  /// Walks the results: true as soon as one holds an item with `id`.
+  /// A result that does not decode, or bytes after the last one, fail.
+  [[nodiscard]] Result<bool> HoldsItem(std::span<const std::byte> data,
+                                       std::string_view id) const;
+
+  void SetRemaining(std::span<std::byte> data, int remaining);
+  void SetHomeward(std::span<std::byte> data);
+  /// Appends a result (the results end the buffer) and bumps the count.
+  void Append(std::vector<std::byte>& data, const CxtItem& item, int hop);
+
+ private:
+  // Offsets follow from the query's length.
+  [[nodiscard]] std::size_t RemainingAt() const noexcept { return 4 + qlen_; }
+  [[nodiscard]] std::size_t HomewardAt() const noexcept { return 12 + qlen_; }
+  [[nodiscard]] std::size_t CountAt() const noexcept { return 13 + qlen_; }
+  [[nodiscard]] std::size_t ResultsAt() const noexcept { return 17 + qlen_; }
+
+  std::size_t qlen_ = 0;
+  int remaining_ = -1;
+  bool homeward_ = false;
+  std::uint32_t count_ = 0;
 };
 
 /// Installs the SM-FINDER code brick on `runtime` (idempotent). Every

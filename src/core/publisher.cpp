@@ -112,7 +112,7 @@ void CxtPublisher::Publish(const CxtItem& item, std::string access_key,
   // its name and value in the TagSpace hashtable" (Table 1: 0.130 ms).
   if (wifi_.Available()) {
     any_channel = true;
-    wifi_.PublishTag(item.type, ToHex(item.Serialize()), item.lifetime,
+    wifi_.PublishTag(item.type, CxtTagValue(item), item.lifetime,
                      access_key);
     wifi_types_[item.type] = !access_key.empty();
     if (!bt_.Available()) {

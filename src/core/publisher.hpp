@@ -10,7 +10,7 @@
 // BT publication registers a "contory.cxt.<type>" service record whose
 // DataElement carries the serialized item (first publication pays the
 // ~140 ms SDDB registration of Table 1; re-publication updates in place).
-// WiFi publication exposes an SM tag whose value is the hex-encoded item.
+// WiFi publication exposes an SM tag whose value is the serialized item.
 // Publication requires prior registration (registerCxtServer).
 #pragma once
 

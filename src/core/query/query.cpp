@@ -244,7 +244,7 @@ std::vector<std::byte> CxtQuery::Serialize() const {
   return std::move(w).Take();
 }
 
-Result<CxtQuery> CxtQuery::Deserialize(const std::vector<std::byte>& wire) {
+Result<CxtQuery> CxtQuery::Deserialize(std::span<const std::byte> wire) {
   ByteReader r{wire};
   CxtQuery q;
   auto id = r.ReadString();

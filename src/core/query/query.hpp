@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,7 @@ struct CxtQuery {
   /// smaller ("the size of a context query object is 205 bytes").
   [[nodiscard]] std::vector<std::byte> Serialize() const;
   [[nodiscard]] static Result<CxtQuery> Deserialize(
-      const std::vector<std::byte>& wire);
+      std::span<const std::byte> wire);
 
   friend bool operator==(const CxtQuery&, const CxtQuery&) = default;
 };

@@ -4,6 +4,16 @@ namespace contory::core {
 
 std::string CxtTagName(const std::string& type) { return "cxt." + type; }
 
+std::string CxtTagValue(const CxtItem& item) {
+  const std::vector<std::byte> bytes = item.Serialize();
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+Result<CxtItem> ItemFromTagValue(std::string_view value) {
+  ByteReader r{std::as_bytes(std::span{value})};
+  return CxtItem::Deserialize(r);
+}
+
 WiFiReference::WiFiReference(net::WifiController* wifi, sm::SmRuntime* sm)
     : wifi_(wifi), sm_(sm) {}
 

@@ -9,8 +9,9 @@
 #pragma once
 
 #include <string>
-#include <unordered_set>
+#include <string_view>
 
+#include "core/model/cxt_item.hpp"
 #include "core/references/reference.hpp"
 #include "net/wifi.hpp"
 #include "sm/sm_runtime.hpp"
@@ -19,6 +20,11 @@ namespace contory::core {
 
 /// Tag namespace for published context items ("cxt.temperature", ...).
 [[nodiscard]] std::string CxtTagName(const std::string& type);
+
+/// The value of a published item's tag: the item's serialized bytes.
+[[nodiscard]] std::string CxtTagValue(const CxtItem& item);
+/// Decodes a tag value written by CxtTagValue, where it is stored.
+[[nodiscard]] Result<CxtItem> ItemFromTagValue(std::string_view value);
 
 class WiFiReference final : public Reference {
  public:

@@ -214,8 +214,9 @@ void SmRuntime::Receive(net::NodeId from, const std::vector<std::byte>& wire) {
 }
 
 template <class Stop>
-net::NodeId SmRuntime::Bfs(const std::unordered_set<net::NodeId>& exclude,
-                           int max_depth, Stop&& stop) const {
+net::NodeId SmRuntime::Bfs(std::span<const net::NodeId> exclude,
+                           net::NodeId origin, int max_depth,
+                           Stop&& stop) const {
   std::vector<SmBus::Visit>& visits = bus_.visits_;
   if (++bus_.epoch_ == 0) {  // wrapped: a stale stamp could match again
     for (SmBus::Visit& v : visits) v.stamp = 0;
@@ -225,6 +226,7 @@ net::NodeId SmRuntime::Bfs(const std::unordered_set<net::NodeId>& exclude,
   for (const net::NodeId id : exclude) {
     if (id < visits.size()) visits[id].stamp = epoch;
   }
+  if (origin < visits.size()) visits[origin].stamp = epoch;
   std::vector<net::NodeId>& order = bus_.order_;
   std::vector<net::NodeId>& neighbors = bus_.neighbors_;
   order.clear();
@@ -251,10 +253,10 @@ net::NodeId SmRuntime::Bfs(const std::unordered_set<net::NodeId>& exclude,
 }
 
 Result<net::NodeId> SmRuntime::NextHopTowardTag(
-    const std::string& tag,
-    const std::unordered_set<net::NodeId>& exclude) const {
+    const std::string& tag, std::span<const net::NodeId> exclude,
+    net::NodeId origin) const {
   // The nearest node exposing the tag is the first one discovered.
-  const net::NodeId target = Bfs(exclude, 0, [&](net::NodeId n) {
+  const net::NodeId target = Bfs(exclude, origin, 0, [&](net::NodeId n) {
     return bus_.runtimes_[n]->tags_.Has(tag);
   });
   if (target == net::kInvalidNode) {
@@ -268,9 +270,10 @@ Result<net::NodeId> SmRuntime::NextHopTowardTag(
 
 Result<int> SmRuntime::HopDistanceToTag(const std::string& tag) const {
   if (tags_.Has(tag)) return 0;
-  const net::NodeId target = Bfs({}, 0, [&](net::NodeId n) {
-    return bus_.runtimes_[n]->tags_.Has(tag);
-  });
+  const net::NodeId target =
+      Bfs({}, net::kInvalidNode, 0, [&](net::NodeId n) {
+        return bus_.runtimes_[n]->tags_.Has(tag);
+      });
   if (target == net::kInvalidNode) {
     return NotFound("no reachable node exposes tag '" + tag + "'");
   }
@@ -279,7 +282,8 @@ Result<int> SmRuntime::HopDistanceToTag(const std::string& tag) const {
 
 std::vector<std::pair<net::NodeId, int>> SmRuntime::NodesWithTag(
     const std::string& tag, int max_hops) const {
-  (void)Bfs({}, max_hops, [](net::NodeId) { return false; });
+  (void)Bfs({}, net::kInvalidNode, max_hops,
+            [](net::NodeId) { return false; });
   std::vector<std::pair<net::NodeId, int>> out;
   for (std::size_t i = 1; i < bus_.order_.size(); ++i) {  // [0] = this node
     const net::NodeId candidate = bus_.order_[i];

@@ -22,8 +22,8 @@
 #include <functional>
 #include <list>
 #include <string>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.hpp"
@@ -164,11 +164,12 @@ class SmRuntime {
   // --- Content-based routing ----------------------------------------------
   /// First hop on a shortest path (over participating, WiFi-reachable
   /// nodes) toward the nearest node whose tag space exposes `tag`,
-  /// skipping nodes in `exclude`. kNotFound when no such node is
-  /// reachable.
+  /// skipping the nodes in `exclude` and `origin` (an SM's visited list
+  /// and the node it started from, which that list does not hold).
+  /// kNotFound when no such node is reachable.
   [[nodiscard]] Result<net::NodeId> NextHopTowardTag(
-      const std::string& tag,
-      const std::unordered_set<net::NodeId>& exclude = {}) const;
+      const std::string& tag, std::span<const net::NodeId> exclude = {},
+      net::NodeId origin = net::kInvalidNode) const;
 
   /// Hop distance to the nearest reachable node exposing `tag`
   /// (0 = this node itself exposes it).
@@ -215,7 +216,8 @@ class SmRuntime {
   /// BFS over the participation overlay from this node, into the bus
   /// scratch: bus_.order_ lists the visited nodes in discovery order
   /// (this node first) and bus_.visits_ holds their parent and hop depth.
-  /// Nodes in `exclude` other than this one are never visited. `stop(n)`
+  /// Nodes in `exclude`, and `origin`, other than this one are never
+  /// visited. `stop(n)`
   /// is consulted on each newly discovered node and halts the search at
   /// the first true: discovery order is nearest-first, so callers looking
   /// for the nearest match lose nothing by stopping there (a city-scale
@@ -223,7 +225,7 @@ class SmRuntime {
   /// bounds the search radius in hops. Returns the node that satisfied `stop`,
   /// or kInvalidNode. See SmBus for the scratch rules.
   template <class Stop>
-  net::NodeId Bfs(const std::unordered_set<net::NodeId>& exclude,
+  net::NodeId Bfs(std::span<const net::NodeId> exclude, net::NodeId origin,
                   int max_depth, Stop&& stop) const;
 
   sim::Simulation& sim_;

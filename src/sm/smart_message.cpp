@@ -39,9 +39,13 @@ void WriteCore(ByteWriter& w, const SmartMessage& sm) {
 
 std::size_t SmartMessage::WireBytes(std::size_t code_bytes,
                                     bool code_cached_at_receiver) const {
-  ByteWriter w;
-  WriteCore(w, *this);
-  std::size_t total = w.size() + kControlStateOverhead;
+  // WriteCore's size without writing it: four u32 length prefixes (id,
+  // code brick, data, target tag), origin, hop count, max hops and the
+  // visited count as u32s, four i64 breakup counters, plus the payloads.
+  constexpr std::size_t kFixed = 8 * 4 + 4 * 8;
+  std::size_t total = kFixed + id.size() + code_brick.size() + data.size() +
+                      target_tag.size() + 4 * visited.size() +
+                      kControlStateOverhead;
   if (!code_cached_at_receiver) total += code_bytes;
   return total;
 }
@@ -49,6 +53,7 @@ std::size_t SmartMessage::WireBytes(std::size_t code_bytes,
 std::vector<std::byte> SmartMessage::Serialize(
     std::size_t code_bytes, bool code_cached_at_receiver) const {
   ByteWriter w;
+  w.Reserve(WireBytes(code_bytes, code_cached_at_receiver));
   WriteCore(w, *this);
   w.WritePadding(kControlStateOverhead);
   if (!code_cached_at_receiver) w.WritePadding(code_bytes);

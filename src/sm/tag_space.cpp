@@ -45,6 +45,15 @@ Result<Tag> TagSpace::Read(const std::string& name) const {
   return *tag;
 }
 
+const std::string* TagSpace::PublicValue(
+    const std::string& name) const noexcept {
+  const Tag* tag = Find(name);
+  if (tag == nullptr || Expired(*tag) || !tag->access_key.empty()) {
+    return nullptr;
+  }
+  return &tag->value;
+}
+
 Result<Tag> TagSpace::ReadWithKey(const std::string& name,
                                   const std::string& key) const {
   const Tag* tag = Find(name);

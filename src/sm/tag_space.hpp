@@ -6,6 +6,8 @@
 // nodes" (Sec. 5.1). Contory publishes context items as tags whose name
 // carries the context type and whose value carries value + metadata, e.g.
 //   temperatureTag: <name=temperature> <value=14C, 1C, trusted>
+// Here that value is the item's serialized bytes (CxtItem::Serialize)
+// held as they are, so a visiting SM-FINDER decodes them in place.
 // Tags may expire (context lifetime) and may be locked with a key
 // (the paper's authenticated access mode for published items).
 //
@@ -28,6 +30,7 @@ namespace contory::sm {
 
 struct Tag {
   std::string name;
+  /// Any bytes: text, or a published item's serialized bytes.
   std::string value;
   SimTime created;
   /// Absolute expiry; nullopt = never expires.
@@ -50,6 +53,12 @@ class TagSpace {
   /// Reads a public tag. kPermissionDenied for key-locked tags,
   /// kNotFound for absent or expired ones.
   [[nodiscard]] Result<Tag> Read(const std::string& name) const;
+
+  /// The value of a live public tag, read where it is stored; nullptr
+  /// when the tag is absent, expired or key-locked. Valid until the next
+  /// Upsert, Delete or PurgeExpired.
+  [[nodiscard]] const std::string* PublicValue(
+      const std::string& name) const noexcept;
 
   /// Reads a tag presenting an access key (works for public tags too).
   [[nodiscard]] Result<Tag> ReadWithKey(const std::string& name,

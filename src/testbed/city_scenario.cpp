@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/bytes.hpp"
 #include "common/logging.hpp"
 #include "core/model/cxt_item.hpp"
 #include "core/providers/adhoc_provider.hpp"
@@ -112,7 +111,7 @@ void CityScenario::PublishProviderItem(std::size_t i) {
                  "node:" + std::to_string(node(i))};
   item.metadata.accuracy = 0.5;
   runtimes_[i]->tags().Upsert(core::CxtTagName(options_.cxt_type),
-                              ToHex(item.Serialize()));
+                              core::CxtTagValue(item));
 }
 
 void CityScenario::RefreshTags() {

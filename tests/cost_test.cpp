@@ -71,7 +71,7 @@ constexpr double kFanOutBound = 0.0;
 /// bus's BFS scratch is warm.
 constexpr double kSmHopBound = 0.0;
 /// One SM-FINDER round on a warm still city, launch to settle.
-constexpr double kFinderRoundBound = 781.6;
+constexpr double kFinderRoundBound = 213.57;
 
 bool SkipUnderSanitizers() {
 #if defined(CONTORY_SANITIZED)

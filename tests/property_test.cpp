@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <unordered_map>
@@ -949,7 +950,13 @@ class SmRoutingOracleTest : public ::testing::TestWithParam<std::uint64_t> {
             rng.Bernoulli(0.5) ? RandomExclude(rng)
                                : std::unordered_set<net::NodeId>{};
         const auto want = NaiveNextHop(overlay_, src, tag, exclude);
-        const auto got = rt->NextHopTowardTag(tag, exclude);
+        // The first id goes in as a finder's origin, the rest as its
+        // visited list.
+        const std::vector<net::NodeId> ids(exclude.begin(), exclude.end());
+        const auto got =
+            ids.empty() ? rt->NextHopTowardTag(tag)
+                        : rt->NextHopTowardTag(
+                              tag, std::span(ids).subspan(1), ids.front());
         ASSERT_EQ(got.ok(), want.ok()) << "node " << src << " tag " << tag;
         if (want.ok()) {
           ASSERT_EQ(*got, *want) << "node " << src << " tag " << tag;
@@ -1082,13 +1089,268 @@ TEST(WireTruncationTest, EveryPrefixOfAFinderStateFails) {
   }
   const auto payload = state.Encode();
   ASSERT_TRUE(core::FinderState::Decode(payload).ok());
+  // The header ends where the results begin: the payload of the same
+  // state with no results.
+  core::FinderState bare = state;
+  bare.results.clear();
+  const std::size_t header_end = bare.Encode().size();
   for (std::size_t n = 0; n < payload.size(); ++n) {
     const std::vector<std::byte> prefix(
         payload.begin(), payload.begin() + static_cast<long>(n));
     ASSERT_FALSE(core::FinderState::Decode(prefix).ok())
         << "prefix of " << n << " bytes";
+    // The header reader fails on a cut header; past it, the walk over
+    // the cut results does.
+    const auto header = core::FinderHeader::Read(prefix);
+    if (n < header_end) {
+      ASSERT_FALSE(header.ok()) << "prefix of " << n << " bytes";
+      EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(header.ok()) << "prefix of " << n << " bytes";
+    EXPECT_EQ(header->count(), 2u);
+    EXPECT_FALSE(header->HoldsItem(prefix, "absent").ok())
+        << "prefix of " << n << " bytes";
   }
 }
+
+// --- Finder data bricks: in-place header writes against Encode --------------
+
+/// Random finder states over generated items, and a line of four Contory
+/// nodes 80 m apart (100 m WiFi range) for finders with broken results.
+class FinderWireTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static constexpr int kNodes = 4;
+
+  /// A state with 0-12 results (some sharing an id), unknown-type items
+  /// among them, and remaining -1, 0 or n.
+  static core::FinderState RandomState(Rng& rng) {
+    static const char* const kQueries[] = {
+        "SELECT temperature FROM adHocNetwork(10,3) WHERE accuracy=0.2 "
+        "FRESHNESS 30 sec DURATION 1 hour",
+        "SELECT wind FROM adHocNetwork(all,5) DURATION 10 min",
+        "SELECT location FROM adHocNetwork(2,1) DURATION 1 hour EVERY 5 sec"};
+    auto query = query::ParseQuery(kQueries[rng.UniformInt(0, 2)]);
+    EXPECT_TRUE(query.ok());
+    query->id = "q-" + std::to_string(rng.Next() % 100'000);
+    core::FinderState state;
+    state.query = *query;
+    const std::int64_t pick = rng.UniformInt(0, 2);
+    state.remaining_nodes =
+        pick == 0   ? -1
+        : pick == 1 ? 0
+                    : static_cast<int>(rng.UniformInt(1, 20));
+    state.homeward = rng.Bernoulli(0.2);
+    const std::int64_t count = rng.UniformInt(0, 12);
+    for (std::int64_t i = 0; i < count; ++i) {
+      CxtItem item = GenerateItem(rng);
+      if (!state.results.empty() && rng.Bernoulli(0.2)) {
+        item.id = state.results.front().item.id;  // a duplicate id
+      }
+      state.results.push_back(core::FinderState::Collected{
+          std::move(item), static_cast<int>(rng.UniformInt(0, 12))});
+    }
+    return state;
+  }
+
+  void Build() {
+    for (int i = 0; i < kNodes; ++i) {
+      phones_.push_back(std::make_unique<phone::SmartPhone>(
+          sim_, phone::Nokia9500(), "wire-" + std::to_string(i)));
+      nodes_.push_back(
+          medium_.Register("wire-" + std::to_string(i), {i * 80.0, 0}));
+      wifis_.push_back(std::make_unique<net::WifiController>(
+          sim_, wifi_bus_, *phones_.back(), nodes_.back()));
+      wifis_.back()->SetEnabled(true);
+      runtimes_.push_back(
+          std::make_unique<sm::SmRuntime>(sim_, sm_bus_, *wifis_.back()));
+      runtimes_.back()->SetParticipating(true);
+      core::RegisterFinderBrick(*runtimes_.back());
+      runtimes_.back()->tags().Upsert(core::HomeTagName(nodes_.back()), "1");
+    }
+    // The only provider is at the far end of the line.
+    CxtItem item;
+    item.id = "wire-provider-item";
+    item.type = "temperature";
+    item.value = 21.0;
+    item.timestamp = sim_.Now();
+    runtimes_[3]->tags().Upsert(core::CxtTagName("temperature"),
+                                core::CxtTagValue(item));
+  }
+
+  /// Issues a finder carrying `data` at node `at` (its origin is node 0),
+  /// as CityScenario does: a reply handler and a timeout at the origin.
+  /// True when the timeout, not a reply, ended the round; the reply (if
+  /// any) lands in `reply`.
+  bool Issue(std::vector<std::byte> data, int at,
+             std::optional<sm::SmartMessage>& reply) {
+    sm::SmartMessage sm;
+    sm.id = sim_.ids().NextId("wire-finder");
+    sm.code_brick = core::kFinderBrick;
+    sm.origin = nodes_[0];
+    sm.target_tag = core::CxtTagName("temperature");
+    sm.max_hops = 10;
+    sm.data = std::move(data);
+    bool timed_out = false;
+    const std::string id = sm.id;
+    runtimes_[0]->RegisterReplyHandler(
+        id, [&reply](sm::SmartMessage r) { reply = std::move(r); });
+    sim_.ScheduleAfter(60s, [&] {
+      if (reply.has_value()) return;
+      timed_out = true;
+      runtimes_[0]->UnregisterReplyHandler(id);
+    });
+    EXPECT_TRUE(runtimes_[at]->Inject(std::move(sm)).ok());
+    sim_.Run();
+    return timed_out;
+  }
+
+  sim::Simulation sim_{7};
+  net::Medium medium_;
+  net::WifiBus wifi_bus_{medium_};
+  sm::SmBus sm_bus_;
+  std::vector<std::unique_ptr<phone::SmartPhone>> phones_;
+  std::vector<net::NodeId> nodes_;
+  std::vector<std::unique_ptr<net::WifiController>> wifis_;
+  std::vector<std::unique_ptr<sm::SmRuntime>> runtimes_;
+};
+
+TEST_P(FinderWireTest, InPlaceWritesEqualEncode) {
+  Rng rng{GetParam()};
+  for (int round = 0; round < 40; ++round) {
+    core::FinderState state = RandomState(rng);
+    std::vector<std::byte> data = state.Encode();
+    auto header = core::FinderHeader::Read(data);
+    ASSERT_TRUE(header.ok()) << header.status().ToString();
+    EXPECT_EQ(header->remaining_nodes(), state.remaining_nodes);
+    EXPECT_EQ(header->homeward(), state.homeward);
+    EXPECT_EQ(header->count(), state.results.size());
+    const auto query = header->DecodeQuery(data);
+    ASSERT_TRUE(query.ok());
+    EXPECT_EQ(*query, state.query);
+    for (const auto& c : state.results) {
+      EXPECT_EQ(header->HoldsItem(data, c.item.id).value(), true);
+    }
+    EXPECT_EQ(header->HoldsItem(data, "never-collected").value(), false);
+
+    // A collecting hop's writes, each checked against Encode of the same
+    // change made on the decoded state.
+    for (int step = 0; step < 3; ++step) {
+      switch (rng.UniformInt(0, 2)) {
+        case 0: {  // append
+          CxtItem item = GenerateItem(rng);
+          const int hop = static_cast<int>(rng.UniformInt(0, 12));
+          header->Append(data, item, hop);
+          state.results.push_back(
+              core::FinderState::Collected{std::move(item), hop});
+          break;
+        }
+        case 1:  // decrement, as a finder does after collecting
+          if (state.remaining_nodes > 0) {
+            header->SetRemaining(data, state.remaining_nodes - 1);
+            --state.remaining_nodes;
+          }
+          break;
+        default:  // turn home
+          header->SetHomeward(data);
+          state.homeward = true;
+          break;
+      }
+      ASSERT_EQ(data, state.Encode()) << "round " << round << " step "
+                                      << step;
+      EXPECT_EQ(header->count(), state.results.size());
+      EXPECT_EQ(header->remaining_nodes(), state.remaining_nodes);
+      EXPECT_EQ(header->homeward(), state.homeward);
+    }
+    // Bytes after the last result break the walk.
+    data.push_back(std::byte{0});
+    EXPECT_FALSE(header->HoldsItem(data, "never-collected").ok());
+  }
+}
+
+TEST_P(FinderWireTest, WireBytesEqualsSerializedSize) {
+  Rng rng{GetParam()};
+  const auto text = [&rng](std::int64_t max_len) {
+    return std::string(static_cast<std::size_t>(rng.UniformInt(0, max_len)),
+                       'x');
+  };
+  for (int round = 0; round < 50; ++round) {
+    sm::SmartMessage sm;
+    sm.id = text(40);
+    sm.code_brick = text(30);
+    sm.data.resize(static_cast<std::size_t>(rng.UniformInt(0, 3000)));
+    sm.origin = static_cast<net::NodeId>(rng.UniformInt(1, 100'000));
+    sm.target_tag = text(30);
+    sm.hop_count = static_cast<int>(rng.UniformInt(0, 20));
+    sm.max_hops = static_cast<int>(rng.UniformInt(0, 20));
+    for (std::int64_t i = rng.UniformInt(0, 20); i > 0; --i) {
+      sm.visited.push_back(static_cast<net::NodeId>(rng.UniformInt(1, 1000)));
+    }
+    sm.breakup.transfer = SimDuration{rng.UniformInt(0, 1'000'000)};
+    const auto code = static_cast<std::size_t>(rng.UniformInt(0, 4000));
+    for (const bool cached : {false, true}) {
+      EXPECT_EQ(sm.WireBytes(code, cached), sm.Serialize(code, cached).size())
+          << "round " << round << (cached ? " cached" : " uncached");
+    }
+  }
+}
+
+TEST_P(FinderWireTest, BrokenResultsKillTheFinderAndTheIssuerTimesOut) {
+  Build();
+  Rng rng{GetParam()};
+  core::FinderState state = RandomState(rng);
+  auto query = query::ParseQuery(
+      "SELECT temperature FROM adHocNetwork(all,10) DURATION 1 hour");
+  ASSERT_TRUE(query.ok());
+  state.query = *query;
+  state.remaining_nodes = -1;
+  state.homeward = false;
+  state.results.push_back(core::FinderState::Collected{GenerateItem(rng), 1});
+  std::vector<std::byte> data = state.Encode();
+  // Break the results past the header: the id length of one result, or
+  // a cut in the results.
+  switch (GetParam() % 2) {
+    case 0: {
+      const auto k = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(state.results.size()) - 1));
+      core::FinderState before = state;
+      before.results.resize(k);
+      PutU32(data, before.Encode().size(), 0xffffffffu);
+      break;
+    }
+    default: {
+      core::FinderState bare = state;
+      bare.results.clear();
+      data.resize(static_cast<std::size_t>(rng.UniformInt(
+          static_cast<std::int64_t>(bare.Encode().size()),
+          static_cast<std::int64_t>(data.size()) - 1)));
+      break;
+    }
+  }
+  ASSERT_TRUE(core::FinderHeader::Read(data).ok());
+  ASSERT_FALSE(core::FinderState::Decode(data).ok());
+
+  // Outbound, it reaches the provider at node 3, cannot walk its results
+  // to collect there, and dies: no reply, the issuer times out.
+  std::optional<sm::SmartMessage> reply;
+  EXPECT_TRUE(Issue(data, 0, reply));
+  EXPECT_FALSE(reply.has_value());
+  EXPECT_EQ(runtimes_[3]->executed(), 1u);
+
+  // Homeward, it is forwarded untouched and reaches its issuer, whose
+  // full Decode rejects it.
+  auto header = core::FinderHeader::Read(data);
+  ASSERT_TRUE(header.ok());
+  header->SetHomeward(data);
+  EXPECT_FALSE(Issue(data, 3, reply));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->hop_count, 3);
+  EXPECT_EQ(reply->data, data);
+  EXPECT_FALSE(core::FinderState::Decode(reply->data).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FinderWireTest,
+                         ::testing::Values(31, 32, 33, 34, 35));
 
 // --- NMEA round trip across the globe ----------------------------------------
 

@@ -95,9 +95,7 @@ TEST_F(PublisherTest, RepublishUpdatesInPlace) {
   // Tag carries the fresh value too.
   const auto tag = device_->sm()->tags().Read(CxtTagName(vocab::kWind));
   ASSERT_TRUE(tag.ok());
-  const auto bytes = FromHex(tag->value);
-  ASSERT_TRUE(bytes.ok());
-  const auto item = CxtItem::Deserialize(*bytes);
+  const auto item = ItemFromTagValue(tag->value);
   ASSERT_TRUE(item.ok());
   EXPECT_EQ(item->value, CxtValue{9.0});
 }

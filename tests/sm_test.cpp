@@ -77,6 +77,20 @@ TEST(TagSpaceTest, AuthenticatedAccess) {
   EXPECT_EQ(tags.ReadWithKey("secret", "wrong").status().code(),
             StatusCode::kPermissionDenied);
   EXPECT_EQ(tags.ReadWithKey("secret", "key123")->value, "classified");
+  EXPECT_EQ(tags.PublicValue("secret"), nullptr);
+}
+
+TEST(TagSpaceTest, PublicValueReadsLivePublicTagsInPlace) {
+  sim::Simulation sim;
+  TagSpace tags{sim};
+  tags.Upsert("t", std::string{"a\0b", 3}, SimDuration{10s});
+  const std::string* value = tags.PublicValue("t");
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, std::string("a\0b", 3));  // any bytes, held as they are
+  EXPECT_EQ(value, tags.PublicValue("t"));
+  EXPECT_EQ(tags.PublicValue("absent"), nullptr);
+  sim.RunFor(10s);
+  EXPECT_EQ(tags.PublicValue("t"), nullptr);  // expired
 }
 
 TEST(TagSpaceTest, MatchByPrefixHidesLockedValues) {
@@ -365,9 +379,14 @@ TEST_F(SmRuntimeTest, NextHopTowardTagFollowsShortestPath) {
 
 TEST_F(SmRuntimeTest, NextHopHonorsExclusion) {
   runtimes_[3]->tags().Upsert("cxt.t", "x");
-  std::unordered_set<net::NodeId> exclude{nodes_[1]};
-  // With B excluded the line topology has no path.
+  // With B excluded, in the list or as the origin, the line topology has
+  // no path.
+  const std::vector<net::NodeId> exclude{nodes_[1]};
   EXPECT_FALSE(runtimes_[0]->NextHopTowardTag("cxt.t", exclude).ok());
+  EXPECT_FALSE(runtimes_[0]->NextHopTowardTag("cxt.t", {}, nodes_[1]).ok());
+  // From B, excluding the node behind it changes nothing.
+  EXPECT_EQ(runtimes_[1]->NextHopTowardTag("cxt.t", {}, nodes_[0]).value(),
+            nodes_[2]);
 }
 
 TEST_F(SmRuntimeTest, NonParticipatingNodesDoNotRoute) {

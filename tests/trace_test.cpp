@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "core/model/cxt_item.hpp"
 #include "core/providers/adhoc_provider.hpp"
 #include "core/query/parser.hpp"
@@ -78,7 +77,7 @@ class TraceTest : public ::testing::Test {
                    "node:" + std::to_string(nodes_[i])};
     item.metadata.accuracy = 0.5;
     runtimes_[i]->tags().Upsert(core::CxtTagName("temperature"),
-                                ToHex(item.Serialize()));
+                                core::CxtTagValue(item));
   }
 
   /// Launches a traced SM-FINDER from node 0 (hop budget 10) and returns
